@@ -6,8 +6,9 @@ command takes its flags after the command name; file-writing commands need
 All randomness is keyed by explicit seeds; nothing reads OS entropy.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 configuration error,
-3 numeric failure (trajectory left its admissible region), 4 precondition
-failure of a requested bound, 5 problem-verification failure before a run.
+3 numeric failure (trajectory left its admissible region, or a run's gap is
+not finite), 4 precondition failure of a requested bound, 5
+problem-verification failure before a run.
 
 CSV output uses UTF-8, LF line endings, a mandatory header row, and floats
 printed with 17 significant digits so parsing returns the exact values.
@@ -22,7 +23,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -291,7 +291,7 @@ def _config_digest(config: dict) -> str:
 # --- commands --------------------------------------------------------------
 
 
-def _cmd_simulate_recursion(config: dict, out: Path, threads: int) -> int:
+def _cmd_simulate_recursion(config: dict, out: Path) -> int:
     _check_keys(
         config,
         {"params": True, "y0": True, "k_grid": True, "schedules": True},
@@ -317,19 +317,11 @@ def _cmd_simulate_recursion(config: dict, out: Path, threads: int) -> int:
     if len(set(ids)) != len(ids):
         raise ConfigError("schedule ids must be unique")
 
-    jobs = [(K, sid, body) for K in k_grid for sid, body in specs]
-
-    def run_job(job: tuple[int, str, dict]) -> tuple[int, str, float]:
-        K, sid, body = job
-        schedule = _build_schedule(body, K, where=f"schedule {sid!r}")
-        values = simulate_pl_recursion(params, schedule, y0, K)
-        return K, sid, values[-1]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_job, jobs))
-    else:
-        rows = [run_job(job) for job in jobs]
+    rows = []
+    for K in k_grid:
+        for sid, body in specs:
+            schedule = _build_schedule(body, K, where=f"schedule {sid!r}")
+            rows.append((K, sid, simulate_pl_recursion(params, schedule, y0, K)[-1]))
     target = out / "recursion.csv"
     _write_csv(target, ["K", "schedule_id", "y_K"], rows)
     print(f"wrote {len(rows)} rows to {target}")
@@ -414,7 +406,7 @@ def _trajectory_rows(gaps: np.ndarray, seeds: tuple[int, ...]):
             yield k, seed, float(gap)
 
 
-def _cmd_run(config: dict, out: Path, seed: int, threads: int, skip_verify: bool) -> int:
+def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
     _check_keys(
         config,
         {
@@ -490,9 +482,9 @@ def _cmd_run(config: dict, out: Path, seed: int, threads: int, skip_verify: bool
         trajectory = gd_run(problem, schedule, x0, K)
     elif algorithm == "sgd":
         assert noise is not None
-        trajectory = sgd_run(problem, noise, schedule, x0, K, seeds, workers=threads)
+        trajectory = sgd_run(problem, noise, schedule, x0, K, seeds)
     else:
-        trajectory = rr_run(problem, schedule, x0, K, seeds, workers=threads)
+        trajectory = rr_run(problem, schedule, x0, K, seeds)
 
     traj_path = out / "trajectories.csv"
     mean_path = out / "mean.csv"
@@ -973,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, default=None, help="path to a JSON config")
     common.add_argument("--out", type=Path, default=None, help="output directory")
     common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for fan-out")
     common.add_argument(
         "--skip-verify", action="store_true", help="skip the pre-run problem verification"
     )
@@ -1007,12 +998,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         if args.command == "simulate-recursion":
-            return _cmd_simulate_recursion(
-                _load_config(args.config), _out_dir(args.out), args.threads
-            )
+            return _cmd_simulate_recursion(_load_config(args.config), _out_dir(args.out))
         if args.command == "bound":
             return _cmd_bound(_load_config(args.config), _out_dir(args.out))
         if args.command == "run":
@@ -1020,7 +1007,6 @@ def main(argv: list[str] | None = None) -> int:
                 _load_config(args.config),
                 _out_dir(args.out),
                 args.seed,
-                args.threads,
                 args.skip_verify,
             )
         if args.command == "verify":

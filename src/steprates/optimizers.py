@@ -7,51 +7,66 @@ domination, and noise certificates are known in closed form. Empirical
 verification helpers sample those certificates so that runs feeding the
 bound checks are backed by checked assumptions rather than trust.
 
-All stochastic draws come from counter-based Philox streams keyed by the
-seed, so per-seed trajectories are reproducible regardless of how seeds are
-scheduled across workers. Aggregation across seeds uses compensated sums in
-ascending seed order.
+All three methods run on one engine that steps every seed together as an
+(S, d) array, one row per seed in ascending seed order; gradient descent is
+the single-row case. Problems evaluate objective and gradient on whole
+arrays of points with the same arithmetic per point as for a single one.
+
+Each seed draws from its own counter-based Philox stream keyed by the seed.
+The engine takes a seed's Gaussian noise, or its epoch orders for
+reshuffling, in blocks of consecutive steps, and a block leaves the stream
+exactly as step-by-step draws do. A seed's trajectory is therefore the same
+whichever seeds run beside it.
+
+Across seeds, the mean and standard error of the gaps are Neumaier
+compensated sums taken row by row in ascending seed order and vectorized
+over steps, so no temporary the size of the gap array is made. Each sum is
+within one ulp of the exactly rounded sum (math.fsum) up to a second-order
+term. Gaps must be finite: a NaN or an infinity raises NumericFailure naming
+the first seed and step where it appears.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
+from .plbounds import NumericFailure
 from .recursions import CheckResult, PreconditionError
 from .schedules import StepSchedule, step_values, validate_cap
+
+# Numbers per block of steps the engine holds at once, over all seeds: the
+# block's iterates, and its draws, are 4 MiB of doubles each at most.
+_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
 class Problem:
     """A differentiable objective with certified curvature and PL constants.
 
-    The certificates (pl_mu, smoothness_L) are valid on the centered box of
-    half-width domain_radius. Finite-sum problems carry per-component
-    objectives/gradients averaged by the full objective. meta holds builder
-    internals (spectra, shifts) used by fast paths and tests.
+    objective and gradient take points along the last axis: one point of
+    shape (d,), a batch of shape (S, d), or more leading axes, and treat
+    every point as they treat a single one. The
+    certificates (pl_mu, smoothness_L) are valid on the centered box of
+    half-width domain_radius. Finite-sum problems carry component_count and
+    component_gradient(X, idx), whose row i is the gradient of component
+    idx[i] at X[i]. meta holds builder internals (spectra, shifts) used by
+    tests.
     """
 
     dimension: int
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     f_star: float
     pl_theta: float
     pl_mu: float
     smoothness_L: float
     domain_radius: float
-    component_objectives: tuple[Callable[[np.ndarray], float], ...] | None = None
-    component_gradients: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
+    component_count: int | None = None
+    component_gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     meta: dict = field(default_factory=dict)
-
-    @property
-    def component_count(self) -> int | None:
-        if self.component_gradients is None:
-            return None
-        return len(self.component_gradients)
 
 
 @dataclass(frozen=True)
@@ -95,6 +110,7 @@ class Trajectory:
     gaps has one row per seed (a single row with empty seeds for the
     deterministic method). left_domain flags seeds whose iterates exited the
     certified region; such rows are excluded from bound checks downstream.
+    A gap that is not finite raises NumericFailure; a negative one, ValueError.
     """
 
     gaps: np.ndarray
@@ -104,32 +120,71 @@ class Trajectory:
     left_domain: tuple[bool, ...]
 
     def __post_init__(self) -> None:
+        _check_finite(self.gaps, self.seeds)
         if float(self.gaps.min()) < -1e-12:
             raise ValueError(f"negative objective gap {self.gaps.min()} in trajectory")
 
 
-def _aggregate(rows: list[np.ndarray], seeds: list[int], left: list[bool]) -> Trajectory:
-    order = np.argsort(np.asarray(seeds, dtype=np.int64), kind="stable") if seeds else [0]
-    if seeds:
-        rows = [rows[i] for i in order]
-        left = [left[i] for i in order]
-        sorted_seeds = tuple(int(seeds[i]) for i in order)
-    else:
-        sorted_seeds = ()
-    gaps = np.vstack(rows)
+def _check_finite(gaps: np.ndarray, seeds: tuple[int, ...]) -> None:
+    # min and max propagate NaN and show infinities without a temporary array
+    if math.isfinite(gaps.min()) and math.isfinite(gaps.max()):
+        return
+    row, step = (int(v) for v in np.argwhere(~np.isfinite(gaps))[0])
+    who = f"seed {seeds[row]}" if seeds else "the deterministic run"
+    raise NumericFailure(
+        f"objective gap {gaps[row, step]} is not finite for {who} at step {step}", index=step
+    )
+
+
+def _compensated_sum(rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Neumaier's compensated sum of equal-shape arrays, one row at a time.
+
+    Elementwise, the error is at most u*|s| + g^2*sum|x_i| with u = 2^-53
+    and g = (n-1)u/(1-(n-1)u) (Ogita, Rump and Oishi 2005, Prop. 4.5): one
+    ulp of the exact sum s up to a second-order term. Two rows are summed
+    exactly rounded, as math.fsum does. Each rounding error is found with
+    Knuth's branch-free TwoSum, which gives the same bits as Neumaier's
+    |a| >= |b| branch, in buffers reused across rows.
+    """
+    rows = iter(rows)
+    total = np.array(next(rows), dtype=float)
+    comp = np.zeros(total.shape)
+    nxt, kept, lost = (np.empty(total.shape) for _ in range(3))
+    for row in rows:
+        np.add(total, row, out=nxt)
+        np.subtract(nxt, total, out=kept)  # the part of row that the sum kept
+        np.subtract(nxt, kept, out=lost)
+        np.subtract(total, lost, out=lost)  # what total lost in the rounding
+        np.subtract(row, kept, out=kept)  # what row lost
+        lost += kept
+        comp += lost
+        total, nxt = nxt, total
+    return total + comp
+
+
+def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """np.dot of each row of U with V, bitwise: vecdot makes the same BLAS
+    call per row, and a one-column row is its single product."""
+    if U.shape[-1] == 1:
+        return (U * V)[..., 0]
+    return np.vecdot(U, V)
+
+
+def _aggregate(gaps: np.ndarray, seeds: tuple[int, ...], left: np.ndarray) -> Trajectory:
+    _check_finite(gaps, seeds)  # before summing, so NaN and inf raise instead of warning
     n = gaps.shape[0]
-    mean = np.array([math.fsum(gaps[:, j]) / n for j in range(gaps.shape[1])])
+    mean = _compensated_sum(gaps) / n
     if n > 1:
-        stderr = np.array(
-            [
-                math.sqrt(math.fsum((gaps[:, j] - mean[j]) ** 2) / (n - 1) / n)
-                for j in range(gaps.shape[1])
-            ]
-        )
+        squares = ((row - mean) ** 2 for row in gaps)
+        stderr = np.sqrt(_compensated_sum(squares) / (n - 1) / n)
     else:
         stderr = np.zeros_like(mean)
     return Trajectory(
-        gaps=gaps, seeds=sorted_seeds, mean=mean, stderr=stderr, left_domain=tuple(left)
+        gaps=gaps,
+        seeds=seeds,
+        mean=mean,
+        stderr=stderr,
+        left_domain=tuple(bool(v) for v in left),
     )
 
 
@@ -148,86 +203,82 @@ def _start(problem: Problem, x0) -> np.ndarray:
     return x
 
 
+def _descend(
+    problem: Problem,
+    alphas: list[float],
+    x0: np.ndarray,
+    seeds: tuple[int, ...],
+    step: Callable[[np.ndarray, float, np.ndarray | None], np.ndarray],
+    draw: Callable[[np.random.Generator, np.ndarray], None] | None = None,
+    width: int = 1,
+    dtype: type = float,
+) -> Trajectory:
+    """Run every seed's iterate together, one row per seed (one row if none).
+
+    step(X, a, drawn) maps the iterates, the step size and this step's draws
+    to the next iterates. draw(rng, out) fills one seed's draws for
+    consecutive steps, shape (steps, width), from its own stream. The engine
+    works in blocks of steps that hold at most _BLOCK numbers over all seeds:
+    it draws a block's randomness ahead, keeps its iterates, and evaluates
+    their gaps and norms in one call per block.
+    """
+    K = len(alphas)
+    S = max(len(seeds), 1)
+    dim = problem.dimension
+    rngs = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
+    objective, f_star = problem.objective, problem.f_star
+    X = np.tile(x0, (S, 1))
+    gaps = np.empty((S, K + 1))
+    # largest squared norm after any step: sqrt is monotone, so a row left the
+    # domain at some step exactly when the square root of its peak exceeds it
+    # (fmax skips NaN, as the comparison does)
+    peak = np.zeros(S)
+    span = max(1, _BLOCK // (S * max(width, dim)))
+    block = None
+    # overflow shows up as a gap that is not finite, which _aggregate raises
+    # as NumericFailure; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps[:, 0] = objective(X) - f_star
+        for start in range(0, K, span):
+            n = min(span, K - start)
+            if draw is not None:
+                block = np.empty((S, n, width), dtype=dtype)
+                for rng, out in zip(rngs, block):
+                    draw(rng, out)
+            path = np.empty((S, n, dim))
+            for j in range(n):
+                X = step(X, alphas[start + j], None if block is None else block[:, j])
+                path[:, j] = X
+            gaps[:, start + 1 : start + n + 1] = objective(path) - f_star
+            peak = np.fmax(peak, np.fmax.reduce(_rowdot(path, path), axis=1))
+    return _aggregate(gaps, seeds, np.sqrt(peak) > problem.domain_radius)
+
+
+def _sgd_step(problem: Problem, noise: NoiseModel):
+    """The SGD update of every row; without noise, the gradient step."""
+    gaussian = noise.kind == "additive_gaussian"
+    dim = problem.dimension
+    flat = noise.sigma / math.sqrt(dim)
+
+    def step(X, a, Z):
+        G = problem.gradient(X)
+        if gaussian:
+            if noise.A == 0.0:
+                G = G + Z * flat
+            else:
+                gap = problem.objective(X) - problem.f_star
+                scale = np.sqrt((noise.A * np.maximum(gap, 0.0) + noise.sigma**2) / dim)
+                G = G + Z * scale[:, None]
+        return X - a * G
+
+    return step
+
+
 def gd_run(problem: Problem, schedule: StepSchedule, x0, K: int) -> Trajectory:
     """Deterministic gradient descent; steps must stay within 1/L."""
     _check_cap(schedule, 1.0 / problem.smoothness_L, K, "descent")
-    alphas = step_values(schedule, K)
-    x = _start(problem, x0)
-    gaps = np.empty(K + 1)
-    gaps[0] = problem.objective(x) - problem.f_star
-    left = False
-    radius = problem.domain_radius
-    for k, a in enumerate(alphas):
-        x = x - a * problem.gradient(x)
-        gaps[k + 1] = problem.objective(x) - problem.f_star
-        if np.linalg.norm(x) > radius:
-            left = True
-    return _aggregate([gaps], [], [left])
-
-
-def _noise_scale(noise: NoiseModel, gap: float, dim: int) -> float:
-    return math.sqrt((noise.A * max(gap, 0.0) + noise.sigma**2) / dim)
-
-
-def _sgd_one_seed(
-    problem: Problem, noise: NoiseModel, alphas: list[float], x0: np.ndarray, seed: int
-) -> tuple[np.ndarray, bool]:
-    K = len(alphas)
-    dim = problem.dimension
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    gaps = np.empty(K + 1)
-    x = x0.copy()
-    gap = problem.objective(x) - problem.f_star
-    gaps[0] = gap
-    left = False
-    radius = problem.domain_radius
-    gaussian = noise.kind == "additive_gaussian"
-    block = None
-    if gaussian and noise.A == 0.0:
-        block = rng.standard_normal((K, dim)) * (noise.sigma / math.sqrt(dim))
-    for k, a in enumerate(alphas):
-        g = problem.gradient(x)
-        if gaussian:
-            if block is not None:
-                g = g + block[k]
-            else:
-                g = g + rng.standard_normal(dim) * _noise_scale(noise, gap, dim)
-        x = x - a * g
-        gap = problem.objective(x) - problem.f_star
-        gaps[k + 1] = gap
-        if np.linalg.norm(x) > radius:
-            left = True
-    return gaps, left
-
-
-def _sgd_vectorized(
-    problem: Problem, noise: NoiseModel, alphas: list[float], x0: np.ndarray, seeds: list[int]
-) -> tuple[list[np.ndarray], list[bool]]:
-    """All seeds at once for 1-d diagonal quadratics with state-free noise.
-
-    The update and gap expressions mirror the scalar path operation for
-    operation, so results are bitwise identical to _sgd_one_seed.
-    """
-    K = len(alphas)
-    lam = float(problem.meta["spectrum"][0])
-    blocks = np.stack(
-        [
-            np.random.Generator(np.random.Philox(key=seed)).standard_normal((K, 1))[:, 0]
-            * noise.sigma
-            for seed in seeds
-        ]
-    )
-    S = len(seeds)
-    X = np.full(S, float(x0[0]))
-    gaps = np.empty((S, K + 1))
-    gaps[:, 0] = 0.5 * (lam * (X * X)) - problem.f_star
-    left = np.zeros(S, dtype=bool)
-    radius = problem.domain_radius
-    for k, a in enumerate(alphas):
-        X = X - a * (lam * X + blocks[:, k])
-        gaps[:, k + 1] = 0.5 * (lam * (X * X)) - problem.f_star
-        left |= np.abs(X) > radius
-    return [gaps[i] for i in range(S)], [bool(v) for v in left]
+    step = _sgd_step(problem, NoiseModel("none"))
+    return _descend(problem, step_values(schedule, K), _start(problem, x0), (), step)
 
 
 def sgd_run(
@@ -237,73 +288,37 @@ def sgd_run(
     x0,
     K: int,
     seeds: list[int],
-    vectorize: str = "auto",
-    workers: int = 1,
 ) -> Trajectory:
     """Stochastic gradient descent with one oracle draw per step.
 
-    With noise kind "none" the result equals gd_run bitwise. vectorize
-    "auto" batches seeds for 1-d diagonal quadratics under state-free noise;
-    "never" forces the per-seed path (results are identical either way).
+    With noise kind "none" the result equals gd_run bitwise.
     """
     if not seeds:
         raise ValueError("sgd_run needs at least one seed")
     _check_cap(schedule, 1.0 / problem.smoothness_L, K, "descent")
-    alphas = step_values(schedule, K)
-    x = _start(problem, x0)
-    seed_list = [int(s) for s in seeds]
-    fast = (
-        vectorize in ("auto", "always")
-        and problem.meta.get("kind") == "diag_quadratic"
-        and problem.dimension == 1
-        and noise.kind == "additive_gaussian"
-        and noise.A == 0.0
+    draw = None
+    if noise.kind == "additive_gaussian":
+        def draw(rng: np.random.Generator, out: np.ndarray) -> None:
+            rng.standard_normal(out=out)
+
+    return _descend(
+        problem,
+        step_values(schedule, K),
+        _start(problem, x0),
+        tuple(sorted(int(s) for s in seeds)),
+        _sgd_step(problem, noise),
+        draw,
+        width=problem.dimension,
     )
-    if vectorize == "always" and not fast:
-        raise ValueError("vectorized path unavailable for this problem/noise combination")
-    if fast:
-        rows, left = _sgd_vectorized(problem, noise, alphas, x, seed_list)
-    elif workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda s: _sgd_one_seed(problem, noise, alphas, x, s), seed_list)
-            )
-        rows = [r[0] for r in results]
-        left = [r[1] for r in results]
-    else:
-        rows, left = [], []
-        for s in seed_list:
-            g, flag = _sgd_one_seed(problem, noise, alphas, x, s)
-            rows.append(g)
-            left.append(flag)
-    return _aggregate(rows, seed_list, left)
 
 
-def epoch_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The uniform component order drawn once per epoch."""
-    return rng.permutation(n)
+def epoch_permutations(rng: np.random.Generator, n: int, epochs: int) -> np.ndarray:
+    """Uniform component orders for consecutive epochs, one row each.
 
-
-def _rr_one_seed(
-    problem: Problem, alphas: list[float], x0: np.ndarray, seed: int
-) -> tuple[np.ndarray, bool]:
-    grads = problem.component_gradients
-    assert grads is not None
-    N = len(grads)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    gaps = np.empty(len(alphas) + 1)
-    x = x0.copy()
-    gaps[0] = problem.objective(x) - problem.f_star
-    left = False
-    radius = problem.domain_radius
-    for k, a in enumerate(alphas):
-        inner = a / N
-        for j in epoch_permutation(rng, N):
-            x = x - inner * grads[j](x)
-        gaps[k + 1] = problem.objective(x) - problem.f_star
-        if np.linalg.norm(x) > radius:
-            left = True
-    return gaps, left
+    One call draws the same orders, and leaves rng in the same state, as one
+    rng.permutation(n) call per epoch.
+    """
+    return rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
 
 
 def rr_run(
@@ -312,33 +327,39 @@ def rr_run(
     x0,
     K: int,
     seeds: list[int],
-    workers: int = 1,
 ) -> Trajectory:
     """Random reshuffling: K epochs, each a fresh uniform pass over components.
 
     The epoch step a_k is split as a_k/N across the N inner updates; steps
     must stay within 1/(2L).
     """
-    if problem.component_gradients is None:
+    component = problem.component_gradient
+    if component is None:
         raise PreconditionError("random reshuffling needs a finite-sum problem")
     if not seeds:
         raise ValueError("rr_run needs at least one seed")
     _check_cap(schedule, 1.0 / (2.0 * problem.smoothness_L), K, "reshuffling")
-    alphas = step_values(schedule, K)
-    x = _start(problem, x0)
-    seed_list = [int(s) for s in seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _rr_one_seed(problem, alphas, x, s), seed_list))
-        rows = [r[0] for r in results]
-        left = [r[1] for r in results]
-    else:
-        rows, left = [], []
-        for s in seed_list:
-            g, flag = _rr_one_seed(problem, alphas, x, s)
-            rows.append(g)
-            left.append(flag)
-    return _aggregate(rows, seed_list, left)
+    N = problem.component_count
+
+    def epoch(X, a, orders):
+        inner = a / N
+        for j in range(N):
+            X = X - inner * component(X, orders[:, j])
+        return X
+
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
+        out[...] = epoch_permutations(rng, N, len(out))
+
+    return _descend(
+        problem,
+        step_values(schedule, K),
+        _start(problem, x0),
+        tuple(sorted(int(s) for s in seeds)),
+        epoch,
+        draw,
+        width=N,
+        dtype=np.intp,
+    )
 
 
 def make_quadratic(
@@ -366,11 +387,11 @@ def make_quadratic(
     if N is None:
         spectrum = np.linspace(mu, L, dim)
 
-        def objective(x: np.ndarray) -> float:
-            return float(0.5 * np.dot(spectrum, x * x))
+        def objective(X: np.ndarray) -> np.ndarray:
+            return 0.5 * _rowdot(X * X, spectrum)
 
-        def gradient(x: np.ndarray) -> np.ndarray:
-            return spectrum * x
+        def gradient(X: np.ndarray) -> np.ndarray:
+            return spectrum * X
 
         return Problem(
             dimension=dim,
@@ -406,26 +427,19 @@ def make_quadratic(
     x_star = math.fsum(kap * cen) / math.fsum(kap)
     f_star = math.fsum(kap * (x_star - cen) ** 2) / (2.0 * N)
 
-    def objective(x: np.ndarray) -> float:
-        v = float(x[0])
-        return math.fsum(kap * (v - cen) ** 2) / (2.0 * N)
+    # component terms fill the last axis, summed over it in order
+    def objective(X: np.ndarray) -> np.ndarray:
+        dev = X[..., :1] - cen
+        terms = kap * (dev * dev)
+        return _compensated_sum(terms[..., i] for i in range(N)) / (2.0 * N)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        v = float(x[0])
-        return np.array([math.fsum(kap * (v - cen)) / N])
+    def gradient(X: np.ndarray) -> np.ndarray:
+        terms = kap * (X[..., :1] - cen)
+        return (_compensated_sum(terms[..., i] for i in range(N)) / N)[..., None]
 
-    def make_component(i: int) -> tuple[Callable, Callable]:
-        ki, ci = float(kap[i]), float(cen[i])
+    def component_gradient(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return kap[idx, None] * (X - cen[idx, None])
 
-        def f_i(x: np.ndarray) -> float:
-            return 0.5 * ki * (float(x[0]) - ci) ** 2
-
-        def g_i(x: np.ndarray) -> np.ndarray:
-            return np.array([ki * (float(x[0]) - ci)])
-
-        return f_i, g_i
-
-    pairs = [make_component(i) for i in range(N)]
     # dispersion (1/N) sum (grad_i - grad)^2 is quadratic and convex in x,
     # so its sup over [-R, R] sits at an endpoint
     mean_kc = math.fsum(kap * cen) / N
@@ -444,8 +458,8 @@ def make_quadratic(
         pl_mu=mean_kap,
         smoothness_L=float(kap.max()),
         domain_radius=radius,
-        component_objectives=tuple(p[0] for p in pairs),
-        component_gradients=tuple(p[1] for p in pairs),
+        component_count=N,
+        component_gradient=component_gradient,
         meta={
             "kind": "finite_sum_quadratic",
             "curvatures": tuple(kap),
@@ -474,14 +488,12 @@ def make_power_family(theta: float, c: float, radius: float) -> Problem:
     mu = growth**2 * c ** (2.0 * (1.0 - theta)) / 2.0
     L = growth * (growth - 1.0) * c * radius ** (growth - 2.0)
 
-    def objective(x: np.ndarray) -> float:
-        return c * abs(float(x[0])) ** growth
+    def objective(X: np.ndarray) -> np.ndarray:
+        return c * np.abs(X[..., 0]) ** growth
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        v = float(x[0])
-        if v == 0.0:
-            return np.zeros(1)
-        return np.array([c * growth * abs(v) ** (growth - 1.0) * math.copysign(1.0, v)])
+    def gradient(X: np.ndarray) -> np.ndarray:
+        v = X[..., :1]
+        return c * growth * np.abs(v) ** (growth - 1.0) * np.sign(v)
 
     return Problem(
         dimension=1,
@@ -508,7 +520,7 @@ def verify_pl(problem: Problem, sample_count: int, seed: int) -> CheckResult:
     violation = None
     for i in range(sample_count):
         x = rng.uniform(-radius, radius, size=problem.dimension)
-        gap = problem.objective(x) - problem.f_star
+        gap = float(problem.objective(x)) - problem.f_star
         if gap < -1e-12 * max(1.0, abs(problem.f_star)):
             return CheckResult(
                 check="pl-inequality",
@@ -556,7 +568,7 @@ def verify_variance(
         mean_witness = var_witness = None
         for i in range(sample_count):
             x = rng.uniform(-radius, radius, size=dim)
-            gap = max(problem.objective(x) - problem.f_star, 0.0)
+            gap = max(float(problem.objective(x)) - problem.f_star, 0.0)
             bound = noise.A * gap + noise.sigma**2
             scale = math.sqrt(bound / dim)
             sample = rng.standard_normal((draws, dim)) * scale
@@ -593,18 +605,16 @@ def verify_variance(
             CheckResult(check="noise-variance", passed=True, margin=noise.sigma**2)
         )
 
-    if problem.component_gradients is not None:
-        grads = problem.component_gradients
-        N = len(grads)
+    if problem.component_gradient is not None:
+        N = problem.component_count
+        every = np.arange(N)
         worst = math.inf
         witness = None
         for i in range(sample_count):
             x = rng.uniform(-radius, radius, size=dim)
-            full = problem.gradient(x)
-            disp = math.fsum(
-                float(np.linalg.norm(g(x) - full)) ** 2 for g in grads
-            ) / N
-            gap = max(problem.objective(x) - problem.f_star, 0.0)
+            devs = problem.component_gradient(np.tile(x, (N, 1)), every) - problem.gradient(x)
+            disp = math.fsum(float(v) ** 2 for v in np.sqrt(_rowdot(devs, devs))) / N
+            gap = max(float(problem.objective(x)) - problem.f_star, 0.0)
             bound = noise.A * gap + noise.sigma**2
             slack = bound - disp + 1e-12 * max(1.0, bound)
             if slack < worst:

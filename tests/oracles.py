@@ -1,16 +1,18 @@
 """Reference computations that pin the expected values used in the tests.
 
 Every function here is a direct transcription of a closed-form expression,
-evaluated with mpmath where rounding could matter. Nothing in this module
-imports the package under test: these are the independent routes, and the
-tests assert that the library agrees with them. Running the module prints
-the table of pinned values.
+evaluated with mpmath where rounding could matter, or a plain per-seed loop
+that the seed-batched optimizer engine must reproduce. Nothing in this
+module imports the package under test: these are the independent routes,
+and the tests assert that the library agrees with them. Running the module
+prints the table of pinned values.
 """
 from __future__ import annotations
 
 import math
 
 import mpmath
+import numpy as np
 from mpmath import mp, mpf
 
 mp.dps = 40
@@ -267,6 +269,87 @@ def rho_r(theta):
 def power_family_mu(c, theta):
     q = 1 / (1 - mpf(theta))
     return q**2 * mpf(c) ** (2 * (1 - mpf(theta))) / 2
+
+
+# ---------------------------------------------------------------------------
+# per-seed optimizer loops, one point at a time
+
+
+def point_problem(meta):
+    """(objective, gradient, component gradients) of one point of shape (d,),
+    rebuilt from a problem's meta with per-point arithmetic: np.dot,
+    math.fsum over components and Python's scalar pow."""
+    kind = meta["kind"]
+    if kind == "diag_quadratic":
+        spectrum = np.array(meta["spectrum"])
+        return lambda x: float(0.5 * np.dot(spectrum, x * x)), lambda x: spectrum * x, None
+    if kind == "finite_sum_quadratic":
+        kap, cen = np.array(meta["curvatures"]), np.array(meta["shifts"])
+        N = len(kap)
+
+        def objective(x):
+            return math.fsum(kap * (float(x[0]) - cen) ** 2) / (2.0 * N)
+
+        def gradient(x):
+            return np.array([math.fsum(kap * (float(x[0]) - cen)) / N])
+
+        def component(ki, ci):
+            return lambda x: np.array([ki * (float(x[0]) - ci)])
+
+        return objective, gradient, [component(float(k), float(c)) for k, c in zip(kap, cen)]
+    growth, c = meta["growth"], meta["scale"]
+
+    def gradient(x):
+        v = float(x[0])
+        if v == 0.0:
+            return np.zeros(1)
+        return np.array([c * growth * abs(v) ** (growth - 1.0) * math.copysign(1.0, v)])
+
+    return lambda x: c * abs(float(x[0])) ** growth, gradient, None
+
+
+def sgd_one_seed(objective, gradient, f_star, radius, alphas, x0, seed, sigma=None, A=0.0):
+    """One seed's SGD gaps and left-domain flag, with one Philox(key=seed)
+    normal draw per step; sigma None runs noise-free gradient descent."""
+    K, dim = len(alphas), len(x0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    gaps = np.empty(K + 1)
+    x = np.array(x0, dtype=float)
+    gap = objective(x) - f_star
+    gaps[0] = gap
+    left = False
+    for k, a in enumerate(alphas):
+        g = gradient(x)
+        if sigma is not None:
+            if A == 0.0:
+                g = g + rng.standard_normal(dim) * (sigma / math.sqrt(dim))
+            else:
+                g = g + rng.standard_normal(dim) * math.sqrt((A * max(gap, 0.0) + sigma**2) / dim)
+        x = x - a * g
+        gap = objective(x) - f_star
+        gaps[k + 1] = gap
+        if np.linalg.norm(x) > radius:
+            left = True
+    return gaps, left
+
+
+def rr_one_seed(objective, components, f_star, radius, alphas, x0, seed):
+    """One seed's random-reshuffling gaps and left-domain flag, with one
+    rng.permutation(N) per epoch from Philox(key=seed)."""
+    N = len(components)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    gaps = np.empty(len(alphas) + 1)
+    x = np.array(x0, dtype=float)
+    gaps[0] = objective(x) - f_star
+    left = False
+    for k, a in enumerate(alphas):
+        inner = a / N
+        for j in rng.permutation(N):
+            x = x - inner * components[j](x)
+        gaps[k + 1] = objective(x) - f_star
+        if np.linalg.norm(x) > radius:
+            left = True
+    return gaps, left
 
 
 def _show(label, value):

@@ -51,11 +51,8 @@ def test_simulate_recursion_rows_match_library(tmp_path):
     assert float(flat8[2]) == expected  # %.17g survives the round trip
 
 
-def test_simulate_recursion_threads_agree(tmp_path):
-    assert run_cli(tmp_path, "simulate-recursion", SIM_CONFIG) == 0
-    serial = (tmp_path / "out" / "recursion.csv").read_bytes()
-    assert run_cli(tmp_path, "simulate-recursion", SIM_CONFIG, extra=["--threads", "4"]) == 0
-    assert (tmp_path / "out" / "recursion.csv").read_bytes() == serial
+def test_threads_option_is_gone(tmp_path):
+    assert run_cli(tmp_path, "simulate-recursion", SIM_CONFIG, extra=["--threads", "2"]) == 2
 
 
 def test_simulate_recursion_numeric_failure_exit(tmp_path):
@@ -184,6 +181,13 @@ def test_run_gd_artifacts_and_reproducibility(tmp_path):
     first = (out / "trajectories.csv").read_bytes()
     assert run_cli(tmp_path, "run", RUN_GD) == 0
     assert (out / "trajectories.csv").read_bytes() == first
+
+
+def test_run_non_finite_gap_is_numeric_failure(tmp_path, capsys):
+    config = dict(RUN_GD, x0=[1e200])  # the first gap, 0.5 * 1e400, overflows
+    assert run_cli(tmp_path, "run", config, extra=["--skip-verify"]) == 3
+    assert "not finite for the deterministic run at step 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trajectories.csv").exists()
 
 
 def test_run_sgd_requires_noise_and_seeds(tmp_path):

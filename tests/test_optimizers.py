@@ -6,14 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import point_problem, rr_one_seed, sgd_one_seed
 from steprates.optimizers import (
     NoiseModel,
     Problem,
     RunConfig,
     Trajectory,
-    epoch_permutation,
+    _compensated_sum,
+    epoch_permutations,
     gd_run,
     make_power_family,
     make_quadratic,
@@ -23,6 +27,7 @@ from steprates.optimizers import (
     verify_pl,
     verify_variance,
 )
+from steprates.plbounds import NumericFailure
 from steprates.recursions import PreconditionError
 from steprates.schedules import Constant, Polynomial, step_values
 
@@ -69,28 +74,12 @@ def test_sgd_without_noise_equals_gd_bitwise():
 def test_sgd_vectorized_matches_per_seed_path_bitwise():
     problem = make_quadratic(1.0, 1.0, 1)
     noise = NoiseModel("additive_gaussian", sigma=0.7)
-    sched = Constant(alpha=0.3)
-    seeds = [3, 11, 2, 19]
-    fast = sgd_run(problem, noise, sched, [2.0], 30, seeds=seeds, vectorize="always")
-    slow = sgd_run(problem, noise, sched, [2.0], 30, seeds=seeds, vectorize="never")
-    assert fast.seeds == slow.seeds == (2, 3, 11, 19)
-    assert np.array_equal(fast.gaps, slow.gaps)
-
-
-def test_sgd_vectorize_always_unavailable_raises():
-    problem = make_quadratic(1.0, 2.0, 2)
-    noise = NoiseModel("additive_gaussian", sigma=0.5)
-    with pytest.raises(ValueError):
-        sgd_run(problem, noise, Constant(alpha=0.1), [1.0, 1.0], 5, seeds=[0], vectorize="always")
-
-
-def test_sgd_threaded_matches_serial():
-    problem = make_quadratic(1.0, 2.0, 2)
-    noise = NoiseModel("additive_gaussian", sigma=0.5, A=0.2)
-    sched = Constant(alpha=0.2)
-    serial = sgd_run(problem, noise, sched, [1.0, -1.0], 20, seeds=[0, 1, 2])
-    threaded = sgd_run(problem, noise, sched, [1.0, -1.0], 20, seeds=[0, 1, 2], workers=3)
-    assert np.array_equal(serial.gaps, threaded.gaps)
+    traj = sgd_run(problem, noise, Constant(alpha=0.3), [2.0], 30, seeds=[3, 11, 2, 19])
+    assert traj.seeds == (2, 3, 11, 19)
+    objective, gradient, _ = point_problem(problem.meta)
+    for row, seed in zip(traj.gaps, traj.seeds):
+        ref, _ = sgd_one_seed(objective, gradient, 0.0, 10.0, [0.3] * 30, [2.0], seed, sigma=0.7)
+        assert np.array_equal(row, ref)
 
 
 def test_sgd_reproducible_and_seed_order_invariant():
@@ -131,8 +120,8 @@ def test_epoch_permutations_are_uniform():
     rng = np.random.Generator(np.random.Philox(key=123))
     counts: dict[tuple[int, ...], int] = {}
     draws = 18000
-    for _ in range(draws):
-        perm = tuple(int(v) for v in epoch_permutation(rng, 3))
+    for row in epoch_permutations(rng, 3, draws):
+        perm = tuple(int(v) for v in row)
         counts[perm] = counts.get(perm, 0) + 1
     assert len(counts) == 6
     result = stats.chisquare(list(counts.values()))
@@ -161,12 +150,13 @@ def test_rr_requires_finite_sum_and_tighter_cap():
     assert traj.gaps[:, -1].max() < traj.gaps[:, 0].min()
 
 
-def test_rr_threaded_matches_serial():
-    problem = make_quadratic(1.0, 1.9, 1, N=2, curvatures=(1.9, 0.1), shifts=(0.5, -0.5))
-    sched = Constant(alpha=0.2)
-    serial = rr_run(problem, sched, [0.3], 12, seeds=[0, 1, 2])
-    threaded = rr_run(problem, sched, [0.3], 12, seeds=[0, 1, 2], workers=3)
-    assert np.array_equal(serial.gaps, threaded.gaps)
+@pytest.mark.parametrize("N", [1, 2, 3, 7])
+def test_epoch_permutations_match_one_draw_per_epoch(N):
+    block_rng = np.random.Generator(np.random.Philox(key=N))
+    step_rng = np.random.Generator(np.random.Philox(key=N))
+    block = epoch_permutations(block_rng, N, 50)
+    assert np.array_equal(block, [step_rng.permutation(N) for _ in range(50)])
+    assert block_rng.random() == step_rng.random()  # both streams left in one state
 
 
 def test_left_domain_flag_set_when_iterates_escape():
@@ -182,6 +172,24 @@ def test_trajectory_rejects_negative_gaps():
     with pytest.raises(ValueError):
         Trajectory(
             gaps=gaps, seeds=(), mean=gaps[0], stderr=np.zeros(2), left_domain=(False,)
+        )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_trajectory_rejects_non_finite_gaps(bad):
+    gaps = np.array([[1.0, 0.5, 0.25, 0.1], [1.0, 0.5, bad, math.nan]])
+    with pytest.raises(NumericFailure, match="seed 7 at step 2") as info:
+        Trajectory(
+            gaps=gaps,
+            seeds=(3, 7),
+            mean=gaps[0],
+            stderr=np.zeros(4),
+            left_domain=(False, False),
+        )
+    assert info.value.index == 2
+    with pytest.raises(NumericFailure, match="deterministic run at step 1"):
+        Trajectory(
+            gaps=gaps[1:, 1:], seeds=(), mean=gaps[0], stderr=gaps[0], left_domain=(False,)
         )
 
 
@@ -318,3 +326,145 @@ def test_problem_rejects_bad_start():
     problem = make_quadratic(1.0, 1.0, 2)
     with pytest.raises(ValueError):
         gd_run(problem, Constant(alpha=0.5), [1.0], 5)
+
+
+# --- the seed-batched engine against the per-seed loops in tests/oracles.py ---
+#
+# The engine must reproduce the per-seed loops bit for bit wherever its
+# arithmetic is theirs: diagonal quadratics (np.vecdot makes np.dot's BLAS
+# call per row) and finite sums of at most two components (a compensated sum
+# of two terms is exactly rounded, as math.fsum is). Two places differ:
+# - finite sums of N >= 3 components, where the engine's Neumaier sum over
+#   components may round once differently from math.fsum;
+# - the power family, where numpy's vectorized pow may differ from the
+#   scalar pow by one ulp.
+# There each step adds at most a few ulps of the objective's scale and steps
+# within 1/L do not amplify them, so the gaps must agree within
+# TOLERANCE_ULPS * K ulps of the largest reference gap.
+TOLERANCE_ULPS = 64
+EPS = 2.0**-52
+
+
+quadratics = st.builds(
+    lambda d, mu, ratio: make_quadratic(mu, mu * ratio, d, radius=2.0),
+    st.integers(1, 4),
+    st.floats(0.1, 2.0),
+    st.floats(1.0, 4.0),
+)
+finite_sums = (
+    st.integers(1, 5)
+    .flatmap(
+        lambda N: st.tuples(
+            st.lists(st.floats(0.2, 3.0), min_size=N, max_size=N),
+            st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N),
+        )
+    )
+    .map(
+        lambda kc: make_quadratic(
+            min(math.fsum(kc[0]) / len(kc[0]), max(kc[0])),
+            max(kc[0]),
+            1,
+            N=len(kc[0]),
+            curvatures=tuple(kc[0]),
+            shifts=tuple(kc[1]),
+            radius=2.0,
+        )
+    )
+)
+powers = st.builds(
+    lambda theta, c: make_power_family(theta, c, 2.0),
+    st.floats(0.5, 0.8),
+    st.floats(0.2, 2.0),
+)
+
+
+def _exact(problem: Problem) -> bool:
+    kind = problem.meta["kind"]
+    return kind == "diag_quadratic" or (
+        kind == "finite_sum_quadratic" and problem.component_count <= 2
+    )
+
+
+def _assert_matches(traj, problem, K, reference):
+    refs = [reference(seed) for seed in traj.seeds]
+    ref_gaps = np.array([gaps for gaps, _ in refs])
+    if _exact(problem):
+        assert np.array_equal(traj.gaps, ref_gaps)
+    else:
+        atol = TOLERANCE_ULPS * K * EPS * float(np.max(ref_gaps))
+        np.testing.assert_allclose(traj.gaps, ref_gaps, rtol=0, atol=atol)
+    assert traj.left_domain == tuple(left for _, left in refs)
+
+
+seed_lists = st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    problem=st.one_of(quadratics, finite_sums, powers),
+    start=st.floats(-0.9, 0.9),
+    frac=st.floats(0.05, 1.0),
+    K=st.integers(1, 40),
+    seeds=seed_lists,
+    sigma=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    A=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+def test_sgd_engine_matches_per_seed_reference(problem, start, frac, K, seeds, sigma, A):
+    x0 = [start * (1.0 + 0.5 * i) for i in range(problem.dimension)]
+    alpha = frac / problem.smoothness_L
+    noise = NoiseModel("none") if sigma is None else NoiseModel("additive_gaussian", sigma, A)
+    objective, gradient, _ = point_problem(problem.meta)
+    traj = sgd_run(problem, noise, Constant(alpha=alpha), x0, K, seeds)
+    _assert_matches(
+        traj,
+        problem,
+        K,
+        lambda seed: sgd_one_seed(
+            objective, gradient, problem.f_star, 2.0, [alpha] * K, x0, seed, sigma, A
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=finite_sums,
+    start=st.floats(-1.5, 1.5),
+    frac=st.floats(0.05, 1.0),
+    K=st.integers(1, 40),
+    seeds=seed_lists,
+)
+def test_rr_engine_matches_per_seed_reference(problem, start, frac, K, seeds):
+    alpha = frac / (2.0 * problem.smoothness_L)
+    objective, _, components = point_problem(problem.meta)
+    traj = rr_run(problem, Constant(alpha=alpha), [start], K, seeds)
+    _assert_matches(
+        traj,
+        problem,
+        K,
+        lambda seed: rr_one_seed(
+            objective, components, problem.f_star, 2.0, [alpha] * K, [start], seed
+        ),
+    )
+
+
+def test_compensated_sum_within_two_ulps_of_fsum():
+    """Ill-conditioned columns: large terms of both signs cancel to a small sum.
+
+    Bound: two ulps of math.fsum's exactly rounded sum plus the second-order
+    term g^2 * sum|x| with g = (n-1)u/(1-(n-1)u), u = 2^-53 (Ogita, Rump and
+    Oishi 2005, Prop. 4.5, plus fsum's own half-ulp rounding).
+    """
+    rng = np.random.default_rng(11)
+    n, m = 400, 300
+    rows = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 6, size=(n, m))
+    # each column cancels to a sum near 10^-e: condition numbers up to ~10^14
+    for j in range(m):
+        rows[-1, j] = -math.fsum(rows[:-1, j]) + 10.0 ** -rng.uniform(0, 6)
+    got = _compensated_sum(rows)
+    u = 2.0**-53
+    g = (n - 1) * u / (1 - (n - 1) * u)
+    for j in range(m):
+        want = math.fsum(rows[:, j])
+        bound = 2 * np.spacing(abs(want)) + g * g * math.fsum(np.abs(rows[:, j]))
+        assert abs(got[j] - want) <= bound, (j, got[j], want)
+    assert np.array_equal(_compensated_sum(rows[:2]), rows[0] + rows[1])
