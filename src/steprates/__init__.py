@@ -18,6 +18,7 @@ from .optimizers import (
     RunConfig,
     Trajectory,
     gd_run,
+    keyed_generators,
     make_power_family,
     make_quadratic,
     noise_free_bound,

@@ -6,13 +6,16 @@ command takes its flags after the command name; file-writing commands need
 All randomness is keyed by explicit seeds; nothing reads OS entropy.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 configuration error,
-3 numeric failure (trajectory left its admissible region, or a run's gap is
-not finite), 4 precondition failure of a requested bound, 5
-problem-verification failure before a run.
+3 numeric failure (a trajectory left its admissible region or is not finite,
+a run's gap is not finite, or fit got a value that is not finite), 4
+precondition failure of a requested bound, 5 problem-verification failure
+before a run.
 
 CSV output uses UTF-8, LF line endings, a mandatory header row, and floats
 printed with 17 significant digits so parsing returns the exact values.
 Infinite values serialize as the strings "inf"/"-inf" in CSV and JSON.
+Tables are written in blocks from prebuilt row templates, byte for byte as
+csv.writer writes them with the same float formatting.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import sys
@@ -33,6 +37,7 @@ from .optimizers import (
     NoiseModel,
     Problem,
     gd_run,
+    keyed_generators,
     make_power_family,
     make_quadratic,
     rr_run,
@@ -80,6 +85,8 @@ EXIT_PRECONDITION_FAILURE = 4
 EXIT_PROBLEM_VERIFICATION = 5
 
 DEFAULT_R_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+# rows per template and write when a CSV table is written
+_CHUNK = 4096
 
 
 class ConfigError(ValueError):
@@ -87,13 +94,7 @@ class ConfigError(ValueError):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return "%.17g" % value
-    return str(value)
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 def _jsonable(obj):
@@ -110,12 +111,45 @@ def _jsonable(obj):
     return obj
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+def _csv_field(text: str) -> str:
+    """text as csv.writer(lineterminator="\n") writes it among other fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _write_table(
+    path: Path,
+    header: Sequence[str],
+    line: str,
+    keys: Sequence[str],
+    values,
+    labels: Sequence[str] | None = None,
+) -> None:
+    """Write a CSV table: for each label in turn, one row per key.
+
+    line is the text of one row: the key in place of "{}", the label in
+    place of "@" (keys must not hold "@" when labels are given), and %.17g
+    for each value. values holds the values of label i's row j at [i, j]
+    (at [j] without labels), in column order. Rows go out in blocks of at
+    most _CHUNK, each made by one prebuilt template and one % operation, so
+    no string holds the whole file. The bytes are csv.writer's with every
+    float printed by _fmt.
+    """
+    groups = labels if labels is not None else ("",)
+    values = np.asarray(values, dtype=float).reshape(len(groups), len(keys), -1)
+    keys = [key.replace("%", "%%") for key in keys]
+    blocks = [
+        (lo, "".join(line.format(key) for key in keys[lo : lo + _CHUNK]))
+        for lo in range(0, len(keys), _CHUNK)
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for label, rows in zip(groups, values):
+            for lo, template in blocks:
+                if labels is not None:
+                    template = template.replace("@", label.replace("%", "%%"))
+                fh.write(template % tuple(rows[lo : lo + _CHUNK].ravel().tolist()))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -225,7 +259,7 @@ def _build_constants(method: str, section) -> MethodConstants:
             mu=float(section["mu"]),
             A=float(section["A"]),
             sigma=float(section["sigma"]),
-            N=int(section["N"]),
+            N=section["N"],
         )
     raise ConfigError(f"unknown method {method!r}; expected sgd or rr")
 
@@ -317,14 +351,16 @@ def _cmd_simulate_recursion(config: dict, out: Path) -> int:
     if len(set(ids)) != len(ids):
         raise ConfigError("schedule ids must be unique")
 
-    rows = []
+    fields = [_csv_field(sid) for sid in ids]
+    keys, finals = [], []
     for K in k_grid:
-        for sid, body in specs:
+        for (sid, body), field in zip(specs, fields):
             schedule = _build_schedule(body, K, where=f"schedule {sid!r}")
-            rows.append((K, sid, simulate_pl_recursion(params, schedule, y0, K)[-1]))
+            keys.append(f"{K},{field}")
+            finals.append(simulate_pl_recursion(params, schedule, y0, K)[-1])
     target = out / "recursion.csv"
-    _write_csv(target, ["K", "schedule_id", "y_K"], rows)
-    print(f"wrote {len(rows)} rows to {target}")
+    _write_table(target, ["K", "schedule_id", "y_K"], "{},%.17g\n", keys, finals)
+    print(f"wrote {len(finals)} rows to {target}")
     return EXIT_OK
 
 
@@ -397,13 +433,6 @@ def _cmd_bound(config: dict, out: Path) -> int:
     _write_json(target, payload)
     print(f"bound value {_fmt(result.value)} ({result.regime}); wrote {target}")
     return EXIT_OK
-
-
-def _trajectory_rows(gaps: np.ndarray, seeds: tuple[int, ...]):
-    labels = seeds if seeds else (0,)
-    for row, seed in zip(gaps, labels):
-        for k, gap in enumerate(row):
-            yield k, seed, float(gap)
 
 
 def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
@@ -488,14 +517,15 @@ def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
 
     traj_path = out / "trajectories.csv"
     mean_path = out / "mean.csv"
-    _write_csv(traj_path, ["k", "seed", "gap"], _trajectory_rows(trajectory.gaps, trajectory.seeds))
-    _write_csv(
+    steps = [str(k) for k in range(trajectory.gaps.shape[1])]
+    labels = [str(s) for s in trajectory.seeds] or ["0"]
+    _write_table(traj_path, ["k", "seed", "gap"], "{},@,%.17g\n", steps, trajectory.gaps, labels)
+    _write_table(
         mean_path,
         ["k", "mean_gap", "stderr"],
-        (
-            (k, float(m), float(se))
-            for k, (m, se) in enumerate(zip(trajectory.mean, trajectory.stderr))
-        ),
+        "{},%.17g,%.17g\n",
+        steps,
+        np.stack((trajectory.mean, trajectory.stderr), axis=1),
     )
     manifest = {
         "version": __version__,
@@ -560,7 +590,7 @@ def _chung_suite(draws: int, seed: int) -> list[CheckResult]:
         CheckResult(check="example2-tightness", passed=gap <= 1e-12, margin=gap)
     )
 
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = keyed_generators([seed])[0]
     dom_worst = math.inf
     dom_witness = None
     cls_worst = 0.0
@@ -772,7 +802,7 @@ def _bounds_suite(
     family: str | None = None,
     poly_case: str | None = None,
 ) -> tuple[list[CheckResult], dict]:
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = keyed_generators([seed])[0]
     worst = math.inf
     witness = None
     evaluated = 0
@@ -838,7 +868,10 @@ def _cmd_verify(suite: str, draws: int, k_max: int, seed: int, out: Path | None)
     if suite == "inequalities":
         checks = list(tech_inequality_suite(k_max, DEFAULT_R_GRID).checks)
     elif suite == "chung":
-        checks = _chung_suite(max(1, draws // 10), seed)
+        # the suite runs a tenth of the requested draws; the report says so
+        extras = {"draws_requested": draws, "draws_run": max(1, draws // 10)}
+        checks = _chung_suite(extras["draws_run"], seed)
+        print(f"  draws requested {draws}, run {extras['draws_run']}")
     elif suite == "bounds":
         checks, extras = _bounds_suite(draws, seed)
     elif suite == "assumptions":
@@ -946,13 +979,15 @@ def _cmd_heatmap(config: dict, out: Path) -> int:
     else:
         theta_grid = [float(v) for v in np.linspace(0.5, 1.0, 51)]
     grid = heatmap_grid(p_grid, theta_grid, method)
-    rows = (
-        (theta, p, float(grid[i, j]))
-        for i, theta in enumerate(theta_grid)
-        for j, p in enumerate(p_grid)
-    )
     target = out / "heatmap.csv"
-    _write_csv(target, ["theta", "p", "exponent"], rows)
+    _write_table(
+        target,
+        ["theta", "p", "exponent"],
+        "@,{},%.17g\n",
+        [_fmt(p) for p in p_grid],
+        grid,
+        [_fmt(theta) for theta in theta_grid],
+    )
     print(f"wrote {len(theta_grid) * len(p_grid)} cells to {target}")
     return EXIT_OK
 

@@ -12,11 +12,12 @@ All three methods run on one engine that steps every seed together as an
 the single-row case. Problems evaluate objective and gradient on whole
 arrays of points with the same arithmetic per point as for a single one.
 
-Each seed draws from its own counter-based Philox stream keyed by the seed.
-The engine takes a seed's Gaussian noise, or its epoch orders for
-reshuffling, in blocks of consecutive steps, and a block leaves the stream
-exactly as step-by-step draws do. A seed's trajectory is therefore the same
-whichever seeds run beside it.
+Each seed draws from its own counter-based Philox stream keyed by the seed
+alone (keyed_generators reads no OS entropy). The engine takes a seed's
+Gaussian noise, or its epoch orders for reshuffling, in blocks of
+consecutive steps, and a block leaves the stream exactly as step-by-step
+draws do. A seed's trajectory is therefore the same whichever seeds run
+beside it.
 
 Across seeds, the mean and standard error of the gaps are Neumaier
 compensated sums taken row by row in ascending seed order and vectorized
@@ -27,7 +28,9 @@ the first seed and step where it appears.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -40,6 +43,42 @@ from .schedules import StepSchedule, step_values, validate_cap
 # Numbers per block of steps the engine holds at once, over all seeds: the
 # block's iterates, and its draws, are 4 MiB of doubles each at most.
 _BLOCK = 1 << 19
+_WORD = (1 << 64) - 1
+
+
+def keyed_generators(seeds: Iterable[int]) -> list[np.random.Generator]:
+    """One generator per seed, each bitwise that of np.random.Philox(key=seed).
+
+    Philox(key=seed) first seeds a SeedSequence from OS entropy and then
+    discards it. Here one seed sequence, shared by the generators of a call,
+    hands each new Philox the 128-bit key of the next seed, low word first,
+    as Philox(key=seed) sets it; nothing reads OS entropy, and no generator
+    keeps an object of its own for its key. Seeds must be integers in
+    [0, 2^128).
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    for seed in seeds:
+        if not 0 <= seed < 1 << 128:
+            raise ValueError(f"seed {seed} must be an integer in [0, 2**128)")
+    keys = _seed_keys()(seeds)
+    return [np.random.Generator(np.random.Philox(keys)) for _ in seeds]
+
+
+@functools.cache
+def _seed_keys() -> type:
+    # made on first use: importing numpy.random along with steprates raises
+    # the peak memory of runs that need it only later
+    class SeedKeys(np.random.bit_generator.ISeedSequence):
+        """Each generate_state call returns the key of the next seed."""
+
+        def __init__(self, seeds: list[int]) -> None:
+            self.seeds = iter(seeds)
+
+        def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+            seed = next(self.seeds)
+            return np.array([seed & _WORD, seed >> 64], dtype=np.uint64)
+
+    return SeedKeys
 
 
 @dataclass(frozen=True)
@@ -225,7 +264,7 @@ def _descend(
     K = len(alphas)
     S = max(len(seeds), 1)
     dim = problem.dimension
-    rngs = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
+    rngs = keyed_generators(seeds)
     objective, f_star = problem.objective, problem.f_star
     X = np.tile(x0, (S, 1))
     gaps = np.empty((S, K + 1))
@@ -512,7 +551,7 @@ def verify_pl(problem: Problem, sample_count: int, seed: int) -> CheckResult:
     """Sample the gradient-domination inequality inside the certified box."""
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = keyed_generators([seed])[0]
     radius = problem.domain_radius
     root = math.sqrt(2.0 * problem.pl_mu)
     theta = problem.pl_theta
@@ -555,7 +594,7 @@ def verify_variance(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = keyed_generators([seed])[0]
     radius = problem.domain_radius
     dim = problem.dimension
     results: list[CheckResult] = []

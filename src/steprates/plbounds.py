@@ -16,6 +16,7 @@ smoothness cap and N-scaled constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -229,8 +230,8 @@ def rr_constants(
     theta: float, L: float, mu: float, A: float, sigma: float, N: int
 ) -> MethodConstants:
     """Constants for random reshuffling (delta = N^(-1/(2*theta)), tau = 3)."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     params = descent_coefficients("rr", L, mu, A, sigma, N=N, theta=theta)
     two_theta = 2.0 * theta
     derived = derive_constants(params, delta=N ** (-1.0 / two_theta))
@@ -259,7 +260,8 @@ def simulate_pl_recursion(
 
     Equality dynamics are the worst case the analysis permits, so every
     theorem bound must dominate the returned trajectory. A step size too
-    large for these dynamics drives the trajectory negative, which raises
+    large for these dynamics drives the trajectory negative, and one too
+    large for the range of doubles makes it infinite or NaN; either raises
     NumericFailure carrying the offending index.
     """
     if not y0 >= 0:
@@ -294,11 +296,20 @@ def simulate_pl_recursion(
                 raise NumericFailure(f"trajectory negative at step {i + 1}", index=i + 1)
             append(y)
     else:
-        for i, (g, c, e) in enumerate(zip(grow, pull, push)):
-            y = g * y - c * y**two_theta + e
-            if y < 0.0:
-                raise NumericFailure(f"trajectory negative at step {i + 1}", index=i + 1)
-            append(y)
+        try:
+            for i, (g, c, e) in enumerate(zip(grow, pull, push)):
+                y = g * y - c * y**two_theta + e
+                if y < 0.0:
+                    raise NumericFailure(f"trajectory negative at step {i + 1}", index=i + 1)
+                append(y)
+        except OverflowError:  # float ** raises where * and + give inf
+            raise NumericFailure(f"trajectory overflows at step {i + 1}", index=i + 1) from None
+    # one pass over the finished trajectory: a sum of finite values that is
+    # not finite either holds an infinity or NaN or overflowed on the way
+    if not math.isfinite(sum(ys)):
+        for i, y in enumerate(ys):
+            if not math.isfinite(y):
+                raise NumericFailure(f"trajectory value {y} is not finite at step {i}", index=i)
     return ys
 
 

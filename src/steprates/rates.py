@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .plbounds import NumericFailure
+
 
 @dataclass(frozen=True)
 class RateFit:
@@ -45,10 +47,14 @@ def fit_loglog(
 
     window is an inclusive (lo, hi) index pair into the points after sorting
     by horizon; the default keeps the upper half, indices n//2 through n-1.
+    A value that is not finite raises NumericFailure whose index is its
+    horizon K.
     """
     pts = sorted(((int(k), float(y)) for k, y in points), key=lambda kv: kv[0])
     n = len(pts)
     for k, y in pts:
+        if not math.isfinite(y):
+            raise NumericFailure(f"cannot fit through non-finite value {y} at K={k}", index=k)
         if k < 1:
             raise ValueError(f"horizons must be positive integers, got {k}")
         if not y > 0.0:

@@ -1,14 +1,16 @@
 """Reference computations that pin the expected values used in the tests.
 
 Every function here is a direct transcription of a closed-form expression,
-evaluated with mpmath where rounding could matter, or a plain per-seed loop
-that the seed-batched optimizer engine must reproduce. Nothing in this
+evaluated with mpmath where rounding could matter, a plain per-seed loop
+that the seed-batched optimizer engine must reproduce, or the cell-by-cell
+CSV writer whose bytes the block writer must reproduce. Nothing in this
 module imports the package under test: these are the independent routes,
 and the tests assert that the library agrees with them. Running the module
 prints the table of pinned values.
 """
 from __future__ import annotations
 
+import csv
 import math
 
 import mpmath
@@ -350,6 +352,30 @@ def rr_one_seed(objective, components, f_star, radius, alphas, x0, seed):
         if np.linalg.norm(x) > radius:
             left = True
     return gaps, left
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+
+
+def csv_cell(value) -> str:
+    """A CSV cell as csv.writer gets it: floats with 17 significant digits."""
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return "%.17g" % value
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    """One csv.writer row per table row, one cell at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([csv_cell(v) for v in row])
 
 
 def _show(label, value):

@@ -4,13 +4,29 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import steprates.cli as cli
-from steprates.optimizers import make_quadratic, gd_run
+from steprates.optimizers import (
+    NoiseModel,
+    Trajectory,
+    gd_run,
+    make_quadratic,
+    rr_run,
+    sgd_run,
+    verify_pl,
+)
 from steprates.plbounds import PLParams, simulate_pl_recursion
 from steprates.recursions import CheckResult
 from steprates.schedules import Constant
@@ -60,6 +76,15 @@ def test_simulate_recursion_numeric_failure_exit(tmp_path):
     config["schedules"] = [{"id": "wild", "family": "constant", "alpha": 2.5}]
     config["params"] = {"l1": 0.0, "l2": 1.0, "l3": 0.01, "tau": 2.0, "theta": 0.5}
     assert run_cli(tmp_path, "simulate-recursion", config) == 3
+
+
+def test_simulate_recursion_non_finite_value_exit(tmp_path, capsys):
+    config = dict(SIM_CONFIG, y0=1e300, k_grid=[8])
+    config["params"] = {"l1": 1.0, "l2": 1.0, "l3": 1.0, "tau": 2.0, "theta": 0.5}
+    config["schedules"] = [{"id": "big", "family": "constant", "alpha": 50}]
+    assert run_cli(tmp_path, "simulate-recursion", config) == 3
+    assert "not finite at step 3" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "recursion.csv").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -153,6 +178,21 @@ def test_bound_rr_poly_tuned(tmp_path):
     payload = json.loads((tmp_path / "out" / "bound.json").read_text(encoding="utf-8"))
     assert payload["regime"] == "case b"
     assert payload["details"]["tuned_beta"] == 16.0
+
+
+def test_bound_rr_rejects_bool_and_non_integral_N(tmp_path):
+    config = {
+        "method": "rr",
+        "family": "const",
+        "constants": {"theta": 0.5, "L": 1.0, "mu": 1.0, "A": 0.0, "sigma": 1.0, "N": 4},
+        "schedule": {"family": "constant", "alpha": 0.1},
+        "K": 100,
+        "y0": 1.0,
+    }
+    assert run_cli(tmp_path, "bound", config) == 0
+    for bad in (True, 2.5):
+        config["constants"]["N"] = bad
+        assert run_cli(tmp_path, "bound", config) == 2
 
 
 RUN_GD = {
@@ -289,6 +329,14 @@ def test_fit_rejects_malformed_csv(tmp_path):
     assert run_cli(tmp_path, "fit", {"input": str(tmp_path / "missing.csv")}) == 2
 
 
+def test_fit_non_finite_value_exit(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    rows = "".join(f"{2**i},s,{0.5**i!r}\n" for i in range(1, 6)).replace("0.125", "inf")
+    table.write_text("K,schedule_id,y_K\n" + rows, encoding="utf-8")
+    assert run_cli(tmp_path, "fit", {"input": str(table)}) == 3
+    assert "K=8" in capsys.readouterr().err
+
+
 def test_heatmap_default_grid(tmp_path):
     assert run_cli(tmp_path, "heatmap", {"method": "sgd"}) == 0
     with open(tmp_path / "out" / "heatmap.csv", newline="", encoding="utf-8") as fh:
@@ -320,7 +368,10 @@ def test_verify_small_randomized_suites(tmp_path):
     assert cli.main(["verify", "bounds", "--draws", "40", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["dominated"] == "40/40"
-    assert cli.main(["verify", "chung", "--draws", "30", "--seed", "1"]) == 0
+    code = cli.main(["verify", "chung", "--draws", "30", "--seed", "1", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert (report["draws_requested"], report["draws_run"]) == (30, 3)
     assert cli.main(["verify", "assumptions", "--draws", "200", "--seed", "0"]) == 0
 
 
@@ -336,3 +387,157 @@ def test_cli_entry_point_help():
     assert "simulate-recursion" in proc.stdout
     proc = subprocess.run([sys.executable, "-m", "steprates"], capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+# --- CSV tables against the cell-by-cell writer in tests/oracles.py -----------
+
+# floats whose text is easy to get wrong: signed zeros, subnormals, the
+# extreme normals, and decimal exponents from 1e-300 to 1e300
+EDGE_FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    ),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-300, 300)),
+    st.floats(0.0, 1e-300, allow_subnormal=True),
+)
+# nonnegative, as a trajectory's gaps are (-0.0 included)
+GAPS = st.one_of(EDGE_FLOATS, st.floats(0.0, 1e300))
+# any value, infinities and NaN included
+VALUES = st.one_of(EDGE_FLOATS, EDGE_FLOATS.map(lambda v: -v), st.floats())
+FINITE = st.one_of(
+    EDGE_FLOATS, EDGE_FLOATS.map(lambda v: -v), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+GRID = st.lists(FINITE, min_size=1, max_size=4)
+
+
+def exactly(n, elements):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+RUN_SGD = {
+    "algorithm": "sgd",
+    "problem": {"kind": "quadratic", "mu": 1.0, "L": 1.0, "dim": 1},
+    "noise": {"kind": "additive_gaussian", "sigma": 1.0},
+    "schedule": {"family": "constant", "alpha": 0.02},
+    "x0": [2.0],
+    "K": 512,
+    "seeds": [0, 1, 2, 3],
+}
+
+
+def written_by_both(command, config, table, header, rows, **patches):
+    """The bytes of one table as the command writes it and as the reference
+    writer writes the rows; patches replace cli attributes meanwhile."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(cli, **patches):
+        tmp = Path(tmp)
+        assert run_cli(tmp, command, config, extra=["--skip-verify"]) == 0
+        oracles.write_csv(tmp / "reference.csv", header, rows)
+        return (tmp / "out" / table).read_bytes(), (tmp / "reference.csv").read_bytes()
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_run_tables_equal_the_cell_by_cell_writer(data):
+    seeds = data.draw(st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=4, unique=True))
+    K = data.draw(st.integers(1, 9))
+    gaps = np.array([data.draw(exactly(K + 1, GAPS)) for _ in seeds])
+    mean, stderr = (np.array(data.draw(exactly(K + 1, VALUES))) for _ in range(2))
+    trajectory = Trajectory(gaps, tuple(seeds), mean, stderr, (False,) * len(seeds))
+    config = dict(RUN_SGD, K=K, seeds=seeds)
+    patches = {"sgd_run": lambda *args: trajectory, "_CHUNK": data.draw(st.integers(1, 5))}
+    rows = ((k, seed, float(g)) for row, seed in zip(gaps, seeds) for k, g in enumerate(row))
+    ours, reference = written_by_both(
+        "run", config, "trajectories.csv", ["k", "seed", "gap"], rows, **patches
+    )
+    assert ours == reference
+    rows = ((k, float(m), float(se)) for k, (m, se) in enumerate(zip(mean, stderr)))
+    ours, reference = written_by_both(
+        "run", config, "mean.csv", ["k", "mean_gap", "stderr"], rows, **patches
+    )
+    assert ours == reference
+
+
+@settings(max_examples=60)
+@given(GRID, GRID, st.data())
+def test_heatmap_table_equals_the_cell_by_cell_writer(theta_grid, p_grid, data):
+    shape = (len(theta_grid), len(p_grid))
+    grid = np.array(data.draw(exactly(shape[0] * shape[1], VALUES))).reshape(shape)
+    config = {"method": "sgd", "p_grid": p_grid, "theta_grid": theta_grid}
+    patches = {"heatmap_grid": lambda *args: grid, "_CHUNK": data.draw(st.integers(1, 5))}
+    rows = (
+        (theta, p, float(grid[i, j]))
+        for i, theta in enumerate(theta_grid)
+        for j, p in enumerate(p_grid)
+    )
+    ours, reference = written_by_both(
+        "heatmap", config, "heatmap.csv", ["theta", "p", "exponent"], rows, **patches
+    )
+    assert ours == reference
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.text(',"\n\r %@{}aé', max_size=5), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(1, 2**40), min_size=1, max_size=3),
+    st.data(),
+)
+def test_recursion_table_equals_the_cell_by_cell_writer(ids, k_grid, data):
+    finals = data.draw(exactly(len(ids) * len(k_grid), VALUES))
+    config = dict(SIM_CONFIG, k_grid=k_grid)
+    config["schedules"] = [{"id": sid, "family": "constant", "alpha": 0.1} for sid in ids]
+    values = iter(finals)
+    patches = {
+        "simulate_pl_recursion": lambda *args: [next(values)],
+        "_CHUNK": data.draw(st.integers(1, 5)),
+    }
+    rows = zip((K for K in k_grid for _ in ids), (sid for _ in k_grid for sid in ids), finals)
+    ours, reference = written_by_both(
+        "simulate-recursion", config, "recursion.csv", ["K", "schedule_id", "y_K"], rows, **patches
+    )
+    assert ours == reference
+
+
+README_SIM = {
+    "params": {"l1": 1.0, "l2": 1.0, "l3": 1.0, "tau": 2.0, "theta": 0.5},
+    "y0": 1.0,
+    "k_grid": [4096, 8192, 16384, 32768, 65536],
+    "schedules": [
+        {"id": "poly", "family": "polynomial", "alpha": 4.0, "gamma": 8.0, "p": 1.0},
+        {"id": "exp", "family": "exponential", "alpha": 0.5, "beta": 1.0, "p": 1.0},
+    ],
+}
+# sha256 of the README examples' tables as the cell-by-cell csv.writer wrote
+# them, before the block writer replaced it
+README_TABLES = {
+    "recursion.csv": "fe7f559e39110467b4fb82aead2187979370873df430aceacaa31916f52c962b",
+    "trajectories.csv": "03fc33e73698de0d5e4395a22ff84f88839e744b0d731c79bfad921a2f954bea",
+    "mean.csv": "e53357f375c9ce6b5e88cfe7ddc3c4c0711188a6bedcc50eb1fde2933a37a2ca",
+    "heatmap.csv": "1163906f8c9e3882a94348c0eb2ca6caa3d9a7ff2b9c84564cde2a369720284a",
+}
+
+
+def test_readme_tables_keep_their_bytes(tmp_path):
+    assert run_cli(tmp_path, "simulate-recursion", README_SIM) == 0
+    assert run_cli(tmp_path, "run", RUN_SGD) == 0
+    assert run_cli(tmp_path, "heatmap", {"method": "rr"}) == 0
+    for name, digest in README_TABLES.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_nothing_reads_os_entropy(tmp_path, monkeypatch):
+    def no_entropy(n):
+        raise AssertionError("OS entropy was read")
+
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    with pytest.raises(AssertionError):
+        np.random.Philox(key=1)  # numpy's SeedSequence draws its entropy here
+    problem = make_quadratic(1.0, 1.0, 1)
+    noise = NoiseModel(kind="additive_gaussian", sigma=1.0)
+    sgd_run(problem, noise, Constant(alpha=0.1), [1.0], 8, [0, 2**64])
+    rr_run(make_quadratic(1.0, 1.0, 1, N=3), Constant(alpha=0.1), [1.0], 8, [0, 1])
+    assert verify_pl(problem, 50, 2**100).passed
+    assert run_cli(tmp_path, "run", RUN_SGD) == 0
+    for suite in ("chung", "bounds", "assumptions"):
+        assert cli.main(["verify", suite, "--draws", "10", "--out", str(tmp_path)]) == 0

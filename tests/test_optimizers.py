@@ -19,6 +19,7 @@ from steprates.optimizers import (
     _compensated_sum,
     epoch_permutations,
     gd_run,
+    keyed_generators,
     make_power_family,
     make_quadratic,
     noise_free_bound,
@@ -30,6 +31,32 @@ from steprates.optimizers import (
 from steprates.plbounds import NumericFailure
 from steprates.recursions import PreconditionError
 from steprates.schedules import Constant, Polynomial, step_values
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+def test_keyed_generators_are_philox_keyed_by_the_seed(seed):
+    ours, ref = keyed_generators([seed])[0], np.random.Generator(np.random.Philox(key=seed))
+    assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(ours.standard_normal(257), ref.standard_normal(257))
+    assert np.array_equal(epoch_permutations(ours, 5, 9), epoch_permutations(ref, 5, 9))
+    words = [g.integers(0, 2**64, 33, dtype=np.uint64) for g in (ours, ref)]
+    assert np.array_equal(*words)
+    assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_keyed_generators_reject_seeds_outside_128_bits(seed):
+    with pytest.raises(ValueError):
+        np.random.Philox(key=seed)
+    with pytest.raises(ValueError):
+        keyed_generators([0, seed])
+
+
+def test_keyed_generators_key_each_stream_by_its_own_seed():
+    seeds = [7, 2**64 + 7, 0, 7]
+    for ours, seed in zip(keyed_generators(seeds), seeds):
+        ref = np.random.Generator(np.random.Philox(key=seed))
+        assert np.array_equal(ours.standard_normal(9), ref.standard_normal(9))
 
 
 def test_gd_monotone_on_quadratic():

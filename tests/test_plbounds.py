@@ -106,6 +106,27 @@ def test_simulate_raises_on_negative_trajectory():
     assert info.value.index == 1
 
 
+def test_simulate_raises_on_non_finite_trajectory():
+    params = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.5)
+    with pytest.raises(NumericFailure, match="not finite at step 3") as info:
+        # each step multiplies y by 1 + 50^2 - 50 = 2451: 1e300 overflows at step 3
+        simulate_pl_recursion(params, Constant(alpha=50.0), 1e300, 8)
+    assert info.value.index == 3
+    general = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.75)
+    with pytest.raises(NumericFailure) as info:
+        # float ** raises OverflowError where * gives inf
+        simulate_pl_recursion(general, Constant(alpha=50.0), 1e300, 8)
+    assert info.value.index == 1
+
+
+def test_rr_constants_rejects_bool_and_non_integral_N():
+    for bad in (True, False, 2.5, 4.0, "4", 0):
+        with pytest.raises(ValueError):
+            rr_constants(theta=0.5, L=1.0, mu=1.0, A=0.0, sigma=1.0, N=bad)
+    mc = rr_constants(theta=0.5, L=1.0, mu=1.0, A=0.0, sigma=1.0, N=np.int64(4))
+    assert mc == rr_constants(theta=0.5, L=1.0, mu=1.0, A=0.0, sigma=1.0, N=4)
+
+
 def test_simulate_validates_inputs():
     params = PLParams(l1=0.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5)
     with pytest.raises(ValueError):

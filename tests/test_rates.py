@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from steprates.plbounds import NumericFailure
 from steprates.rates import (
     RateFit,
     fit_loglog,
@@ -58,6 +59,14 @@ def test_fit_input_validation():
         fit_loglog(good, window=(2, 9))
     with pytest.raises(ValueError):
         fit_loglog([(8, 1.0), (8, 2.0), (8, 3.0)], window=(0, 2))
+
+
+def test_fit_rejects_non_finite_values_naming_the_point():
+    good = [(2**i, 1.0 / 2**i) for i in range(1, 7)]
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NumericFailure, match="K=8") as info:
+            fit_loglog(good[:2] + [(8, bad)] + good[3:])
+        assert info.value.index == 8
 
 
 def test_fit_flat_series_has_unit_r_squared():
