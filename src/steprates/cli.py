@@ -169,6 +169,10 @@ def _check_keys(section, allowed: Mapping[str, bool], where: str) -> None:
         raise ConfigError(f"missing keys {missing} in {where}")
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite literal {name} in config; numbers must be finite")
+
+
 def _load_config(path: Path | None) -> dict:
     if path is None:
         raise ConfigError("this command requires --config")
@@ -177,7 +181,7 @@ def _load_config(path: Path | None) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -616,7 +620,7 @@ def _chung_suite(draws: int, seed: int) -> list[CheckResult]:
             return checks
         a0 = float(rng.uniform(0.0, 3.0))
         exact = iterate_recursion_exact(spec, a0, horizon)
-        r0 = spec.r(spec.b(0))
+        r0 = spec.grid.r[0]
         for k in range(horizon):
             bound = general_bound(spec, cert, a0, k)
             slack = bound - exact[k + 1]
@@ -627,14 +631,14 @@ def _chung_suite(draws: int, seed: int) -> list[CheckResult]:
             fb = forgetting_bound(spec, cert, a0, k)
             forget_worst = min(forget_worst, fb - bound)
         mid = horizon // 2
-        b_mid = lam * spec.r(spec.b(mid + 1))
+        b_mid = lam * spec.grid.r[mid + 1]
         c_mid = a0 - lam * r0
         extended = extend_bound(spec, b_mid, c_mid, 0, mid, horizon)
         ext_worst = min(ext_worst, extended - exact[horizon])
 
         integral = classical_spec(params, horizon, decay="integral")
         cert_i = find_lambda_constant(integral, lambda_target=lam)
-        a0_hi = lam * integral.r(integral.b(0)) * (1.0 + float(rng.uniform(0.0, 2.0)))
+        a0_hi = lam * integral.grid.r[0] * (1.0 + float(rng.uniform(0.0, 2.0)))
         for k in range(horizon):
             gb = general_bound(integral, cert_i, a0_hi, k)
             cb = classical_bound(params, a0_hi, k)

@@ -277,28 +277,27 @@ def simulate_pl_recursion(
         powers = [a * a * a for a in alphas]
     else:
         powers = [a**tau for a in alphas]
-    grow = [1.0 + l1 * p for p in powers]
-    pull = [l2 * a for a in alphas]
-    push = [l3 * p for p in powers]
     ys = [float(y0)]
     append = ys.append
     y = float(y0)
+    # each step forms its growth (1 + l1*p), pull (l2*a) and push (l3*p) in
+    # place, grouped as the precomputed lists were, so the values are unchanged
     if two_theta == 1.0:
-        for i, (g, c, e) in enumerate(zip(grow, pull, push)):
-            y = (g - c) * y + e
+        for i, (a, p) in enumerate(zip(alphas, powers)):
+            y = ((1.0 + l1 * p) - l2 * a) * y + l3 * p
             if y < 0.0:
                 raise NumericFailure(f"trajectory negative at step {i + 1}", index=i + 1)
             append(y)
     elif two_theta == 2.0:
-        for i, (g, c, e) in enumerate(zip(grow, pull, push)):
-            y = g * y - c * y * y + e
+        for i, (a, p) in enumerate(zip(alphas, powers)):
+            y = (1.0 + l1 * p) * y - l2 * a * y * y + l3 * p
             if y < 0.0:
                 raise NumericFailure(f"trajectory negative at step {i + 1}", index=i + 1)
             append(y)
     else:
         try:
-            for i, (g, c, e) in enumerate(zip(grow, pull, push)):
-                y = g * y - c * y**two_theta + e
+            for i, (a, p) in enumerate(zip(alphas, powers)):
+                y = (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
                 if y < 0.0:
                     raise NumericFailure(f"trajectory negative at step {i + 1}", index=i + 1)
                 append(y)

@@ -12,12 +12,21 @@ itself together with its extension past the certified horizon and the
 forgetting-factor refinement, closed forms for the classical decreasing-step
 case s = x^nu/c, t = x^(nu+q)/d, and grid verification of the elementary
 inequalities those derivations lean on.
+
+A spec evaluates s, t, b and the ratio once per grid point, at
+construction, and every evaluator here reads those values (`spec.grid`)
+instead of calling the functions again. They must therefore be pure: a
+function whose value changes after construction is not seen. The one lazy
+call is the derivative of r, which the lambda certificate evaluates on
+demand.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import accumulate
+from operator import mul
+from typing import Callable, NamedTuple
 
 
 class PreconditionError(ValueError):
@@ -43,12 +52,35 @@ class FunctionDescriptor:
         return (float(self.fn(x + h)) - float(self.fn(x - h))) / (2.0 * h)
 
 
+class SpecGrid(NamedTuple):
+    """A spec's coefficients at its grid points k = 0..horizon, as tuples.
+
+    b, s, t and r hold b_k, s(b_k), t(b_k) and r(b_k). contraction holds
+    1 - 1/s_k (1 where s is infinite) and error 1/t_k (0 where t is
+    infinite). decay[k] is the product of the first k contractions, taken
+    left to right from 1.0, so decay[0] = 1.
+    """
+
+    b: tuple[float, ...]
+    s: tuple[float, ...]
+    t: tuple[float, ...]
+    r: tuple[float, ...]
+    contraction: tuple[float, ...]
+    error: tuple[float, ...]
+    decay: tuple[float, ...]
+
+
 @dataclass(frozen=True)
 class RecursionSpec:
     """Coefficient functions, evaluation grid, and horizon of one recursion.
 
     `ratio` overrides s/t when the quotient is indeterminate at some grid
     point (e.g. s and t both infinite while r has a finite limit).
+
+    s, t, b and ratio are evaluated once per grid point, here, and must be
+    pure: the values land in `grid`, which every evaluator of this module
+    reads. Only ratio's derivative is called later, by the lambda
+    certificate.
     """
 
     s: FunctionDescriptor
@@ -57,6 +89,7 @@ class RecursionSpec:
     interval: tuple[float, float]
     horizon: int
     ratio: FunctionDescriptor | None = None
+    grid: SpecGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -65,19 +98,31 @@ class RecursionSpec:
         if not lo < hi:
             raise ValueError(f"empty interval {self.interval}")
         slack = 1e-12 * max(1.0, abs(lo), 0.0 if math.isinf(hi) else abs(hi))
+        # the descriptors' calls without their frames: this loop is most of
+        # what a short spec costs
+        b, s, t = self.b, self.s.fn, self.t.fn
+        ratio = None if self.ratio is None else self.ratio.fn
+        rows = []
         for k in range(self.horizon + 1):
-            x = self.b(k)
+            x = b(k)
             if not (lo - slack <= x <= hi + slack):
                 raise ValueError(f"b_{k} = {x} outside interval {self.interval}")
-            sv = self.s(x)
+            sv = float(s(x))
             if not sv >= 1.0 - 1e-12:
                 raise ValueError(f"s(b_{k}) = {sv} violates s >= 1")
-            tv = self.t(x)
+            tv = float(t(x))
             if not tv > 0.0:
                 raise ValueError(f"t(b_{k}) = {tv} violates t > 0")
-            rv = self.r(x)
+            rv = sv / tv if ratio is None else float(ratio(x))
             if not math.isfinite(rv):
                 raise ValueError(f"r(b_{k}) = {rv} is not finite")
+            contraction = 1.0 if math.isinf(sv) else 1.0 - 1.0 / sv
+            error = 0.0 if math.isinf(tv) else 1.0 / tv
+            rows.append((x, sv, tv, rv, contraction, error))
+        bs, ss, ts, rs, contractions, errors = zip(*rows)
+        decay = tuple(accumulate(contractions[:-1], mul, initial=1.0))
+        grid = SpecGrid(bs, ss, ts, rs, contractions, errors, decay)
+        object.__setattr__(self, "grid", grid)
 
     def r(self, x: float) -> float:
         if self.ratio is not None:
@@ -153,25 +198,19 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
 
-def _coefficients(spec: RecursionSpec, k: int) -> tuple[float, float]:
-    x = spec.b(k)
-    sv = spec.s(x)
-    tv = spec.t(x)
-    contraction = 1.0 if math.isinf(sv) else 1.0 - 1.0 / sv
-    error = 0.0 if math.isinf(tv) else 1.0 / tv
-    return contraction, error
-
-
 def iterate_recursion_exact(spec: RecursionSpec, a0: float, K: int) -> list[float]:
     """Run the recursion with equality; returns [a_0, ..., a_K]."""
     if not 1 <= K <= spec.horizon:
         raise ValueError(f"K must lie in [1, {spec.horizon}], got {K}")
     if a0 < 0:
         raise ValueError("a0 must be nonnegative")
-    seq = [float(a0)]
-    for k in range(K):
-        contraction, error = _coefficients(spec, k)
-        seq.append(contraction * seq[-1] + error)
+    a = float(a0)
+    seq = [a]
+    append = seq.append
+    grid = spec.grid
+    for contraction, error in zip(grid.contraction[:K], grid.error[:K]):
+        a = contraction * a + error
+        append(a)
     return seq
 
 
@@ -186,10 +225,10 @@ def expansion_bound(spec: RecursionSpec, a0: float, K: int) -> float:
         raise ValueError(f"K must lie in [1, {spec.horizon}], got {K}")
     if a0 < 0:
         raise ValueError("a0 must be nonnegative")
+    grid = spec.grid
     suffix = 1.0
     terms = []
-    for k in range(K - 1, -1, -1):
-        contraction, error = _coefficients(spec, k)
+    for contraction, error in zip(grid.contraction[K - 1 :: -1], grid.error[K - 1 :: -1]):
         terms.append(suffix * error)
         suffix *= contraction
     return float(a0) * suffix + math.fsum(terms)
@@ -240,11 +279,11 @@ def recursion_convexity(
     """
     if subdivisions < 1:
         raise ValueError("subdivisions must be positive")
+    b = spec.grid.b
     points: list[float] = []
-    for k in range(spec.horizon):
-        x0, x1 = spec.b(k), spec.b(k + 1)
+    for x0, x1 in zip(b, b[1:]):
         points.extend(x0 + (x1 - x0) * j / subdivisions for j in range(subdivisions))
-    points.append(spec.b(spec.horizon))
+    points.append(b[-1])
     points.sort()
     grid = [points[0]]
     span = max(1.0, abs(points[-1] - points[0]))
@@ -269,11 +308,11 @@ def _slope_terms(spec: RecursionSpec, tol_hint: float = 1e-9) -> tuple[list[floa
     rd = spec.ratio_descriptor()
     # numeric differentiation warrants the looser tolerance
     tol = tol_hint if rd.derivative is not None else 1e-6
+    grid = spec.grid
     terms = []
-    for k in range(spec.horizon):
-        x = spec.b(k)
-        u = rd.d(x) * spec.t(x)
-        terms.append((spec.b(k + 1) - x) * u)
+    for x, x_next, tv in zip(grid.b, grid.b[1:], grid.t):
+        u = rd.d(x) * tv
+        terms.append((x_next - x) * u)
     return terms, tol
 
 
@@ -319,6 +358,7 @@ def general_bound(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: int)
     """lambda*r(b_{k+1}) + (a0 - lambda*r(b_0)) * prod_{i<=k}(1-1/s(b_i)).
 
     Valid for k < cert.certified_horizon; the second term keeps its sign.
+    The product is the spec's prefix product, so a call costs O(1).
     """
     if not 0 <= k < cert.certified_horizon:
         raise PreconditionError(
@@ -326,12 +366,9 @@ def general_bound(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: int)
         )
     if k + 1 > spec.horizon:
         raise ValueError(f"k + 1 = {k + 1} beyond spec horizon {spec.horizon}")
-    prod = 1.0
-    for i in range(k + 1):
-        contraction, _ = _coefficients(spec, i)
-        prod *= contraction
+    grid = spec.grid
     lam = cert.lam
-    return lam * spec.r(spec.b(k + 1)) + (a0 - lam * spec.r(spec.b(0))) * prod
+    return lam * grid.r[k + 1] + (a0 - lam * grid.r[0]) * grid.decay[k + 1]
 
 
 def extend_bound(
@@ -344,14 +381,16 @@ def extend_bound(
     """
     if not 0 <= k0 <= K <= spec.horizon:
         raise ValueError("need 0 <= k0 <= K <= horizon")
+    if K_certified < 0:
+        raise ValueError(f"K_certified must be nonnegative, got {K_certified}")
+    grid = spec.grid
     slack = 1e-12 * max(1.0, abs(B))
     for k in range(K_certified + 1, K + 1):
-        rv = spec.r(spec.b(k))
+        rv = grid.r[k]
         if rv > B + slack:
             raise PreconditionError(f"r(b_{k}) = {rv} exceeds B = {B}")
     prod = 1.0
-    for i in range(k0, K):
-        contraction, _ = _coefficients(spec, i)
+    for contraction in grid.contraction[k0:K]:
         prod *= contraction
     return B + C * prod
 
@@ -364,8 +403,7 @@ def forgetting_factor(spec: RecursionSpec, lam: float, k: int) -> float:
         raise ValueError(f"k = {k} beyond spec horizon {spec.horizon}")
     inv = 1.0 / lam
     prod = 1.0
-    for i in range(k + 1):
-        sv = spec.s(spec.b(i))
+    for sv in spec.grid.s[: max(k + 1, 0)]:
         if math.isinf(sv):
             continue
         prod *= 1.0 - inv / (sv - 1.0 + inv)
@@ -378,9 +416,11 @@ def forgetting_bound(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: i
         raise PreconditionError(
             f"k = {k} beyond certified horizon {cert.certified_horizon}"
         )
+    if k + 1 > spec.horizon:
+        raise ValueError(f"k = {k} beyond spec horizon {spec.horizon}")
     lam = cert.lam
-    r_next = spec.r(spec.b(k + 1))
-    r0 = spec.r(spec.b(0))
+    r_next = spec.grid.r[k + 1]
+    r0 = spec.grid.r[0]
     start = max(a0 / r0 - lam, 0.0)
     return lam * r_next + start * forgetting_factor(spec, lam, k) * r_next
 
@@ -506,31 +546,65 @@ def classical_spec(
 # --- grid verification of the supporting inequalities ---------------------
 
 
-def _check_from(name: str, margins: list[tuple[float, str, float]]) -> CheckResult:
-    worst = min(m for m, _, _ in margins)
-    if worst >= 0.0:
-        return CheckResult(check=name, passed=True, margin=worst)
-    first_bad = next(item for item in margins if item[0] < 0.0)
-    return CheckResult(
-        check=name,
-        passed=False,
-        margin=worst,
-        witness_index=first_bad[1],
-        witness_value=first_bad[2],
-    )
+class _Worst:
+    """The worst margin of one check and its first negative item, streamed.
+
+    The items come in rows, in order; `add` keeps what min() over all their
+    margins and a scan for the first margin below 0 would find, without
+    storing them. Item i of a row added with `where` is labelled
+    label(*where, i), formatted only for the witness.
+    """
+
+    __slots__ = ("name", "label", "margin", "witness")
+
+    def __init__(self, name: str, label: Callable[..., str]) -> None:
+        self.name = name
+        self.label = label
+        self.margin: float | None = None
+        self.witness: tuple | None = None
+
+    def add(self, margins: list[float], values: list[float], *where) -> None:
+        worst = self.margin
+        if math.isfinite(sum(margins)):
+            # no NaN in the row, so its min() folds into worst as its items would
+            low = min(margins)
+            if worst is None or low < worst:
+                self.margin = low
+            if not low < 0.0:
+                return
+        else:
+            for m in margins:
+                if worst is None or m < worst:
+                    worst = m
+            self.margin = worst
+        if self.witness is None:
+            for i, m in enumerate(margins):
+                if m < 0.0:
+                    self.witness = (values[i], self.label(*where, i))
+                    return
+
+    def result(self) -> CheckResult:
+        worst = self.margin
+        if worst >= 0.0:
+            return CheckResult(check=self.name, passed=True, margin=worst)
+        if self.witness is None:  # a NaN margin, and none below 0
+            return CheckResult(check=self.name, passed=False, margin=worst)
+        value, label = self.witness
+        return CheckResult(
+            check=self.name, passed=False, margin=worst, witness_index=label, witness_value=value
+        )
 
 
 def _log_bound_check() -> CheckResult:
     xs = [-1.0] + [-1.0 + 0.01 * i for i in range(1, 200)] + [float(i) for i in range(1, 100)]
-    margins = []
-    for x in xs:
-        lhs = math.log1p(x) if x > -1.0 else -math.inf
-        margins.append((x - lhs, f"x={x:.6g}", x))
-    return _check_from("log-upper-bound", margins)
+    worst = _Worst("log-upper-bound", lambda i: f"x={xs[i]:.6g}")
+    lhs = [math.log1p(x) if x > -1.0 else -math.inf for x in xs]
+    worst.add([x - lv for x, lv in zip(xs, lhs)], xs)
+    return worst.result()
 
 
 def _product_exp_check(k_max: int) -> CheckResult:
-    margins = []
+    margins, values = [], []
     n = 1
     case = 0
     while n <= k_max:
@@ -539,72 +613,72 @@ def _product_exp_check(k_max: int) -> CheckResult:
             prod = 1.0
             for x in xs:
                 prod *= 1.0 + x
-            margins.append((math.exp(math.fsum(xs)) - prod, f"n={n},set={case}", prod))
+            margins.append(math.exp(math.fsum(xs)) - prod)
+            values.append(prod)
             case += 1
         n *= 2
-    margins.append((math.exp(0.0) - 1.0, "n=3,zeros", 1.0))  # equality case
-    return _check_from("product-exp-bound", margins)
+    margins.append(math.exp(0.0) - 1.0)  # equality case
+    values.append(1.0)
+    # item i < case is set i, the third of its n's; the last is the equality case
+    worst = _Worst(
+        "product-exp-bound", lambda i: "n=3,zeros" if i == case else f"n={2 ** (i // 3)},set={i}"
+    )
+    worst.add(margins, values)
+    return worst.result()
 
 
 def _power_difference_check(r_grid: list[float]) -> CheckResult:
     grid = [10.0 ** (-2.0 + 4.0 * i / 24.0) for i in range(25)]
-    margins = []
+    worst = _Worst("power-difference-bound", lambda r, x, i: f"r={r},x={x:.4g},y={grid[i]:.4g}")
     for r in list(r_grid) + [1e-3, 10.0]:
         for x in grid:
-            for y in grid:
-                lhs = x**r - y**r
-                rhs = r * y**r * (x - y) / x
-                margins.append((lhs - rhs, f"r={r},x={x:.4g},y={y:.4g}", lhs))
-    return _check_from("power-difference-bound", margins)
+            lhs = [x**r - y**r for y in grid]
+            rhs = [r * y**r * (x - y) / x for y in grid]
+            worst.add([lv - rv for lv, rv in zip(lhs, rhs)], lhs, r, x)
+    return worst.result()
 
 
 def _cosine_bracket_check(k_max: int) -> tuple[CheckResult, CheckResult]:
-    lower, upper = [], []
+    lower = _Worst("cosine-lower-bracket", "K={},k={}".format)
+    upper = _Worst("cosine-upper-bracket", "K={},k={}".format)
     for K in range(1, k_max + 1):
-        for k in range(K + 1):
-            frac = 1.0 - k / K
-            mid = 1.0 + math.cos(k * math.pi / K)
-            lower.append((mid - 2.0 * frac**2, f"K={K},k={k}", mid))
-            upper.append(((math.pi**2 / 2.0) * frac**2 - mid, f"K={K},k={k}", mid))
-    return (
-        _check_from("cosine-lower-bracket", lower),
-        _check_from("cosine-upper-bracket", upper),
-    )
+        fracs = [1.0 - k / K for k in range(K + 1)]
+        mids = [1.0 + math.cos(k * math.pi / K) for k in range(K + 1)]
+        lower.add([mid - 2.0 * frac**2 for mid, frac in zip(mids, fracs)], mids, K)
+        upper.add([(math.pi**2 / 2.0) * frac**2 - mid for mid, frac in zip(mids, fracs)], mids, K)
+    return lower.result(), upper.result()
 
 
 def _cosine_shifted_check(k_max: int) -> CheckResult:
-    margins = []
+    worst = _Worst("cosine-shifted-lower", "K={},k={}".format)
     for K in range(2, k_max + 1):
-        for k in range(K - 1):
-            lhs = 1.0 + math.cos((k + 1) * math.pi / K)
-            rhs = 0.5 * (1.0 - k / K) ** 2
-            margins.append((lhs - rhs, f"K={K},k={k}", lhs))
-    return _check_from("cosine-shifted-lower", margins)
+        lhs = [1.0 + math.cos((k + 1) * math.pi / K) for k in range(K - 1)]
+        rhs = [0.5 * (1.0 - k / K) ** 2 for k in range(K - 1)]
+        worst.add([lv - rv for lv, rv in zip(lhs, rhs)], lhs, K)
+    return worst.result()
 
 
 def _cosine_increment_check(k_max: int) -> CheckResult:
-    margins = []
+    worst = _Worst("cosine-increment-lower", "K={},k={}".format)
     for K in range(1, k_max + 1):
-        for k in range(K):
-            lhs = math.cos((k + 1) * math.pi / K) - math.cos(k * math.pi / K)
-            rhs = -(math.pi**2 / K) * (1.0 - k / K)
-            margins.append((lhs - rhs, f"K={K},k={k}", lhs))
-    return _check_from("cosine-increment-lower", margins)
+        lhs = [math.cos((k + 1) * math.pi / K) - math.cos(k * math.pi / K) for k in range(K)]
+        rhs = [-(math.pi**2 / K) * (1.0 - k / K) for k in range(K)]
+        worst.add([lv - rv for lv, rv in zip(lhs, rhs)], lhs, K)
+    return worst.result()
 
 
 def _cosine_power_sum_check(k_max: int, r_grid: list[float]) -> CheckResult:
-    margins = []
+    worst = _Worst("cosine-power-sum", lambda K, i: f"K={K},r={r_grid[i]}")
     for K in range(1, k_max + 1):
         bases = [(1.0 + math.cos(k * math.pi / K)) / 2.0 for k in range(K)]
-        for r in r_grid:
-            total = math.fsum(base**r for base in bases)
-            floor = K / 2.0 ** max(1.0, r)
-            margins.append((total - floor, f"K={K},r={r}", total))
-    return _check_from("cosine-power-sum", margins)
+        totals = [math.fsum(base**r for base in bases) for r in r_grid]
+        floors = [K / 2.0 ** max(1.0, r) for r in r_grid]
+        worst.add([total - floor for total, floor in zip(totals, floors)], totals, K)
+    return worst.result()
 
 
 def _integral_sandwich_check(k_max: int) -> CheckResult:
-    margins = []
+    margins, values, keys = [], [], []
     spans = [(0, 10), (3, 100), (0, k_max)]
     for nu in (0.3, 0.5, 1.0, 1.7):
         for gamma in (0.5, 2.0, 10.0):
@@ -617,10 +691,12 @@ def _integral_sandwich_check(k_max: int) -> CheckResult:
                 total = math.fsum(f(k) for k in range(a, b + 1))
                 low = antideriv(b + 1) - antideriv(a)
                 high = f(a) + antideriv(b) - antideriv(a)
-                tag = f"nu={nu},gamma={gamma},a={a},b={b}"
-                margins.append((total - low, tag + ",lower", total))
-                margins.append((high - total, tag + ",upper", total))
-    return _check_from("integral-sandwich", margins)
+                margins += [total - low, high - total]
+                values += [total, total]
+                keys += [(nu, gamma, a, b, "lower"), (nu, gamma, a, b, "upper")]
+    worst = _Worst("integral-sandwich", lambda i: "nu={},gamma={},a={},b={},{}".format(*keys[i]))
+    worst.add(margins, values)
+    return worst.result()
 
 
 def tech_inequality_suite(K_max: int, r_grid: list[float]) -> SuiteReport:

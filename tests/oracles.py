@@ -2,11 +2,13 @@
 
 Every function here is a direct transcription of a closed-form expression,
 evaluated with mpmath where rounding could matter, a plain per-seed loop
-that the seed-batched optimizer engine must reproduce, or the cell-by-cell
-CSV writer whose bytes the block writer must reproduce. Nothing in this
-module imports the package under test: these are the independent routes,
-and the tests assert that the library agrees with them. Running the module
-prints the table of pinned values.
+that the seed-batched optimizer engine must reproduce, a per-call
+recursion evaluator or list-building inequality check that the cached spec
+grid and the streamed checks must reproduce bit for bit, or the
+cell-by-cell CSV writer whose bytes the block writer must reproduce.
+Nothing in this module imports the package under test: these are the
+independent routes, and the tests assert that the library agrees with
+them. Running the module prints the table of pinned values.
 """
 from __future__ import annotations
 
@@ -88,6 +90,223 @@ def forgetting_product(s_const, lam, k):
     """(1 - (1/lam)/(s - 1 + 1/lam))^(k+1) for constant s."""
     step = 1 - (1 / mpf(lam)) / (mpf(s_const) - 1 + 1 / mpf(lam))
     return step ** (k + 1)
+
+
+# ---------------------------------------------------------------------------
+# per-call recursion evaluators: every coefficient is evaluated again from
+# the spec's functions at each use, in double precision
+
+
+def coefficients(spec, k):
+    """(1 - 1/s(b_k), 1/t(b_k)), with 1 and 0 where s or t is infinite."""
+    x = spec.b(k)
+    sv = spec.s(x)
+    tv = spec.t(x)
+    contraction = 1.0 if math.isinf(sv) else 1.0 - 1.0 / sv
+    error = 0.0 if math.isinf(tv) else 1.0 / tv
+    return contraction, error
+
+
+def recursion_iterates(spec, a0, K):
+    seq = [float(a0)]
+    for k in range(K):
+        contraction, error = coefficients(spec, k)
+        seq.append(contraction * seq[-1] + error)
+    return seq
+
+
+def recursion_expansion(spec, a0, K):
+    suffix = 1.0
+    terms = []
+    for k in range(K - 1, -1, -1):
+        contraction, error = coefficients(spec, k)
+        terms.append(suffix * error)
+        suffix *= contraction
+    return float(a0) * suffix + math.fsum(terms)
+
+
+def recursion_general_bound(spec, lam, a0, k):
+    prod = 1.0
+    for i in range(k + 1):
+        contraction, _ = coefficients(spec, i)
+        prod *= contraction
+    return lam * spec.r(spec.b(k + 1)) + (a0 - lam * spec.r(spec.b(0))) * prod
+
+
+def recursion_forgetting_factor(spec, lam, k):
+    inv = 1.0 / lam
+    prod = 1.0
+    for i in range(k + 1):
+        sv = spec.s(spec.b(i))
+        if math.isinf(sv):
+            continue
+        prod *= 1.0 - inv / (sv - 1.0 + inv)
+    return prod
+
+
+def recursion_forgetting_bound(spec, lam, a0, k):
+    r_next = spec.r(spec.b(k + 1))
+    r0 = spec.r(spec.b(0))
+    start = max(a0 / r0 - lam, 0.0)
+    return lam * r_next + start * recursion_forgetting_factor(spec, lam, k) * r_next
+
+
+def recursion_extension(spec, B, C, k0, K_certified, K):
+    """B + C*prod_{i=k0}^{K-1}(1-1/s_i), or the first k with r(b_k) above B."""
+    slack = 1e-12 * max(1.0, abs(B))
+    for k in range(K_certified + 1, K + 1):
+        if spec.r(spec.b(k)) > B + slack:
+            return k
+    prod = 1.0
+    for i in range(k0, K):
+        contraction, _ = coefficients(spec, i)
+        prod *= contraction
+    return B + C * prod
+
+
+def recursion_slope_terms(spec):
+    """(b_{k+1}-b_k)*r'(b_k)*t(b_k) for k < horizon; r' from spec.ratio."""
+    terms = []
+    for k in range(spec.horizon):
+        x = spec.b(k)
+        u = spec.ratio.d(x) * spec.t(x)
+        terms.append((spec.b(k + 1) - x) * u)
+    return terms
+
+
+# ---------------------------------------------------------------------------
+# grid checks of the supporting inequalities, each built as a list of
+# (margin, label, value) items; a check is the tuple (name, passed, margin,
+# witness label, witness value), the worst margin with the first negative item
+
+
+def _check_from(name, margins):
+    worst = min(m for m, _, _ in margins)
+    if worst >= 0.0:
+        return (name, True, worst, None, None)
+    first_bad = next((item for item in margins if item[0] < 0.0), None)
+    if first_bad is None:  # the worst margin is NaN and none is below 0
+        return (name, False, worst, None, None)
+    return (name, False, worst, first_bad[1], first_bad[2])
+
+
+def log_bound_check():
+    xs = [-1.0] + [-1.0 + 0.01 * i for i in range(1, 200)] + [float(i) for i in range(1, 100)]
+    margins = []
+    for x in xs:
+        lhs = math.log1p(x) if x > -1.0 else -math.inf
+        margins.append((x - lhs, f"x={x:.6g}", x))
+    return _check_from("log-upper-bound", margins)
+
+
+def product_exp_check(k_max):
+    margins = []
+    n = 1
+    case = 0
+    while n <= k_max:
+        for offset in (0.0, 0.37, 1.9):
+            xs = [-1.0 + 2.5 * math.modf(0.6180339887498949 * (i + 1) + offset)[0] for i in range(n)]
+            prod = 1.0
+            for x in xs:
+                prod *= 1.0 + x
+            margins.append((math.exp(math.fsum(xs)) - prod, f"n={n},set={case}", prod))
+            case += 1
+        n *= 2
+    margins.append((math.exp(0.0) - 1.0, "n=3,zeros", 1.0))
+    return _check_from("product-exp-bound", margins)
+
+
+def power_difference_check(r_grid):
+    grid = [10.0 ** (-2.0 + 4.0 * i / 24.0) for i in range(25)]
+    margins = []
+    for r in list(r_grid) + [1e-3, 10.0]:
+        for x in grid:
+            for y in grid:
+                lhs = x**r - y**r
+                rhs = r * y**r * (x - y) / x
+                margins.append((lhs - rhs, f"r={r},x={x:.4g},y={y:.4g}", lhs))
+    return _check_from("power-difference-bound", margins)
+
+
+def cosine_bracket_check(k_max):
+    lower, upper = [], []
+    for K in range(1, k_max + 1):
+        for k in range(K + 1):
+            frac = 1.0 - k / K
+            mid = 1.0 + math.cos(k * math.pi / K)
+            lower.append((mid - 2.0 * frac**2, f"K={K},k={k}", mid))
+            upper.append(((math.pi**2 / 2.0) * frac**2 - mid, f"K={K},k={k}", mid))
+    return (
+        _check_from("cosine-lower-bracket", lower),
+        _check_from("cosine-upper-bracket", upper),
+    )
+
+
+def cosine_shifted_check(k_max):
+    margins = []
+    for K in range(2, k_max + 1):
+        for k in range(K - 1):
+            lhs = 1.0 + math.cos((k + 1) * math.pi / K)
+            rhs = 0.5 * (1.0 - k / K) ** 2
+            margins.append((lhs - rhs, f"K={K},k={k}", lhs))
+    return _check_from("cosine-shifted-lower", margins)
+
+
+def cosine_increment_check(k_max):
+    margins = []
+    for K in range(1, k_max + 1):
+        for k in range(K):
+            lhs = math.cos((k + 1) * math.pi / K) - math.cos(k * math.pi / K)
+            rhs = -(math.pi**2 / K) * (1.0 - k / K)
+            margins.append((lhs - rhs, f"K={K},k={k}", lhs))
+    return _check_from("cosine-increment-lower", margins)
+
+
+def cosine_power_sum_check(k_max, r_grid):
+    margins = []
+    for K in range(1, k_max + 1):
+        bases = [(1.0 + math.cos(k * math.pi / K)) / 2.0 for k in range(K)]
+        for r in r_grid:
+            total = math.fsum(base**r for base in bases)
+            floor = K / 2.0 ** max(1.0, r)
+            margins.append((total - floor, f"K={K},r={r}", total))
+    return _check_from("cosine-power-sum", margins)
+
+
+def integral_sandwich_check(k_max):
+    margins = []
+    spans = [(0, 10), (3, 100), (0, k_max)]
+    for nu in (0.3, 0.5, 1.0, 1.7):
+        for gamma in (0.5, 2.0, 10.0):
+            if nu == 1.0:
+                antideriv = lambda x, g=gamma: math.log(x + g)
+            else:
+                antideriv = lambda x, g=gamma, n=nu: (x + g) ** (1.0 - n) / (1.0 - n)
+            f = lambda x, g=gamma, n=nu: (x + g) ** (-n)
+            for a, b in spans:
+                total = math.fsum(f(k) for k in range(a, b + 1))
+                low = antideriv(b + 1) - antideriv(a)
+                high = f(a) + antideriv(b) - antideriv(a)
+                tag = f"nu={nu},gamma={gamma},a={a},b={b}"
+                margins.append((total - low, tag + ",lower", total))
+                margins.append((high - total, tag + ",upper", total))
+    return _check_from("integral-sandwich", margins)
+
+
+def inequality_suite(k_max, r_grid):
+    """The nine checks in the order of the library's suite."""
+    lower, upper = cosine_bracket_check(k_max)
+    return [
+        log_bound_check(),
+        product_exp_check(k_max),
+        power_difference_check(r_grid),
+        lower,
+        upper,
+        cosine_shifted_check(k_max),
+        cosine_increment_check(k_max),
+        cosine_power_sum_check(k_max, r_grid),
+        integral_sandwich_check(k_max),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -128,6 +129,25 @@ def test_bound_const_tuned_without_schedule(tmp_path):
     assert run_cli(tmp_path, "bound", config) == 0
     payload = json.loads((tmp_path / "out" / "bound.json").read_text(encoding="utf-8"))
     assert payload["details"]["tuned_beta"] == 2.0
+
+
+@pytest.mark.parametrize("literal", [math.inf, -math.inf])
+def test_simulate_recursion_rejects_infinite_literal(tmp_path, capsys, literal):
+    config = dict(SIM_CONFIG, y0=literal)
+    assert "Infinity" in json.dumps(config)
+    assert run_cli(tmp_path, "simulate-recursion", config) == 2
+    name = "Infinity" if literal > 0 else "-Infinity"
+    assert f"non-finite literal {name} in config" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "recursion.csv").exists()
+
+
+def test_bound_rejects_nan_literal(tmp_path, capsys):
+    config = dict(BOUND_CONST, constants=dict(BOUND_CONST["constants"], sigma=math.nan))
+    assert run_cli(tmp_path, "bound", config) == 2
+    err = capsys.readouterr().err
+    assert "non-finite literal NaN in config" in err
+    assert "nonnegative" not in err
+    assert not (tmp_path / "out" / "bound.json").exists()
 
 
 def test_bound_missing_schedule_is_config_error(tmp_path):

@@ -1,11 +1,17 @@
 """Tests for the damped-recursion bounds and their supporting checks."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from steprates import recursions
+from steprates.plbounds import relaxed_recursion_transform, rr_constants, sgd_constants
 from steprates.recursions import (
     CertifiedLambda,
     ClassicalParams,
@@ -26,6 +32,7 @@ from steprates.recursions import (
     recursion_convexity,
     tech_inequality_suite,
 )
+from steprates.schedules import Constant, Cosine, Exponential, Polynomial
 
 
 def dyadic_spec(K: int = 16) -> RecursionSpec:
@@ -295,3 +302,260 @@ def test_certified_lambda_is_plain_data():
     cert = CertifiedLambda(lam=2.0, certified_horizon=5, condition_margin=0.1)
     assert cert.lam == 2.0
     assert cert.certified_horizon == 5
+
+
+# --- the cached spec grid and the streamed checks against their oracles -----
+
+
+def bits(values):
+    """Floats as hex strings, so that == compares them bit for bit."""
+    if isinstance(values, float):
+        return values.hex()
+    return [bits(v) for v in values]
+
+
+def bits_of_checks(checks):
+    """CheckResult fields as tuples, floats as hex strings."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in check) for check in checks]
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def flat_specs(draw, K):
+    s0 = draw(st.floats(1.0, 50.0))
+    t0 = draw(st.floats(0.01, 50.0))
+    return RecursionSpec(
+        s=FunctionDescriptor(fn=lambda x: s0),
+        t=FunctionDescriptor(fn=lambda x: t0),
+        b=float,
+        interval=(0.0, float(K)),
+        horizon=K,
+        ratio=FunctionDescriptor(fn=lambda x: s0 / t0, derivative=lambda x: 0.0),
+    )
+
+
+@st.composite
+def classical_specs(draw, K):
+    c = 0.5 + 2.0 * draw(unit)
+    d = 0.2 + 3.8 * draw(unit)
+    if draw(st.booleans()):
+        params = ClassicalParams(
+            c=c, d=d, nu=1.0, q=c * (0.1 + 0.7 * draw(unit)), gamma=c + 0.1 + 6.0 * draw(unit)
+        )
+    else:
+        nu = 0.3 + 0.65 * draw(unit)
+        q = 0.2 + 1.3 * draw(unit)
+        gamma = max(c ** (1.0 / nu), (q / c) ** (1.0 / (1.0 - nu))) * (1.05 + 2.0 * draw(unit))
+        params = ClassicalParams(c=c, d=d, nu=nu, q=q, gamma=gamma)
+    return classical_spec(params, K, decay=draw(st.sampled_from(["direct", "integral"])))
+
+
+@st.composite
+def relaxed_specs(draw, K):
+    theta = 0.5 + 0.5 * draw(unit)
+    mu = 0.3 + 0.7 * draw(unit)
+    sigma = 0.1 + 0.9 * draw(unit)
+    if draw(st.booleans()):
+        mc, delta = sgd_constants(theta=theta, L=1.0, mu=mu, A=0.0, sigma=sigma), 1.0
+    else:
+        N = draw(st.integers(1, 5))
+        mc = rr_constants(theta=theta, L=1.0, mu=mu, A=0.0, sigma=sigma, N=N)
+        delta = N ** (-1.0 / (2.0 * theta))
+    level = mc.derived.alpha_cap * (0.1 + 0.8 * draw(unit))
+    schedule = draw(
+        st.sampled_from(
+            [
+                Constant(alpha=level),
+                Exponential(alpha=level, beta=1.0, p=1.0, horizon=K),
+                Polynomial(alpha=level, gamma=1.0 + 7.0 * draw(unit), p=0.3 + 0.7 * draw(unit)),
+                Cosine(alpha=level, p=0.5 + 1.5 * draw(unit), horizon=K),
+            ]
+        )
+    )
+    return relaxed_recursion_transform(mc.params, delta, schedule, K)
+
+
+@st.composite
+def specs(draw):
+    K = draw(st.integers(1, 300))
+    family = draw(st.sampled_from([flat_specs, classical_specs, relaxed_specs]))
+    return draw(family(K))
+
+
+@settings(max_examples=60)
+@given(specs(), st.data())
+def test_spec_grid_matches_per_call_evaluation(spec, data):
+    K = spec.horizon
+    grid = spec.grid
+    assert bits(grid.b) == bits([spec.b(k) for k in range(K + 1)])
+    assert bits(grid.s) == bits([spec.s(x) for x in grid.b])
+    assert bits(grid.t) == bits([spec.t(x) for x in grid.b])
+    assert bits(grid.r) == bits([spec.r(x) for x in grid.b])
+    pairs = [oracles.coefficients(spec, k) for k in range(K + 1)]
+    assert bits(grid.contraction) == bits([c for c, _ in pairs])
+    assert bits(grid.error) == bits([e for _, e in pairs])
+    assert bits(recursions._slope_terms(spec)[0]) == bits(oracles.recursion_slope_terms(spec))
+
+    a0 = data.draw(st.floats(0.0, 10.0))
+    for n in {1, data.draw(st.integers(1, K)), K}:
+        assert bits(iterate_recursion_exact(spec, a0, n)) == bits(
+            oracles.recursion_iterates(spec, a0, n)
+        )
+        assert bits(expansion_bound(spec, a0, n)) == bits(oracles.recursion_expansion(spec, a0, n))
+
+
+@settings(max_examples=60)
+@given(specs(), st.data())
+def test_bounds_match_per_call_evaluation_at_every_k(spec, data):
+    K = spec.horizon
+    lam = data.draw(st.floats(1.0, 4.0))
+    a0 = data.draw(st.floats(0.0, 10.0))
+    cert = CertifiedLambda(lam=lam, certified_horizon=K, condition_margin=0.0)
+    general = [general_bound(spec, cert, a0, k) for k in range(K)]
+    assert bits(general) == bits(
+        [oracles.recursion_general_bound(spec, lam, a0, k) for k in range(K)]
+    )
+    forgetting = [forgetting_bound(spec, cert, a0, k) for k in range(K)]
+    assert bits(forgetting) == bits(
+        [oracles.recursion_forgetting_bound(spec, lam, a0, k) for k in range(K)]
+    )
+    factors = [forgetting_factor(spec, lam, k) for k in range(-2, K)]
+    assert bits(factors) == bits(
+        [oracles.recursion_forgetting_factor(spec, lam, k) for k in range(-2, K)]
+    )
+
+    k0 = data.draw(st.integers(0, K))
+    K_end = data.draw(st.integers(k0, K))
+    K_certified = data.draw(st.integers(0, K))
+    B = max(spec.grid.r) * data.draw(st.sampled_from([0.9, 1.0, 1.5]))
+    expected = oracles.recursion_extension(spec, B, 0.7, k0, K_certified, K_end)
+    if isinstance(expected, int):
+        with pytest.raises(PreconditionError, match=rf"r\(b_{expected}\)"):
+            extend_bound(spec, B, 0.7, k0, K_certified, K_end)
+    else:
+        assert bits(extend_bound(spec, B, 0.7, k0, K_certified, K_end)) == bits(expected)
+
+
+def _counted(fn, counts, name):
+    def wrapper(x):
+        counts[name] += 1
+        return fn(x)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("with_ratio", [True, False])
+def test_coefficients_are_evaluated_once_at_construction(with_ratio):
+    K = 40
+    counts = dict.fromkeys(("s", "t", "b", "ratio", "derivative"), 0)
+    ratio = None
+    if with_ratio:
+        ratio = FunctionDescriptor(
+            fn=_counted(lambda x: 0.5 * (1.0 + x) ** -0.5, counts, "ratio"),
+            derivative=_counted(lambda x: -0.25 * (1.0 + x) ** -1.5, counts, "derivative"),
+        )
+    spec = RecursionSpec(
+        s=FunctionDescriptor(fn=_counted(lambda x: 1.0 + x, counts, "s")),
+        t=FunctionDescriptor(fn=_counted(lambda x: 2.0 * (1.0 + x) ** 1.5, counts, "t")),
+        b=_counted(float, counts, "b"),
+        interval=(0.0, float(K)),
+        horizon=K,
+        ratio=ratio,
+    )
+    once = dict(s=K + 1, t=K + 1, b=K + 1, ratio=K + 1 if with_ratio else 0, derivative=0)
+    assert counts == once
+
+    if with_ratio:  # without an analytic r' the certificate differentiates s/t numerically
+        cert = find_lambda_constant(spec)
+        assert cert.certified_horizon == K
+        find_lambda_constant(spec, lambda_target=cert.lam)
+        assert counts.pop("derivative") == 2 * K
+        once.pop("derivative")
+    cert = CertifiedLambda(lam=1.5, certified_horizon=K, condition_margin=0.0)
+    for k in range(K):
+        general_bound(spec, cert, 1.0, k)
+        forgetting_bound(spec, cert, 1.0, k)
+        forgetting_factor(spec, 2.0, k)
+    for n in range(1, K + 1):
+        iterate_recursion_exact(spec, 1.0, n)
+        expansion_bound(spec, 1.0, n)
+    extend_bound(spec, max(spec.grid.r), 0.5, 3, 10, K)
+    assert counts == once
+
+
+def test_grid_is_read_only_and_kept_out_of_equality():
+    spec = dyadic_spec(4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.grid = None
+    assert isinstance(spec.grid.r, tuple)
+    assert spec.grid.decay == (1.0, 0.5, 0.25, 0.125, 0.0625)
+    assert "grid" not in repr(spec)
+    assert spec == dataclasses.replace(spec)
+
+
+def test_extend_bound_rejects_negative_certified_horizon():
+    with pytest.raises(ValueError, match="K_certified"):
+        extend_bound(dyadic_spec(), 0.5, 0.5, 0, -1, 3)
+
+
+class PerturbedMath:
+    """The math module with some of its functions replaced."""
+
+    def __init__(self, **replacements):
+        self.__dict__.update(replacements)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+PERTURBATIONS = {
+    "cos-wobble": dict(cos=lambda x: math.cos(x) + 1e-3 * math.sin(3.0 * x)),
+    "cos-low": dict(cos=lambda x: max(math.cos(x) - 1e-2, -1.0)),
+    "cos-bent": dict(cos=lambda x: max(math.cos(x) - 0.1 * x * x, -1.0)),
+    # row K = 3 of the shifted check starts with a NaN and holds its only negative margin
+    "cos-nan-row-head": dict(
+        cos=lambda x: (
+            math.nan if x == math.pi / 3 else (-1.0 if x == 2 * math.pi / 3 else math.cos(x))
+        )
+    ),
+    "cos-nan-tail": dict(cos=lambda x: math.nan if x > 3.0 else max(math.cos(x) - 1e-2, -1.0)),
+    "cos-high": dict(cos=lambda x: math.cos(x) + 1e-3),
+    "log1p-high": dict(log1p=lambda x: math.log1p(x) + 1e-2 * abs(x)),
+    "exp-low": dict(exp=lambda x: 0.5 * math.exp(x)),
+    "exp-at-zero": dict(exp=lambda x: math.exp(x) - (1e-12 if x == 0.0 else 0.0)),
+    "log-scaled": dict(log=lambda x: 1.2 * math.log(x)),
+    "fsum-low": dict(fsum=lambda xs: 0.9 * math.fsum(xs)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBATIONS))
+def test_failing_checks_report_the_oracle_witness(name, monkeypatch):
+    shim = PerturbedMath(**PERTURBATIONS[name])
+    monkeypatch.setattr(recursions, "math", shim)
+    monkeypatch.setattr(oracles, "math", shim)
+    r_grid = [0.25, 1.0, 3.0]
+    for k_max in (2, 33):
+        report = tech_inequality_suite(k_max, r_grid)
+        got = [dataclasses.astuple(c) for c in report.checks]
+        expected = oracles.inequality_suite(k_max, r_grid)
+        assert bits_of_checks(got) == bits_of_checks(expected)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("k_max", [2, 5, 64])
+def test_passing_checks_equal_the_oracle(k_max):
+    r_grid = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
+    got = [dataclasses.astuple(c) for c in tech_inequality_suite(k_max, r_grid).checks]
+    assert bits_of_checks(got) == bits_of_checks(oracles.inequality_suite(k_max, r_grid))
+
+
+def test_nan_margins_fail_without_a_witness(monkeypatch):
+    monkeypatch.setattr(recursions, "math", PerturbedMath(cos=lambda x: math.nan))
+    checks = {c.check: c for c in tech_inequality_suite(8, [1.0]).checks}
+    for name in ("cosine-lower-bracket", "cosine-shifted-lower", "cosine-power-sum"):
+        assert not checks[name].passed
+        assert math.isnan(checks[name].margin)
+        assert checks[name].witness_index is None
+    assert checks["log-upper-bound"].passed
