@@ -42,6 +42,7 @@ from .plbounds import (
     relaxed_recursion_transform,
     rr_constants,
     sgd_constants,
+    simulate_pl_grid,
     simulate_pl_recursion,
 )
 from .rates import (

@@ -27,6 +27,7 @@ import io
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -55,6 +56,7 @@ from .plbounds import (
     bound_poly,
     rr_constants,
     sgd_constants,
+    simulate_pl_grid,
     simulate_pl_recursion,
 )
 from .plbounds import _gamma0, _offset_admissible, _offset_grid
@@ -167,6 +169,13 @@ def _check_keys(section, allowed: Mapping[str, bool], where: str) -> None:
     missing = [key for key, required in allowed.items() if required and key not in section]
     if missing:
         raise ConfigError(f"missing keys {missing} in {where}")
+
+
+def _integer(value, field: str) -> int:
+    """value if it is a JSON integer; a bool, a float (8.0 too) or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def _reject_constant(name: str):
@@ -339,7 +348,7 @@ def _cmd_simulate_recursion(config: dict, out: Path) -> int:
     y0 = float(config["y0"])
     if not isinstance(config["k_grid"], list) or not config["k_grid"]:
         raise ConfigError("k_grid must be a nonempty list of positive integers")
-    k_grid = [int(k) for k in config["k_grid"]]
+    k_grid = [_integer(k, "k_grid entry") for k in config["k_grid"]]
     if any(k < 1 for k in k_grid):
         raise ConfigError("k_grid entries must be positive integers")
     entries = config["schedules"]
@@ -355,13 +364,10 @@ def _cmd_simulate_recursion(config: dict, out: Path) -> int:
     if len(set(ids)) != len(ids):
         raise ConfigError("schedule ids must be unique")
 
+    builders = [partial(_build_schedule, body, where=f"schedule {sid!r}") for sid, body in specs]
+    finals = simulate_pl_grid(params, builders, y0, k_grid)
     fields = [_csv_field(sid) for sid in ids]
-    keys, finals = [], []
-    for K in k_grid:
-        for (sid, body), field in zip(specs, fields):
-            schedule = _build_schedule(body, K, where=f"schedule {sid!r}")
-            keys.append(f"{K},{field}")
-            finals.append(simulate_pl_recursion(params, schedule, y0, K)[-1])
+    keys = [f"{K},{field}" for K in k_grid for field in fields]
     target = out / "recursion.csv"
     _write_table(target, ["K", "schedule_id", "y_K"], "{},%.17g\n", keys, finals)
     print(f"wrote {len(finals)} rows to {target}")
@@ -386,7 +392,7 @@ def _cmd_bound(config: dict, out: Path) -> int:
     method = str(config["method"])
     family = str(config["family"])
     mc = _build_constants(method, config["constants"])
-    K = int(config["K"])
+    K = _integer(config["K"], "K")
     if K < 1:
         raise ConfigError("K must be a positive integer")
     y0 = float(config["y0"])
@@ -457,7 +463,7 @@ def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
     if algorithm not in ("gd", "sgd", "rr"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     problem = _build_problem(config["problem"])
-    K = int(config["K"])
+    K = _integer(config["K"], "K")
     schedule = _build_schedule(config["schedule"], K)
     x0 = [float(v) for v in config["x0"]]
 
@@ -479,7 +485,7 @@ def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
     if algorithm in ("sgd", "rr"):
         if "seeds" not in config or not isinstance(config["seeds"], list) or not config["seeds"]:
             raise ConfigError(f"{algorithm} requires a nonempty seeds list")
-        seeds = [int(s) for s in config["seeds"]]
+        seeds = [_integer(s, "seeds entry") for s in config["seeds"]]
         if len(set(seeds)) != len(seeds):
             raise ConfigError("seeds must be distinct")
     elif "seeds" in config:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .recursions import FunctionDescriptor, PreconditionError, RecursionSpec
 from .schedules import (
@@ -310,6 +310,55 @@ def simulate_pl_recursion(
             if not math.isfinite(y):
                 raise NumericFailure(f"trajectory value {y} is not finite at step {i}", index=i)
     return ys
+
+
+def _picked_finals(
+    params: PLParams, schedule: StepSchedule, y0: float, ks: list[int]
+) -> list[float]:
+    # one run to the largest of the sorted ks; the trajectory dies with
+    # this frame, so only the picked y_K stay alive
+    ys = simulate_pl_recursion(params, schedule, y0, ks[-1])
+    return [ys[K] for K in ks]
+
+
+def simulate_pl_grid(
+    params: PLParams,
+    schedules: Sequence[Callable[[int], StepSchedule]],
+    y0: float,
+    k_grid: Sequence[int],
+) -> list[float]:
+    """y_K of the equality recursion for every (K, schedule), K-major.
+
+    schedules holds one builder K -> StepSchedule per lane, called for every
+    cell in walk order. A schedule without a horizon (constant, polynomial)
+    does not depend on K, so its lane is simulated once, to the largest K,
+    and each y_K is read off that run: the steps are a prefix of the same
+    list and the loop is the same, so every value is bitwise
+    simulate_pl_recursion(params, build(K), y0, K)[-1]. Schedules with a
+    horizon run once per K, and so does every cell of a lane whose long run
+    fails and every cell whose builder returns another schedule than the
+    lane's first. A failing grid therefore raises the same first error, at
+    the same cell, as the walk of per-K runs.
+    """
+    ks = sorted({K for K in k_grid if K >= 1})
+    row = {K: i for i, K in enumerate(ks)}
+    finals: list[float] = []
+    lanes: dict[int, tuple[StepSchedule, list[float]] | None] = {}
+    for K in k_grid:
+        for lane, build in enumerate(schedules):
+            schedule = build(K)
+            if K >= 1 and getattr(schedule, "horizon", None) is None:
+                if lane not in lanes:
+                    try:
+                        lanes[lane] = (schedule, _picked_finals(params, schedule, y0, ks))
+                    except NumericFailure:
+                        lanes[lane] = None
+                picked = lanes[lane]
+                if picked is not None and picked[0] == schedule:
+                    finals.append(picked[1][row[K]])
+                    continue
+            finals.append(simulate_pl_recursion(params, schedule, y0, K)[-1])
+    return finals
 
 
 def relaxed_recursion_transform(

@@ -169,7 +169,7 @@ def step_sum(schedule: StepSchedule, K: int) -> float:
         return schedule.alpha * math.expm1(K * lg) / math.expm1(lg)
     if isinstance(schedule, Cosine) and schedule.p == 1.0 and K == schedule.horizon:
         return schedule.alpha * (K + 1) / 2.0
-    return math.fsum(step_value(schedule, k) for k in range(K))
+    return math.fsum(step_values(schedule, K))
 
 
 def validate_cap(schedule: StepSchedule, cap: float, K: int) -> CapCheck:

@@ -4,10 +4,12 @@ Every function here is a direct transcription of a closed-form expression,
 evaluated with mpmath where rounding could matter, a plain per-seed loop
 that the seed-batched optimizer engine must reproduce, a per-call
 recursion evaluator or list-building inequality check that the cached spec
-grid and the streamed checks must reproduce bit for bit, or the
-cell-by-cell CSV writer whose bytes the block writer must reproduce.
-Nothing in this module imports the package under test: these are the
-independent routes, and the tests assert that the library agrees with
+grid and the streamed checks must reproduce bit for bit, a per-step or
+per-cell loop that the step sum and the recursion grid must reproduce bit
+for bit, or the cell-by-cell CSV writer whose bytes the block writer must
+reproduce. Nothing in this module imports the package under test: these
+are the independent routes (the per-cell loops take the package's scalar
+functions as arguments), and the tests assert that the library agrees with
 them. Running the module prints the table of pinned values.
 """
 from __future__ import annotations
@@ -51,6 +53,20 @@ def cos_step_sum(alpha, p, K, upto):
 
 def poly_step(alpha, gamma, p, k):
     return mpf(alpha) / (k + mpf(gamma)) ** p
+
+
+def step_sum_per_k(step_value, schedule, K):
+    """Compensated sum of the first K steps, one step_value call per k."""
+    return math.fsum(step_value(schedule, k) for k in range(K))
+
+
+# ---------------------------------------------------------------------------
+# worst-case progress recursion over a K grid
+
+
+def recursion_grid_per_cell(simulate, params, builders, y0, k_grid):
+    """y_K for every (K, schedule), K-major, one run from k = 0 per cell."""
+    return [simulate(params, build(K), y0, K)[-1] for K in k_grid for build in builders]
 
 
 # ---------------------------------------------------------------------------

@@ -507,9 +507,8 @@ def test_recursion_table_equals_the_cell_by_cell_writer(ids, k_grid, data):
     finals = data.draw(exactly(len(ids) * len(k_grid), VALUES))
     config = dict(SIM_CONFIG, k_grid=k_grid)
     config["schedules"] = [{"id": sid, "family": "constant", "alpha": 0.1} for sid in ids]
-    values = iter(finals)
     patches = {
-        "simulate_pl_recursion": lambda *args: [next(values)],
+        "simulate_pl_grid": lambda *args: finals,
         "_CHUNK": data.draw(st.integers(1, 5)),
     }
     rows = zip((K for K in k_grid for _ in ids), (sid for _ in k_grid for sid in ids), finals)
@@ -561,3 +560,32 @@ def test_nothing_reads_os_entropy(tmp_path, monkeypatch):
     assert run_cli(tmp_path, "run", RUN_SGD) == 0
     for suite in ("chung", "bounds", "assumptions"):
         assert cli.main(["verify", suite, "--draws", "10", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, config, key, index, field",
+    [
+        ("simulate-recursion", SIM_CONFIG, "k_grid", 1, "k_grid entry"),
+        ("bound", BOUND_CONST, "K", None, "K"),
+        ("run", RUN_GD, "K", None, "K"),
+        ("run", RUN_SGD, "seeds", 2, "seeds entry"),
+    ],
+    ids=["k_grid", "bound-K", "run-K", "seeds"],
+)
+@pytest.mark.parametrize("literal", ["2.5", "8.0", "true", '"8"', "1e400"])
+def test_integer_fields_take_json_integers_only(
+    tmp_path, capsys, command, config, key, index, field, literal
+):
+    """A bool, a float (integral or inf) or a string integer exits 2 and names
+    the field, where int() used to truncate, parse or overflow it."""
+    config = json.loads(json.dumps(config))
+    if index is None:
+        config[key] = "@bad"
+    else:
+        config[key][index] = "@bad"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"@bad"', literal), encoding="utf-8")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--skip-verify"]
+    assert cli.main(argv) == 2
+    assert f"{field} must be an integer, got " in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())

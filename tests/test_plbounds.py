@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+import steprates.plbounds as plbounds
 from steprates.plbounds import (
     NumericFailure,
     PLParams,
@@ -19,6 +23,7 @@ from steprates.plbounds import (
     relaxed_recursion_transform,
     rr_constants,
     sgd_constants,
+    simulate_pl_grid,
     simulate_pl_recursion,
 )
 from steprates.recursions import (
@@ -133,6 +138,126 @@ def test_simulate_validates_inputs():
         simulate_pl_recursion(params, Constant(alpha=0.1), -1.0, 4)
     with pytest.raises(ValueError):
         simulate_pl_recursion(params, Constant(alpha=0.1), 1.0, 0)
+
+
+def grid_outcome(run):
+    """The values of a grid as float hex, or its first error as (type, message, index)."""
+    try:
+        return [v.hex() for v in run()]
+    except (NumericFailure, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+STEP = st.floats(0.01, 3.0)
+POWER = st.floats(0.2, 2.0)
+# one builder K -> schedule per lane; an exponential lane with beta >= K
+# makes its builder raise partway through the grid, and a polynomial lane
+# with gamma = K has no horizon yet differs from K to K
+BUILDERS = st.one_of(
+    st.builds(lambda a: lambda K: Constant(alpha=a), STEP),
+    st.builds(lambda s: lambda K: s, st.builds(Polynomial, STEP, st.floats(0.5, 16.0), POWER)),
+    st.builds(lambda a, p: lambda K: Polynomial(alpha=a, gamma=float(K), p=p), STEP, POWER),
+    st.builds(
+        lambda a, b, p: lambda K: Exponential(alpha=a, beta=b, p=p, horizon=K),
+        STEP,
+        st.floats(0.5, 4.0),
+        POWER,
+    ),
+    st.builds(lambda a, p: lambda K: Cosine(alpha=a, p=p, horizon=K), STEP, POWER),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.builds(
+        PLParams,
+        l1=st.floats(0.0, 2.0),
+        l2=st.floats(0.1, 2.0),
+        l3=st.floats(0.0, 2.0),
+        tau=st.sampled_from([2.0, 3.0, 2.5]),
+        theta=st.sampled_from([0.5, 1.0, 0.75, 2.0 / 3.0]),
+    ),
+    st.lists(BUILDERS, min_size=1, max_size=4),
+    st.sampled_from([0.0, 0.5, 1.0, 1e100, 1e290, 1e300]),
+    st.lists(st.integers(1, 48), min_size=1, max_size=6),
+)
+# inf from step 10 on: fine at K = 4 and 8, not finite at K = 16 and 12
+@example(
+    PLParams(l1=1.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5),
+    [lambda K: Polynomial(alpha=1.0, gamma=4.0, p=1.0), lambda K: Constant(alpha=3.0)],
+    1e300,
+    [4, 8, 16, 12, 4],
+)
+# y = 16 after one step and negative after two: K = 1 passes, K = 3 fails
+@example(
+    PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=1.0),
+    [lambda K: Cosine(alpha=0.5, p=1.0, horizon=K), lambda K: Constant(alpha=3.0)],
+    1.0,
+    [1, 3, 2],
+)
+# inf from step 1 and -inf at step 7: K = 4 fails as not finite, K = 8 as
+# negative, so the run to the largest K does not give the first error
+@example(
+    PLParams(l1=1.0, l2=3.0, l3=0.0, tau=2.0, theta=0.5),
+    [lambda K: Polynomial(alpha=40.0, gamma=10.0, p=1.0)],
+    1e308,
+    [4, 8],
+)
+# the constant lane fails only at K = 16, after the exponential lane's
+# builder fails at K = 4
+@example(
+    PLParams(l1=1.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5),
+    [
+        lambda K: Constant(alpha=3.0),
+        lambda K: Exponential(alpha=0.5, beta=8.0, p=1.0, horizon=K),
+    ],
+    1e300,
+    [4, 16],
+)
+# K = 0 fails after good cells, in the builder of the cosine lane
+@example(
+    PLParams(l1=0.0, l2=1.0, l3=1.0, tau=2.0, theta=0.75),
+    [
+        lambda K: Cosine(alpha=0.5, p=1.0, horizon=K),
+        lambda K: Polynomial(alpha=0.5, gamma=1.0, p=0.5),
+    ],
+    1.0,
+    [8, 0, 4],
+)
+def test_grid_equals_the_per_cell_runs(params, builders, y0, k_grid):
+    """Values bitwise, or the same first error: type, message and index.
+
+    Large y0 and steps drive lanes negative, past the range of doubles or to
+    NaN partway through a grid that is unsorted and repeats K.
+    """
+    reference = grid_outcome(
+        lambda: oracles.recursion_grid_per_cell(
+            simulate_pl_recursion, params, builders, y0, k_grid
+        )
+    )
+    assert grid_outcome(lambda: simulate_pl_grid(params, builders, y0, k_grid)) == reference
+
+
+def test_grid_runs_each_horizon_free_lane_once(monkeypatch):
+    calls = []
+
+    def counted(params, schedule, y0, K):
+        calls.append((type(schedule).__name__, K))
+        return simulate_pl_recursion(params, schedule, y0, K)
+
+    monkeypatch.setattr(plbounds, "simulate_pl_recursion", counted)
+    params = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.75)
+    builders = [
+        lambda K: Constant(alpha=0.1),
+        lambda K: Polynomial(alpha=1.0, gamma=4.0, p=1.0),
+        lambda K: Exponential(alpha=0.5, beta=1.0, p=1.0, horizon=K),
+        lambda K: Cosine(alpha=0.2, p=1.0, horizon=K),
+    ]
+    k_grid = [64, 8, 32, 8, 16]
+    finals = simulate_pl_grid(params, builders, 1.0, k_grid)
+    assert len(finals) == len(k_grid) * len(builders)
+    per_K = [(name, K) for K in k_grid for name in ("Exponential", "Cosine")]
+    assert sorted(calls) == sorted([("Constant", 64), ("Polynomial", 64)] + per_K)
 
 
 def test_exp_bound_reference_values():

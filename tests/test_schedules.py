@@ -4,9 +4,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from steprates.schedules import (
     Constant,
     Cosine,
@@ -79,6 +80,31 @@ def test_step_sum_closed_form_agrees_at_large_horizon():
     assert step_sum(cos, K) == pytest.approx(
         math.fsum(step_values(cos, K)), rel=1e-12
     )
+
+
+@settings(max_examples=200)
+@given(
+    alpha=st.floats(1e-3, 10.0),
+    p=st.one_of(st.just(1.0), st.floats(0.1, 3.0)),
+    gamma=st.floats(0.1, 100.0),
+    horizon=st.integers(1, 300),
+    data=st.data(),
+)
+def test_step_sum_equals_the_per_step_fsum(alpha, p, gamma, horizon, data):
+    """Bitwise, for the families summed term by term: polynomial, and cosine
+    off its p = 1 full-horizon closed form, up to K = horizon + 1, whose last
+    term is exactly 0.0."""
+    K = data.draw(st.one_of(st.just(horizon + 1), st.integers(1, horizon + 1)))
+    assume(not (p == 1.0 and K == horizon))
+    for schedule in (
+        Polynomial(alpha=alpha, gamma=gamma, p=p),
+        Cosine(alpha=alpha, p=p, horizon=horizon),
+    ):
+        expected = oracles.step_sum_per_k(step_value, schedule, K)
+        assert step_sum(schedule, K).hex() == expected.hex()
+    if K == horizon + 1:
+        assert step_value(schedule, horizon) == 0.0
+        assert step_values(schedule, K)[-1] == 0.0
 
 
 def test_step_values_matches_step_value_bitwise():
