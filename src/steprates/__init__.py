@@ -4,9 +4,11 @@ methods under gradient domination.
 The package splits into schedule definitions (schedules), affine recursion
 machinery with numeric hypothesis checks (recursions), closed-form method
 bounds for every schedule family (plbounds), reference optimizers on
-synthetic problems with verifiable assumptions (optimizers), and empirical
-plus theoretical rate maps (rates). A command-line driver lives in
-steprates.cli and runs as `python -m steprates`.
+synthetic problems with verifiable assumptions (optimizers), empirical
+plus theoretical rate maps (rates), and the randomized verification suites
+behind the paper's claims (verify), each returning a SuiteReport. A thin
+command-line driver over them lives in steprates.cli and runs as
+`python -m steprates`.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ __version__ = "0.1.0"
 from .optimizers import (
     NoiseModel,
     Problem,
-    RunConfig,
     Trajectory,
     gd_run,
     keyed_generators,
@@ -39,11 +40,13 @@ from .plbounds import (
     bound_poly,
     derive_constants,
     descent_coefficients,
+    offset_admissible,
     relaxed_recursion_transform,
     rr_constants,
     sgd_constants,
     simulate_pl_grid,
     simulate_pl_recursion,
+    smallest_offset,
 )
 from .rates import (
     RateFit,
@@ -60,6 +63,7 @@ from .recursions import (
     FunctionDescriptor,
     PreconditionError,
     RecursionSpec,
+    SuiteReport,
     classical_bound,
     classical_lambda,
     classical_spec,
@@ -84,3 +88,4 @@ from .schedules import (
     step_values,
     validate_cap,
 )
+from .verify import assumptions_suite, bounds_suite, chung_suite, draw_classical_params

@@ -3,7 +3,17 @@
 Commands: simulate-recursion, bound, run, verify, fit, heatmap. Every
 command takes its flags after the command name; file-writing commands need
 --out and most need a strict JSON --config whose unknown keys are rejected.
-All randomness is keyed by explicit seeds; nothing reads OS entropy.
+All randomness is keyed by explicit seeds; nothing reads OS entropy. The
+verify suites are the library's steprates.verify; this module parses,
+dispatches and writes.
+
+Every config field goes through one typed parser. A number must be a JSON
+number (not a bool or a string) that fits a float, and a NaN, Infinity or
+overflowing literal such as 1e400 anywhere in a config is rejected; an
+integer field (horizons, seeds, dim, N, window) takes JSON integers only.
+A horizon that is materialized, a k_grid entry or the K of run, lies in
+[1, MAX_HORIZON = 2^24]; the K of bound is unbounded, as every bound is
+closed-form.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 configuration error,
 3 numeric failure (a trajectory left its admissible region or is not finite,
@@ -29,25 +39,21 @@ import math
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
 from .optimizers import (
     NoiseModel,
-    Problem,
     gd_run,
-    keyed_generators,
     make_power_family,
     make_quadratic,
     rr_run,
     sgd_run,
     verify_pl,
-    verify_variance,
 )
 from .plbounds import (
-    MethodConstants,
     NumericFailure,
     PLParams,
     bound_const,
@@ -57,27 +63,11 @@ from .plbounds import (
     rr_constants,
     sgd_constants,
     simulate_pl_grid,
-    simulate_pl_recursion,
 )
-from .plbounds import _gamma0, _offset_admissible, _offset_grid
 from .rates import fit_loglog, heatmap_grid
-from .recursions import (
-    CheckResult,
-    ClassicalParams,
-    FunctionDescriptor,
-    PreconditionError,
-    RecursionSpec,
-    classical_bound,
-    classical_lambda,
-    classical_spec,
-    extend_bound,
-    find_lambda_constant,
-    forgetting_bound,
-    general_bound,
-    iterate_recursion_exact,
-    tech_inequality_suite,
-)
+from .recursions import PreconditionError, tech_inequality_suite
 from .schedules import Constant, Cosine, Exponential, Polynomial, StepSchedule
+from .verify import DEFAULT_R_GRID, assumptions_suite, bounds_suite, chung_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
@@ -86,7 +76,8 @@ EXIT_NUMERIC_FAILURE = 3
 EXIT_PRECONDITION_FAILURE = 4
 EXIT_PROBLEM_VERIFICATION = 5
 
-DEFAULT_R_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+# the largest horizon a command materializes step by step
+MAX_HORIZON = 2**24
 # rows per template and write when a CSV table is written
 _CHUNK = 4096
 
@@ -160,26 +151,141 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _check_keys(section, allowed: Mapping[str, bool], where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown} in {where}")
-    missing = [key for key, required in allowed.items() if required and key not in section]
-    if missing:
-        raise ConfigError(f"missing keys {missing} in {where}")
+# --- config fields -----------------------------------------------------------
+
+
+def _real(value, field: str) -> float:
+    """value as a float if it is a JSON number that fits one; a bool or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{field} must fit a float, got {value!r}") from None
 
 
 def _integer(value, field: str) -> int:
     """value if it is a JSON integer; a bool, a float (8.0 too) or a string is not."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{field} must be an integer, got {value!r}")
+    _real(value, field)
     return value
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"non-finite literal {name} in config; numbers must be finite")
+def _horizon(value, field: str) -> int:
+    K = _integer(value, field)
+    if not 1 <= K <= MAX_HORIZON:
+        raise ConfigError(f"{field} must lie in [1, {MAX_HORIZON}], got {K}")
+    return K
+
+
+def _list_of(parse: Callable) -> Callable:
+    """The parser of a JSON list whose every entry parse accepts."""
+
+    def parse_list(value, field: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{field} must be a list, got {value!r}")
+        return tuple(parse(entry, f"{field} entry") for entry in value)
+
+    return parse_list
+
+
+_reals = _list_of(_real)
+
+
+def _fields(section, table: Mapping, where: str, optional: Collection[str] = ()) -> dict:
+    """section's fields, each parsed by its parser in table (None keeps it as is).
+
+    Keys outside table are rejected, and so are missing ones unless optional;
+    an optional key that is absent is absent from the result.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {where}")
+    missing = [key for key in table if key not in section and key not in optional]
+    if missing:
+        raise ConfigError(f"missing keys {missing} in {where}")
+    return {k: v if table[k] is None else table[k](v, k) for k, v in section.items()}
+
+
+def _variant(section, key: str, variants: Mapping, where: str):
+    """The entry of variants that section's key names."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    name = section.get(key)
+    if not isinstance(name, str) or name not in variants:
+        raise ConfigError(f"unknown {key} {name!r} in {where}")
+    return variants[name]
+
+
+_SCHEDULES = {
+    "constant": (Constant, ("alpha",)),
+    "polynomial": (Polynomial, ("alpha", "gamma", "p")),
+    "exponential": (Exponential, ("alpha", "beta", "p")),
+    "cosine": (Cosine, ("alpha", "p")),
+}
+_PROBLEMS = {
+    "quadratic": (
+        make_quadratic,
+        {"mu": _real, "L": _real, "dim": _integer, "N": _integer, "shifts": _reals,
+         "curvatures": _reals, "radius": _real},
+        ("N", "shifts", "curvatures", "radius"),
+    ),
+    "power": (make_power_family, dict.fromkeys(("theta", "c", "radius"), _real), ()),
+}
+
+
+def _build_schedule(section, K: int, where: str = "schedule") -> StepSchedule:
+    cls, names = _variant(section, "family", _SCHEDULES, where)
+    fields = _fields(section, {"family": None, **dict.fromkeys(names, _real)}, where)
+    del fields["family"]
+    return cls(**fields, horizon=K) if cls in (Exponential, Cosine) else cls(**fields)
+
+
+def _build_params(section, where: str) -> PLParams:
+    names = ("l1", "l2", "l3", "tau", "theta")
+    return PLParams(**_fields(section, dict.fromkeys(names, _real), where))
+
+
+def _build_constants(method: str, section):
+    if method not in ("sgd", "rr"):
+        raise ConfigError(f"unknown method {method!r}; expected sgd or rr")
+    table = dict.fromkeys(("theta", "L", "mu", "A", "sigma"), _real)
+    if method == "rr":
+        table["N"] = _integer
+    build = sgd_constants if method == "sgd" else rr_constants
+    return build(**_fields(section, table, "constants"))
+
+
+def _build_problem(section, where: str):
+    build, table, optional = _variant(section, "kind", _PROBLEMS, where)
+    fields = _fields(section, {"kind": None, **table}, where, optional)
+    del fields["kind"]
+    return build(**fields)
+
+
+def _build_noise(section, where: str) -> NoiseModel:
+    table = {"kind": None, "sigma": _real, "A": _real}
+    return NoiseModel(**_fields(section, table, where, ("sigma", "A")))
+
+
+def _tuned(value, field: str):
+    if value is None or value is False:
+        return None
+    if value is True:
+        return {}
+    if isinstance(value, dict):
+        return _fields(value, {"beta": _real}, field, ("beta",))
+    raise ConfigError("tuned must be a boolean or an object with an optional beta")
+
+
+def _reject_non_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite literal {text} in config; numbers must be finite")
+    return value
 
 
 def _load_config(path: Path | None) -> dict:
@@ -190,7 +296,9 @@ def _load_config(path: Path | None) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(text, parse_constant=_reject_constant)
+        config = json.loads(
+            text, parse_float=_reject_non_finite, parse_constant=_reject_non_finite
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -205,131 +313,6 @@ def _out_dir(out: Path | None) -> Path:
     return out
 
 
-def _build_schedule(section, K: int, where: str = "schedule") -> StepSchedule:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    family = section.get("family")
-    if family == "constant":
-        _check_keys(section, {"family": True, "alpha": True}, where)
-        return Constant(alpha=float(section["alpha"]))
-    if family == "polynomial":
-        _check_keys(section, {"family": True, "alpha": True, "gamma": True, "p": True}, where)
-        return Polynomial(
-            alpha=float(section["alpha"]), gamma=float(section["gamma"]), p=float(section["p"])
-        )
-    if family == "exponential":
-        _check_keys(section, {"family": True, "alpha": True, "beta": True, "p": True}, where)
-        return Exponential(
-            alpha=float(section["alpha"]),
-            beta=float(section["beta"]),
-            p=float(section["p"]),
-            horizon=K,
-        )
-    if family == "cosine":
-        _check_keys(section, {"family": True, "alpha": True, "p": True}, where)
-        return Cosine(alpha=float(section["alpha"]), p=float(section["p"]), horizon=K)
-    raise ConfigError(f"unknown schedule family {family!r} in {where}")
-
-
-def _build_params(section) -> PLParams:
-    _check_keys(
-        section,
-        {"l1": True, "l2": True, "l3": True, "tau": True, "theta": True},
-        "params",
-    )
-    return PLParams(
-        l1=float(section["l1"]),
-        l2=float(section["l2"]),
-        l3=float(section["l3"]),
-        tau=float(section["tau"]),
-        theta=float(section["theta"]),
-    )
-
-
-def _build_constants(method: str, section) -> MethodConstants:
-    if method == "sgd":
-        _check_keys(
-            section,
-            {"theta": True, "L": True, "mu": True, "A": True, "sigma": True},
-            "constants",
-        )
-        return sgd_constants(
-            theta=float(section["theta"]),
-            L=float(section["L"]),
-            mu=float(section["mu"]),
-            A=float(section["A"]),
-            sigma=float(section["sigma"]),
-        )
-    if method == "rr":
-        _check_keys(
-            section,
-            {"theta": True, "L": True, "mu": True, "A": True, "sigma": True, "N": True},
-            "constants",
-        )
-        return rr_constants(
-            theta=float(section["theta"]),
-            L=float(section["L"]),
-            mu=float(section["mu"]),
-            A=float(section["A"]),
-            sigma=float(section["sigma"]),
-            N=section["N"],
-        )
-    raise ConfigError(f"unknown method {method!r}; expected sgd or rr")
-
-
-def _build_problem(section) -> Problem:
-    if not isinstance(section, dict):
-        raise ConfigError("problem must be a JSON object")
-    kind = section.get("kind")
-    if kind == "quadratic":
-        _check_keys(
-            section,
-            {
-                "kind": True,
-                "mu": True,
-                "L": True,
-                "dim": True,
-                "N": False,
-                "shifts": False,
-                "curvatures": False,
-                "radius": False,
-            },
-            "problem",
-        )
-        return make_quadratic(
-            mu=float(section["mu"]),
-            L=float(section["L"]),
-            dim=int(section["dim"]),
-            N=int(section["N"]) if "N" in section else None,
-            shifts=tuple(float(v) for v in section["shifts"]) if "shifts" in section else None,
-            curvatures=(
-                tuple(float(v) for v in section["curvatures"])
-                if "curvatures" in section
-                else None
-            ),
-            radius=float(section.get("radius", 10.0)),
-        )
-    if kind == "power":
-        _check_keys(section, {"kind": True, "theta": True, "c": True, "radius": True}, "problem")
-        return make_power_family(
-            theta=float(section["theta"]),
-            c=float(section["c"]),
-            radius=float(section["radius"]),
-        )
-    raise ConfigError(f"unknown problem kind {kind!r}")
-
-
-def _normalize_tuned_config(value):
-    if value is None or value is False:
-        return None
-    if value is True:
-        return {}
-    if isinstance(value, dict):
-        _check_keys(value, {"beta": False}, "tuned")
-        return {k: float(v) for k, v in value.items()}
-    raise ConfigError("tuned must be a boolean or an object with an optional beta")
-
-
 def _config_digest(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -339,19 +322,11 @@ def _config_digest(config: dict) -> str:
 
 
 def _cmd_simulate_recursion(config: dict, out: Path) -> int:
-    _check_keys(
-        config,
-        {"params": True, "y0": True, "k_grid": True, "schedules": True},
-        "config",
-    )
-    params = _build_params(config["params"])
-    y0 = float(config["y0"])
-    if not isinstance(config["k_grid"], list) or not config["k_grid"]:
+    table = {"params": _build_params, "y0": _real, "k_grid": _list_of(_horizon), "schedules": None}
+    fields = _fields(config, table, "config")
+    k_grid, entries = fields["k_grid"], fields["schedules"]
+    if not k_grid:
         raise ConfigError("k_grid must be a nonempty list of positive integers")
-    k_grid = [_integer(k, "k_grid entry") for k in config["k_grid"]]
-    if any(k < 1 for k in k_grid):
-        raise ConfigError("k_grid entries must be positive integers")
-    entries = config["schedules"]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("schedules must be a nonempty list")
     specs: list[tuple[str, dict]] = []
@@ -365,9 +340,9 @@ def _cmd_simulate_recursion(config: dict, out: Path) -> int:
         raise ConfigError("schedule ids must be unique")
 
     builders = [partial(_build_schedule, body, where=f"schedule {sid!r}") for sid, body in specs]
-    finals = simulate_pl_grid(params, builders, y0, k_grid)
-    fields = [_csv_field(sid) for sid in ids]
-    keys = [f"{K},{field}" for K in k_grid for field in fields]
+    finals = simulate_pl_grid(fields["params"], builders, fields["y0"], k_grid)
+    csv_ids = [_csv_field(sid) for sid in ids]
+    keys = [f"{K},{field}" for K in k_grid for field in csv_ids]
     target = out / "recursion.csv"
     _write_table(target, ["K", "schedule_id", "y_K"], "{},%.17g\n", keys, finals)
     print(f"wrote {len(finals)} rows to {target}")
@@ -375,29 +350,15 @@ def _cmd_simulate_recursion(config: dict, out: Path) -> int:
 
 
 def _cmd_bound(config: dict, out: Path) -> int:
-    _check_keys(
-        config,
-        {
-            "method": True,
-            "family": True,
-            "constants": True,
-            "schedule": False,
-            "K": True,
-            "y0": True,
-            "tuned": False,
-            "case": False,
-        },
-        "config",
-    )
-    method = str(config["method"])
-    family = str(config["family"])
-    mc = _build_constants(method, config["constants"])
-    K = _integer(config["K"], "K")
+    table = {"method": None, "family": None, "constants": None, "schedule": None,
+             "K": _integer, "y0": _real, "tuned": _tuned, "case": None}
+    fields = _fields(config, table, "config", ("schedule", "tuned", "case"))
+    family = str(fields["family"])
+    mc = _build_constants(str(fields["method"]), fields["constants"])
+    K, y0, tuned = fields["K"], fields["y0"], fields.get("tuned")
     if K < 1:
         raise ConfigError("K must be a positive integer")
-    y0 = float(config["y0"])
-    tuned = _normalize_tuned_config(config.get("tuned"))
-    case = str(config.get("case", "auto"))
+    case = str(fields.get("case", "auto"))
     if family != "poly" and "case" in config:
         raise ConfigError("case applies only to the poly family")
 
@@ -446,71 +407,44 @@ def _cmd_bound(config: dict, out: Path) -> int:
 
 
 def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
-    _check_keys(
-        config,
-        {
-            "algorithm": True,
-            "problem": True,
-            "schedule": True,
-            "K": True,
-            "x0": True,
-            "noise": False,
-            "seeds": False,
-        },
-        "config",
-    )
-    algorithm = str(config["algorithm"])
+    table = {"algorithm": None, "problem": _build_problem, "schedule": None, "K": _horizon,
+             "x0": _reals, "noise": _build_noise, "seeds": _list_of(_integer)}
+    fields = _fields(config, table, "config", ("noise", "seeds"))
+    algorithm = str(fields["algorithm"])
     if algorithm not in ("gd", "sgd", "rr"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    problem = _build_problem(config["problem"])
-    K = _integer(config["K"], "K")
-    schedule = _build_schedule(config["schedule"], K)
-    x0 = [float(v) for v in config["x0"]]
-
-    if algorithm == "sgd":
-        if "noise" not in config:
-            raise ConfigError("sgd requires a noise section")
-        noise_section = config["noise"]
-        _check_keys(noise_section, {"kind": True, "sigma": False, "A": False}, "noise")
-        noise = NoiseModel(
-            kind=str(noise_section["kind"]),
-            sigma=float(noise_section.get("sigma", 0.0)),
-            A=float(noise_section.get("A", 0.0)),
-        )
-    elif "noise" in config:
+    problem, K, x0 = fields["problem"], fields["K"], fields["x0"]
+    schedule = _build_schedule(fields["schedule"], K)
+    noise = fields.get("noise")
+    if algorithm == "sgd" and noise is None:
+        raise ConfigError("sgd requires a noise section")
+    if algorithm != "sgd" and noise is not None:
         raise ConfigError("the noise section applies only to sgd")
-    else:
-        noise = None
-
-    if algorithm in ("sgd", "rr"):
-        if "seeds" not in config or not isinstance(config["seeds"], list) or not config["seeds"]:
-            raise ConfigError(f"{algorithm} requires a nonempty seeds list")
-        seeds = [_integer(s, "seeds entry") for s in config["seeds"]]
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("seeds must be distinct")
-    elif "seeds" in config:
+    seeds = fields.get("seeds", ())
+    if algorithm == "gd" and "seeds" in config:
         raise ConfigError("gd is deterministic and takes no seeds")
-    else:
-        seeds = []
+    if algorithm != "gd" and not seeds:
+        raise ConfigError(f"{algorithm} requires a nonempty seeds list")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be distinct")
 
-    if skip_verify:
-        problem_check = {"skipped": True}
-    else:
+    manifest = {
+        "version": __version__,
+        "command": "run",
+        "config": config,
+        "config_sha256": _config_digest(config),
+        "problem_check": {"skipped": True},
+    }
+    if not skip_verify:
         report = verify_pl(problem, sample_count=1000, seed=seed)
-        problem_check = {
+        manifest["problem_check"] = {
             "skipped": False,
             "check": report.check,
             "passed": report.passed,
             "margin": report.margin,
         }
         if not report.passed:
-            _write_json(out / "manifest.json", {
-                "version": __version__,
-                "command": "run",
-                "config": config,
-                "config_sha256": _config_digest(config),
-                "problem_check": problem_check,
-            })
+            _write_json(out / "manifest.json", manifest)
             print(
                 f"problem verification failed: margin {report.margin} at {report.witness_index}",
                 file=sys.stderr,
@@ -520,10 +454,9 @@ def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
     if algorithm == "gd":
         trajectory = gd_run(problem, schedule, x0, K)
     elif algorithm == "sgd":
-        assert noise is not None
-        trajectory = sgd_run(problem, noise, schedule, x0, K, seeds)
+        trajectory = sgd_run(problem, noise, schedule, x0, K, list(seeds))
     else:
-        trajectory = rr_run(problem, schedule, x0, K, seeds)
+        trajectory = rr_run(problem, schedule, x0, K, list(seeds))
 
     traj_path = out / "trajectories.csv"
     mean_path = out / "mean.csv"
@@ -537,385 +470,46 @@ def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
         steps,
         np.stack((trajectory.mean, trajectory.stderr), axis=1),
     )
-    manifest = {
-        "version": __version__,
-        "command": "run",
-        "config": config,
-        "config_sha256": _config_digest(config),
-        "seed": seed,
-        "seeds": list(trajectory.seeds),
-        "left_domain": list(trajectory.left_domain),
-        "problem_check": problem_check,
-        "outputs": {"trajectories": traj_path.name, "mean": mean_path.name},
-    }
+    manifest.update(
+        seed=seed,
+        seeds=list(trajectory.seeds),
+        left_domain=list(trajectory.left_domain),
+        outputs={"trajectories": traj_path.name, "mean": mean_path.name},
+    )
     _write_json(out / "manifest.json", manifest)
     print(f"wrote {traj_path}, {mean_path}, and manifest.json")
     return EXIT_OK
 
 
-# --- verification suites ---------------------------------------------------
+_SUITES = {
+    "chung": lambda args: chung_suite(args.draws, args.seed),
+    "bounds": lambda args: bounds_suite(args.draws, args.seed),
+    "inequalities": lambda args: tech_inequality_suite(args.k_max, DEFAULT_R_GRID),
+    "assumptions": lambda args: assumptions_suite(args.draws, args.seed),
+}
 
 
-def _relabel(result: CheckResult, label: str) -> CheckResult:
-    return dataclasses.replace(result, check=f"{result.check}:{label}")
-
-
-def _example2_spec(K: int) -> RecursionSpec:
-    return RecursionSpec(
-        s=FunctionDescriptor(fn=lambda x: 2.0, label="s=2"),
-        t=FunctionDescriptor(fn=lambda x: 4.0, label="t=4"),
-        b=float,
-        interval=(0.0, float(K)),
-        horizon=K,
-        ratio=FunctionDescriptor(fn=lambda x: 0.5, derivative=lambda x: 0.0, label="r=1/2"),
-    )
-
-
-def _draw_classical(rng: np.random.Generator) -> ClassicalParams:
-    if rng.uniform() < 0.3:
-        c = rng.uniform(0.5, 2.5)
-        return ClassicalParams(
-            c=c,
-            d=rng.uniform(0.2, 4.0),
-            nu=1.0,
-            q=c * rng.uniform(0.1, 0.8),
-            gamma=c + rng.uniform(0.1, 6.0),
-        )
-    nu = rng.uniform(0.3, 0.95)
-    c = rng.uniform(0.5, 2.5)
-    q = rng.uniform(0.2, 1.5)
-    gamma = max(c ** (1.0 / nu), (q / c) ** (1.0 / (1.0 - nu))) * (1.0 + rng.uniform(0.05, 2.0))
-    return ClassicalParams(c=c, d=rng.uniform(0.2, 4.0), nu=nu, q=q, gamma=gamma)
-
-
-def _chung_suite(draws: int, seed: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-
-    K = 32
-    spec = _example2_spec(K)
-    cert = find_lambda_constant(spec)
-    exact = iterate_recursion_exact(spec, 1.0, K)
-    gap = max(abs(general_bound(spec, cert, 1.0, k) - exact[k + 1]) for k in range(K))
-    checks.append(
-        CheckResult(check="example2-tightness", passed=gap <= 1e-12, margin=gap)
-    )
-
-    rng = keyed_generators([seed])[0]
-    dom_worst = math.inf
-    dom_witness = None
-    cls_worst = 0.0
-    ext_worst = math.inf
-    forget_worst = math.inf
-    consistency_worst = 0.0
-    for draw in range(draws):
-        params = _draw_classical(rng)
-        horizon = int(rng.integers(4, 80))
-        spec = classical_spec(params, horizon)
-        lam = classical_lambda(params)
-        cert = find_lambda_constant(spec, lambda_target=lam)
-        if cert.certified_horizon < horizon:
-            checks.append(
-                CheckResult(
-                    check="classical-lambda-feasible",
-                    passed=False,
-                    margin=cert.condition_margin,
-                    witness_index=f"draw {draw}",
-                    witness_value=float(cert.certified_horizon),
-                )
-            )
-            return checks
-        a0 = float(rng.uniform(0.0, 3.0))
-        exact = iterate_recursion_exact(spec, a0, horizon)
-        r0 = spec.grid.r[0]
-        for k in range(horizon):
-            bound = general_bound(spec, cert, a0, k)
-            slack = bound - exact[k + 1]
-            if slack < dom_worst:
-                dom_worst, dom_witness = slack, f"draw {draw} k={k}"
-            closed = classical_bound(params, a0, k)
-            cls_worst = max(cls_worst, bound - closed)
-            fb = forgetting_bound(spec, cert, a0, k)
-            forget_worst = min(forget_worst, fb - bound)
-        mid = horizon // 2
-        b_mid = lam * spec.grid.r[mid + 1]
-        c_mid = a0 - lam * r0
-        extended = extend_bound(spec, b_mid, c_mid, 0, mid, horizon)
-        ext_worst = min(ext_worst, extended - exact[horizon])
-
-        integral = classical_spec(params, horizon, decay="integral")
-        cert_i = find_lambda_constant(integral, lambda_target=lam)
-        a0_hi = lam * integral.grid.r[0] * (1.0 + float(rng.uniform(0.0, 2.0)))
-        for k in range(horizon):
-            gb = general_bound(integral, cert_i, a0_hi, k)
-            cb = classical_bound(params, a0_hi, k)
-            consistency_worst = max(
-                consistency_worst, abs(gb - cb) / max(1.0, abs(cb))
-            )
-
-    checks.append(
-        CheckResult(
-            check="general-bound-dominates-iterates",
-            passed=dom_worst >= -1e-10,
-            margin=dom_worst,
-            witness_index=None if dom_worst >= -1e-10 else dom_witness,
-            witness_value=None if dom_worst >= -1e-10 else dom_worst,
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="closed-form-dominates-general",
-            passed=cls_worst <= 1e-10,
-            margin=cls_worst,
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="classical-general-consistency",
-            passed=consistency_worst <= 1e-10,
-            margin=consistency_worst,
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="extension-propagation",
-            passed=ext_worst >= -1e-10,
-            margin=ext_worst,
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="forgetting-dominates-general",
-            passed=forget_worst >= -1e-10,
-            margin=forget_worst,
-        )
-    )
-    return checks
-
-
-def _draw_method(rng: np.random.Generator, method: str | None = None) -> MethodConstants:
-    u = rng.uniform()
-    theta = 0.5 if u < 0.25 else (1.0 if u > 0.75 else float(rng.uniform(0.5, 1.0)))
-    mu = float(rng.uniform(0.3, 1.0))
-    A = 0.0 if rng.uniform() < 0.5 else float(rng.uniform(0.0, 1.0))
-    sigma = float(rng.uniform(0.1, 1.0))
-    if method is None:
-        method = "sgd" if rng.uniform() < 0.5 else "rr"
-    if method == "sgd":
-        return sgd_constants(theta=theta, L=1.0, mu=mu, A=A, sigma=sigma)
-    return rr_constants(theta=theta, L=1.0, mu=mu, A=A, sigma=sigma, N=int(rng.integers(1, 9)))
-
-
-def _draw_bound_case(
-    rng: np.random.Generator,
-    mc: MethodConstants,
-    family: str | None = None,
-    poly_case: str | None = None,
-):
-    """One (schedule, K, evaluator) whose preconditions hold by construction.
-
-    Returns None when the draw would need an impractically long horizon to
-    satisfy its preconditions; the caller resamples. family and poly_case
-    pin the draw to one bound (randomized when omitted).
-    """
-    derived = mc.derived
-    cap = derived.alpha_cap
-    rho, omega, q, xi = derived.rho, derived.omega, derived.q, derived.xi
-    params = mc.params
-    theta, tau, l2 = mc.theta, params.tau, params.l2
-    if family is None:
-        family = ("const", "exp", "cos", "poly")[int(rng.integers(0, 4))]
-    K = int(rng.integers(4, 257))
-    if family == "const":
-        schedule = Constant(alpha=cap * float(rng.uniform(0.1, 1.0)))
-        return schedule, K, lambda y0: bound_const(mc, schedule, y0, K)
-    if family == "cos":
-        schedule = Cosine(
-            alpha=cap * float(rng.uniform(0.1, 1.0)), p=float(rng.uniform(0.3, 2.0)), horizon=K
-        )
-        return schedule, K, lambda y0: bound_cos(mc, schedule, y0)
-    if family == "exp":
-        alpha = cap * float(rng.uniform(0.1, 1.0))
-        p = float(rng.uniform(0.3, 2.0))
-        beta = float(rng.uniform(1.0, 4.0))
-        K = max(K, int(math.ceil(2.0 * beta)))
-        if mc.method == "rr":
-            n_power = mc.N ** (1.0 - 1.0 / (2.0 * theta))
-            while True:
-                needed = (
-                    2.0
-                    * p
-                    * math.log(math.sqrt(mc.N) * K)
-                    * n_power
-                    / (theta * mc.xi_bar * alpha ** (1.0 / rho))
-                )
-                if K / (math.log(K) - math.log(beta)) >= needed:
-                    break
-                K *= 2
-                if K > 32768:
-                    return None
-        schedule = Exponential(alpha=alpha, beta=beta, p=p, horizon=K)
-        return schedule, K, lambda y0: bound_exp(mc, schedule, y0)
-
-    menu = "ab" if theta == 0.5 else "abcd"
-    chosen = poly_case if poly_case is not None else menu[int(rng.integers(0, len(menu)))]
-    if chosen not in menu:
-        return None
-    if chosen == "a":
-        p = rho * float(rng.uniform(0.2, 0.9))
-        alpha = cap * float(rng.uniform(0.1, 1.0))
-        floor = (2.0 * p * q / (xi * alpha ** (1.0 / rho))) ** (1.0 / (1.0 - p / rho))
-        gamma = max(floor, 1.0) * (1.0 + float(rng.uniform(0.0, 2.0)))
-    elif chosen == "b":
-        p = rho
-        alpha = (2.0 * omega / xi) ** rho * (1.0 + float(rng.uniform(0.0, 1.0)))
-        gamma = (alpha / cap) ** (1.0 / p) * (1.0 + float(rng.uniform(0.0, 2.0)))
-    elif chosen == "c":
-        p = rho + (1.0 - rho) * float(rng.uniform(0.15, 0.9))
-        u3 = (1.0 - p) / (2.0 * theta - 1.0)
-        alpha = 2.0 * u3 / (theta * l2) * (1.0 + float(rng.uniform(0.0, 1.0)))
-        floors = [alpha * theta * l2, (alpha * l2) ** (1.0 / p)]
-        if params.l1 > 0:
-            floors.append(
-                (alpha ** (tau - 1.0) * params.l1 / (theta * l2)) ** (1.0 / (tau * p - 1.0))
-            )
-            floors.append((alpha * math.sqrt(params.l1)) ** (1.0 / p))
-        if params.l3 > 0:
-            floors.append(
-                (alpha ** (tau - 1.0) * params.l3 / l2) ** (1.0 / (tau * p - u3 - 1.0))
-            )
-            floors.append((alpha * math.sqrt(params.l3)) ** (1.0 / p))
-        gamma = max(floors) * (1.0 + float(rng.uniform(0.0, 2.0)))
-    else:
-        p = 1.0
-        alpha = 2.0 / (theta * (2.0 * theta - 1.0) * l2) * (1.0 + float(rng.uniform(0.0, 1.0)))
-        ks = _offset_grid(K)
-        try:
-            gamma0 = _gamma0(params, alpha, ks)
-        except PreconditionError:
-            return None
-        guards = [gamma0, alpha * l2]
-        if params.l1 > 0:
-            guards.append(alpha * math.sqrt(params.l1))
-        if params.l3 > 0:
-            guards.append(alpha * math.sqrt(params.l3))
-        gamma = max(guards) * (1.0 + float(rng.uniform(0.0, 1.0)))
-        if not _offset_admissible(params, alpha, ks, gamma):
-            gamma = gamma0
-    schedule = Polynomial(alpha=alpha, gamma=gamma, p=p)
-    return schedule, K, lambda y0: bound_poly(mc, schedule, y0, K)
-
-
-def _bounds_suite(
-    draws: int,
-    seed: int,
-    method: str | None = None,
-    family: str | None = None,
-    poly_case: str | None = None,
-) -> tuple[list[CheckResult], dict]:
-    rng = keyed_generators([seed])[0]
-    worst = math.inf
-    witness = None
-    evaluated = 0
-    dominated = 0
-    resampled = 0
-    attempts = 0
-    while evaluated < draws and attempts < 50 * draws:
-        attempts += 1
-        mc = _draw_method(rng, method)
-        drawn = _draw_bound_case(rng, mc, family, poly_case)
-        if drawn is None:
-            resampled += 1
-            continue
-        schedule, K, evaluate = drawn
-        y0 = float(rng.uniform(0.0, 0.5 if isinstance(schedule, Polynomial) else 1.0))
-        try:
-            trajectory = simulate_pl_recursion(mc.params, schedule, y0, K)
-        except NumericFailure:
-            resampled += 1
-            continue
-        value = evaluate(y0).value
-        slack = value - trajectory[-1]
-        evaluated += 1
-        if slack >= -1e-10 * max(1.0, abs(trajectory[-1])):
-            dominated += 1
-        elif witness is None:
-            witness = f"method={mc.method} schedule={type(schedule).__name__} K={K}"
-        worst = min(worst, slack)
-    passed = dominated == draws and evaluated == draws
-    info = {"dominated": f"{dominated}/{evaluated}", "resampled": resampled}
-    check = CheckResult(
-        check="bound-dominates-simulation",
-        passed=passed,
-        margin=worst,
-        witness_index=witness,
-        witness_value=None if passed else worst,
-    )
-    return [check], info
-
-
-def _assumptions_suite(draws: int, seed: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    samples = max(100, min(draws, 2000))
-    gaussian = NoiseModel(kind="additive_gaussian", sigma=1.0)
-
-    equality = make_quadratic(1.0, 1.0, 1)
-    checks.append(_relabel(verify_pl(equality, samples, seed), "quadratic-equality"))
-    spectrum = make_quadratic(1.0, 2.0, 3)
-    checks.append(_relabel(verify_pl(spectrum, samples, seed + 1), "quadratic-spectrum"))
-    power = make_power_family(2.0 / 3.0, 1.0, 2.0)
-    checks.append(_relabel(verify_pl(power, samples, seed + 2), "power-two-thirds"))
-
-    for result in verify_variance(equality, gaussian, 25, max(30, draws), seed + 3):
-        checks.append(_relabel(result, "gaussian-oracle"))
-    two_point = make_quadratic(1.0, 1.0, 1, N=2)
-    for result in verify_variance(two_point, gaussian, 25, max(30, draws), seed + 4):
-        checks.append(_relabel(result, "two-point-sum"))
-    return checks
-
-
-def _cmd_verify(suite: str, draws: int, k_max: int, seed: int, out: Path | None) -> int:
-    extras: dict = {}
-    if suite == "inequalities":
-        checks = list(tech_inequality_suite(k_max, DEFAULT_R_GRID).checks)
-    elif suite == "chung":
-        # the suite runs a tenth of the requested draws; the report says so
-        extras = {"draws_requested": draws, "draws_run": max(1, draws // 10)}
-        checks = _chung_suite(extras["draws_run"], seed)
-        print(f"  draws requested {draws}, run {extras['draws_run']}")
-    elif suite == "bounds":
-        checks, extras = _bounds_suite(draws, seed)
-    elif suite == "assumptions":
-        checks = _assumptions_suite(draws, seed)
-    else:
-        raise ConfigError(f"unknown suite {suite!r}")
-
-    passed = all(c.passed for c in checks)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    suite = _SUITES[args.suite](args)
     report = {
-        "suite": suite,
-        "passed": passed,
-        "checks": [
-            {
-                "check": c.check,
-                "passed": c.passed,
-                "margin": c.margin,
-                "witness_index": c.witness_index,
-                "witness_value": c.witness_value,
-            }
-            for c in checks
-        ],
+        "suite": args.suite,
+        "passed": suite.passed,
+        "checks": [dataclasses.asdict(c) for c in suite.checks],
+        **suite.counts,
     }
-    report.update(extras)
-    for c in checks:
+    for c in suite.checks:
         status = "pass" if c.passed else "FAIL"
         print(f"  [{status}] {c.check} margin={_fmt(float(c.margin))}")
-    if out is not None:
-        target = _out_dir(out) / "report.json"
+    for key, value in suite.counts.items():
+        print(f"  {key}: {value}")
+    if args.out is not None:
+        target = _out_dir(args.out) / "report.json"
         _write_json(target, report)
         print(f"wrote {target}")
     else:
         print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-    print(f"suite {suite}: {'pass' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_VERIFY_FAILURE
+    print(f"suite {args.suite}: {'pass' if suite.passed else 'FAIL'}")
+    return EXIT_OK if suite.passed else EXIT_VERIFY_FAILURE
 
 
 def _read_series(path: Path) -> dict[str, list[tuple[int, float]]]:
@@ -949,16 +543,13 @@ def _read_series(path: Path) -> dict[str, list[tuple[int, float]]]:
 
 
 def _cmd_fit(config: dict, out: Path) -> int:
-    _check_keys(config, {"input": True, "window": False}, "config")
-    series = _read_series(Path(config["input"]))
+    fields = _fields(config, {"input": None, "window": _list_of(_integer)}, "config", ("window",))
+    window = fields.get("window")
+    if window is not None and len(window) != 2:
+        raise ConfigError("window must be a two-element [lo, hi] list")
+    series = _read_series(Path(str(fields["input"])))
     if not series:
-        raise ConfigError(f"no data rows in {config['input']}")
-    window = None
-    if "window" in config:
-        raw = config["window"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ConfigError("window must be a two-element [lo, hi] list")
-        window = (int(raw[0]), int(raw[1]))
+        raise ConfigError(f"no data rows in {fields['input']}")
     results = {}
     for name in sorted(series):
         fit = fit_loglog(series[name], window=window)
@@ -978,17 +569,11 @@ def _cmd_fit(config: dict, out: Path) -> int:
 
 
 def _cmd_heatmap(config: dict, out: Path) -> int:
-    _check_keys(config, {"method": True, "p_grid": False, "theta_grid": False}, "config")
-    method = str(config["method"])
-    if "p_grid" in config:
-        p_grid = [float(v) for v in config["p_grid"]]
-    else:
-        p_grid = [(i + 1) / 101.0 for i in range(101)]
-    if "theta_grid" in config:
-        theta_grid = [float(v) for v in config["theta_grid"]]
-    else:
-        theta_grid = [float(v) for v in np.linspace(0.5, 1.0, 51)]
-    grid = heatmap_grid(p_grid, theta_grid, method)
+    table = {"method": None, "p_grid": _reals, "theta_grid": _reals}
+    fields = _fields(config, table, "config", ("p_grid", "theta_grid"))
+    p_grid = fields.get("p_grid", [(i + 1) / 101.0 for i in range(101)])
+    theta_grid = fields.get("theta_grid", [float(v) for v in np.linspace(0.5, 1.0, 51)])
+    grid = heatmap_grid(p_grid, theta_grid, str(fields["method"]))
     target = out / "heatmap.csv"
     _write_table(
         target,
@@ -1026,14 +611,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("bound", parents=[common], help="evaluate one theorem bound")
     sub.add_parser("run", parents=[common], help="run gd/sgd/rr on a synthetic problem")
     verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    verify.add_argument(
-        "suite", choices=("chung", "bounds", "inequalities", "assumptions")
-    )
+    verify.add_argument("suite", choices=tuple(_SUITES))
     verify.add_argument("--draws", type=int, default=1000, help="randomized draw count")
     verify.add_argument("--k-max", type=int, default=512, help="largest horizon for grids")
     sub.add_parser("fit", parents=[common], help="fit log-log rates to an emitted CSV")
     sub.add_parser("heatmap", parents=[common], help="emit the theoretical rate map")
     return parser
+
+
+_CONFIG_COMMANDS = {
+    "simulate-recursion": _cmd_simulate_recursion,
+    "bound": _cmd_bound,
+    "fit": _cmd_fit,
+    "heatmap": _cmd_heatmap,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1043,33 +634,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "simulate-recursion":
-            return _cmd_simulate_recursion(_load_config(args.config), _out_dir(args.out))
-        if args.command == "bound":
-            return _cmd_bound(_load_config(args.config), _out_dir(args.out))
-        if args.command == "run":
-            return _cmd_run(
-                _load_config(args.config),
-                _out_dir(args.out),
-                args.seed,
-                args.skip_verify,
-            )
         if args.command == "verify":
-            return _cmd_verify(args.suite, args.draws, args.k_max, args.seed, args.out)
-        if args.command == "fit":
-            return _cmd_fit(_load_config(args.config), _out_dir(args.out))
-        if args.command == "heatmap":
-            return _cmd_heatmap(_load_config(args.config), _out_dir(args.out))
-        raise ConfigError(f"unknown command {args.command!r}")
+            return _cmd_verify(args)
+        config, out = _load_config(args.config), _out_dir(args.out)
+        if args.command == "run":
+            return _cmd_run(config, out, args.seed, args.skip_verify)
+        return _CONFIG_COMMANDS[args.command](config, out)
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION_FAILURE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, and the library's checks of its arguments
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

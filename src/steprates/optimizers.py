@@ -124,25 +124,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One reproducible experiment: algorithm, schedule, horizon, seeds, start."""
-
-    algorithm: str
-    schedule: StepSchedule
-    K: int
-    seeds: tuple[int, ...]
-    x0: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ("gd", "sgd", "rr"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.K < 1:
-            raise ValueError("K must be a positive integer")
-        if self.algorithm != "gd" and not self.seeds:
-            raise ValueError("stochastic algorithms need at least one seed")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Objective-gap series per seed plus their mean and standard error.
 

@@ -15,6 +15,7 @@ smoothness cap and N-scaled constants.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -667,33 +668,35 @@ def _poly_case(theta: float, p: float, rho: float) -> str:
     )
 
 
-def _offset_grid(K: int) -> list[int]:
+@functools.lru_cache(maxsize=256)
+def _offset_grid(K: int) -> tuple[int, ...]:
     ks: list[int] = list(range(65))
     k = 64
     while k < K:
         k = min(2 * k, K)
         ks.append(k)
-    return ks
+    return tuple(ks)
 
 
-def _offset_admissible(params: PLParams, alpha: float, ks: list[int], g: float) -> bool:
-    """Offset test for the p = 1 slow-decay case.
+def offset_admissible(params: PLParams, alpha: float, K: int, gamma: float) -> bool:
+    """Offset test for the p = 1 slow-decay case (case d) at horizon K.
 
     gamma*log(gamma) must clear alpha*theta*l2 and the two term-domination
-    inequalities of the analysis must hold for all sampled k.
+    inequalities of the analysis must hold for every k = 0..64 and for the
+    doubling grid beyond it up to K.
     """
     theta, l1, l2, l3, tau = params.theta, params.l1, params.l2, params.l3, params.tau
     log_power = 2.0 * theta / (2.0 * theta - 1.0)
-    if not g >= math.e or not math.isfinite(g):
+    if not gamma >= math.e or not math.isfinite(gamma):
         return False
-    if g * math.log(g) < alpha * theta * l2 * (1.0 - _REL):
+    if gamma * math.log(gamma) < alpha * theta * l2 * (1.0 - _REL):
         return False
     # compare in log space: log powers blow up as theta approaches 1/2 and
     # would overflow plain float evaluation long before the test decides
     slack = math.log1p(_REL)
     log_alpha = math.log(alpha)
-    for kk in ks:
-        x = kk + g
+    for kk in _offset_grid(K):
+        x = kk + gamma
         lg = math.log(x)
         base = (tau - 1.0) * (log_alpha - lg)
         log_lg = math.log(lg) if lg > 1.0 else 0.0
@@ -706,10 +709,13 @@ def _offset_admissible(params: PLParams, alpha: float, ks: list[int], g: float) 
     return True
 
 
-def _gamma0(params: PLParams, alpha: float, ks: list[int]) -> float:
-    """Smallest admissible offset, located by doubling then bisection."""
+def smallest_offset(params: PLParams, alpha: float, K: int) -> float:
+    """Smallest offset that case d admits at horizon K, by doubling then bisection.
+
+    Raises PreconditionError when no offset up to 1e300 is admissible.
+    """
     hi = math.e
-    while not _offset_admissible(params, alpha, ks, hi):
+    while not offset_admissible(params, alpha, K, hi):
         hi *= 2.0
         if hi > 1e300:
             raise PreconditionError("no admissible offset found for the p = 1 case")
@@ -718,7 +724,7 @@ def _gamma0(params: PLParams, alpha: float, ks: list[int]) -> float:
     lo = hi / 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _offset_admissible(params, alpha, ks, mid):
+        if offset_admissible(params, alpha, K, mid):
             hi = mid
         else:
             lo = mid
@@ -873,10 +879,9 @@ def bound_poly(
         _require(theta > 0.5 and p == 1.0, f"case d needs theta > 1/2 and p = 1, got p = {p}")
         alpha_floor = 2.0 / (theta * (2.0 * theta - 1.0) * params.l2)
         _require(alpha >= alpha_floor * (1.0 - _REL), f"alpha {alpha} below floor {alpha_floor}")
-        ks = _offset_grid(K)
-        gamma0 = _gamma0(params, alpha, ks)
+        gamma0 = smallest_offset(params, alpha, K)
         _require(
-            _offset_admissible(params, alpha, ks, gamma),
+            offset_admissible(params, alpha, K, gamma),
             f"gamma {gamma} inadmissible; smallest admissible offset is {gamma0}",
         )
         noise = 4.0 * _decay(1.0 / (2.0 * theta - 1.0), math.log(math.log(K + gamma)))

@@ -88,19 +88,19 @@ def fit_loglog(
     )
 
 
-def _check_domain(p: float, theta: float) -> None:
+def _rate_exponent(p: float, theta: float, scale: float) -> float:
+    """min of the noise branch p/(scale*theta) and the initialization branch."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
+    init = math.inf if theta == 0.5 else (1.0 - p) / (2.0 * theta - 1.0)
+    return min(p / (scale * theta), init)
 
 
 def rate_exponent_sgd(p: float, theta: float) -> float:
     """Guaranteed gap-decay exponent for single-draw steps alpha_k ~ k^-p."""
-    _check_domain(p, theta)
-    noise = p / (2.0 * theta)
-    init = math.inf if theta == 0.5 else (1.0 - p) / (2.0 * theta - 1.0)
-    return min(noise, init)
+    return _rate_exponent(p, theta, 2.0)
 
 
 def rate_exponent_rr(p: float, theta: float) -> float:
@@ -109,10 +109,7 @@ def rate_exponent_rr(p: float, theta: float) -> float:
     The noise branch is p/theta, twice as fast as the single-draw one; the
     initialization branch coincides.
     """
-    _check_domain(p, theta)
-    noise = p / theta
-    init = math.inf if theta == 0.5 else (1.0 - p) / (2.0 * theta - 1.0)
-    return min(noise, init)
+    return _rate_exponent(p, theta, 1.0)
 
 
 def heatmap_grid(

@@ -191,7 +191,10 @@ class ConvexityReport:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """A suite's checks and its counts of the work behind them (draws, resamples)."""
+
     checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+    counts: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:

@@ -15,7 +15,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from steprates.cli import DEFAULT_R_GRID, _bounds_suite
 from steprates.cli import main as cli_main
 from steprates.optimizers import (
     NoiseModel,
@@ -49,6 +48,7 @@ from steprates.recursions import (
     tech_inequality_suite,
 )
 from steprates.schedules import Constant, Cosine, Exponential, Polynomial, step_sum, step_values
+from steprates.verify import DEFAULT_R_GRID, bounds_suite, draw_classical_params
 
 REL_SLACK = 1e-10
 
@@ -68,24 +68,6 @@ def _flat_spec(s0: float, t0: float, K: int) -> RecursionSpec:
         horizon=K,
         ratio=FunctionDescriptor(fn=lambda x: s0 / t0, derivative=lambda x: 0.0, label="flat r"),
     )
-
-
-def _draw_classical_params(rng: np.random.Generator, nu_one: bool) -> ClassicalParams:
-    c = float(rng.uniform(0.5, 2.5))
-    if nu_one:
-        return ClassicalParams(
-            c=c,
-            d=float(rng.uniform(0.2, 4.0)),
-            nu=1.0,
-            q=c * float(rng.uniform(0.1, 0.8)),
-            gamma=c + float(rng.uniform(0.1, 6.0)),
-        )
-    nu = float(rng.uniform(0.3, 0.95))
-    q = float(rng.uniform(0.2, 1.5))
-    gamma = max(c ** (1.0 / nu), (q / c) ** (1.0 / (1.0 - nu))) * (
-        1.0 + float(rng.uniform(0.05, 2.0))
-    )
-    return ClassicalParams(c=c, d=float(rng.uniform(0.2, 4.0)), nu=nu, q=q, gamma=gamma)
 
 
 # --- criterion 1: landscape adaptivity of exponential steps ----------------
@@ -200,16 +182,20 @@ def test_universal_bound_domination(capsys):
     batteries = 0
 
     for method, family in product(("sgd", "rr"), ("exp", "cos", "const", "poly")):
-        checks, info = _bounds_suite(1000, 202, method=method, family=family)
+        report = bounds_suite(1000, 202, method=method, family=family)
         batteries += 1
-        if not (checks[0].passed and info["dominated"] == "1000/1000"):
-            failures.append(f"{method}/{family}: {info} margin={checks[0].margin:.3e}")
+        if not (report.passed and report.counts["dominated"] == "1000/1000"):
+            failures.append(
+                f"{method}/{family}: {report.counts} margin={report.checks[0].margin:.3e}"
+            )
 
     for case in "abcd":
-        checks, info = _bounds_suite(1000, 300 + ord(case), family="poly", poly_case=case)
+        report = bounds_suite(1000, 300 + ord(case), family="poly", poly_case=case)
         batteries += 1
-        if not (checks[0].passed and info["dominated"] == "1000/1000"):
-            failures.append(f"poly case {case}: {info} margin={checks[0].margin:.3e}")
+        if not (report.passed and report.counts["dominated"] == "1000/1000"):
+            failures.append(
+                f"poly case {case}: {report.counts} margin={report.checks[0].margin:.3e}"
+            )
 
     rng = np.random.default_rng(np.random.Philox(key=13))
     bad = 0
@@ -245,7 +231,7 @@ def test_universal_bound_domination(capsys):
                     c=c, d=float(rng.uniform(0.2, 4.0)), nu=nu, q=q, gamma=gamma, varsigma=vs
                 )
             else:
-                params = _draw_classical_params(rng, nu_one)
+                params = draw_classical_params(rng, nu_one)
             K = int(rng.integers(4, 80))
             a0 = float(rng.uniform(0.0, 3.0))
             exact = iterate_recursion_exact(classical_spec(params, K), a0, K)[-1]
@@ -284,7 +270,7 @@ def test_expansion_matches_exact_iteration(capsys):
                 float(rng.uniform(1.05, 30.0)), float(rng.uniform(0.1, 10.0)), K
             )
         elif mode in (1, 2):
-            params = _draw_classical_params(rng, nu_one=mode == 1)
+            params = draw_classical_params(rng, nu_one=mode == 1)
             spec = classical_spec(params, K)
         else:
             theta = float(rng.uniform(0.5, 1.0))

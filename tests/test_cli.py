@@ -500,7 +500,7 @@ def test_heatmap_table_equals_the_cell_by_cell_writer(theta_grid, p_grid, data):
 @settings(max_examples=60)
 @given(
     st.lists(st.text(',"\n\r %@{}aé', max_size=5), min_size=1, max_size=4, unique=True),
-    st.lists(st.integers(1, 2**40), min_size=1, max_size=3),
+    st.lists(st.integers(1, cli.MAX_HORIZON), min_size=1, max_size=3),
     st.data(),
 )
 def test_recursion_table_equals_the_cell_by_cell_writer(ids, k_grid, data):
@@ -576,8 +576,9 @@ def test_nothing_reads_os_entropy(tmp_path, monkeypatch):
 def test_integer_fields_take_json_integers_only(
     tmp_path, capsys, command, config, key, index, field, literal
 ):
-    """A bool, a float (integral or inf) or a string integer exits 2 and names
-    the field, where int() used to truncate, parse or overflow it."""
+    """A bool, a float (integral or inf) or a string integer exits 2, where
+    int() used to truncate, parse or overflow it. The message names the
+    field, or for 1e400 the literal, which the JSON parser already rejects."""
     config = json.loads(json.dumps(config))
     if index is None:
         config[key] = "@bad"
@@ -587,5 +588,160 @@ def test_integer_fields_take_json_integers_only(
     path.write_text(json.dumps(config).replace('"@bad"', literal), encoding="utf-8")
     argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--skip-verify"]
     assert cli.main(argv) == 2
-    assert f"{field} must be an integer, got " in capsys.readouterr().err
-    assert not any((tmp_path / "out").iterdir())
+    expected = f"{field} must be an integer, got "
+    if literal == "1e400":
+        expected = "non-finite literal 1e400 in config"
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+# --- every config field is typed: a wrong type exits 2, never a traceback ----
+
+# valid configs of every config command; each real field holds a float and
+# each integer field an integer, so that any numeric leaf can be swapped for
+# a value of the wrong type. fit's "@input" is a small recursion table.
+TYPED_CONFIGS = [
+    ("simulate-recursion", SIM_CONFIG),
+    ("bound", BOUND_CONST),
+    ("bound", dict(BOUND_CONST, family="exp", schedule={
+        "family": "exponential", "alpha": 1.0, "beta": 1.0, "p": 1.0})),
+    ("bound", {
+        "method": "rr",
+        "family": "poly",
+        "constants": {"theta": 0.5, "L": 1.0, "mu": 1.0, "A": 0.0, "sigma": 1.0, "N": 4},
+        "schedule": {"family": "polynomial", "alpha": 1.0, "gamma": 222.0, "p": 1.0},
+        "K": 512,
+        "y0": 1.0,
+        "tuned": {"beta": 16.0},
+    }),
+    ("run", RUN_GD),
+    ("run", dict(RUN_SGD, K=8, schedule={"family": "cosine", "alpha": 0.02, "p": 1.0},
+                 noise={"kind": "additive_gaussian", "sigma": 1.0, "A": 0.0})),
+    ("run", {
+        "algorithm": "rr",
+        "problem": {"kind": "quadratic", "mu": 1.0, "L": 1.5, "dim": 1, "N": 2,
+                    "shifts": [-1.0, 1.0], "curvatures": [0.5, 1.5], "radius": 10.0},
+        "schedule": {"family": "polynomial", "alpha": 0.1, "gamma": 4.0, "p": 1.0},
+        "K": 8,
+        "x0": [1.0],
+        "seeds": [0, 1],
+    }),
+    ("run", {
+        "algorithm": "gd",
+        "problem": {"kind": "power", "theta": 0.75, "c": 1.0, "radius": 2.0},
+        "schedule": {"family": "exponential", "alpha": 0.01, "beta": 1.0, "p": 1.0},
+        "K": 8,
+        "x0": [0.5],
+    }),
+    ("fit", {"input": "@input", "window": [0, 2]}),
+    ("heatmap", {"method": "rr", "p_grid": [0.5, 1.0], "theta_grid": [0.5, 0.75, 1.0]}),
+]
+
+
+def numeric_leaves(node, path=()):
+    """Paths of the numbers (not the bools) in a JSON value."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in numeric_leaves(child, path + (key,))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+def run_typed(tmp, command, config, path=None, text=""):
+    """Run command on config with the leaf at path written as the JSON text."""
+    config = json.loads(json.dumps(config))
+    if command == "fit":
+        table = tmp / "series.csv"
+        table.write_text("K,schedule_id,y_K\n8,a,0.5\n16,a,0.25\n32,a,0.125\n", encoding="utf-8")
+        config["input"] = str(table)
+    if path is not None:
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "@bad"
+    (tmp / "config.json").write_text(json.dumps(config).replace('"@bad"', text), "utf-8")
+    return cli.main(
+        [command, "--config", str(tmp / "config.json"), "--out", str(tmp / "out"), "--skip-verify"]
+    )
+
+
+@pytest.mark.parametrize("command, config", TYPED_CONFIGS)
+def test_typed_configs_run(tmp_path, command, config):
+    assert run_typed(tmp_path, command, config) == 0
+
+
+DIGITS_400 = st.integers(10**399, 10**400 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_numeric_field_rejects_a_wrong_type(data):
+    """A bool, a numeric string, a 400-digit integer, or 1.5 where an integer
+    is needed, in any numeric field of any command: exit 2, no traceback."""
+    command, config = data.draw(st.sampled_from(TYPED_CONFIGS))
+    path = data.draw(st.sampled_from(numeric_leaves(config)))
+    leaf = config
+    for key in path:
+        leaf = leaf[key]
+    wrong = [
+        st.booleans(),
+        st.one_of(st.integers(-9, 10**6), st.floats(allow_nan=False)).map(str),
+        DIGITS_400,
+        DIGITS_400.map(lambda v: -v),
+    ]
+    if isinstance(leaf, int):
+        wrong.append(st.just(1.5))
+    value = data.draw(st.one_of(wrong))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_typed(Path(tmp), command, config, path, json.dumps(value)) == 2
+
+
+RUN_DIM = ("problem", "dim")
+
+
+@pytest.mark.parametrize(
+    "command, config, path, text",
+    [
+        ("run", RUN_GD, RUN_DIM, "1.7"),
+        ("run", RUN_GD, RUN_DIM, "1" + "0" * 399),
+        ("run", RUN_GD, ("x0",), '"12"'),
+        ("run", RUN_GD, ("x0", 0), "true"),
+        ("run", RUN_GD, ("K",), str(cli.MAX_HORIZON + 1)),
+        ("fit", {"input": "@input", "window": [0, 2]}, ("window",), "[1.5, 3]"),
+        ("heatmap", {"method": "rr"}, ("method",), '"rr", "theta_grid": [true]'),
+        ("simulate-recursion", SIM_CONFIG, ("params", "l3"), "1e400"),
+        ("simulate-recursion", SIM_CONFIG, ("schedules", 0, "alpha"), '"0.1"'),
+        ("simulate-recursion", SIM_CONFIG, ("k_grid",), "[9999999999999]"),
+        ("simulate-recursion", SIM_CONFIG, ("k_grid",), f"[8, {cli.MAX_HORIZON + 1}]"),
+        ("bound", BOUND_CONST, ("K",), "1" + "0" * 399),
+    ],
+)
+def test_reproduced_config_gaps_exit_2(tmp_path, capsys, command, config, path, text):
+    assert run_typed(tmp_path, command, config, path, text) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_largest_horizon_is_accepted(tmp_path):
+    config = dict(SIM_CONFIG, k_grid=[cli.MAX_HORIZON])
+    config["schedules"] = [{"id": "flat", "family": "constant", "alpha": 0.2}]
+    with mock.patch.object(cli, "simulate_pl_grid", lambda *args: [0.5]):
+        assert run_cli(tmp_path, "simulate-recursion", config) == 0
+
+
+# sha256 of verify's report.json for these arguments, taken before the suites
+# moved from the command-line module into steprates.verify
+VERIFY_REPORTS = {
+    ("bounds", "--draws", "40"): "b368248417111c1e357d4cb9b2ccd12fa1c94cc0105c8ba7dc952a8af5effda9",
+    ("inequalities", "--k-max", "64"): (
+        "2e76d67e6bd5386c970c2f3555444a2734aa4667fe8e6039c142e6bab08fbf7b"
+    ),
+    ("assumptions", "--draws", "200"): (
+        "529a29004d3967b4a8a87a40a075126b884b980b2936d3e7a2ac84d7f09dae36"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", VERIFY_REPORTS, ids=lambda argv: argv[0])
+def test_verify_reports_keep_their_bytes(tmp_path, argv):
+    assert cli.main(["verify", *argv, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == VERIFY_REPORTS[argv]

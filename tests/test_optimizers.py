@@ -14,7 +14,6 @@ from oracles import point_problem, rr_one_seed, sgd_one_seed
 from steprates.optimizers import (
     NoiseModel,
     Problem,
-    RunConfig,
     Trajectory,
     _compensated_sum,
     epoch_permutations,
@@ -218,15 +217,6 @@ def test_trajectory_rejects_non_finite_gaps(bad):
         Trajectory(
             gaps=gaps[1:, 1:], seeds=(), mean=gaps[0], stderr=gaps[0], left_domain=(False,)
         )
-
-
-def test_run_config_validation():
-    sched = Constant(alpha=0.1)
-    with pytest.raises(ValueError):
-        RunConfig(algorithm="momentum", schedule=sched, K=5, seeds=(0,), x0=(1.0,))
-    with pytest.raises(ValueError):
-        RunConfig(algorithm="sgd", schedule=sched, K=5, seeds=(), x0=(1.0,))
-    RunConfig(algorithm="gd", schedule=sched, K=5, seeds=(), x0=(1.0,))
 
 
 def test_make_quadratic_validation():
