@@ -19,12 +19,12 @@ consecutive steps, and a block leaves the stream exactly as step-by-step
 draws do. A seed's trajectory is therefore the same whichever seeds run
 beside it.
 
-Across seeds, the mean and standard error of the gaps are Neumaier
-compensated sums taken row by row in ascending seed order and vectorized
-over steps, so no temporary the size of the gap array is made. Each sum is
-within one ulp of the exactly rounded sum (math.fsum) up to a second-order
-term. Gaps must be finite: a NaN or an infinity raises NumericFailure naming
-the first seed and step where it appears.
+Across seeds, the mean and standard error of the gaps are compensated sums
+over blocks of seed rows in ascending seed order, one lane per row of a
+block and vectorized over steps, so no temporary the size of the gap array
+is made. Each sum is within one ulp of the exactly rounded sum (math.fsum)
+up to a second-order term. Gaps must be finite: a NaN or an infinity raises
+NumericFailure naming the first seed and step where it appears.
 """
 from __future__ import annotations
 
@@ -140,37 +140,65 @@ class Trajectory:
     left_domain: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        _check_finite(self.gaps, self.seeds)
-        if float(self.gaps.min()) < -1e-12:
-            raise ValueError(f"negative objective gap {self.gaps.min()} in trajectory")
+        # one min and one max: both propagate NaN and show infinities
+        low, high = float(self.gaps.min()), float(self.gaps.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            row, step = (int(v) for v in np.argwhere(~np.isfinite(self.gaps))[0])
+            who = f"seed {self.seeds[row]}" if self.seeds else "the deterministic run"
+            raise NumericFailure(
+                f"objective gap {self.gaps[row, step]} is not finite for {who} at step {step}",
+                index=step,
+            )
+        if low < -1e-12:
+            raise ValueError(f"negative objective gap {low} in trajectory")
 
 
-def _check_finite(gaps: np.ndarray, seeds: tuple[int, ...]) -> None:
-    # min and max propagate NaN and show infinities without a temporary array
-    if math.isfinite(gaps.min()) and math.isfinite(gaps.max()):
-        return
-    row, step = (int(v) for v in np.argwhere(~np.isfinite(gaps))[0])
-    who = f"seed {seeds[row]}" if seeds else "the deterministic run"
-    raise NumericFailure(
-        f"objective gap {gaps[row, step]} is not finite for {who} at step {step}", index=step
-    )
+def _compensated_sum(first: np.ndarray, rest: Iterable[np.ndarray] = ()) -> np.ndarray:
+    """Compensated sum over axis 0 of the block first and of each block in rest.
 
+    The rows of first set B lanes, and each later block of up to B rows adds
+    its row i to lane i: Knuth's branch-free TwoSum, which gives the same
+    bits as Neumaier's |a| >= |b| branch, finds each rounding error, and the
+    lane's compensation collects it. Then Neumaier's row loop sums the B
+    lane totals in order, with a compensation that starts from the sum of
+    the lane compensations. With no later block this is the row loop over
+    first alone, and two rows are summed exactly rounded, as math.fsum does.
+    Buffers are the size of first and reused across blocks.
 
-def _compensated_sum(rows: Iterable[np.ndarray]) -> np.ndarray:
-    """Neumaier's compensated sum of equal-shape arrays, one row at a time.
-
-    Elementwise, the error is at most u*|s| + g^2*sum|x_i| with u = 2^-53
-    and g = (n-1)u/(1-(n-1)u) (Ogita, Rump and Oishi 2005, Prop. 4.5): one
-    ulp of the exact sum s up to a second-order term. Two rows are summed
-    exactly rounded, as math.fsum does. Each rounding error is found with
-    Knuth's branch-free TwoSum, which gives the same bits as Neumaier's
-    |a| >= |b| branch, in buffers reused across rows.
+    This is Ogita, Rump and Oishi's Sum2 (2005, Prop. 4.5) applied per lane
+    and then across lanes. Elementwise, over S rows, the error is at most
+    u*|s| + g(m)*g(c)*sum|x_i|, with u = 2^-53, g(n) = n*u/(1 - n*u), s the
+    exact sum, m = ceil(S/B) + B - 2 the roundings of running totals that a
+    term takes part in, and c = m + B - 2 those of the compensation that a
+    rounding error takes part in. The row loop over all S rows has the same
+    first-order term, one ulp of s, with m = S - 1 and c = S - 2. As
+    ceil(S/B) + B - 2 <= S - 1 for every S > B, and c <= S - 2 once
+    S >= 2B + 2, the second-order term is then no weaker than the row
+    loop's; for B < S < 2B + 2 it is at most twice it.
     """
-    rows = iter(rows)
-    total = np.array(next(rows), dtype=float)
-    comp = np.zeros(total.shape)
+    lanes = np.asarray(first, dtype=float)
+    lane_comp = None
+    for block in rest:
+        if lane_comp is None:  # a second block: sum by lanes
+            lanes, lane_comp = lanes.copy(), np.zeros(lanes.shape)
+            nxt, kept, lost = (np.empty(lanes.shape) for _ in range(3))
+        b = len(block)
+        t, s, k, e = lanes[:b], nxt[:b], kept[:b], lost[:b]
+        np.add(t, block, out=s)
+        np.subtract(s, t, out=k)  # the part of block that the sum kept
+        np.subtract(s, k, out=e)
+        np.subtract(t, e, out=e)  # what the lane total lost in the rounding
+        np.subtract(block, k, out=k)  # what block lost
+        e += k
+        lane_comp[:b] += e
+        if b == len(lanes):
+            lanes, nxt = nxt, lanes
+        else:
+            t[...] = s
+    comp = np.zeros(lanes.shape[1:]) if lane_comp is None else lane_comp.sum(axis=0)
+    total = np.array(lanes[0], dtype=float)
     nxt, kept, lost = (np.empty(total.shape) for _ in range(3))
-    for row in rows:
+    for row in lanes[1:]:
         np.add(total, row, out=nxt)
         np.subtract(nxt, total, out=kept)  # the part of row that the sum kept
         np.subtract(nxt, kept, out=lost)
@@ -190,15 +218,26 @@ def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.vecdot(U, V)
 
 
+def _block_rows(width: int) -> int:
+    """Seed rows per block of the ensemble sums: at most 64, and at most
+    2^15 numbers (256 KiB) per block of rows of width numbers."""
+    return max(1, min(64, (1 << 15) // width))
+
+
 def _aggregate(gaps: np.ndarray, seeds: tuple[int, ...], left: np.ndarray) -> Trajectory:
-    _check_finite(gaps, seeds)  # before summing, so NaN and inf raise instead of warning
     n = gaps.shape[0]
-    mean = _compensated_sum(gaps) / n
-    if n > 1:
-        squares = ((row - mean) ** 2 for row in gaps)
-        stderr = np.sqrt(_compensated_sum(squares) / (n - 1) / n)
-    else:
-        stderr = np.zeros_like(mean)
+    step = _block_rows(gaps.shape[1])
+    starts = range(0, n, step)
+    # a gap that is not finite makes TwoSum subtract infinities; Trajectory
+    # raises NumericFailure for it, so the sums need not warn first
+    with np.errstate(invalid="ignore"):
+        mean = _compensated_sum(gaps[:step], (gaps[i : i + step] for i in starts[1:])) / n
+        if n > 1:
+            devs = (gaps[i : i + step] - mean for i in starts)
+            squares = (np.square(dev, out=dev) for dev in devs)
+            stderr = np.sqrt(_compensated_sum(next(squares), squares) / (n - 1) / n)
+        else:
+            stderr = np.zeros_like(mean)
     return Trajectory(
         gaps=gaps,
         seeds=seeds,
@@ -447,15 +486,19 @@ def make_quadratic(
     x_star = math.fsum(kap * cen) / math.fsum(kap)
     f_star = math.fsum(kap * (x_star - cen) ** 2) / (2.0 * N)
 
-    # component terms fill the last axis, summed over it in order
+    # component terms fill a new first axis, one block of N rows summed in order
+    def components(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        shape = (N,) + (1,) * (X.ndim - 1)
+        return X[..., 0], kap.reshape(shape), cen.reshape(shape)
+
     def objective(X: np.ndarray) -> np.ndarray:
-        dev = X[..., :1] - cen
-        terms = kap * (dev * dev)
-        return _compensated_sum(terms[..., i] for i in range(N)) / (2.0 * N)
+        x, k, c = components(X)
+        dev = x - c
+        return _compensated_sum(k * (dev * dev)) / (2.0 * N)
 
     def gradient(X: np.ndarray) -> np.ndarray:
-        terms = kap * (X[..., :1] - cen)
-        return (_compensated_sum(terms[..., i] for i in range(N)) / N)[..., None]
+        x, k, c = components(X)
+        return (_compensated_sum(k * (x - c)) / N)[..., None]
 
     def component_gradient(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return kap[idx, None] * (X - cen[idx, None])

@@ -151,18 +151,39 @@ def descent_coefficients(
         raise ValueError("A and sigma must be nonnegative")
     kind = method.lower()
     if kind == "sgd":
-        return PLParams(l1=A * L / 2.0, l2=mu, l3=L * sigma**2 / 2.0, tau=2.0, theta=theta)
+        return PLParams(
+            l1=_coefficient("l1 = A*L/2", lambda: A * L / 2.0, A=A, L=L),
+            l2=mu,
+            l3=_coefficient("l3 = L*sigma^2/2", lambda: L * sigma**2 / 2.0, L=L, sigma=sigma),
+            tau=2.0,
+            theta=theta,
+        )
     if kind == "rr":
         if N is None or N < 1:
             raise ValueError("random reshuffling needs a positive component count N")
         return PLParams(
-            l1=A * L**2 / (2.0 * N),
+            l1=_coefficient("l1 = A*L^2/(2N)", lambda: A * L**2 / (2.0 * N), A=A, L=L, N=N),
             l2=mu / 2.0,
-            l3=L**2 * sigma**2 / (2.0 * N),
+            l3=_coefficient(
+                "l3 = L^2*sigma^2/(2N)", lambda: L**2 * sigma**2 / (2.0 * N), L=L, sigma=sigma, N=N
+            ),
             tau=3.0,
             theta=theta,
         )
     raise ValueError(f"unknown method {method!r}")
+
+
+def _coefficient(formula: str, value: Callable[[], float], **constants: float) -> float:
+    """value(), a coefficient derived from constants; ValueError names them if
+    it overflows (float ** raises OverflowError where * gives inf)."""
+    try:
+        result = value()
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        given = ", ".join(f"{name} = {v!r}" for name, v in constants.items())
+        raise ValueError(f"{formula} overflows a float for {given}")
+    return result
 
 
 def smoothness_cap(method: str, L: float) -> float:

@@ -6,11 +6,13 @@ that the seed-batched optimizer engine must reproduce, a per-call
 recursion evaluator or list-building inequality check that the cached spec
 grid and the streamed checks must reproduce bit for bit, a per-step or
 per-cell loop that the step sum and the recursion grid must reproduce bit
-for bit, or the cell-by-cell CSV writer whose bytes the block writer must
-reproduce. Nothing in this module imports the package under test: these
-are the independent routes (the per-cell loops take the package's scalar
-functions as arguments), and the tests assert that the library agrees with
-them. Running the module prints the table of pinned values.
+for bit, the row-by-row compensated sum that the lane-strided one must
+reproduce bit for bit on a single block, or the cell-by-cell CSV writer
+whose bytes the block writer must reproduce. Nothing in this module
+imports the package under test: these are the independent routes (the
+per-cell loops take the package's scalar functions as arguments), and the
+tests assert that the library agrees with them. Running the module prints
+the table of pinned values.
 """
 from __future__ import annotations
 
@@ -587,6 +589,20 @@ def rr_one_seed(objective, components, f_star, radius, alphas, x0, seed):
         if np.linalg.norm(x) > radius:
             left = True
     return gaps, left
+
+
+def compensated_row_sum(rows):
+    """Neumaier's compensated sum of equal-shape arrays, one row at a time in
+    order, each rounding error found with Knuth's branch-free TwoSum."""
+    rows = iter(rows)
+    total = np.array(next(rows), dtype=float)
+    comp = np.zeros(total.shape)
+    for row in rows:
+        nxt = total + row
+        kept = nxt - total  # the part of row that the sum kept
+        comp += (total - (nxt - kept)) + (row - kept)
+        total = nxt
+    return total + comp
 
 
 # ---------------------------------------------------------------------------

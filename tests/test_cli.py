@@ -150,6 +150,20 @@ def test_bound_rejects_nan_literal(tmp_path, capsys):
     assert not (tmp_path / "out" / "bound.json").exists()
 
 
+@pytest.mark.parametrize(
+    "method, field, value", [("sgd", "sigma", 1e200), ("rr", "sigma", 1e200), ("rr", "L", 1e160)]
+)
+def test_bound_overflowing_coefficient_is_config_error(tmp_path, capsys, method, field, value):
+    constants = dict(BOUND_CONST["constants"], **{field: value})
+    if method == "rr":
+        constants["N"] = 4
+    config = dict(BOUND_CONST, method=method, constants=constants)
+    assert run_cli(tmp_path, "bound", config) == 2
+    err = capsys.readouterr().err
+    assert "overflows a float" in err and f"{field} = {value!r}" in err
+    assert not (tmp_path / "out" / "bound.json").exists()
+
+
 def test_bound_missing_schedule_is_config_error(tmp_path):
     config = {k: v for k, v in BOUND_CONST.items() if k != "schedule"}
     assert run_cli(tmp_path, "bound", config) == 2

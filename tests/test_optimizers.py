@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import point_problem, rr_one_seed, sgd_one_seed
+from oracles import compensated_row_sum, point_problem, rr_one_seed, sgd_one_seed
 from steprates.optimizers import (
     NoiseModel,
     Problem,
     Trajectory,
+    _aggregate,
+    _block_rows,
     _compensated_sum,
     epoch_permutations,
     gd_run,
@@ -242,6 +246,20 @@ def test_finite_sum_default_construction():
     assert problem.meta["dispersion_sigma"] == pytest.approx(1.0, rel=1e-12)
     assert problem.meta["dispersion_A"] == 0.0
     assert problem.component_count == 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_finite_sum_treats_a_point_as_a_batch_row(N):
+    curvatures = tuple(1.0 + 0.5 * i for i in range(N))
+    problem = make_quadratic(
+        sum(curvatures) / N, max(curvatures), 1, N=N, curvatures=curvatures, radius=2.0
+    )
+    X = np.linspace(-1.5, 1.5, 12).reshape(3, 4, 1)
+    gaps, grads = problem.objective(X), problem.gradient(X)
+    assert gaps.shape == (3, 4) and grads.shape == (3, 4, 1)
+    for i, j in np.ndindex(3, 4):
+        assert problem.objective(X[i, j]) == gaps[i, j]
+        assert np.array_equal(problem.gradient(X[i, j]), grads[i, j])
 
 
 def test_heterogeneous_finite_sum_certificate():
@@ -485,3 +503,93 @@ def test_compensated_sum_within_two_ulps_of_fsum():
         bound = 2 * np.spacing(abs(want)) + g * g * math.fsum(np.abs(rows[:, j]))
         assert abs(got[j] - want) <= bound, (j, got[j], want)
     assert np.array_equal(_compensated_sum(rows[:2]), rows[0] + rows[1])
+
+
+# --- the lane-strided sum over blocks of seed rows ---------------------------
+#
+# _aggregate feeds its sums blocks of B = _block_rows(K) rows. With S <= B
+# rows there is one block and the sum is the row loop of tests/oracles.py,
+# bit for bit. Beyond that the summation order changes, and the sum must
+# stay within the row loop's bound: two ulps of math.fsum plus g^2 * sum|x|
+# with g = (S-1)u/(1-(S-1)u), u = 2^-53.
+U = 2.0**-53
+
+
+def _blocked_sum(rows):
+    step = _block_rows(rows.shape[1])
+    rest = (rows[i : i + step] for i in range(step, len(rows), step))
+    return _compensated_sum(rows[:step], rest)
+
+
+def _cancelling(rng, S, K):
+    """Columns of large terms of both signs that cancel to a sum near 10^-e."""
+    rows = rng.standard_normal((S, K)) * 10.0 ** rng.uniform(-3, 6, size=(S, K))
+    for j in range(K):
+        rows[-1, j] = -math.fsum(rows[:-1, j]) + 10.0 ** -rng.uniform(0, 6)
+    return rows
+
+
+def _assert_within_row_loop_bound(got, rows, scale=1.0):
+    S = len(rows)
+    g = (S - 1) * U / (1 - (S - 1) * U)
+    for j in range(rows.shape[1]):
+        want = math.fsum(rows[:, j]) / scale
+        bound = 2 * np.spacing(abs(want)) + g * g * math.fsum(np.abs(rows[:, j])) / scale
+        assert abs(got[j] - want) <= bound, (S, j, got[j], want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.sampled_from([1, 2, 17, 513, 1025, 2049, 4096]),
+    where=st.sampled_from(["one", "B", "B+1", "below B"]),
+    data=st.data(),
+)
+def test_lane_sum_is_the_row_loop_on_one_block(K, where, data):
+    B = _block_rows(K)
+    S = {"one": 1, "B": B, "B+1": B + 1}.get(where) or data.draw(st.integers(1, B))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = _cancelling(rng, S, K) if S > 1 else rng.standard_normal((1, K))
+    got = _blocked_sum(rows)
+    if S <= B:
+        assert np.array_equal(got, compensated_row_sum(rows))
+    else:
+        _assert_within_row_loop_bound(got, rows)
+
+
+@pytest.mark.parametrize(
+    "S, K", [(3, 5), (65, 17), (400, 300), (3000, 17), (1000, 1025), (256, 2049)]
+)
+def test_lane_sum_within_the_row_loop_bound(S, K):
+    rows = _cancelling(np.random.default_rng(S * K), S, K)
+    _assert_within_row_loop_bound(_blocked_sum(rows), rows)
+
+
+@pytest.mark.parametrize("S, K", [(3000, 17), (256, 2049)])
+def test_aggregate_mean_and_stderr_against_fsum_and_statistics(S, K):
+    """Gap-like columns spanning twelve decades. The mean is the sum's bound
+    scaled by 1/S; the standard error is checked against math.fsum of the
+    same squared deviations (four ulps: the sum's two, the two divisions',
+    halved by the square root) and against statistics.stdev, which sums
+    exactly, at a relative 1e-13 for the rounding of the deviations."""
+    rng = np.random.default_rng(S + K)
+    gaps = np.abs(rng.standard_normal((S, K))) * 10.0 ** rng.uniform(-6, 6, size=(S, K))
+    traj = _aggregate(gaps, tuple(range(S)), np.zeros(S, dtype=bool))
+    _assert_within_row_loop_bound(traj.mean, gaps, scale=S)
+    for j in range(K):
+        column = gaps[:, j]
+        squares = (column - traj.mean[j]) ** 2
+        want = math.sqrt(math.fsum(squares) / (S - 1) / S)
+        assert abs(traj.stderr[j] - want) <= 4 * np.spacing(want), (j, traj.stderr[j], want)
+        exact = statistics.stdev(column.tolist()) / math.sqrt(S)
+        assert traj.stderr[j] == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_aggregate_raises_on_a_non_finite_gap_without_warning():
+    gaps = np.ones((200, 9))
+    gaps[150, 4] = math.inf
+    gaps[170, 2] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure, match="seed 150 at step 4") as info:
+            _aggregate(gaps, tuple(range(200)), np.zeros(200, dtype=bool))
+    assert info.value.index == 4
