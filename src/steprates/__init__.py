@@ -40,7 +40,10 @@ from .plbounds import (
     bound_poly,
     derive_constants,
     descent_coefficients,
+    exp_horizon_floor,
     offset_admissible,
+    poly_alpha_floor,
+    poly_gamma_floor,
     relaxed_recursion_transform,
     rr_constants,
     sgd_constants,

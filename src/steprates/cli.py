@@ -272,10 +272,8 @@ def _build_noise(section, where: str) -> NoiseModel:
 
 
 def _tuned(value, field: str):
-    if value is None or value is False:
-        return None
-    if value is True:
-        return {}
+    if value is None or isinstance(value, bool):
+        return value
     if isinstance(value, dict):
         return _fields(value, {"beta": _real}, field, ("beta",))
     raise ConfigError("tuned must be a boolean or an object with an optional beta")
@@ -375,14 +373,14 @@ def _cmd_bound(config: dict, out: Path) -> int:
     target = out / "bound.json"
     try:
         if family == "exp":
-            if tuned is not None:
+            if tuned not in (None, False):
                 raise ConfigError("the exp family has no tuned variant")
             result = bound_exp(mc, need_schedule(Exponential), y0)
         elif family == "cos":
             result = bound_cos(mc, need_schedule(Cosine), y0, tuned=tuned)
         elif family == "const":
             schedule = None
-            if "schedule" in config or tuned is None:
+            if "schedule" in config or tuned in (None, False):
                 schedule = need_schedule(Constant)
             result = bound_const(mc, schedule, y0, K, tuned=tuned)
         elif family == "poly":
@@ -393,15 +391,7 @@ def _cmd_bound(config: dict, out: Path) -> int:
         _write_json(target, {"error": "precondition-failure", "failed_precondition": str(exc)})
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION_FAILURE
-    payload = {
-        "value": result.value,
-        "noise_term": result.noise_term,
-        "init_term": result.init_term,
-        "regime": result.regime,
-        "constants_used": dataclasses.asdict(result.constants_used),
-        "details": result.details,
-    }
-    _write_json(target, payload)
+    _write_json(target, dataclasses.asdict(result))
     print(f"bound value {_fmt(result.value)} ({result.regime}); wrote {target}")
     return EXIT_OK
 

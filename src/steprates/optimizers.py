@@ -36,7 +36,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .plbounds import NumericFailure
+from .plbounds import NumericFailure, smoothness_cap
 from .recursions import CheckResult, PreconditionError
 from .schedules import StepSchedule, step_values, validate_cap
 
@@ -335,7 +335,7 @@ def _sgd_step(problem: Problem, noise: NoiseModel):
 
 def gd_run(problem: Problem, schedule: StepSchedule, x0, K: int) -> Trajectory:
     """Deterministic gradient descent; steps must stay within 1/L."""
-    _check_cap(schedule, 1.0 / problem.smoothness_L, K, "descent")
+    _check_cap(schedule, smoothness_cap("sgd", problem.smoothness_L), K, "descent")
     step = _sgd_step(problem, NoiseModel("none"))
     return _descend(problem, step_values(schedule, K), _start(problem, x0), (), step)
 
@@ -354,7 +354,7 @@ def sgd_run(
     """
     if not seeds:
         raise ValueError("sgd_run needs at least one seed")
-    _check_cap(schedule, 1.0 / problem.smoothness_L, K, "descent")
+    _check_cap(schedule, smoothness_cap("sgd", problem.smoothness_L), K, "descent")
     draw = None
     if noise.kind == "additive_gaussian":
         def draw(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -397,7 +397,7 @@ def rr_run(
         raise PreconditionError("random reshuffling needs a finite-sum problem")
     if not seeds:
         raise ValueError("rr_run needs at least one seed")
-    _check_cap(schedule, 1.0 / (2.0 * problem.smoothness_L), K, "reshuffling")
+    _check_cap(schedule, smoothness_cap("rr", problem.smoothness_L), K, "reshuffling")
     N = problem.component_count
 
     def epoch(X, a, orders):

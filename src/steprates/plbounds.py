@@ -123,6 +123,25 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
+def _check_start(y0: float, K: int) -> None:
+    if not y0 >= 0:
+        raise ValueError("y0 must be nonnegative")
+    if K < 1:
+        raise ValueError("K must be a positive integer")
+
+
+def _capped(what: str, step: float, cap: float, note: str = "") -> float:
+    """step, once it is checked against the admissible cap."""
+    _require(step <= cap * (1.0 + _REL), f"{what} {step} exceeds admissible cap {cap}{note}")
+    return step
+
+
+def _floored(what: str, value: float, floor: float) -> float:
+    """value, once it is checked against its floor."""
+    _require(value >= floor * (1.0 - _REL), f"{what} {value} below floor {floor}")
+    return value
+
+
 def frak_p(theta: float) -> float:
     """(2*theta-1)^(2*theta-1) with 0^0 = 1; lies in [e^(-1/e), 1]."""
     if not 0.5 <= theta <= 1.0:
@@ -197,24 +216,32 @@ def smoothness_cap(method: str, L: float) -> float:
 
 
 def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
-    """Scaling constants of the relaxed recursion for a given delta > 0."""
+    """Scaling constants of the relaxed recursion for a given delta > 0.
+
+    Raises ValueError, naming zeta, when (l3/l2)^(1/(2*theta)) overflows a
+    float; a growth cap past the range of floats does not bind.
+    """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    theta, tau = params.theta, params.tau
+    theta, tau, l1, l2, l3 = params.theta, params.tau, params.l1, params.l2, params.l3
     two_theta = 2.0 * theta
-    zeta = max((two_theta - 1.0) * delta, (params.l3 / params.l2) ** (1.0 / two_theta))
-    xi = theta * params.l2 * zeta ** (two_theta - 1.0)
+    ratio_root = _coefficient(
+        "zeta = (l3/l2)^(1/(2*theta))", lambda: (l3 / l2) ** (1.0 / two_theta), l3=l3, l2=l2
+    )
+    zeta = max((two_theta - 1.0) * delta, ratio_root)
+    xi = theta * l2 * zeta ** (two_theta - 1.0)
     denom = (two_theta - 1.0) * tau + 1.0
     rho = two_theta / denom
     omega = (tau - 1.0) / denom
     q = (tau - 1.0) / two_theta
     fp = frak_p(theta)
-    if params.l1 > 0:
-        growth_cap = (theta * fp * params.l2 * delta ** (two_theta - 1.0) / params.l1) ** (
-            two_theta / (tau - 1.0)
-        )
-    else:
-        growth_cap = math.inf
+    growth_cap = math.inf
+    if l1 > 0:
+        growth_base = theta * fp * l2 * delta ** (two_theta - 1.0) / l1
+        try:
+            growth_cap = growth_base ** (two_theta / (tau - 1.0))
+        except OverflowError:  # float ** raises; a cap past the floats does not bind
+            pass
     alpha_cap = min(growth_cap, xi ** (-rho))
     return DerivedConstants(
         delta=delta,
@@ -230,22 +257,7 @@ def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
 
 def sgd_constants(theta: float, L: float, mu: float, A: float, sigma: float) -> MethodConstants:
     """Constants for single-sample SGD (delta = 1, tau = 2)."""
-    params = descent_coefficients("sgd", L, mu, A, sigma, theta=theta)
-    derived = derive_constants(params, delta=1.0)
-    derived = replace(derived, alpha_cap=min(derived.alpha_cap, smoothness_cap("sgd", L)))
-    return MethodConstants(
-        method="sgd",
-        theta=theta,
-        L=L,
-        mu=mu,
-        A=A,
-        sigma=sigma,
-        N=None,
-        params=params,
-        derived=derived,
-        zeta_bar=derived.zeta,
-        xi_bar=derived.xi,
-    )
+    return _method_constants("sgd", theta, L, mu, A, sigma, None, 1.0)
 
 
 def rr_constants(
@@ -254,14 +266,29 @@ def rr_constants(
     """Constants for random reshuffling (delta = N^(-1/(2*theta)), tau = 3)."""
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
-    params = descent_coefficients("rr", L, mu, A, sigma, N=N, theta=theta)
-    two_theta = 2.0 * theta
-    derived = derive_constants(params, delta=N ** (-1.0 / two_theta))
-    derived = replace(derived, alpha_cap=min(derived.alpha_cap, smoothness_cap("rr", L)))
-    zeta_bar = max(two_theta - 1.0, (L**2 * sigma**2 / mu) ** (1.0 / two_theta))
-    xi_bar = theta * mu * zeta_bar ** (two_theta - 1.0) / 2.0
+    return _method_constants("rr", theta, L, mu, A, sigma, N, N ** (-1.0 / (2.0 * theta)))
+
+
+def _method_constants(
+    method: str,
+    theta: float,
+    L: float,
+    mu: float,
+    A: float,
+    sigma: float,
+    N: int | None,
+    delta: float,
+) -> MethodConstants:
+    params = descent_coefficients(method, L, mu, A, sigma, N=N, theta=theta)
+    derived = derive_constants(params, delta)
+    derived = replace(derived, alpha_cap=min(derived.alpha_cap, smoothness_cap(method, L)))
+    zeta_bar, xi_bar = derived.zeta, derived.xi
+    if method == "rr":
+        two_theta = 2.0 * theta
+        zeta_bar = max(two_theta - 1.0, (L**2 * sigma**2 / mu) ** (1.0 / two_theta))
+        xi_bar = theta * mu * zeta_bar ** (two_theta - 1.0) / 2.0
     return MethodConstants(
-        method="rr",
+        method=method,
         theta=theta,
         L=L,
         mu=mu,
@@ -286,10 +313,7 @@ def simulate_pl_recursion(
     large for the range of doubles makes it infinite or NaN; either raises
     NumericFailure carrying the offending index.
     """
-    if not y0 >= 0:
-        raise ValueError("y0 must be nonnegative")
-    if K < 1:
-        raise ValueError("K must be a positive integer")
+    _check_start(y0, K)
     alphas = step_values(schedule, K)
     l1, l2, l3, tau = params.l1, params.l2, params.l3, params.tau
     two_theta = 2.0 * params.theta
@@ -400,11 +424,7 @@ def relaxed_recursion_transform(
     horizon = getattr(schedule, "horizon", None)
     if horizon is not None and horizon != K:
         raise ValueError(f"schedule horizon {horizon} does not match K = {K}")
-    biggest = step_max(schedule, K)
-    _require(
-        biggest <= derived.alpha_cap * (1.0 + _REL),
-        f"largest step {biggest} exceeds admissible cap {derived.alpha_cap}",
-    )
+    _capped("largest step", step_max(schedule, K), derived.alpha_cap)
     zeta, xi = derived.zeta, derived.xi
     rho, q, tau = derived.rho, derived.q, params.tau
     inv_rho = 1.0 / rho
@@ -506,14 +526,45 @@ def _decay(coefficient: float, log_base: float) -> float:
     return math.exp(-coefficient * log_base)
 
 
-def _tuned_step(mc: MethodConstants, beta: float, K: int) -> float:
-    """Horizon-tuned flat step level for constant and cosine schedules."""
+def _result(
+    noise: float, init: float, regime: str, derived: DerivedConstants, details: dict
+) -> BoundResult:
+    return BoundResult(
+        value=noise + init,
+        noise_term=noise,
+        init_term=init,
+        regime=regime,
+        constants_used=derived,
+        details=details,
+    )
+
+
+def _n_scale(mc: MethodConstants, K: int) -> tuple[float, float]:
+    """(log(sqrt(N)*K), N^(1-1/(2*theta))); SGD's displays are those at N = 1."""
+    N = mc.N or 1
+    return math.log(math.sqrt(N) * K), N ** (1.0 - 1.0 / (2.0 * mc.theta))
+
+
+def _tuned_beta(mc: MethodConstants, tuned: Mapping, scale: float) -> float:
+    """The tuned beta, by default its floor scale*omega/xi_bar, checked against it."""
+    floor = scale * mc.derived.omega / mc.xi_bar
+    return _floored("tuned beta", float(tuned.get("beta", floor)), floor)
+
+
+def _flat_level(
+    mc: MethodConstants, schedule: StepSchedule | None, K: int, tuned: Mapping | None, scale: float
+) -> tuple[float, dict]:
+    """The level alpha of a constant or cosine bound, checked against the cap,
+    and its details: the schedule's alpha, or in tuned mode the horizon-tuned
+    step of a beta whose floor is scale*omega/xi_bar."""
+    cap = mc.derived.alpha_cap
+    if tuned is None:
+        return _capped("alpha", schedule.alpha, cap), {}
+    beta = _tuned_beta(mc, tuned, scale)
     _require(K >= 2, f"tuned step needs K >= 2, got {K}")
-    if mc.method == "sgd":
-        return (beta * math.log(K) / K) ** mc.derived.rho
-    root_nk = math.sqrt(mc.N) * K
-    n_power = mc.N ** (1.0 - 1.0 / (2.0 * mc.theta))
-    return (beta * math.log(root_nk) * n_power / K) ** mc.derived.rho
+    log_nk, n_power = _n_scale(mc, K)
+    alpha = (beta * log_nk * n_power / K) ** mc.derived.rho
+    return _capped("tuned alpha", alpha, cap, " (horizon too small)"), {"tuned_beta": beta}
 
 
 def _normalize_tuned(tuned: Mapping | bool | None) -> Mapping | None:
@@ -524,24 +575,26 @@ def _normalize_tuned(tuned: Mapping | bool | None) -> Mapping | None:
     return tuned
 
 
+def exp_horizon_floor(mc: MethodConstants, alpha: float, p: float, K: int) -> float:
+    """Least K/log(K/beta) the reshuffling bound admits for exponential steps
+    that start at alpha and decay with exponent p over the horizon K."""
+    log_nk, n_power = _n_scale(mc, K)
+    return 2.0 * p * log_nk * n_power / (mc.theta * mc.xi_bar * alpha ** (1.0 / mc.derived.rho))
+
+
 def bound_exp(mc: MethodConstants, schedule: Exponential, y0: float) -> BoundResult:
     """Bound at the horizon for exponentially decaying steps.
 
     The noise floor is four times the larger of a logarithmic branch and the
     terminal-step branch; the regime tag records which one attained the max.
     """
-    if not y0 >= 0:
-        raise ValueError("y0 must be nonnegative")
     zeta, xi, rho, omega, q = _unpack(mc)
     alpha, beta, p, K = schedule.alpha, schedule.beta, schedule.p, schedule.horizon
-    cap = mc.derived.alpha_cap
-    _require(alpha <= cap * (1.0 + _REL), f"alpha {alpha} exceeds admissible cap {cap}")
+    _check_start(y0, K)
+    _capped("alpha", alpha, mc.derived.alpha_cap)
     log_ratio = math.log(K) - math.log(beta)
     if mc.method == "rr":
-        n_power = mc.N ** (1.0 - 1.0 / (2.0 * mc.theta))
-        needed = 2.0 * p * math.log(math.sqrt(mc.N) * K) * n_power / (
-            mc.theta * mc.xi_bar * alpha ** (1.0 / rho)
-        )
+        needed = exp_horizon_floor(mc, alpha, p, K)
         _require(
             K / log_ratio >= needed * (1.0 - _REL),
             f"horizon too small: K/log(K/beta) = {K / log_ratio} below {needed}",
@@ -553,14 +606,8 @@ def bound_exp(mc: MethodConstants, schedule: Exponential, y0: float) -> BoundRes
     tail_fraction = 1.0 - math.exp((p / rho) * (math.log(beta) - math.log(K)))
     exponent = (rho * xi * alpha ** (1.0 / rho) / p) * tail_fraction * K / log_ratio
     init = y0 * math.exp(-exponent)
-    return BoundResult(
-        value=noise + init,
-        noise_term=noise,
-        init_term=init,
-        regime=regime,
-        constants_used=mc.derived,
-        details={"branch_log": branch_log, "branch_floor": branch_floor, "alpha": alpha},
-    )
+    details = {"branch_log": branch_log, "branch_floor": branch_floor, "alpha": alpha}
+    return _result(noise, init, regime, mc.derived, details)
 
 
 def bound_cos(
@@ -571,35 +618,15 @@ def bound_cos(
     Tuned mode replaces the schedule's level by the horizon-tuned choice and
     reports the resulting rate's logarithm power in the details.
     """
-    if not y0 >= 0:
-        raise ValueError("y0 must be nonnegative")
+    p, K = schedule.p, schedule.horizon
+    _check_start(y0, K)
     tuned = _normalize_tuned(tuned)
     zeta, xi, rho, omega, q = _unpack(mc)
-    p, K = schedule.p, schedule.horizon
     _require(K >= 2, f"cosine bound needs K >= 2, got {K}")
-    cap = mc.derived.alpha_cap
     doubling = 2.0 ** max(1.0, p / rho)
-    details: dict = {}
+    alpha, details = _flat_level(mc, schedule, K, tuned, doubling)
     if tuned is not None:
-        if mc.method == "sgd":
-            beta_floor = doubling * omega / xi
-        else:
-            beta_floor = doubling * mc.derived.omega / mc.xi_bar
-        beta = float(tuned.get("beta", beta_floor))
-        _require(
-            beta >= beta_floor * (1.0 - _REL),
-            f"tuned beta {beta} below floor {beta_floor}",
-        )
-        alpha = _tuned_step(mc, beta, K)
-        _require(
-            alpha <= cap * (1.0 + _REL),
-            f"tuned alpha {alpha} exceeds admissible cap {cap} (horizon too small)",
-        )
-        details["tuned_beta"] = beta
         details["rate_log_power"] = rho / (2.0 * p + rho)
-    else:
-        alpha = schedule.alpha
-        _require(alpha <= cap * (1.0 + _REL), f"alpha {alpha} exceeds admissible cap {cap}")
     d_const = max(1.0, 2.0 * p * q * math.pi**2)
     log_arg = 2.0 * d_const / (xi * K)
     branch_log = 2.0 * zeta * log_arg**omega
@@ -617,14 +644,7 @@ def bound_cos(
     details.update(
         {"D": d_const, "branch_log": branch_log, "branch_floor": branch_floor, "alpha": alpha}
     )
-    return BoundResult(
-        value=noise + init,
-        noise_term=noise,
-        init_term=init,
-        regime=regime,
-        constants_used=mc.derived,
-        details=details,
-    )
+    return _result(noise, init, regime, mc.derived, details)
 
 
 def bound_const(
@@ -639,40 +659,16 @@ def bound_const(
     In tuned mode the level is derived from the horizon (schedule may be
     omitted); otherwise it is taken from the schedule.
     """
-    if not y0 >= 0:
-        raise ValueError("y0 must be nonnegative")
-    if K < 1:
-        raise ValueError("K must be a positive integer")
+    _check_start(y0, K)
     tuned = _normalize_tuned(tuned)
     zeta, xi, rho, omega, q = _unpack(mc)
-    cap = mc.derived.alpha_cap
-    details: dict = {}
-    if tuned is not None:
-        beta_floor = omega / xi if mc.method == "sgd" else mc.derived.omega / mc.xi_bar
-        beta = float(tuned.get("beta", beta_floor))
-        _require(beta >= beta_floor * (1.0 - _REL), f"tuned beta {beta} below floor {beta_floor}")
-        alpha = _tuned_step(mc, beta, K)
-        _require(
-            alpha <= cap * (1.0 + _REL),
-            f"tuned alpha {alpha} exceeds admissible cap {cap} (horizon too small)",
-        )
-        details["tuned_beta"] = beta
-    else:
-        if schedule is None:
-            raise ValueError("schedule is required outside tuned mode")
-        alpha = schedule.alpha
-        _require(alpha <= cap * (1.0 + _REL), f"alpha {alpha} exceeds admissible cap {cap}")
+    if tuned is None and schedule is None:
+        raise ValueError("schedule is required outside tuned mode")
+    alpha, details = _flat_level(mc, schedule, K, tuned, 1.0)
     noise = 2.0 * zeta * alpha**q
     init = y0 * math.exp(-xi * alpha ** (1.0 / rho) * K)
     details["alpha"] = alpha
-    return BoundResult(
-        value=noise + init,
-        noise_term=noise,
-        init_term=init,
-        regime="constant",
-        constants_used=mc.derived,
-        details=details,
-    )
+    return _result(noise, init, "constant", mc.derived, details)
 
 
 def _poly_case(theta: float, p: float, rho: float) -> str:
@@ -754,6 +750,45 @@ def smallest_offset(params: PLParams, alpha: float, K: int) -> float:
     return hi
 
 
+def _u3(theta: float, p: float) -> float:
+    """Rate exponent (1-p)/(2*theta-1) of polynomial case c."""
+    return (1.0 - p) / (2.0 * theta - 1.0)
+
+
+def poly_alpha_floor(params: PLParams, derived: DerivedConstants, case: str, p: float) -> float:
+    """Least level alpha that polynomial case b, c or d admits at decay exponent p."""
+    theta = params.theta
+    if case == "b":
+        return (2.0 * derived.omega / derived.xi) ** derived.rho
+    if case == "c":
+        return 2.0 * _u3(theta, p) / (theta * params.l2)
+    if case == "d":
+        return 2.0 / (theta * (2.0 * theta - 1.0) * params.l2)
+    raise ValueError(f"case {case!r} has no level floor")
+
+
+def poly_gamma_floor(
+    params: PLParams, derived: DerivedConstants, case: str, alpha: float, p: float
+) -> float:
+    """Least offset gamma that polynomial case a or c admits at level alpha.
+
+    Cases b and d bound gamma through the cap and offset_admissible.
+    """
+    rho = derived.rho
+    if case == "a":
+        ratio = 2.0 * p * derived.q / (derived.xi * alpha ** (1.0 / rho))
+        return ratio ** (1.0 / (1.0 - p / rho))
+    if case != "c":
+        raise ValueError(f"case {case!r} has no offset floor")
+    theta, l1, l2, l3, tau = params.theta, params.l1, params.l2, params.l3, params.tau
+    floors = [alpha * theta * l2]
+    if l1 > 0:
+        floors.append((alpha ** (tau - 1.0) * l1 / (theta * l2)) ** (1.0 / (tau * p - 1.0)))
+    if l3 > 0:
+        floors.append((alpha ** (tau - 1.0) * l3 / l2) ** (1.0 / (tau * p - _u3(theta, p) - 1.0)))
+    return max(floors)
+
+
 def bound_poly(
     constants: MethodConstants | PLParams,
     schedule: Polynomial,
@@ -771,10 +806,7 @@ def bound_poly(
     mode selects from (theta, p). Tuned mode requires method constants and
     p equal to the method's balance exponent.
     """
-    if not y0 >= 0:
-        raise ValueError("y0 must be nonnegative")
-    if K < 1:
-        raise ValueError("K must be a positive integer")
+    _check_start(y0, K)
     tuned = _normalize_tuned(tuned)
     if isinstance(constants, MethodConstants):
         mc: MethodConstants | None = constants
@@ -786,7 +818,7 @@ def bound_poly(
         derived = derive_constants(params, delta)
     zeta, xi = derived.zeta, derived.xi
     rho, omega, q = derived.rho, derived.omega, derived.q
-    theta, tau = params.theta, params.tau
+    theta = params.theta
     cap = derived.alpha_cap
     gamma, p = schedule.gamma, schedule.p
 
@@ -798,51 +830,25 @@ def bound_poly(
             f"tuned schedule must decay with exponent {rho}, got {p}",
         )
         if mc.method == "sgd":
-            alpha = schedule.alpha
-            alpha_floor = (2.0 * omega / xi) ** rho
-            _require(
-                alpha >= alpha_floor * (1.0 - _REL), f"alpha {alpha} below floor {alpha_floor}"
-            )
-            _require(
-                alpha / gamma**p <= cap * (1.0 + _REL),
-                f"largest step {alpha / gamma**p} exceeds admissible cap {cap}",
-            )
+            alpha = _floored("alpha", schedule.alpha, poly_alpha_floor(params, derived, "b", p))
+            _capped("largest step", alpha / gamma**p, cap)
             noise = 4.0 * zeta * alpha**q * _decay(omega, math.log(K + gamma))
             init = y0 * _decay(2.0 * omega, math.log((K + gamma) / gamma))
-            return BoundResult(
-                value=noise + init,
-                noise_term=noise,
-                init_term=init,
-                regime="case b",
-                constants_used=derived,
-                details={"tuned": True, "alpha": alpha, "u2": omega},
-            )
+            details = {"tuned": True, "alpha": alpha, "u2": omega}
+            return _result(noise, init, "case b", derived, details)
         _require(K >= 3, f"tuned reshuffling bound needs K >= 3, got {K}")
-        beta_floor = 2.0 * omega / mc.xi_bar
-        beta = float(tuned.get("beta", beta_floor))
-        _require(beta >= beta_floor * (1.0 - _REL), f"tuned beta {beta} below floor {beta_floor}")
-        n_power = mc.N ** (1.0 - 1.0 / (2.0 * theta))
-        root_nk = math.sqrt(mc.N) * K
-        level = beta * math.log(root_nk) * n_power
+        beta = _tuned_beta(mc, tuned, 2.0)
+        log_nk, n_power = _n_scale(mc, K)
+        level = beta * log_nk * n_power
         alpha = level**rho
-        gamma_floor = level / cap ** (1.0 / rho)
-        _require(gamma >= gamma_floor * (1.0 - _REL), f"gamma {gamma} below floor {gamma_floor}")
+        _floored("gamma", gamma, level / cap ** (1.0 / rho))
         _require(K >= 2.0 * gamma * (1.0 - _REL), f"horizon {K} below 2*gamma = {2 * gamma}")
         noise = (
-            4.0
-            * mc.zeta_bar
-            * beta**omega
-            * (math.log(root_nk) / (math.sqrt(mc.N) * (K + gamma))) ** omega
+            4.0 * mc.zeta_bar * beta**omega * (log_nk / (math.sqrt(mc.N) * (K + gamma))) ** omega
         )
-        init = y0 * _decay(2.0 * omega, math.log(root_nk))
-        return BoundResult(
-            value=noise + init,
-            noise_term=noise,
-            init_term=init,
-            regime="case b",
-            constants_used=derived,
-            details={"tuned": True, "alpha": alpha, "tuned_beta": beta, "u2": omega},
-        )
+        init = y0 * _decay(2.0 * omega, log_nk)
+        details = {"tuned": True, "alpha": alpha, "tuned_beta": beta, "u2": omega}
+        return _result(noise, init, "case b", derived, details)
 
     chosen = case
     if chosen == "auto":
@@ -853,15 +859,11 @@ def bound_poly(
     details = {"alpha": alpha, "gamma": gamma}
 
     if chosen in ("a", "b"):
-        _require(
-            alpha / gamma**p <= cap * (1.0 + _REL),
-            f"largest step {alpha / gamma**p} exceeds admissible cap {cap}",
-        )
+        _capped("largest step", alpha / gamma**p, cap)
     if chosen == "a":
         _require(p < rho, f"case a needs p < {rho}, got {p}")
+        _floored("gamma", gamma, poly_gamma_floor(params, derived, "a", alpha, p))
         u1 = p * q
-        gamma_floor = (2.0 * u1 / (xi * alpha ** (1.0 / rho))) ** (1.0 / (1.0 - p / rho))
-        _require(gamma >= gamma_floor * (1.0 - _REL), f"gamma {gamma} below floor {gamma_floor}")
         noise = 4.0 * zeta * alpha**q * _decay(u1, math.log(K + gamma))
         init = y0 * math.exp(
             -xi * alpha ** (1.0 / rho) * K * _decay(p / rho, math.log(K + gamma))
@@ -869,8 +871,7 @@ def bound_poly(
         details["u1"] = u1
     elif chosen == "b":
         _require(abs(p - rho) <= 1e-12, f"case b needs p = {rho}, got {p}")
-        alpha_floor = (2.0 * omega / xi) ** rho
-        _require(alpha >= alpha_floor * (1.0 - _REL), f"alpha {alpha} below floor {alpha_floor}")
+        _floored("alpha", alpha, poly_alpha_floor(params, derived, "b", p))
         noise = 4.0 * zeta * alpha**q * _decay(omega, math.log(K + gamma))
         init = y0 * _decay(xi * alpha ** (1.0 / rho), math.log((K + gamma) / gamma))
         details["u2"] = omega
@@ -879,27 +880,15 @@ def bound_poly(
             theta > 0.5 and rho < p < 1.0,
             f"case c needs theta > 1/2 and p between {rho} and 1, got p = {p}",
         )
-        u3 = (1.0 - p) / (2.0 * theta - 1.0)
-        alpha_floor = 2.0 * u3 / (theta * params.l2)
-        _require(alpha >= alpha_floor * (1.0 - _REL), f"alpha {alpha} below floor {alpha_floor}")
-        floors = [alpha * theta * params.l2]
-        if params.l1 > 0:
-            floors.append(
-                (alpha ** (tau - 1.0) * params.l1 / (theta * params.l2)) ** (1.0 / (tau * p - 1.0))
-            )
-        if params.l3 > 0:
-            floors.append(
-                (alpha ** (tau - 1.0) * params.l3 / params.l2) ** (1.0 / (tau * p - u3 - 1.0))
-            )
-        gamma_floor = max(floors)
-        _require(gamma >= gamma_floor * (1.0 - _REL), f"gamma {gamma} below floor {gamma_floor}")
+        _floored("alpha", alpha, poly_alpha_floor(params, derived, "c", p))
+        _floored("gamma", gamma, poly_gamma_floor(params, derived, "c", alpha, p))
+        u3 = _u3(theta, p)
         noise = 4.0 * _decay(u3, math.log(K + gamma))
         init = y0 * _decay(alpha * theta * params.l2, math.log((K + gamma) / gamma))
         details["u3"] = u3
     else:
         _require(theta > 0.5 and p == 1.0, f"case d needs theta > 1/2 and p = 1, got p = {p}")
-        alpha_floor = 2.0 / (theta * (2.0 * theta - 1.0) * params.l2)
-        _require(alpha >= alpha_floor * (1.0 - _REL), f"alpha {alpha} below floor {alpha_floor}")
+        _floored("alpha", alpha, poly_alpha_floor(params, derived, "d", p))
         gamma0 = smallest_offset(params, alpha, K)
         _require(
             offset_admissible(params, alpha, K, gamma),
@@ -910,11 +899,4 @@ def bound_poly(
             alpha * theta * params.l2, math.log(math.log(K + gamma) / math.log(gamma))
         )
         details["gamma0"] = gamma0
-    return BoundResult(
-        value=noise + init,
-        noise_term=noise,
-        init_term=init,
-        regime=f"case {chosen}",
-        constants_used=derived,
-        details=details,
-    )
+    return _result(noise, init, f"case {chosen}", derived, details)

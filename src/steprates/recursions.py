@@ -512,6 +512,11 @@ def classical_spec(
     """
     c, d, nu, q = params.c, params.d, params.nu, params.q
     gamma = params.gamma
+    if horizon + gamma == gamma:
+        raise ValueError(
+            "gamma + horizon rounds to gamma in double precision "
+            f"(gamma = {gamma!r}, horizon = {horizon})"
+        )
     ratio = FunctionDescriptor(
         fn=lambda x: (d / c) * x ** (-q),
         derivative=lambda x: -(q * d / c) * x ** (-q - 1.0),

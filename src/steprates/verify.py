@@ -31,7 +31,10 @@ from .plbounds import (
     bound_cos,
     bound_exp,
     bound_poly,
+    exp_horizon_floor,
     offset_admissible,
+    poly_alpha_floor,
+    poly_gamma_floor,
     rr_constants,
     sgd_constants,
     simulate_pl_recursion,
@@ -194,11 +197,8 @@ def _draw_bound_case(
     satisfy its preconditions; the caller resamples. family and poly_case
     pin the draw to one bound (randomized when omitted).
     """
-    derived = mc.derived
-    cap = derived.alpha_cap
-    rho, omega, q, xi = derived.rho, derived.omega, derived.q, derived.xi
-    params = mc.params
-    theta, tau, l2 = mc.theta, params.tau, params.l2
+    derived, params = mc.derived, mc.params
+    cap, rho = derived.alpha_cap, derived.rho
     if family is None:
         family = ("const", "exp", "cos", "poly")[int(rng.integers(0, 4))]
     K = int(rng.integers(4, 257))
@@ -216,67 +216,45 @@ def _draw_bound_case(
         beta = float(rng.uniform(1.0, 4.0))
         K = max(K, int(math.ceil(2.0 * beta)))
         if mc.method == "rr":
-            n_power = mc.N ** (1.0 - 1.0 / (2.0 * theta))
-            while True:
-                needed = (
-                    2.0
-                    * p
-                    * math.log(math.sqrt(mc.N) * K)
-                    * n_power
-                    / (theta * mc.xi_bar * alpha ** (1.0 / rho))
-                )
-                if K / (math.log(K) - math.log(beta)) >= needed:
-                    break
+            while K / (math.log(K) - math.log(beta)) < exp_horizon_floor(mc, alpha, p, K):
                 K *= 2
                 if K > 32768:
                     return None
         schedule = Exponential(alpha=alpha, beta=beta, p=p, horizon=K)
         return schedule, K, lambda y0: bound_exp(mc, schedule, y0)
 
-    menu = "ab" if theta == 0.5 else "abcd"
+    menu = "ab" if mc.theta == 0.5 else "abcd"
     chosen = poly_case if poly_case is not None else menu[int(rng.integers(0, len(menu)))]
     if chosen not in menu:
         return None
     if chosen == "a":
         p = rho * float(rng.uniform(0.2, 0.9))
         alpha = cap * float(rng.uniform(0.1, 1.0))
-        floor = (2.0 * p * q / (xi * alpha ** (1.0 / rho))) ** (1.0 / (1.0 - p / rho))
+        floor = poly_gamma_floor(params, derived, "a", alpha, p)
         gamma = max(floor, 1.0) * (1.0 + float(rng.uniform(0.0, 2.0)))
     elif chosen == "b":
         p = rho
-        alpha = (2.0 * omega / xi) ** rho * (1.0 + float(rng.uniform(0.0, 1.0)))
+        alpha = poly_alpha_floor(params, derived, "b", p) * (1.0 + float(rng.uniform(0.0, 1.0)))
         gamma = (alpha / cap) ** (1.0 / p) * (1.0 + float(rng.uniform(0.0, 2.0)))
-    elif chosen == "c":
-        p = rho + (1.0 - rho) * float(rng.uniform(0.15, 0.9))
-        u3 = (1.0 - p) / (2.0 * theta - 1.0)
-        alpha = 2.0 * u3 / (theta * l2) * (1.0 + float(rng.uniform(0.0, 1.0)))
-        floors = [alpha * theta * l2, (alpha * l2) ** (1.0 / p)]
-        if params.l1 > 0:
-            floors.append(
-                (alpha ** (tau - 1.0) * params.l1 / (theta * l2)) ** (1.0 / (tau * p - 1.0))
-            )
-            floors.append((alpha * math.sqrt(params.l1)) ** (1.0 / p))
-        if params.l3 > 0:
-            floors.append(
-                (alpha ** (tau - 1.0) * params.l3 / l2) ** (1.0 / (tau * p - u3 - 1.0))
-            )
-            floors.append((alpha * math.sqrt(params.l3)) ** (1.0 / p))
-        gamma = max(floors) * (1.0 + float(rng.uniform(0.0, 2.0)))
     else:
-        p = 1.0
-        alpha = 2.0 / (theta * (2.0 * theta - 1.0) * l2) * (1.0 + float(rng.uniform(0.0, 1.0)))
-        try:
-            gamma0 = smallest_offset(params, alpha, K)
-        except PreconditionError:
-            return None
-        guards = [gamma0, alpha * l2]
-        if params.l1 > 0:
-            guards.append(alpha * math.sqrt(params.l1))
-        if params.l3 > 0:
-            guards.append(alpha * math.sqrt(params.l3))
-        gamma = max(guards) * (1.0 + float(rng.uniform(0.0, 1.0)))
-        if not offset_admissible(params, alpha, K, gamma):
-            gamma = gamma0
+        p = rho + (1.0 - rho) * float(rng.uniform(0.15, 0.9)) if chosen == "c" else 1.0
+        alpha = poly_alpha_floor(params, derived, chosen, p) * (1.0 + float(rng.uniform(0.0, 1.0)))
+        # the first step alpha/gamma^p also stays within 1/l2, 1/sqrt(l1) and
+        # 1/sqrt(l3): guards of the simulated recursion, not of the bound
+        roots = [alpha * params.l2]
+        roots += [alpha * math.sqrt(c) for c in (params.l1, params.l3) if c > 0]
+        if chosen == "c":
+            floor = poly_gamma_floor(params, derived, "c", alpha, p)
+            gamma = max(floor, *(r ** (1.0 / p) for r in roots))
+            gamma *= 1.0 + float(rng.uniform(0.0, 2.0))
+        else:
+            try:
+                gamma0 = smallest_offset(params, alpha, K)
+            except PreconditionError:
+                return None
+            gamma = max(gamma0, *roots) * (1.0 + float(rng.uniform(0.0, 1.0)))
+            if not offset_admissible(params, alpha, K, gamma):
+                gamma = gamma0
     schedule = Polynomial(alpha=alpha, gamma=gamma, p=p)
     return schedule, K, lambda y0: bound_poly(mc, schedule, y0, K)
 

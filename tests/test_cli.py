@@ -164,6 +164,37 @@ def test_bound_overflowing_coefficient_is_config_error(tmp_path, capsys, method,
     assert not (tmp_path / "out" / "bound.json").exists()
 
 
+FAMILY_SCHEDULES = {
+    "const": {"family": "constant", "alpha": 0.1},
+    "exp": {"family": "exponential", "alpha": 0.1, "beta": 1.0, "p": 1.0},
+    "cos": {"family": "cosine", "alpha": 0.1, "p": 1.0},
+    "poly": {"family": "polynomial", "alpha": 1.0, "gamma": 8.0, "p": 1.0},
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_SCHEDULES)
+def test_bound_overflowing_noise_scale_is_config_error(tmp_path, capsys, family):
+    # each coefficient is finite (l3 = 5e199, l2 = 1e-300) but l3/l2 is not;
+    # the bound named a cap of 0.0 or a floor of 5e300 instead (exit 4)
+    constants = {"theta": 0.75, "L": 1.0, "mu": 1e-300, "A": 0.0, "sigma": 1e100}
+    config = dict(BOUND_CONST, family=family, constants=constants)
+    config["schedule"] = FAMILY_SCHEDULES[family]
+    assert run_cli(tmp_path, "bound", config) == 2
+    err = capsys.readouterr().err
+    assert "zeta = (l3/l2)^(1/(2*theta)) overflows a float for l3 = 5e+199, l2 = 1e-300" in err
+    assert not (tmp_path / "out" / "bound.json").exists()
+
+
+def test_bound_overflowing_growth_cap_does_not_bind(tmp_path):
+    # the growth cap (l2/l1)^2 = 4e600 overflows float ** (it ended in an
+    # OverflowError); a cap past the floats does not bind
+    constants = dict(BOUND_CONST["constants"], theta=1.0, A=1e-300)
+    assert run_cli(tmp_path, "bound", dict(BOUND_CONST, constants=constants)) == 0
+    payload = json.loads((tmp_path / "out" / "bound.json").read_text(encoding="utf-8"))
+    assert payload["constants_used"]["alpha_cap"] == 1.0
+    assert math.isfinite(payload["value"])
+
+
 def test_bound_missing_schedule_is_config_error(tmp_path):
     config = {k: v for k, v in BOUND_CONST.items() if k != "schedule"}
     assert run_cli(tmp_path, "bound", config) == 2
@@ -751,11 +782,102 @@ VERIFY_REPORTS = {
     ("assumptions", "--draws", "200"): (
         "529a29004d3967b4a8a87a40a075126b884b980b2936d3e7a2ac84d7f09dae36"
     ),
+    # taken before the draw read its floors from steprates.plbounds
+    ("bounds", "--draws", "200", "--seed", "7"): (
+        "4ffeb6a2510c38b39a78df8c2a90c0fbcd0e77daeeaa719625eb14e5d798723a"
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", VERIFY_REPORTS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "argv", VERIFY_REPORTS, ids=lambda argv: argv[0] + "".join(argv[3:]).replace("--", "-")
+)
 def test_verify_reports_keep_their_bytes(tmp_path, argv):
     assert cli.main(["verify", *argv, "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == VERIFY_REPORTS[argv]
+
+
+PIN_CONSTANTS = {"theta": 0.75, "L": 1.0, "mu": 0.8, "A": 0.3, "sigma": 0.7}
+# one bound.json per (family, method, tuned) and its sha256, taken before the
+# evaluators' preconditions and results moved into shared helpers
+BOUND_PINS = {
+    ("const", "sgd", False): (
+        {"schedule": {"family": "constant", "alpha": 0.05}, "K": 300},
+        "916d5feffb2d012df8bdebb25c7a2b51faadc81869dc425b3824a8ccb02b4416",
+    ),
+    ("const", "rr", False): (
+        {"schedule": {"family": "constant", "alpha": 0.05}, "K": 300},
+        "116c0c9c26ed60f942a952aab55e5db0bbc0666538199e137d3aacac9c08f732",
+    ),
+    ("const", "sgd", True): (
+        {"K": 4096, "tuned": True},
+        "ec036f7e316a9caff977dce8c599070765af68fd03cd0759c6ad876f8c6e45ab",
+    ),
+    ("const", "rr", True): (
+        {"K": 8192, "tuned": {"beta": 4.0}},
+        "91ae0e0d0b582e03963c1abe3b242c8622ceeac8bde2a8e5678a17d60453e1f8",
+    ),
+    ("cos", "sgd", False): (
+        {"schedule": {"family": "cosine", "alpha": 0.05, "p": 1.5}, "K": 200},
+        "b4729f1f8405a1419d72237af60c416b8850645d1b170e858fb166ee6566ae43",
+    ),
+    ("cos", "rr", False): (
+        {"schedule": {"family": "cosine", "alpha": 0.05, "p": 0.8}, "K": 200},
+        "b461db84fdd5df3dd93444d607ce5bd72b70ed54862cd8528ce9fcbc172652fa",
+    ),
+    ("cos", "sgd", True): (
+        {"schedule": {"family": "cosine", "alpha": 0.05, "p": 0.8}, "K": 65536, "tuned": True},
+        "f816c89a6e60a236dc2a833915c1775989784991735bdfaa7aee1c30d0dceb41",
+    ),
+    ("cos", "rr", True): (
+        {"schedule": {"family": "cosine", "alpha": 0.05, "p": 1.5}, "K": 65536, "tuned": {}},
+        "0ef4b6935c3574b25cf5d8e9330e15f90fc7754c55657e76ae43643f999e15c1",
+    ),
+    ("exp", "sgd", False): (
+        {"schedule": {"family": "exponential", "alpha": 0.05, "beta": 2.0, "p": 1.0}, "K": 1000},
+        "33ee892bd8fae1de3114874a48f00dc2b34a3f75c276fe169392284f4274bb2f",
+    ),
+    ("exp", "rr", False): (
+        {"schedule": {"family": "exponential", "alpha": 0.4, "beta": 2.0, "p": 0.5}, "K": 20000},
+        "34fecff797ef57930579cf454fe07f57bcb66a3816d05f6f1cdceeb0f8234d4e",
+    ),
+    ("poly", "sgd", False): (
+        {"schedule": {"family": "polynomial", "alpha": 9.0, "gamma": 60.0, "p": 0.9}, "K": 500},
+        "29fd1d6bb7125e9a798e674dfeaeb0d2be307f738070a6b0304905f2d20f0b0e",
+    ),
+    ("poly", "rr", False): (
+        {
+            "schedule": {"family": "polynomial", "alpha": 1.0, "gamma": 40.0, "p": 0.3},
+            "K": 500,
+            "case": "a",
+        },
+        "06acffc9c34f81f3df617e12cfd8f6bdcf5433dea6c727ac98622a05fa74cf72",
+    ),
+    ("poly", "sgd", True): (
+        {
+            "schedule": {"family": "polynomial", "alpha": 8.0, "gamma": 400.0, "p": 0.75},
+            "K": 1000,
+            "tuned": True,
+        },
+        "c25f1bf4fbc10f241076e9a3fb2267b84d3b4f35781db28d255d9b8e5dcb46e7",
+    ),
+    ("poly", "rr", True): (
+        {
+            "schedule": {"family": "polynomial", "alpha": 1.0, "gamma": 3000.0, "p": 0.6},
+            "K": 8000,
+            "tuned": True,
+        },
+        "7847b77ab9f80c6096f260c33106c91a6de7c999bddd80db15b6689feca32b94",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", BOUND_PINS, ids=lambda key: "-".join(map(str, key)))
+def test_bound_json_keeps_its_bytes(tmp_path, key):
+    family, method, _ = key
+    fields, digest = BOUND_PINS[key]
+    constants = PIN_CONSTANTS if method == "sgd" else dict(PIN_CONSTANTS, N=3)
+    config = {"method": method, "family": family, "constants": constants, "y0": 1.0, **fields}
+    assert run_cli(tmp_path, "bound", config) == 0
+    assert hashlib.sha256((tmp_path / "out" / "bound.json").read_bytes()).hexdigest() == digest

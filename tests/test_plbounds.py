@@ -455,3 +455,140 @@ def test_bounds_dominate_equality_recursion_spot_checks():
         sched = Cosine(alpha=alpha, p=float(rng.uniform(0.3, 2.0)), horizon=K)
         traj = simulate_pl_recursion(mc.params, sched, y0, K)
         assert bound_cos(mc, sched, y0).value >= traj[-1] * (1 - 1e-10)
+
+
+_SGD = sgd_constants(theta=0.75, L=1.0, mu=0.8, A=0.3, sigma=0.7)
+_RR = rr_constants(theta=0.75, L=1.0, mu=0.8, A=0.3, sigma=0.7, N=3)
+_SGD_HALF = sgd_constants(theta=0.5, L=1.0, mu=1.0, A=0.0, sigma=1.0)
+_RR_HALF = rr_constants(theta=0.5, L=1.0, mu=1.0, A=0.0, sigma=1.0, N=4)
+_CURVED = PLParams(l1=0.1, l2=1.0, l3=0.2, tau=2.0, theta=0.75)
+_B = _SGD.derived.rho
+
+# each failed precondition's message as the evaluators wrote it before their
+# checks moved into shared helpers; the numbers in it are part of the pin
+PRECONDITION_MESSAGES = {
+    "const-cap": (
+        lambda: bound_const(_SGD, Constant(alpha=1.5), 1.0, 100),
+        "alpha 1.5 exceeds admissible cap 1.0",
+    ),
+    "const-tuned-cap": (
+        lambda: bound_const(_SGD, None, 1.0, 4, tuned={"beta": 50.0}),
+        "tuned alpha 8.493253803653078 exceeds admissible cap 1.0 (horizon too small)",
+    ),
+    "const-tuned-beta-floor": (
+        lambda: bound_const(_RR, None, 1.0, 4096, tuned={"beta": 0.5}),
+        "tuned beta 0.5 below floor 3.140026895092234",
+    ),
+    "const-tuned-K": (
+        lambda: bound_const(_SGD, None, 1.0, 1, tuned={"beta": 100.0}),
+        "tuned step needs K >= 2, got 1",
+    ),
+    "cos-cap": (
+        lambda: bound_cos(_RR, Cosine(alpha=2.0, p=1.0, horizon=64), 1.0),
+        "alpha 2.0 exceeds admissible cap 0.5",
+    ),
+    "cos-tuned-beta-floor": (
+        lambda: bound_cos(_SGD, Cosine(alpha=0.1, p=1.5, horizon=64), 1.0, tuned={"beta": 0.1}),
+        "tuned beta 0.1 below floor 4.714045207910315",
+    ),
+    "cos-tuned-cap": (
+        lambda: bound_cos(_RR, Cosine(alpha=0.1, p=1.5, horizon=64), 1.0, tuned=True),
+        "tuned alpha 1.4626271353660851 exceeds admissible cap 0.5 (horizon too small)",
+    ),
+    "cos-K": (
+        lambda: bound_cos(_SGD, Cosine(alpha=0.1, p=1.5, horizon=1), 1.0, tuned=True),
+        "cosine bound needs K >= 2, got 1",
+    ),
+    "exp-cap": (
+        lambda: bound_exp(_SGD, Exponential(alpha=3.0, beta=1.0, p=1.0, horizon=64), 1.0),
+        "alpha 3.0 exceeds admissible cap 1.0",
+    ),
+    "exp-rr-horizon": (
+        lambda: bound_exp(_RR, Exponential(alpha=0.05, beta=2.0, p=1.0, horizon=64), 1.0),
+        "horizon too small: K/log(K/beta) = 18.466496523378733 below 10473.450075885034",
+    ),
+    "transform-cap": (
+        lambda: relaxed_recursion_transform(_SGD_HALF.params, 1.0, Constant(alpha=2.5), 16),
+        "largest step 2.5 exceeds admissible cap 2.0",
+    ),
+    "poly-a-cap": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=5.0, gamma=1.0, p=0.3), 1.0, 100),
+        "largest step 5.0 exceeds admissible cap 1.0",
+    ),
+    "poly-a-gamma-floor": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=0.1, gamma=1.0, p=0.3), 1.0, 100),
+        "gamma 1.0 below floor 151.215085787518",
+    ),
+    "poly-b-alpha-floor": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=0.1, gamma=100.0, p=_B), 1.0, 100),
+        "alpha 0.1 below floor 1.9022728546437844",
+    ),
+    "poly-b-p": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=0.1, gamma=100.0, p=0.3), 1.0, 100, case="b"),
+        "case b needs p = 0.75, got 0.3",
+    ),
+    "poly-c-alpha-floor": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=0.5, gamma=100.0, p=0.9), 1.0, 100),
+        "alpha 0.5 below floor 0.6666666666666664",
+    ),
+    "poly-c-gamma-floor": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=9.0, gamma=2.0, p=0.9), 1.0, 100),
+        "gamma 2.0 below floor 5.418316185783636",
+    ),
+    "poly-d-alpha-floor": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=1.0, gamma=100.0, p=1.0), 1.0, 100),
+        "alpha 1.0 below floor 6.666666666666666",
+    ),
+    "poly-d-offset": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=20.0, gamma=3.0, p=1.0), 1.0, 100),
+        "gamma 3.0 inadmissible; smallest admissible offset is 3232.0818121712928",
+    ),
+    "poly-d-offset-params": (
+        lambda: bound_poly(_CURVED, Polynomial(alpha=20.0, gamma=3.0, p=1.0), 1.0, 100, delta=0.5),
+        "gamma 3.0 inadmissible; smallest admissible offset is 1610.6702284415796",
+    ),
+    "poly-no-case": (
+        lambda: bound_poly(_SGD_HALF, Polynomial(alpha=1.0, gamma=3.0, p=1.5), 1.0, 100),
+        "no polynomial case covers p = 1.5 at theta = 0.5 (balance exponent 1.0)",
+    ),
+    "poly-tuned-p": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=1.0, gamma=3.0, p=1.0), 1.0, 100, tuned=True),
+        "tuned schedule must decay with exponent 0.75, got 1.0",
+    ),
+    "poly-tuned-sgd-alpha-floor": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=0.1, gamma=3.0, p=_B), 1.0, 100, tuned=True),
+        "alpha 0.1 below floor 1.9022728546437844",
+    ),
+    "poly-tuned-sgd-cap": (
+        lambda: bound_poly(_SGD, Polynomial(alpha=20.0, gamma=1.0, p=_B), 1.0, 100, tuned=True),
+        "largest step 20.0 exceeds admissible cap 1.0",
+    ),
+    "poly-tuned-rr-K": (
+        lambda: bound_poly(_RR_HALF, Polynomial(alpha=1.0, gamma=222.0, p=1.0), 1.0, 2, tuned=True),
+        "tuned reshuffling bound needs K >= 3, got 2",
+    ),
+    "poly-tuned-rr-beta-floor": (
+        lambda: bound_poly(
+            _RR_HALF, Polynomial(alpha=1.0, gamma=222.0, p=1.0), 1.0, 512, tuned={"beta": 1.0}
+        ),
+        "tuned beta 1.0 below floor 16.0",
+    ),
+    "poly-tuned-rr-gamma-floor": (
+        lambda: bound_poly(_RR_HALF, Polynomial(alpha=1.0, gamma=2.0, p=1.0), 1.0, 512, tuned=True),
+        "gamma 2.0 below floor 221.8070977791825",
+    ),
+    "poly-tuned-rr-horizon": (
+        lambda: bound_poly(
+            _RR_HALF, Polynomial(alpha=1.0, gamma=400.0, p=1.0), 1.0, 512, tuned=True
+        ),
+        "horizon 512 below 2*gamma = 800.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PRECONDITION_MESSAGES)
+def test_precondition_messages_keep_their_text(name):
+    evaluate, message = PRECONDITION_MESSAGES[name]
+    with pytest.raises(PreconditionError) as info:
+        evaluate()
+    assert str(info.value) == message

@@ -559,3 +559,11 @@ def test_nan_margins_fail_without_a_witness(monkeypatch):
         assert math.isnan(checks[name].margin)
         assert checks[name].witness_index is None
     assert checks["log-upper-bound"].passed
+
+
+def test_classical_spec_rejects_an_offset_that_absorbs_the_horizon():
+    params = ClassicalParams(c=1.0, d=1.0, nu=0.5, q=0.5, gamma=1e18)
+    with pytest.raises(ValueError, match="gamma \\+ horizon rounds to gamma in double precision"):
+        classical_spec(params, 32)
+    # 1e17 + 32 is still above 1e17
+    assert classical_spec(dataclasses.replace(params, gamma=1e17), 32).interval[1] > 1e17
