@@ -67,6 +67,7 @@ from .recursions import (
     PreconditionError,
     RecursionSpec,
     SuiteReport,
+    WorstMargin,
     classical_bound,
     classical_lambda,
     classical_spec,

@@ -427,12 +427,7 @@ def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
     }
     if not skip_verify:
         report = verify_pl(problem, sample_count=1000, seed=seed)
-        manifest["problem_check"] = {
-            "skipped": False,
-            "check": report.check,
-            "passed": report.passed,
-            "margin": report.margin,
-        }
+        manifest["problem_check"] = {"skipped": False, **dataclasses.asdict(report)}
         if not report.passed:
             _write_json(out / "manifest.json", manifest)
             print(

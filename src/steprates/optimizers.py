@@ -37,7 +37,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .plbounds import NumericFailure, smoothness_cap
-from .recursions import CheckResult, PreconditionError
+from .recursions import CheckResult, PreconditionError, WorstMargin
 from .schedules import StepSchedule, step_values, validate_cap
 
 # Numbers per block of steps the engine holds at once, over all seeds: the
@@ -579,8 +579,7 @@ def verify_pl(problem: Problem, sample_count: int, seed: int) -> CheckResult:
     radius = problem.domain_radius
     root = math.sqrt(2.0 * problem.pl_mu)
     theta = problem.pl_theta
-    worst = math.inf
-    violation = None
+    worst = WorstMargin("pl-inequality", "sample {}".format)
     for i in range(sample_count):
         x = rng.uniform(-radius, radius, size=problem.dimension)
         gap = float(problem.objective(x)) - problem.f_star
@@ -593,19 +592,9 @@ def verify_pl(problem: Problem, sample_count: int, seed: int) -> CheckResult:
                 witness_value=gap,
             )
         rhs = root * max(gap, 0.0) ** theta
-        margin = float(np.linalg.norm(problem.gradient(x))) - rhs
-        worst = min(worst, margin)
-        if margin < -1e-9 * max(1.0, rhs) and violation is None:
-            violation = (i, margin)
-    if violation is not None:
-        return CheckResult(
-            check="pl-inequality",
-            passed=False,
-            margin=worst,
-            witness_index=f"sample {violation[0]}",
-            witness_value=violation[1],
-        )
-    return CheckResult(check="pl-inequality", passed=True, margin=worst)
+        margin = [float(np.linalg.norm(problem.gradient(x))) - rhs]
+        worst.add(margin, margin, i, floor=1e-9 * max(1.0, rhs))
+    return worst.result()
 
 
 def verify_variance(
@@ -621,14 +610,13 @@ def verify_variance(
     rng = keyed_generators([seed])[0]
     radius = problem.domain_radius
     dim = problem.dimension
-    results: list[CheckResult] = []
+    checks: list[WorstMargin] = []
 
     if noise.kind == "additive_gaussian":
         if draws < 30:
             raise ValueError("need at least 30 draws for the stochastic check")
-        worst_mean = math.inf
-        worst_var = math.inf
-        mean_witness = var_witness = None
+        mean = WorstMargin("noise-mean-zero", "state {}".format)
+        variance = WorstMargin("noise-variance", "state {}".format)
         for i in range(sample_count):
             x = rng.uniform(-radius, radius, size=dim)
             gap = max(float(problem.objective(x)) - problem.f_star, 0.0)
@@ -636,62 +624,33 @@ def verify_variance(
             scale = math.sqrt(bound / dim)
             sample = rng.standard_normal((draws, dim)) * scale
             sq = np.einsum("ij,ij->i", sample, sample)
-            mean_vec = sample.mean(axis=0)
-            mean_slack = 3.0 * math.sqrt(bound / draws) - float(np.linalg.norm(mean_vec))
+            mean_norm = float(np.linalg.norm(sample.mean(axis=0)))
+            mean_slack = [3.0 * math.sqrt(bound / draws) - mean_norm]
             var_hat = float(sq.mean())
             se = float(sq.std(ddof=1)) / math.sqrt(draws)
-            var_slack = bound + 3.0 * se - var_hat
-            if mean_slack < worst_mean:
-                worst_mean, mean_witness = mean_slack, i
-            if var_slack < worst_var:
-                worst_var, var_witness = var_slack, i
-        results.append(
-            CheckResult(
-                check="noise-mean-zero",
-                passed=worst_mean >= 0.0,
-                margin=worst_mean,
-                witness_index=None if worst_mean >= 0.0 else f"state {mean_witness}",
-                witness_value=None if worst_mean >= 0.0 else worst_mean,
-            )
-        )
-        results.append(
-            CheckResult(
-                check="noise-variance",
-                passed=worst_var >= 0.0,
-                margin=worst_var,
-                witness_index=None if worst_var >= 0.0 else f"state {var_witness}",
-                witness_value=None if worst_var >= 0.0 else worst_var,
-            )
-        )
+            var_slack = [bound + 3.0 * se - var_hat]
+            mean.add(mean_slack, mean_slack, i)
+            variance.add(var_slack, var_slack, i)
+        checks += [mean, variance]
     else:
-        results.append(
-            CheckResult(check="noise-variance", passed=True, margin=noise.sigma**2)
-        )
+        variance = WorstMargin("noise-variance", "state {}".format)
+        variance.add([noise.sigma**2], [noise.sigma**2])
+        checks.append(variance)
 
     if problem.component_gradient is not None:
         N = problem.component_count
         every = np.arange(N)
-        worst = math.inf
-        witness = None
+        dispersion = WorstMargin("component-dispersion", "state {}".format)
         for i in range(sample_count):
             x = rng.uniform(-radius, radius, size=dim)
             devs = problem.component_gradient(np.tile(x, (N, 1)), every) - problem.gradient(x)
             disp = math.fsum(float(v) ** 2 for v in np.sqrt(_rowdot(devs, devs))) / N
             gap = max(float(problem.objective(x)) - problem.f_star, 0.0)
             bound = noise.A * gap + noise.sigma**2
-            slack = bound - disp + 1e-12 * max(1.0, bound)
-            if slack < worst:
-                worst, witness = slack, i
-        results.append(
-            CheckResult(
-                check="component-dispersion",
-                passed=worst >= 0.0,
-                margin=worst,
-                witness_index=None if worst >= 0.0 else f"state {witness}",
-                witness_value=None if worst >= 0.0 else worst,
-            )
-        )
-    return results
+            slack = [bound - disp + 1e-12 * max(1.0, bound)]
+            dispersion.add(slack, slack, i)
+        checks.append(dispersion)
+    return [check.result() for check in checks]
 
 
 def noise_free_bound(theta: float, mu: float, gap0: float, alpha_sum: float) -> float:

@@ -34,7 +34,8 @@ from .schedules import (
 
 
 class NumericFailure(RuntimeError):
-    """A simulation left its admissible region; index points at the bad step."""
+    """A simulation left its admissible region, or a bound is not finite;
+    index points at the bad step (-1, the horizon, for a bound)."""
 
     def __init__(self, message: str, index: int) -> None:
         super().__init__(message)
@@ -194,10 +195,11 @@ def descent_coefficients(
 
 def _coefficient(formula: str, value: Callable[[], float], **constants: float) -> float:
     """value(), a coefficient derived from constants; ValueError names them if
-    it overflows (float ** raises OverflowError where * gives inf)."""
+    it overflows (float ** raises OverflowError where * gives inf, and
+    ZeroDivisionError for 0.0 to a negative power)."""
     try:
         result = value()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         result = math.inf
     if not math.isfinite(result):
         given = ", ".join(f"{name} = {v!r}" for name, v in constants.items())
@@ -219,7 +221,8 @@ def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
     """Scaling constants of the relaxed recursion for a given delta > 0.
 
     Raises ValueError, naming zeta, when (l3/l2)^(1/(2*theta)) overflows a
-    float; a growth cap past the range of floats does not bind.
+    float, and naming xi when the cap xi^(-rho) does; a growth cap past the
+    range of floats does not bind.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -242,7 +245,9 @@ def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
             growth_cap = growth_base ** (two_theta / (tau - 1.0))
         except OverflowError:  # float ** raises; a cap past the floats does not bind
             pass
-    alpha_cap = min(growth_cap, xi ** (-rho))
+    alpha_cap = min(
+        growth_cap, _coefficient("alpha cap xi^(-rho)", lambda: xi ** (-rho), xi=xi, rho=rho)
+    )
     return DerivedConstants(
         delta=delta,
         zeta=zeta,
@@ -529,8 +534,14 @@ def _decay(coefficient: float, log_base: float) -> float:
 def _result(
     noise: float, init: float, regime: str, derived: DerivedConstants, details: dict
 ) -> BoundResult:
+    value = noise + init
+    if not math.isfinite(value):
+        raise NumericFailure(
+            f"bound value {value} is not finite ({regime}: noise term {noise}, init term {init})",
+            index=-1,
+        )
     return BoundResult(
-        value=noise + init,
+        value=value,
         noise_term=noise,
         init_term=init,
         regime=regime,

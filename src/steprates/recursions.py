@@ -183,6 +183,46 @@ class CheckResult:
     witness_value: float | None = None
 
 
+class WorstMargin:
+    """One check's CheckResult, streamed over its items in rows.
+
+    The rule every check follows: the margin is min() over the item margins
+    (NaN if any is NaN, +inf with no items); an item fails when its margin
+    is below -floor, the tolerance given with its row; the check passes only
+    when no item fails and no margin is NaN; the witness is the first
+    failing item, so never a NaN. `add` keeps what a scan of all items would
+    find without storing them. Item i of a row added with `where` is
+    labelled label(*where, i), formatted only for the witness.
+    """
+
+    __slots__ = ("name", "label", "margin", "witness")
+
+    def __init__(self, name: str, label: Callable[..., str]) -> None:
+        self.name = name
+        self.label = label
+        self.margin: float | None = None
+        self.witness: tuple | None = None
+
+    def add(self, margins: list[float], values: list[float], *where, floor: float = 0.0) -> None:
+        """Fold in one nonempty row of item margins and the values they witness."""
+        total = sum(margins)  # NaN when a margin is, or when both infinities are
+        low = math.nan if total != total and any(map(math.isnan, margins)) else min(margins)
+        if self.margin is None or low < self.margin or low != low:
+            self.margin = low  # a NaN, once in, stays: nothing is below it
+        if self.witness is None and not low >= -floor:
+            for i, m in enumerate(margins):
+                if m < -floor:
+                    self.witness = (values[i], self.label(*where, i))
+                    return
+
+    def result(self) -> CheckResult:
+        margin = math.inf if self.margin is None else self.margin
+        if self.witness is None:
+            return CheckResult(self.name, not math.isnan(margin), margin)
+        value, label = self.witness
+        return CheckResult(self.name, False, margin, label, value)
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
     convex: bool
@@ -554,58 +594,9 @@ def classical_spec(
 # --- grid verification of the supporting inequalities ---------------------
 
 
-class _Worst:
-    """The worst margin of one check and its first negative item, streamed.
-
-    The items come in rows, in order; `add` keeps what min() over all their
-    margins and a scan for the first margin below 0 would find, without
-    storing them. Item i of a row added with `where` is labelled
-    label(*where, i), formatted only for the witness.
-    """
-
-    __slots__ = ("name", "label", "margin", "witness")
-
-    def __init__(self, name: str, label: Callable[..., str]) -> None:
-        self.name = name
-        self.label = label
-        self.margin: float | None = None
-        self.witness: tuple | None = None
-
-    def add(self, margins: list[float], values: list[float], *where) -> None:
-        worst = self.margin
-        if math.isfinite(sum(margins)):
-            # no NaN in the row, so its min() folds into worst as its items would
-            low = min(margins)
-            if worst is None or low < worst:
-                self.margin = low
-            if not low < 0.0:
-                return
-        else:
-            for m in margins:
-                if worst is None or m < worst:
-                    worst = m
-            self.margin = worst
-        if self.witness is None:
-            for i, m in enumerate(margins):
-                if m < 0.0:
-                    self.witness = (values[i], self.label(*where, i))
-                    return
-
-    def result(self) -> CheckResult:
-        worst = self.margin
-        if worst >= 0.0:
-            return CheckResult(check=self.name, passed=True, margin=worst)
-        if self.witness is None:  # a NaN margin, and none below 0
-            return CheckResult(check=self.name, passed=False, margin=worst)
-        value, label = self.witness
-        return CheckResult(
-            check=self.name, passed=False, margin=worst, witness_index=label, witness_value=value
-        )
-
-
 def _log_bound_check() -> CheckResult:
     xs = [-1.0] + [-1.0 + 0.01 * i for i in range(1, 200)] + [float(i) for i in range(1, 100)]
-    worst = _Worst("log-upper-bound", lambda i: f"x={xs[i]:.6g}")
+    worst = WorstMargin("log-upper-bound", lambda i: f"x={xs[i]:.6g}")
     lhs = [math.log1p(x) if x > -1.0 else -math.inf for x in xs]
     worst.add([x - lv for x, lv in zip(xs, lhs)], xs)
     return worst.result()
@@ -628,7 +619,7 @@ def _product_exp_check(k_max: int) -> CheckResult:
     margins.append(math.exp(0.0) - 1.0)  # equality case
     values.append(1.0)
     # item i < case is set i, the third of its n's; the last is the equality case
-    worst = _Worst(
+    worst = WorstMargin(
         "product-exp-bound", lambda i: "n=3,zeros" if i == case else f"n={2 ** (i // 3)},set={i}"
     )
     worst.add(margins, values)
@@ -637,7 +628,9 @@ def _product_exp_check(k_max: int) -> CheckResult:
 
 def _power_difference_check(r_grid: list[float]) -> CheckResult:
     grid = [10.0 ** (-2.0 + 4.0 * i / 24.0) for i in range(25)]
-    worst = _Worst("power-difference-bound", lambda r, x, i: f"r={r},x={x:.4g},y={grid[i]:.4g}")
+    worst = WorstMargin(
+        "power-difference-bound", lambda r, x, i: f"r={r},x={x:.4g},y={grid[i]:.4g}"
+    )
     for r in list(r_grid) + [1e-3, 10.0]:
         for x in grid:
             lhs = [x**r - y**r for y in grid]
@@ -647,8 +640,8 @@ def _power_difference_check(r_grid: list[float]) -> CheckResult:
 
 
 def _cosine_bracket_check(k_max: int) -> tuple[CheckResult, CheckResult]:
-    lower = _Worst("cosine-lower-bracket", "K={},k={}".format)
-    upper = _Worst("cosine-upper-bracket", "K={},k={}".format)
+    lower = WorstMargin("cosine-lower-bracket", "K={},k={}".format)
+    upper = WorstMargin("cosine-upper-bracket", "K={},k={}".format)
     for K in range(1, k_max + 1):
         fracs = [1.0 - k / K for k in range(K + 1)]
         mids = [1.0 + math.cos(k * math.pi / K) for k in range(K + 1)]
@@ -658,7 +651,7 @@ def _cosine_bracket_check(k_max: int) -> tuple[CheckResult, CheckResult]:
 
 
 def _cosine_shifted_check(k_max: int) -> CheckResult:
-    worst = _Worst("cosine-shifted-lower", "K={},k={}".format)
+    worst = WorstMargin("cosine-shifted-lower", "K={},k={}".format)
     for K in range(2, k_max + 1):
         lhs = [1.0 + math.cos((k + 1) * math.pi / K) for k in range(K - 1)]
         rhs = [0.5 * (1.0 - k / K) ** 2 for k in range(K - 1)]
@@ -667,7 +660,7 @@ def _cosine_shifted_check(k_max: int) -> CheckResult:
 
 
 def _cosine_increment_check(k_max: int) -> CheckResult:
-    worst = _Worst("cosine-increment-lower", "K={},k={}".format)
+    worst = WorstMargin("cosine-increment-lower", "K={},k={}".format)
     for K in range(1, k_max + 1):
         lhs = [math.cos((k + 1) * math.pi / K) - math.cos(k * math.pi / K) for k in range(K)]
         rhs = [-(math.pi**2 / K) * (1.0 - k / K) for k in range(K)]
@@ -676,7 +669,7 @@ def _cosine_increment_check(k_max: int) -> CheckResult:
 
 
 def _cosine_power_sum_check(k_max: int, r_grid: list[float]) -> CheckResult:
-    worst = _Worst("cosine-power-sum", lambda K, i: f"K={K},r={r_grid[i]}")
+    worst = WorstMargin("cosine-power-sum", lambda K, i: f"K={K},r={r_grid[i]}")
     for K in range(1, k_max + 1):
         bases = [(1.0 + math.cos(k * math.pi / K)) / 2.0 for k in range(K)]
         totals = [math.fsum(base**r for base in bases) for r in r_grid]
@@ -702,7 +695,9 @@ def _integral_sandwich_check(k_max: int) -> CheckResult:
                 margins += [total - low, high - total]
                 values += [total, total]
                 keys += [(nu, gamma, a, b, "lower"), (nu, gamma, a, b, "upper")]
-    worst = _Worst("integral-sandwich", lambda i: "nu={},gamma={},a={},b={},{}".format(*keys[i]))
+    worst = WorstMargin(
+        "integral-sandwich", lambda i: "nu={},gamma={},a={},b={},{}".format(*keys[i])
+    )
     worst.add(margins, values)
     return worst.result()
 

@@ -47,6 +47,7 @@ from .recursions import (
     PreconditionError,
     RecursionSpec,
     SuiteReport,
+    WorstMargin,
     classical_bound,
     classical_lambda,
     classical_spec,
@@ -113,13 +114,19 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
     spec = _example2_spec(K)
     cert = find_lambda_constant(spec)
     exact = iterate_recursion_exact(spec, 1.0, K)
-    gap = max(abs(general_bound(spec, cert, 1.0, k) - exact[k + 1]) for k in range(K))
-    checks = [CheckResult("example2-tightness", gap <= 1e-12, gap)]
+    tight = WorstMargin("example2-tightness", "k={}".format)
+    gaps = [-abs(general_bound(spec, cert, 1.0, k) - exact[k + 1]) for k in range(K)]
+    tight.add(gaps, gaps, floor=1e-12)
+    checks = [tight.result()]
 
+    # every margin is a slack, negative where the claim is violated
+    per_k = "draw {} k={}".format
+    dominates = WorstMargin("general-bound-dominates-iterates", per_k)
+    closed_form = WorstMargin("closed-form-dominates-general", per_k)
+    consistency = WorstMargin("classical-general-consistency", per_k)
+    extension = WorstMargin("extension-propagation", "draw {}".format)
+    forgetting = WorstMargin("forgetting-dominates-general", per_k)
     rng = keyed_generators([seed])[0]
-    dom_worst = ext_worst = forget_worst = math.inf
-    cls_worst = consistency_worst = 0.0
-    dom_witness = None
     for draw in range(run):
         params = draw_classical_params(rng, rng.uniform() < 0.3)
         horizon = int(rng.integers(4, 80))
@@ -134,41 +141,30 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
             return SuiteReport(tuple(checks), counts)
         a0 = float(rng.uniform(0.0, 3.0))
         exact = iterate_recursion_exact(spec, a0, horizon)
-        r0 = spec.grid.r[0]
-        for k in range(horizon):
-            bound = general_bound(spec, cert, a0, k)
-            slack = bound - exact[k + 1]
-            if slack < dom_worst:
-                dom_worst, dom_witness = slack, f"draw {draw} k={k}"
-            closed = classical_bound(params, a0, k)
-            cls_worst = max(cls_worst, bound - closed)
-            fb = forgetting_bound(spec, cert, a0, k)
-            forget_worst = min(forget_worst, fb - bound)
+        bounds = [general_bound(spec, cert, a0, k) for k in range(horizon)]
+        slacks = [bound - exact[k + 1] for k, bound in enumerate(bounds)]
+        dominates.add(slacks, slacks, draw, floor=1e-10)
+        slacks = [classical_bound(params, a0, k) - bound for k, bound in enumerate(bounds)]
+        closed_form.add(slacks, slacks, draw, floor=1e-10)
+        slacks = [forgetting_bound(spec, cert, a0, k) - bound for k, bound in enumerate(bounds)]
+        forgetting.add(slacks, slacks, draw, floor=1e-10)
         mid = horizon // 2
         b_mid = lam * spec.grid.r[mid + 1]
-        c_mid = a0 - lam * r0
-        extended = extend_bound(spec, b_mid, c_mid, 0, mid, horizon)
-        ext_worst = min(ext_worst, extended - exact[horizon])
+        c_mid = a0 - lam * spec.grid.r[0]
+        slacks = [extend_bound(spec, b_mid, c_mid, 0, mid, horizon) - exact[horizon]]
+        extension.add(slacks, slacks, draw, floor=1e-10)
 
         integral = classical_spec(params, horizon, decay="integral")
         cert_i = find_lambda_constant(integral, lambda_target=lam)
         a0_hi = lam * integral.grid.r[0] * (1.0 + float(rng.uniform(0.0, 2.0)))
+        slacks = []
         for k in range(horizon):
             gb = general_bound(integral, cert_i, a0_hi, k)
             cb = classical_bound(params, a0_hi, k)
-            consistency_worst = max(consistency_worst, abs(gb - cb) / max(1.0, abs(cb)))
+            slacks.append(-abs(gb - cb) / max(1.0, abs(cb)))
+        consistency.add(slacks, slacks, draw, floor=1e-10)
 
-    dominated = dom_worst >= -1e-10
-    witness = (None, None) if dominated else (dom_witness, dom_worst)
-    checks += [
-        CheckResult("general-bound-dominates-iterates", dominated, dom_worst, *witness),
-        CheckResult("closed-form-dominates-general", cls_worst <= 1e-10, cls_worst),
-        CheckResult(
-            "classical-general-consistency", consistency_worst <= 1e-10, consistency_worst
-        ),
-        CheckResult("extension-propagation", ext_worst >= -1e-10, ext_worst),
-        CheckResult("forgetting-dominates-general", forget_worst >= -1e-10, forget_worst),
-    ]
+    checks += [c.result() for c in (dominates, closed_form, consistency, extension, forgetting)]
     return SuiteReport(tuple(checks), counts)
 
 
@@ -275,8 +271,7 @@ def bounds_suite(
     dominated ("d/evaluated") and resampled.
     """
     rng = keyed_generators([seed])[0]
-    worst = math.inf
-    witness = None
+    worst = WorstMargin("bound-dominates-simulation", "method={} schedule={} K={}".format)
     evaluated = 0
     dominated = 0
     resampled = 0
@@ -295,24 +290,15 @@ def bounds_suite(
         except NumericFailure:
             resampled += 1
             continue
-        value = evaluate(y0).value
-        slack = value - trajectory[-1]
+        slack = evaluate(y0).value - trajectory[-1]
+        floor = 1e-10 * max(1.0, abs(trajectory[-1]))
         evaluated += 1
-        if slack >= -1e-10 * max(1.0, abs(trajectory[-1])):
-            dominated += 1
-        elif witness is None:
-            witness = f"method={mc.method} schedule={type(schedule).__name__} K={K}"
-        worst = min(worst, slack)
-    passed = dominated == draws and evaluated == draws
-    check = CheckResult(
-        check="bound-dominates-simulation",
-        passed=passed,
-        margin=worst,
-        witness_index=witness,
-        witness_value=None if passed else worst,
-    )
+        dominated += slack >= -floor
+        worst.add([slack], [slack], mc.method, type(schedule).__name__, K, floor=floor)
+    if evaluated < draws:  # the attempts ran out; a draw never evaluated has no margin
+        worst.add([math.nan], [])
     counts = {"dominated": f"{dominated}/{evaluated}", "resampled": resampled}
-    return SuiteReport((check,), counts)
+    return SuiteReport((worst.result(),), counts)
 
 
 def _relabel(result: CheckResult, label: str) -> CheckResult:

@@ -195,16 +195,17 @@ def recursion_slope_terms(spec):
 # ---------------------------------------------------------------------------
 # grid checks of the supporting inequalities, each built as a list of
 # (margin, label, value) items; a check is the tuple (name, passed, margin,
-# witness label, witness value), the worst margin with the first negative item
+# witness label, witness value), the worst margin with the first negative item;
+# a NaN margin makes the worst margin NaN and fails the check, and a NaN is
+# never the witness
 
 
 def _check_from(name, margins):
-    worst = min(m for m, _, _ in margins)
-    if worst >= 0.0:
-        return (name, True, worst, None, None)
+    nan = any(math.isnan(m) for m, _, _ in margins)
+    worst = math.nan if nan else min(m for m, _, _ in margins)
     first_bad = next((item for item in margins if item[0] < 0.0), None)
-    if first_bad is None:  # the worst margin is NaN and none is below 0
-        return (name, False, worst, None, None)
+    if first_bad is None:
+        return (name, not nan, worst, None, None)
     return (name, False, worst, first_bad[1], first_bad[2])
 
 

@@ -29,6 +29,7 @@ from steprates.optimizers import (
     verify_pl,
 )
 from steprates.plbounds import PLParams, simulate_pl_recursion
+from steprates.rates import fit_loglog
 from steprates.recursions import CheckResult
 from steprates.schedules import Constant
 
@@ -195,6 +196,28 @@ def test_bound_overflowing_growth_cap_does_not_bind(tmp_path):
     assert math.isfinite(payload["value"])
 
 
+@pytest.mark.parametrize("mu", [1e-320, 5e-324])
+def test_bound_overflowing_step_cap_is_config_error(tmp_path, capsys, mu):
+    # xi = mu/2 is subnormal, or 0.0 at mu = 5e-324, so the cap xi^(-rho)
+    # overflows; it ended in an OverflowError (ZeroDivisionError) traceback
+    constants = dict(BOUND_CONST["constants"], mu=mu, sigma=0.0)
+    assert run_cli(tmp_path, "bound", dict(BOUND_CONST, constants=constants)) == 2
+    assert "alpha cap xi^(-rho) overflows a float for xi = " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bound.json").exists()
+
+
+@pytest.mark.parametrize("family", ["cos", "exp"])
+def test_bound_value_that_is_not_finite_is_numeric_failure(tmp_path, capsys, family):
+    # xi = 5e-321 makes the noise term's log argument overflow to inf; the
+    # bound was written as inf with exit 0
+    constants = {"theta": 1.0, "L": 1.0, "mu": 1e-320, "A": 0.0, "sigma": 1e-170}
+    config = dict(BOUND_CONST, family=family, constants=constants, K=4096)
+    config["schedule"] = FAMILY_SCHEDULES[family]
+    assert run_cli(tmp_path, "bound", config) == 3
+    assert "bound value inf is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bound.json").exists()
+
+
 def test_bound_missing_schedule_is_config_error(tmp_path):
     config = {k: v for k, v in BOUND_CONST.items() if k != "schedule"}
     assert run_cli(tmp_path, "bound", config) == 2
@@ -331,6 +354,7 @@ def test_run_problem_verification_gate(tmp_path, monkeypatch):
     out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["problem_check"]["passed"] is False
+    assert manifest["problem_check"]["witness_index"] == "sample 3"
     assert not (out / "trajectories.csv").exists()
     assert run_cli(tmp_path, "run", RUN_GD, extra=["--skip-verify"]) == 0
 
@@ -382,6 +406,20 @@ def test_fit_multiple_series_keyed_by_id(tmp_path):
     assert run_cli(tmp_path, "fit", fit_config, name="fit.json.cfg") == 0
     payload = json.loads((tmp_path / "out" / "fit.json").read_text(encoding="utf-8"))
     assert set(payload) == {"flat", "poly"}
+
+
+def test_fit_trajectories_gives_one_series_per_seed(tmp_path):
+    config = dict(RUN_SGD, K=64, seeds=[3, 11])
+    assert run_cli(tmp_path, "run", config) == 0
+    table = tmp_path / "out" / "trajectories.csv"
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert run_cli(tmp_path, "fit", {"input": str(table)}, name="fit.json.cfg") == 0
+    payload = json.loads((tmp_path / "out" / "fit.json").read_text(encoding="utf-8"))
+    assert set(payload) == {"seed-3", "seed-11"}
+    for seed in (3, 11):
+        points = [(int(k), float(gap)) for k, s, gap in rows if s == str(seed) and int(k) >= 1]
+        assert payload[f"seed-{seed}"]["slope"] == fit_loglog(points).slope
 
 
 def test_fit_rejects_malformed_csv(tmp_path):

@@ -345,6 +345,35 @@ def test_verify_variance_detects_understated_sigma():
     assert disp.witness_index is not None
 
 
+def nan_gradient(X):
+    return np.full(np.shape(X), np.nan)
+
+
+def test_verify_pl_fails_a_nan_gradient():
+    problem = dataclasses.replace(make_quadratic(1.0, 1.0, 2), gradient=nan_gradient)
+    result = verify_pl(problem, 50, seed=2)
+    assert not result.passed
+    assert math.isnan(result.margin)
+    assert (result.witness_index, result.witness_value) == (None, None)
+
+
+def test_verify_variance_fails_nan_moments():
+    problem = make_quadratic(1.0, 1.0, 1, N=2)
+    for noise in (NoiseModel("additive_gaussian", sigma=math.nan), NoiseModel("none", math.nan)):
+        checks = verify_variance(problem, noise, 20, 50, seed=4)
+        assert [c.passed for c in checks] == [False] * len(checks), noise
+        assert all(c.witness_index is None and c.witness_value is None for c in checks)
+    # honest moments, NaN component gradients: only the dispersion check fails
+    broken = dataclasses.replace(problem, component_gradient=lambda X, idx: nan_gradient(X))
+    checks = verify_variance(broken, NoiseModel("additive_gaussian", sigma=1.0), 20, 50, seed=4)
+    assert [(c.check, c.passed) for c in checks] == [
+        ("noise-mean-zero", True),
+        ("noise-variance", True),
+        ("component-dispersion", False),
+    ]
+    assert checks[-1].witness_index is None and math.isnan(checks[-1].margin)
+
+
 def test_noise_free_bound_values_and_validation():
     assert noise_free_bound(0.5, 2.0, 3.0, 1.5) == pytest.approx(
         3.0 * math.exp(-3.0), rel=1e-15

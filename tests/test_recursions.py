@@ -164,6 +164,22 @@ def test_classical_general_bounds_agree_at_line_example():
     assert iterate_recursion_exact(spec, 0.0, 1)[1] == pytest.approx(0.25, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ClassicalParams(c=1.5, d=2.0, nu=0.7, q=0.6, gamma=6.0),
+        ClassicalParams(c=2.0, d=1.0, nu=1.0, q=0.5, gamma=3.0),
+    ],
+)
+def test_numeric_ratio_derivative_certifies_the_analytic_lambda(params):
+    # without a ratio, r' comes from FunctionDescriptor.d's central differences of s/t
+    spec = classical_spec(params, 64)
+    analytic = find_lambda_constant(spec)
+    numeric = find_lambda_constant(dataclasses.replace(spec, ratio=None))
+    assert numeric.certified_horizon == analytic.certified_horizon == 64
+    assert numeric.lam == pytest.approx(analytic.lam, abs=1e-8)
+
+
 def _classical_draw(rng) -> ClassicalParams:
     if rng.uniform() < 0.4:
         c = float(rng.uniform(0.5, 2.5))
@@ -521,6 +537,7 @@ PERTURBATIONS = {
         )
     ),
     "cos-nan-tail": dict(cos=lambda x: math.nan if x > 3.0 else max(math.cos(x) - 1e-2, -1.0)),
+    "cos-nan-mid-row": dict(cos=lambda x: math.nan if x == math.pi / 2 else math.cos(x)),
     "cos-high": dict(cos=lambda x: math.cos(x) + 1e-3),
     "log1p-high": dict(log1p=lambda x: math.log1p(x) + 1e-2 * abs(x)),
     "exp-low": dict(exp=lambda x: 0.5 * math.exp(x)),
@@ -558,6 +575,24 @@ def test_nan_margins_fail_without_a_witness(monkeypatch):
         assert not checks[name].passed
         assert math.isnan(checks[name].margin)
         assert checks[name].witness_index is None
+    assert checks["log-upper-bound"].passed
+
+
+def test_a_nan_mid_row_fails_without_a_witness(monkeypatch):
+    # cos(pi/2) is NaN: mid-row in the brackets at K = 2, 4, 6, 8, a whole
+    # later row of the increment and power-sum checks; every first row is finite
+    cos = lambda x: math.nan if x == math.pi / 2 else math.cos(x)
+    monkeypatch.setattr(recursions, "math", PerturbedMath(cos=cos))
+    checks = {c.check: c for c in tech_inequality_suite(8, [1.0]).checks}
+    for name in (
+        "cosine-lower-bracket",
+        "cosine-upper-bracket",
+        "cosine-increment-lower",
+        "cosine-power-sum",
+    ):
+        assert not checks[name].passed, name
+        assert math.isnan(checks[name].margin)
+        assert (checks[name].witness_index, checks[name].witness_value) == (None, None)
     assert checks["log-upper-bound"].passed
 
 
