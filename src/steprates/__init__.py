@@ -48,6 +48,7 @@ from .plbounds import (
     rr_constants,
     sgd_constants,
     simulate_pl_grid,
+    simulate_pl_lanes,
     simulate_pl_recursion,
     smallest_offset,
 )

@@ -162,8 +162,11 @@ def _compensated_sum(first: np.ndarray, rest: Iterable[np.ndarray] = ()) -> np.n
     lane's compensation collects it. Then Neumaier's row loop sums the B
     lane totals in order, with a compensation that starts from the sum of
     the lane compensations. With no later block this is the row loop over
-    first alone, and two rows are summed exactly rounded, as math.fsum does.
-    Buffers are the size of first and reused across blocks.
+    first alone, and two rows are summed exactly rounded, as math.fsum does,
+    so two rows alone are returned as first[0] + first[1]: the loop's bits
+    wherever the sum is finite and not -0.0 (the loop turns an infinite sum
+    into NaN and -0.0 + -0.0 into +0.0). Buffers are the size of first and
+    reused across blocks.
 
     This is Ogita, Rump and Oishi's Sum2 (2005, Prop. 4.5) applied per lane
     and then across lanes. Elementwise, over S rows, the error is at most
@@ -195,6 +198,8 @@ def _compensated_sum(first: np.ndarray, rest: Iterable[np.ndarray] = ()) -> np.n
             lanes, nxt = nxt, lanes
         else:
             t[...] = s
+    if lane_comp is None and len(lanes) == 2:
+        return lanes[0] + lanes[1]
     comp = np.zeros(lanes.shape[1:]) if lane_comp is None else lane_comp.sum(axis=0)
     total = np.array(lanes[0], dtype=float)
     nxt, kept, lost = (np.empty(total.shape) for _ in range(3))

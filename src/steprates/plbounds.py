@@ -15,11 +15,14 @@ smoothness cap and N-scaled constants.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .recursions import FunctionDescriptor, PreconditionError, RecursionSpec
 from .schedules import (
@@ -361,6 +364,144 @@ def simulate_pl_recursion(
             if not math.isfinite(y):
                 raise NumericFailure(f"trajectory value {y} is not finite at step {i}", index=i)
     return ys
+
+
+# numbers in each per-block array of simulate_pl_lanes, as in the seed sums'
+# row blocks: 2^15 doubles (256 KiB)
+_LANE_BLOCK = 1 << 15
+# the constants each family's closed form reads, as columns of lanes
+_STEP_FIELDS = {
+    Constant: ("alpha",),
+    Polynomial: ("alpha", "gamma", "p"),
+    Exponential: ("alpha", "log_decay"),
+    Cosine: ("alpha", "p", "horizon"),
+}
+
+
+def _lane_steps(family: type, k: np.ndarray, alpha: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """Steps at the indices k (a column) of lanes of one family, one per
+    column, by step_values' closed form, evaluated in one buffer."""
+    if family is Constant:
+        return np.broadcast_to(alpha, (len(k), len(alpha)))
+    if family is Polynomial:
+        gamma, p = rest
+        steps = k + gamma
+        np.power(steps, p, out=steps)
+        return np.divide(alpha, steps, out=steps)
+    if family is Exponential:
+        steps = k * rest[0]
+        np.exp(steps, out=steps)
+    else:
+        p, horizon = rest
+        steps = k * math.pi / horizon
+        np.cos(steps, out=steps)
+        steps += 1.0
+        steps /= 2.0
+        np.power(steps, p, out=steps)
+    steps *= alpha
+    return steps
+
+
+def simulate_pl_lanes(
+    lanes: Sequence[tuple[PLParams, StepSchedule, float, int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """simulate_pl_recursion for many (params, schedule, y0, K) lanes at once.
+
+    Returns three arrays in the order of lanes: y_K, the smallest y of the
+    trajectory (NaN once a y is NaN), and whether some y went negative or
+    was not finite, where simulate_pl_recursion raises NumericFailure. The
+    lanes step together as numpy columns, sorted by K in descending order,
+    so the active lanes are a prefix that shrinks as each reaches its K.
+    Steps and their powers come per time block from the schedules' closed
+    forms; a block holds at most 2^15 numbers per array, so it runs
+    max(1, 2^15 // active lanes) steps, and ends where a lane does.
+
+    The arithmetic is the scalar loop's, but numpy's exp and pow differ
+    from the math module's by about an ulp, and a block that holds a lane
+    of general theta forms every pull term as (l2*a)*y^(2*theta); so values
+    agree with the scalar ones to rounding, not bit for bit. A lane runs on
+    past a bad value and no warning is raised.
+    """
+    count = len(lanes)
+    if not count:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
+    for _, schedule, y0, K in lanes:
+        _check_start(y0, K)
+        horizon = getattr(schedule, "horizon", None)
+        if horizon is not None and K - 1 > horizon:
+            raise ValueError(f"step index {K - 1} beyond horizon {horizon}")
+    horizons = np.array([lane[3] for lane in lanes], dtype=np.int64)
+    order = np.argsort(-horizons, kind="stable")
+    ordered = [lanes[i] for i in order]
+    ends = -horizons[order]  # ascending: lanes with K > k are the first searchsorted(ends, -k)
+    l1, l2, l3, tau, two_theta, y = (
+        np.array(column, dtype=float)
+        for column in zip(
+            *((p.l1, p.l2, p.l3, p.tau, 2.0 * p.theta, y0) for p, _, y0, _ in ordered)
+        )
+    )
+    # the pull term is l2*a*y^exponent, or (l2*a*y)*y as the scalar loop
+    # forms it where a block holds no general theta; affine lanes fold l2*a
+    # into the growth factor, as the scalar loop does, and pull nothing
+    affine = two_theta == 1.0
+    general = ~affine & (two_theta != 2.0)
+    exponents = np.where(affine, 0.0, two_theta)
+    cube, other = tau == 3.0, (tau != 2.0) & (tau != 3.0)
+    families: dict[type, list[int]] = {}
+    for i, (_, schedule, _, _) in enumerate(ordered):
+        if type(schedule) not in _STEP_FIELDS:
+            raise TypeError(f"unknown schedule type {type(schedule).__name__}")
+        families.setdefault(type(schedule), []).append(i)
+    steps = []
+    for family, where in families.items():
+        fields = [[getattr(ordered[i][1], name) for i in where] for name in _STEP_FIELDS[family]]
+        steps.append((family, np.array(where), np.array(fields, dtype=float)))
+    smallest = y.copy()
+    active, k0 = count, 0
+    # four (L, n) arrays, reused by every block: steps a, turned into l2*a
+    # in place, a^tau into l3*a^tau, the growth factor, and the trajectory
+    buffers = np.empty((4, min(max(_LANE_BLOCK, count), -int(ends[0]) * count) + count))
+    mul, sub, add, power = np.multiply, np.subtract, np.add, np.power
+    with np.errstate(all="ignore"):
+        while active:
+            n = active
+            L = min(max(1, _LANE_BLOCK // n), -int(ends[n - 1]) - k0)
+            k = np.arange(k0, k0 + L, dtype=float)[:, None]
+            pull, push, growth, ys = (
+                buffer[: rows * n].reshape(rows, n)
+                for buffer, rows in zip(buffers, (L, L, L, L + 1))
+            )
+            for family, where, constants in steps:
+                m = int(np.searchsorted(where, n))
+                if m:
+                    pull[:, where[:m]] = _lane_steps(family, k, *constants[:, :m])
+            mul(pull, pull, out=push)
+            mul(push, pull, out=push, where=cube[:n])
+            power(pull, tau[:n], out=push, where=other[:n])
+            mul(l1[:n], push, out=growth)
+            growth += 1.0
+            pull *= l2[:n]
+            sub(growth, pull, out=growth, where=affine[:n])
+            np.copyto(pull, 0.0, where=affine[:n])
+            push *= l3[:n]
+            mixed = bool(general[:n].any())
+            exponent = exponents[:n]
+            ys[0] = y[:n]
+            term = np.empty(n)
+            for y_k, y_next, g, la, b in zip(ys, ys[1:], growth, pull, push):
+                if mixed:
+                    mul(power(y_k, exponent, out=term), la, out=term)
+                else:
+                    mul(mul(la, y_k, out=term), y_k, out=term)
+                sub(mul(g, y_k, out=y_next), term, out=y_next)
+                add(y_next, b, out=y_next)
+            np.minimum(smallest[:n], ys[1:].min(axis=0), out=smallest[:n])
+            y[:n] = ys[L]
+            k0 += L
+            active = int(np.searchsorted(ends, -k0))
+    final, low = np.empty(count), np.empty(count)
+    final[order], low[order] = y, smallest
+    return final, low, ~(low >= 0.0) | ~np.isfinite(final)
 
 
 def _picked_finals(
@@ -706,12 +847,30 @@ def _offset_grid(K: int) -> tuple[int, ...]:
     return tuple(ks)
 
 
+def _offset_points(K: int, peaks: Sequence[float]) -> list[int]:
+    """k = 0, the last point of _offset_grid(K), and the two grid points on
+    each side of each peak, a real k that may lie off the grid."""
+    grid = _offset_grid(K)
+    points = {grid[0], grid[-1]}
+    for peak in peaks:
+        i = bisect.bisect_right(grid, peak)  # grid[i - 1] <= peak < grid[i]
+        points.update(grid[max(0, i - 2) : i + 2])
+    return sorted(points)
+
+
 def offset_admissible(params: PLParams, alpha: float, K: int, gamma: float) -> bool:
     """Offset test for the p = 1 slow-decay case (case d) at horizon K.
 
     gamma*log(gamma) must clear alpha*theta*l2 and the two term-domination
     inequalities of the analysis must hold for every k = 0..64 and for the
     doubling grid beyond it up to K.
+
+    In u = log(k + gamma), at least 1 as gamma >= e, each inequality's left
+    side is a constant plus -(tau-1)*u + c*log(u), with c = 1 for the
+    growth term and 2*theta/(2*theta-1) for the noise term: concave, and
+    largest at u = c/(tau-1). So over the grid it is largest at k = 0, at
+    the last point or next to the peak, and testing those points, two on
+    each side of each peak, decides as testing the whole grid does.
     """
     theta, l1, l2, l3, tau = params.theta, params.l1, params.l2, params.l3, params.tau
     log_power = 2.0 * theta / (2.0 * theta - 1.0)
@@ -723,7 +882,10 @@ def offset_admissible(params: PLParams, alpha: float, K: int, gamma: float) -> b
     # would overflow plain float evaluation long before the test decides
     slack = math.log1p(_REL)
     log_alpha = math.log(alpha)
-    for kk in _offset_grid(K):
+    peaks = [c / (tau - 1.0) for c in (1.0, log_power)]
+    # a peak past e^700 lies beyond every grid
+    peaks = [math.exp(u) - gamma if u < 700.0 else math.inf for u in peaks]
+    for kk in _offset_points(K, peaks):
         x = kk + gamma
         lg = math.log(x)
         base = (tau - 1.0) * (log_alpha - lg)

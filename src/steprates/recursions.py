@@ -142,7 +142,9 @@ class CertifiedLambda:
 
     certified_horizon counts the consecutive step indices from 0 whose slope
     condition holds, so the bound may be evaluated at k < certified_horizon.
-    A value of 0 means no step could be certified.
+    A value of 0 means no step could be certified. condition_margin is the
+    least slack of the slope condition over the certified run: 0 for the
+    least lambda, found without a target, and -inf when nothing is certified.
     """
 
     lam: float
@@ -378,9 +380,11 @@ def find_lambda_constant(
             feasible.append(h)
         if not feasible:
             return CertifiedLambda(math.inf, 0, -math.inf)
+        # lam is the least lambda that clears every 1/(1 + h), so the least
+        # slack is 0, at the binding index; h + 1 - 1/lam, the same slack
+        # in other units, rounds apart from it and can read -1e-16
         lam = max(1.0 / (1.0 + h) for h in feasible)
-        margin = min(h + 1.0 - 1.0 / lam for h in feasible)
-        return CertifiedLambda(lam, len(feasible), margin)
+        return CertifiedLambda(lam, len(feasible), 0.0)
     if not lambda_target > 0:
         raise ValueError("lambda_target must be positive")
     threshold = -1.0 + 1.0 / lambda_target

@@ -7,12 +7,13 @@ recursion evaluator or list-building inequality check that the cached spec
 grid and the streamed checks must reproduce bit for bit, a per-step or
 per-cell loop that the step sum and the recursion grid must reproduce bit
 for bit, the row-by-row compensated sum that the lane-strided one must
-reproduce bit for bit on a single block, or the cell-by-cell CSV writer
-whose bytes the block writer must reproduce. Nothing in this module
-imports the package under test: these are the independent routes (the
-per-cell loops take the package's scalar functions as arguments), and the
-tests assert that the library agrees with them. Running the module prints
-the table of pinned values.
+reproduce bit for bit on a single block, the cell-by-cell CSV writer
+whose bytes the block writer must reproduce, or the case-d offset test
+over its whole grid, whose decisions the peak test must reproduce. Nothing
+in this module imports the package under test: these are the independent
+routes (the per-cell loops take the package's scalar functions as
+arguments), and the tests assert that the library agrees with them.
+Running the module prints the table of pinned values.
 """
 from __future__ import annotations
 
@@ -685,3 +686,41 @@ if __name__ == "__main__":
     _show("rate_sgd(0.5, 1)", rate_sgd(0.5, 1))
     _show("rho_s(2/3)", rho_s(2 / mpf(3)))
     _show("omega check w_s(rho_s) theta=2/3", rate_sgd(rho_s(2 / mpf(3)), 2 / mpf(3)))
+
+
+# ---------------------------------------------------------------------------
+# the case-d offset test over its whole grid
+
+
+def offset_grid(K):
+    """k = 0..64, then doubling up to K: the points the case-d offset test covers."""
+    ks = list(range(65))
+    k = 64
+    while k < K:
+        k = min(2 * k, K)
+        ks.append(k)
+    return ks
+
+
+def offset_admissible_grid(params, alpha, K, gamma, rel=1e-12):
+    """The case-d offset test evaluated at every grid point, in log space
+    with relative slack rel, as the peak test must decide it."""
+    theta, l1, l2, l3, tau = params.theta, params.l1, params.l2, params.l3, params.tau
+    log_power = 2.0 * theta / (2.0 * theta - 1.0)
+    if not gamma >= math.e or not math.isfinite(gamma):
+        return False
+    if gamma * math.log(gamma) < alpha * theta * l2 * (1.0 - rel):
+        return False
+    slack = math.log1p(rel)
+    log_alpha = math.log(alpha)
+    for kk in offset_grid(K):
+        lg = math.log(kk + gamma)
+        base = (tau - 1.0) * (log_alpha - lg)
+        log_lg = math.log(lg) if lg > 1.0 else 0.0
+        if l1 > 0 and math.log(l1) + base + log_lg > math.log(theta * l2) + slack:
+            return False
+        if l3 > 0:
+            power_term = log_power * log_lg if log_lg > 0.0 else 0.0
+            if math.log(l3) + base + power_term > math.log(l2) + slack:
+                return False
+    return True

@@ -534,6 +534,20 @@ def test_compensated_sum_within_two_ulps_of_fsum():
     assert np.array_equal(_compensated_sum(rows[:2]), rows[0] + rows[1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_two_row_sum_is_the_compensated_loop_bitwise(S, seed):
+    """Two rows alone are summed as a + b: bitwise the compensated row loop
+    and the lane path (a first block of one row and one later block), on
+    terms of both signs over twelve decades."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((2, S)) * 10.0 ** rng.uniform(-6, 6, size=(2, S))
+    rows[1, ::3] = -rows[0, ::3] * (1.0 + rng.uniform(-1e-9, 1e-9, size=rows[1, ::3].shape))
+    got = _compensated_sum(rows)
+    assert np.array_equal(got, compensated_row_sum(rows))
+    assert np.array_equal(got, _compensated_sum(rows[:1], [rows[1:]]))
+
+
 # --- the lane-strided sum over blocks of seed rows ---------------------------
 #
 # _aggregate feeds its sums blocks of B = _block_rows(K) rows. With S <= B

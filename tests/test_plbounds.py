@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from steprates.plbounds import (
     derive_constants,
     descent_coefficients,
     frak_p,
+    offset_admissible,
     relaxed_recursion_transform,
     rr_constants,
     sgd_constants,
     simulate_pl_grid,
+    simulate_pl_lanes,
     simulate_pl_recursion,
+    smallest_offset,
 )
 from steprates.recursions import (
     PreconditionError,
@@ -258,6 +262,172 @@ def test_grid_runs_each_horizon_free_lane_once(monkeypatch):
     assert len(finals) == len(k_grid) * len(builders)
     per_K = [(name, K) for K in k_grid for name in ("Exponential", "Cosine")]
     assert sorted(calls) == sorted([("Constant", 64), ("Polynomial", 64)] + per_K)
+
+
+# --- the lane batch against the scalar recursion -----------------------------
+#
+# simulate_pl_lanes must give the scalar y_K within the screen tolerance
+# that bounds_suite relies on, 1e-12 * max(1, |y_K|), and flag every lane on
+# which simulate_pl_recursion raises. The lanes below contract: steps of at
+# most 1/2 with l2*a <= 1/2 and y0 <= 1, so the ulp-level differences of
+# numpy's exp and pow stay at that level instead of being amplified.
+SCREEN = 1e-12
+THETAS = [0.5, 1.0, 0.75, 2.0 / 3.0, 0.9]  # affine, quadratic, general
+
+
+@st.composite
+def contracting_lanes(draw):
+    params = PLParams(
+        l1=draw(st.floats(0.0, 1.0)),
+        l2=draw(st.floats(0.1, 2.0)),
+        l3=draw(st.floats(0.0, 1.0)),
+        tau=draw(st.sampled_from([2.0, 3.0, 2.5])),
+        theta=draw(st.sampled_from(THETAS)),
+    )
+    alpha = draw(st.floats(0.01, 0.5)) * min(1.0, 1.0 / params.l2)
+    p = draw(st.floats(0.3, 2.0))
+    K = draw(st.integers(1, 400))
+    family = draw(st.sampled_from(["const", "poly", "exp", "cos"]))
+    if family == "const":
+        schedule = Constant(alpha=alpha)
+    elif family == "poly":
+        schedule = Polynomial(alpha=alpha, gamma=draw(st.floats(1.0, 50.0)), p=p)
+    elif family == "exp":
+        K = max(K, 5)
+        schedule = Exponential(alpha=alpha, beta=draw(st.floats(1.0, 4.0)), p=p, horizon=K)
+    else:
+        schedule = Cosine(alpha=alpha, p=p, horizon=K)
+    return params, schedule, draw(st.floats(0.0, 1.0)), K
+
+
+def scalar_outcome(lane):
+    """(y_K, smallest y) of simulate_pl_recursion, or None where it raises."""
+    try:
+        ys = simulate_pl_recursion(*lane)
+    except NumericFailure:
+        return None
+    return ys[-1], min(ys)
+
+
+@settings(max_examples=150)
+@given(st.lists(contracting_lanes(), min_size=1, max_size=12))
+def test_lane_batch_matches_the_scalar_recursion(lanes):
+    """Every family and theta branch, lanes of unequal K stepping together."""
+    final, smallest, flagged = simulate_pl_lanes(lanes)
+    for i, lane in enumerate(lanes):
+        y, low = scalar_outcome(lane)
+        assert not flagged[i]
+        assert abs(final[i] - y) <= SCREEN * max(1.0, abs(y)), (lane, final[i], y)
+        assert abs(smallest[i] - low) <= SCREEN * max(1.0, abs(y)), (lane, smallest[i], low)
+
+
+# lanes that fail as simulate_pl_recursion does (negative after one step,
+# infinite from step 3, OverflowError in y^(2*theta), -inf from a pull term
+# y^2 that overflows, inf and then inf - inf) and three that do not, one of
+# them at 0 throughout
+FAILING_LANES = [
+    (PLParams(l1=0.0, l2=1.0, l3=0.01, tau=2.0, theta=0.5), Constant(alpha=2.5), 1.0, 16),
+    (PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.5), Constant(alpha=50.0), 1e300, 8),
+    (PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.75), Constant(alpha=50.0), 1e300, 8),
+    (PLParams(l1=1.0, l2=1.0, l3=0.0, tau=2.0, theta=1.0), Constant(alpha=3.0), 1e300, 4),
+    (
+        PLParams(l1=1.0, l2=3.0, l3=0.0, tau=2.0, theta=0.5),
+        Polynomial(alpha=40.0, gamma=10.0, p=1.0),
+        1e308,
+        8,
+    ),
+    (
+        PLParams(l1=0.0, l2=1.0, l3=1.0, tau=3.0, theta=1.0),
+        Cosine(alpha=0.5, p=1.0, horizon=3),
+        1.0,
+        3,
+    ),
+    (
+        PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.5, theta=0.6),
+        Exponential(alpha=0.2, beta=2.0, p=1.0, horizon=64),
+        1.0,
+        64,
+    ),
+    (PLParams(l1=0.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5), Constant(alpha=0.5), 0.0, 10),
+]
+
+
+@settings(max_examples=100)
+@given(st.lists(st.sampled_from(FAILING_LANES), min_size=1, max_size=10))
+def test_lane_batch_flags_exactly_where_the_scalar_recursion_raises(lanes):
+    final, smallest, flagged = simulate_pl_lanes(lanes)
+    for i, lane in enumerate(lanes):
+        outcome = scalar_outcome(lane)
+        assert flagged[i] == (outcome is None), lane
+        if outcome is not None:
+            assert final[i] == pytest.approx(outcome[0], rel=SCREEN, abs=SCREEN)
+            assert smallest[i] == pytest.approx(outcome[1], rel=SCREEN, abs=SCREEN)
+
+
+def test_lane_batch_blocks_shrink_with_the_active_lanes():
+    """K = 40000 runs alone in blocks of 2^15 steps; the other lanes end
+    inside its first block and at the block boundary itself."""
+    params = PLParams(l1=0.1, l2=1.0, l3=0.5, tau=3.0, theta=0.75)
+    lanes = [
+        (params, Exponential(alpha=0.1, beta=2.0, p=1.0, horizon=40000), 1.0, 40000),
+        (params, Polynomial(alpha=0.4, gamma=3.0, p=0.6), 0.5, 1 << 15),
+        (params, Constant(alpha=0.2), 0.25, 3),
+    ]
+    final, smallest, flagged = simulate_pl_lanes(lanes)
+    assert not flagged.any()
+    for i, lane in enumerate(lanes):
+        y, low = scalar_outcome(lane)
+        assert final[i] == pytest.approx(y, rel=SCREEN)
+        assert smallest[i] == pytest.approx(low, rel=SCREEN)
+
+
+def test_lane_batch_validates_its_lanes_and_warns_nowhere():
+    params = PLParams(l1=0.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5)
+    assert [len(a) for a in simulate_pl_lanes([])] == [0, 0, 0]
+    with pytest.raises(ValueError):
+        simulate_pl_lanes([(params, Constant(alpha=0.1), -1.0, 4)])
+    with pytest.raises(ValueError):
+        simulate_pl_lanes([(params, Constant(alpha=0.1), 1.0, 0)])
+    with pytest.raises(ValueError):
+        simulate_pl_lanes([(params, Cosine(alpha=0.1, p=1.0, horizon=4), 1.0, 6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flagged = simulate_pl_lanes(FAILING_LANES)[2]
+    assert flagged.tolist() == [True] * 5 + [False] * 3
+
+
+# --- the case-d offset test against its whole grid ----------------------------
+
+
+@st.composite
+def offset_cases(draw):
+    params = PLParams(
+        l1=draw(st.sampled_from([0.0, 1e-3, 0.1, 2.0])),
+        l2=draw(st.floats(0.01, 10.0)),
+        l3=draw(st.sampled_from([0.0, 1e-3, 0.5, 20.0])),
+        tau=draw(st.sampled_from([2.0, 3.0, 1.2, 3.7])),
+        theta=draw(st.floats(0.5001, 1.0)),
+    )
+    alpha = draw(st.floats(0.01, 1000.0))
+    K = draw(st.sampled_from([4, 64, 65, 100, 256, 1000, 32768, 10**6]))
+    return params, alpha, K
+
+
+@settings(max_examples=300)
+@given(offset_cases(), st.floats(1.0, 1e8), st.integers(-5, 5))
+def test_offset_peak_test_decides_as_the_grid(case, scale, step):
+    """Offsets spread over decades, and offsets within 1e-12 of the boundary
+    that smallest_offset bisects to, where the two tests could part."""
+    params, alpha, K = case
+    gammas = [math.e * scale]
+    try:
+        gammas.append(smallest_offset(params, alpha, K) * (1.0 + step * 2e-13))
+    except PreconditionError:
+        pass
+    for gamma in gammas:
+        assert offset_admissible(params, alpha, K, gamma) == oracles.offset_admissible_grid(
+            params, alpha, K, gamma
+        ), (params, alpha, K, gamma)
 
 
 def test_exp_bound_reference_values():

@@ -180,6 +180,22 @@ def test_numeric_ratio_derivative_certifies_the_analytic_lambda(params):
     assert numeric.lam == pytest.approx(analytic.lam, abs=1e-8)
 
 
+def test_certified_lambda_never_reports_a_negative_margin():
+    """lam = max 1/(1+h) and min(h + 1 - 1/lam) round apart: this spec read
+    a margin of -1.1e-16 on a certificate covering all 64 steps."""
+    spec = classical_spec(ClassicalParams(c=1.5, d=2.0, nu=0.7, q=0.6, gamma=6.0), 64)
+    cert = find_lambda_constant(dataclasses.replace(spec, ratio=None))
+    assert cert.certified_horizon == 64
+    assert cert.condition_margin == 0.0
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        spec = classical_spec(_classical_draw(rng), int(rng.integers(2, 80)))
+        for ratio in (spec.ratio, None):
+            cert = find_lambda_constant(dataclasses.replace(spec, ratio=ratio))
+            if cert.certified_horizon:
+                assert cert.condition_margin >= 0.0
+
+
 def _classical_draw(rng) -> ClassicalParams:
     if rng.uniform() < 0.4:
         c = float(rng.uniform(0.5, 2.5))

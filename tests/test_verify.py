@@ -3,9 +3,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steprates import verify
-from steprates.plbounds import NumericFailure, bound_const, simulate_pl_recursion
+from steprates.plbounds import (
+    NumericFailure,
+    bound_const,
+    sgd_constants,
+    simulate_pl_lanes,
+    simulate_pl_recursion,
+)
+from steprates.schedules import Constant, Polynomial
 from steprates.verify import bounds_suite, chung_suite
 
 
@@ -37,20 +50,96 @@ def test_chung_suite_margins_are_slacks():
 
 
 def test_bounds_suite_resamples_a_failed_simulation(monkeypatch):
-    calls = []
+    seen, failing, reruns = [], [], []
 
-    def every_other_fails(*args):
-        calls.append(args)
-        if len(calls) % 2:
+    def every_other_flagged(lanes):
+        final, smallest, flagged = simulate_pl_lanes(lanes)
+        flagged = flagged.copy()
+        for i, lane in enumerate(lanes):
+            seen.append(lane)
+            if len(seen) % 2:
+                flagged[i] = True
+                failing.append(lane)
+        return final, smallest, flagged
+
+    def fails_where_flagged(*lane):
+        reruns.append(lane)
+        if lane in failing:
             raise NumericFailure("trajectory overflows at step 1", index=1)
-        return simulate_pl_recursion(*args)
+        return simulate_pl_recursion(*lane)
 
-    monkeypatch.setattr(verify, "simulate_pl_recursion", every_other_fails)
+    monkeypatch.setattr(verify, "simulate_pl_lanes", every_other_flagged)
+    monkeypatch.setattr(verify, "simulate_pl_recursion", fails_where_flagged)
     # a constant-step draw always has a bound, so every resample is a failed simulation
     report = bounds_suite(4, seed=5, family="const")
     assert report.passed
     assert report.counts == {"dominated": "4/4", "resampled": 4}
-    assert len(calls) == 8
+    assert len(seen) == 8
+    # the scalar oracle confirms each flagged lane's failure
+    assert [lane for lane in reruns if lane in failing] == failing
+
+
+def test_bounds_suite_confirms_a_flag_in_scalar(monkeypatch):
+    """A lane the batch flags but the scalar recursion runs is evaluated."""
+
+    def first_flagged(lanes):
+        final, smallest, flagged = simulate_pl_lanes(lanes)
+        flagged = flagged.copy()
+        flagged[0] = True
+        return final, smallest, flagged
+
+    plain = bounds_suite(40, seed=3)
+    monkeypatch.setattr(verify, "simulate_pl_lanes", first_flagged)
+    assert bounds_suite(40, seed=3) == plain
+
+
+@pytest.mark.parametrize(
+    "offsets, rerun",
+    [
+        # the worst slack and one within the screen tolerance of it; not one 1e-9 above
+        ([1.0, 0.5, 0.5 + 1e-13, 0.5 + 1e-9, 2.0], [1, 2]),
+        # a slack within the tolerance of -floor, and one below it (the worst)
+        ([-1e-10 + 1e-13, 3.0, -1.0, 0.5], [0, 2]),
+    ],
+)
+def test_lanes_in_the_confirm_band_are_rerun_in_scalar(monkeypatch, offsets, rerun):
+    """Bound values set at y_K + offset * max(1, |y_K|): the lanes that
+    decide the margin or a pass are re-run in scalar and report its values;
+    the others keep the batch's, within the screen tolerance."""
+    mc = sgd_constants(theta=0.75, L=1.0, mu=0.8, A=0.3, sigma=0.7)
+    drawn, finals = [], []
+    for i, offset in enumerate(offsets):
+        schedule, y0, K = Constant(alpha=0.1 + 0.01 * i), 1.0, 50 + i
+        y = simulate_pl_recursion(mc.params, schedule, y0, K)[-1]
+        value = SimpleNamespace(value=y + offset * max(1.0, abs(y)))
+        drawn.append((mc, schedule, y0, K, lambda y0, value=value: value))
+        finals.append(y)
+    reruns = []
+
+    def counted(*lane):
+        reruns.append(lane[3] - 50)
+        return simulate_pl_recursion(*lane)
+
+    monkeypatch.setattr(verify, "simulate_pl_recursion", counted)
+    outcomes = verify._confirmed_slacks(drawn)
+    assert sorted(reruns) == rerun
+    for i, ((slack, floor), y, lane) in enumerate(zip(outcomes, finals, drawn)):
+        exact = (lane[4](1.0).value - y, 1e-10 * max(1.0, abs(y)))
+        if i in rerun:
+            assert (slack, floor) == exact
+        else:
+            assert slack == pytest.approx(exact[0], abs=1e-12 * max(1.0, abs(y)))
+
+
+def test_bounds_suite_report_survives_a_batch_off_by_half_its_tolerance(monkeypatch):
+    plain = bounds_suite(200, seed=7)
+
+    def perturbed(lanes):
+        final, smallest, flagged = simulate_pl_lanes(lanes)
+        return final + 0.5e-12 * np.maximum(1.0, np.abs(final)), smallest, flagged
+
+    monkeypatch.setattr(verify, "simulate_pl_lanes", perturbed)
+    assert bounds_suite(200, seed=7) == plain
 
 
 def test_bounds_suite_witness_is_the_first_failing_draw(monkeypatch):
@@ -79,3 +168,23 @@ def test_bounds_suite_fails_when_its_draws_run_out(monkeypatch):
     assert math.isnan(check.margin)
     assert check.witness_index is None
     assert report.counts == {"dominated": "0/0", "resampled": 100}
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["sgd", "rr"]),
+    st.sampled_from(["const", "exp", "cos", "poly"]),
+    st.sampled_from([None, "a", "b", "c", "d"]),
+)
+def test_every_displayed_bound_dominates_the_equality_recursion(seed, method, family, case):
+    """On admissible draws, as bounds_suite makes them, the bound is at least
+    the worst-case recursion's y_K, less the suite's floor."""
+    rng = np.random.default_rng(seed)
+    mc = verify._draw_method(rng, method)
+    drawn = verify._draw_bound_case(rng, mc, family, case)
+    assume(drawn is not None)
+    schedule, K, evaluate = drawn
+    y0 = float(rng.uniform(0.0, 0.5 if isinstance(schedule, Polynomial) else 1.0))
+    y = simulate_pl_recursion(mc.params, schedule, y0, K)[-1]
+    assert evaluate(y0).value >= y - 1e-10 * max(1.0, abs(y)), (mc, schedule, K, y0)
