@@ -91,6 +91,5 @@ from .schedules import (
     step_sum,
     step_value,
     step_values,
-    validate_cap,
 )
 from .verify import assumptions_suite, bounds_suite, chung_suite, draw_classical_params

@@ -38,7 +38,7 @@ import numpy as np
 
 from .plbounds import NumericFailure, smoothness_cap
 from .recursions import CheckResult, PreconditionError, WorstMargin
-from .schedules import StepSchedule, step_values, validate_cap
+from .schedules import StepSchedule, step_max, step_values
 
 # Numbers per block of steps the engine holds at once, over all seeds: the
 # block's iterates, and its draws, are 4 MiB of doubles each at most.
@@ -253,11 +253,11 @@ def _aggregate(gaps: np.ndarray, seeds: tuple[int, ...], left: np.ndarray) -> Tr
 
 
 def _check_cap(schedule: StepSchedule, cap: float, K: int, what: str) -> None:
-    report = validate_cap(schedule, cap, K)
-    if not report.passed:
-        raise PreconditionError(
-            f"largest step {report.step_max} exceeds the {what} cap {cap}"
-        )
+    if not (math.isfinite(cap) and cap > 0):
+        raise ValueError(f"cap must be positive and finite, got {cap!r}")
+    biggest = step_max(schedule, K)
+    if not biggest <= cap:
+        raise PreconditionError(f"largest step {biggest} exceeds the {what} cap {cap}")
 
 
 def _start(problem: Problem, x0) -> np.ndarray:
@@ -554,7 +554,14 @@ def make_power_family(theta: float, c: float, radius: float) -> Problem:
         raise ValueError("radius must be positive")
     growth = 1.0 / (1.0 - theta)
     mu = growth**2 * c ** (2.0 * (1.0 - theta)) / 2.0
-    L = growth * (growth - 1.0) * c * radius ** (growth - 2.0)
+    try:
+        L = growth * (growth - 1.0) * c * radius ** (growth - 2.0)
+    except OverflowError:  # float ** raises where * gives inf
+        L = math.inf
+    for name, value in (("mu", mu), ("L", L)):
+        if not (math.isfinite(value) and value > 0.0):
+            problem = f"theta {theta}, c {c}, radius {radius}"
+            raise ValueError(f"{name} = {value!r} is not a positive finite float ({problem})")
 
     def objective(X: np.ndarray) -> np.ndarray:
         return c * np.abs(X[..., 0]) ** growth

@@ -562,7 +562,8 @@ def relaxed_recursion_transform(
     encoded through s(x) = xi^(-1)*eta(x)^(-1/rho), t(x) = (2*zeta*xi)^(-1)
     *eta(x)^(-tau), where eta and the grid b_k depend on the family so that
     eta(b_k) equals the step a_k and the ratio r = 2*zeta*eta^q is convex.
-    Requires step_max <= alpha_cap.
+    Requires step_max <= alpha_cap. recursions.recursion_convexity checks
+    the convexity; the acceptance test of the expanded form runs it here.
     """
     derived = derive_constants(params, delta)
     if K < 1:
@@ -899,10 +900,13 @@ def offset_admissible(params: PLParams, alpha: float, K: int, gamma: float) -> b
     return True
 
 
+@functools.lru_cache(maxsize=2048)
 def smallest_offset(params: PLParams, alpha: float, K: int) -> float:
     """Smallest offset that case d admits at horizon K, by doubling then bisection.
 
     Raises PreconditionError when no offset up to 1e300 is admissible.
+    Memoized for verify's case-d draws, whose bound_poly asks again after a
+    whole round of up to 1000 draws (criterion 2's battery size).
     """
     hi = math.e
     while not offset_admissible(params, alpha, K, hi):

@@ -122,6 +122,9 @@ def heatmap_grid(
         fn = rate_exponent_rr
     else:
         raise ValueError(f"unknown method {method!r}")
+    for name, grid in (("p_grid", p_grid), ("theta_grid", theta_grid)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} is empty")
     out = np.empty((len(theta_grid), len(p_grid)))
     for i, theta in enumerate(theta_grid):
         for j, p in enumerate(p_grid):

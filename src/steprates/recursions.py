@@ -16,9 +16,11 @@ inequalities those derivations lean on.
 A spec evaluates s, t, b and the ratio once per grid point, at
 construction, and every evaluator here reads those values (`spec.grid`)
 instead of calling the functions again. They must therefore be pure: a
-function whose value changes after construction is not seen. The one lazy
-call is the derivative of r, which the lambda certificate evaluates on
-demand.
+function whose value changes after construction is not seen. The lazy
+calls are the derivative of r, which the lambda certificate evaluates on
+demand, and r between grid points, where the check ratio-convex
+(recursion_convexity) tests the lemma's convexity hypothesis by the
+relative chord slacks (chord - r)/max(1, |r|).
 """
 from __future__ import annotations
 
@@ -79,8 +81,8 @@ class RecursionSpec:
 
     s, t, b and ratio are evaluated once per grid point, here, and must be
     pure: the values land in `grid`, which every evaluator of this module
-    reads. Only ratio's derivative is called later, by the lambda
-    certificate.
+    reads. Only r's derivative, by the lambda certificate, and r between
+    grid points, by recursion_convexity, are called later.
     """
 
     s: FunctionDescriptor
@@ -128,12 +130,6 @@ class RecursionSpec:
         if self.ratio is not None:
             return self.ratio(x)
         return self.s(x) / self.t(x)
-
-    def ratio_descriptor(self) -> FunctionDescriptor:
-        """r as a descriptor; analytic only when an explicit ratio was supplied."""
-        if self.ratio is not None:
-            return self.ratio
-        return FunctionDescriptor(fn=lambda x: self.s(x) / self.t(x), label="s/t")
 
 
 @dataclass(frozen=True)
@@ -226,12 +222,6 @@ class WorstMargin:
 
 
 @dataclass(frozen=True)
-class ConvexityReport:
-    convex: bool
-    witness: float | None
-
-
-@dataclass(frozen=True)
 class SuiteReport:
     """A suite's checks and its counts of the work behind them (draws, resamples)."""
 
@@ -279,79 +269,42 @@ def expansion_bound(spec: RecursionSpec, a0: float, K: int) -> float:
     return float(a0) * suffix + math.fsum(terms)
 
 
-_UNBOUNDED_SPAN = 1e3  # evaluation span substituted for an infinite right endpoint
+CONVEXITY_SUBDIVISIONS = 8  # equal parts of each gap of the b_k grid
+CONVEXITY_TOL = 1e-9  # the relative chord slack an item of ratio-convex may lack
 
 
-def check_convexity(
-    r: FunctionDescriptor,
-    interval: tuple[float, float],
-    samples: int = 1025,
-    tol: float = 1e-9,
-) -> ConvexityReport:
-    """Test convexity of r by second differences on a uniform grid.
+def recursion_convexity(spec: RecursionSpec) -> CheckResult:
+    """The lemma's hypothesis that r is convex, as the check ratio-convex.
 
-    Convex iff every interior second difference is >= -tol*max(1, |r|). The
-    witness is the largest grid point at which the test fails, i.e. the right
-    edge of the detected non-convex region.
+    Each gap of the b_k grid (which need not be uniform or increasing) is
+    cut into equal parts; on the sorted points, each interior point is an
+    item with margin (chord - r)/max(1, |r|). The witness value is the first
+    failing point; a ratio NaN or infinite at any point fails with margin NaN.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
-    lo, hi = interval
-    if math.isinf(hi):
-        hi = lo + _UNBOUNDED_SPAN
-    h = (hi - lo) / (samples - 1)
-    values = [r(lo + i * h) for i in range(samples)]
-    for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise ValueError(f"r({lo + i * h}) = {v} is not finite")
-    witness = None
-    for i in range(samples - 2, 0, -1):
-        second = values[i - 1] - 2.0 * values[i] + values[i + 1]
-        if second < -tol * max(1.0, abs(values[i])):
-            witness = lo + i * h
-            break
-    return ConvexityReport(convex=witness is None, witness=witness)
-
-
-def recursion_convexity(
-    spec: RecursionSpec, subdivisions: int = 8, tol: float = 1e-9
-) -> ConvexityReport:
-    """Convexity of r sampled at the b_k grid refined by equal subdivisions.
-
-    The grid points b_0..b_K need not be uniform or increasing; each pair of
-    consecutive values is subdivided and the chord test is applied on the
-    sorted merged grid.
-    """
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be positive")
-    b = spec.grid.b
-    points: list[float] = []
-    for x0, x1 in zip(b, b[1:]):
-        points.extend(x0 + (x1 - x0) * j / subdivisions for j in range(subdivisions))
-    points.append(b[-1])
-    points.sort()
+    b, n = spec.grid.b, CONVEXITY_SUBDIVISIONS
+    points = [x0 + (x1 - x0) * j / n for x0, x1 in zip(b, b[1:]) for j in range(n)]
+    points = sorted(points + [b[-1]])
     grid = [points[0]]
     span = max(1.0, abs(points[-1] - points[0]))
     for x in points[1:]:
         if x - grid[-1] > 1e-12 * span:
             grid.append(x)
-    if len(grid) < 3:
-        return ConvexityReport(convex=True, witness=None)
     values = [spec.r(x) for x in grid]
-    witness = None
-    for i in range(len(grid) - 2, 0, -1):
-        x0, x1, x2 = grid[i - 1], grid[i], grid[i + 1]
-        chord = ((x2 - x1) * values[i - 1] + (x1 - x0) * values[i + 1]) / (x2 - x0)
-        if values[i] - chord > tol * max(1.0, abs(values[i])):
-            witness = x1
-            break
-    return ConvexityReport(convex=witness is None, witness=witness)
+    margins = [
+        (((x2 - x1) * v0 + (x1 - x0) * v2) / (x2 - x0) - v1) / max(1.0, abs(v1))
+        for x0, x1, x2, v0, v1, v2 in zip(grid, grid[1:], grid[2:], values, values[1:], values[2:])
+    ]
+    worst = WorstMargin("ratio-convex", lambda i: f"x={grid[i + 1]:.6g}")
+    if margins:
+        worst.add(margins, grid[1:-1], floor=CONVEXITY_TOL)
+    return worst.result()
 
 
 def _slope_terms(spec: RecursionSpec, tol_hint: float = 1e-9) -> tuple[list[float], float]:
     """(b_{k+1}-b_k)*u(b_k) for k < horizon, with the applicable tolerance."""
-    rd = spec.ratio_descriptor()
-    # numeric differentiation warrants the looser tolerance
+    # r' is analytic only when an explicit ratio was supplied; numeric
+    # differentiation warrants the looser tolerance
+    rd = spec.ratio if spec.ratio is not None else FunctionDescriptor(fn=spec.r, label="s/t")
     tol = tol_hint if rd.derivative is not None else 1e-6
     grid = spec.grid
     terms = []

@@ -3,8 +3,8 @@
 Four immutable families: constant, polynomial alpha/(k+gamma)^p, exponential
 alpha*g^k with per-step factor g = (beta/K)^(p/K), and cosine
 alpha*[(1+cos(k*pi/K))/2]^p. All are non-increasing in k. Aggregate helpers
-compute the running maximum, partial sums (closed form where one exists), and
-cap checks that the bound evaluators and optimizers rely on.
+compute the largest step, which the bound evaluators and optimizers compare
+with their caps, and partial sums (closed form where one exists).
 """
 from __future__ import annotations
 
@@ -86,16 +86,6 @@ class Cosine:
 StepSchedule = Constant | Polynomial | Exponential | Cosine
 
 
-@dataclass(frozen=True)
-class CapCheck:
-    """Outcome of comparing the largest step against an admissible cap."""
-
-    passed: bool
-    step_max: float
-    cap: float
-    violating_index: int | None
-
-
 def _check_index(schedule: StepSchedule, k: int) -> None:
     if k < 0:
         raise ValueError(f"step index must be nonnegative, got {k}")
@@ -171,15 +161,3 @@ def step_sum(schedule: StepSchedule, K: int) -> float:
         return schedule.alpha * (K + 1) / 2.0
     return math.fsum(step_values(schedule, K))
 
-
-def validate_cap(schedule: StepSchedule, cap: float, K: int) -> CapCheck:
-    """Check step_max <= cap; the violating index is 0 for these families."""
-    _positive(cap, "cap")
-    biggest = step_max(schedule, K)
-    passed = biggest <= cap
-    return CapCheck(
-        passed=passed,
-        step_max=biggest,
-        cap=cap,
-        violating_index=None if passed else 0,
-    )

@@ -42,6 +42,7 @@ from .plbounds import (
     smallest_offset,
 )
 from .recursions import (
+    CONVEXITY_TOL,
     CheckResult,
     ClassicalParams,
     FunctionDescriptor,
@@ -57,11 +58,17 @@ from .recursions import (
     forgetting_bound,
     general_bound,
     iterate_recursion_exact,
+    recursion_convexity,
 )
 from .schedules import Constant, Cosine, Exponential, Polynomial
 
 # the exponents r of the power-sum and power-difference inequality grids
 DEFAULT_R_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+def _require_draws(draws: int) -> None:
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
 
 
 def draw_classical_params(rng: np.random.Generator, nu_one: bool) -> ClassicalParams:
@@ -104,10 +111,12 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
     The general bound is tight on Example 2 and dominates the equality
     recursion on each draw; the closed form dominates it, the integral-decay
     form agrees with it, and the extension and forgetting bounds dominate
-    what they refine. Runs a tenth of the requested draws (at least one); counts holds
-    draws_requested and draws_run. A draw whose lambda certificate falls
-    short of its horizon ends the suite with that failed check.
+    what they refine; ratio-convex holds one item per draw and decay form.
+    draws must be at least 1, and a tenth of them run (at least one); counts
+    holds draws_requested and draws_run. A draw whose lambda certificate
+    falls short of its horizon ends the suite with that failed check.
     """
+    _require_draws(draws)
     run = max(1, draws // 10)
     counts = {"draws_requested": draws, "draws_run": run}
 
@@ -127,6 +136,7 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
     consistency = WorstMargin("classical-general-consistency", per_k)
     extension = WorstMargin("extension-propagation", "draw {}".format)
     forgetting = WorstMargin("forgetting-dominates-general", per_k)
+    convex = WorstMargin("ratio-convex", lambda draw, form, i: f"draw {draw} {form}")
     rng = keyed_generators([seed])[0]
     for draw in range(run):
         params = draw_classical_params(rng, rng.uniform() < 0.3)
@@ -164,8 +174,12 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
             cb = classical_bound(params, a0_hi, k)
             slacks.append(-abs(gb - cb) / max(1.0, abs(cb)))
         consistency.add(slacks, slacks, draw, floor=1e-10)
+        for form, each in (("direct", spec), ("integral", integral)):
+            result = recursion_convexity(each)  # one item per spec, at its own floor
+            convex.add([result.margin], [result.witness_value], draw, form, floor=CONVEXITY_TOL)
 
-    checks += [c.result() for c in (dominates, closed_form, consistency, extension, forgetting)]
+    folded = (dominates, closed_form, consistency, extension, forgetting, convex)
+    checks += [c.result() for c in folded]
     return SuiteReport(tuple(checks), counts)
 
 
@@ -317,7 +331,7 @@ def bounds_suite(
     method ("sgd" or "rr"), family ("const", "exp", "cos" or "poly") and
     poly_case ("a" to "d") pin the draws; each is random when omitted. A
     draw that would need an impractical horizon, or whose simulation fails,
-    is resampled, up to 50 attempts per requested draw. counts holds
+    is resampled, up to 50 attempts per requested draw (at least 1). counts holds
     dominated ("d/evaluated") and resampled.
 
     Screen, then confirm: a round draws attempts until it holds
@@ -331,6 +345,7 @@ def bounds_suite(
     and the resamples are those of a draw-by-draw loop, and the report is
     bit for bit the one that loop with simulate_pl_recursion writes.
     """
+    _require_draws(draws)
     rng = keyed_generators([seed])[0]
     worst = WorstMargin("bound-dominates-simulation", "method={} schedule={} K={}".format)
     evaluated = 0
@@ -371,8 +386,9 @@ def assumptions_suite(draws: int, seed: int) -> SuiteReport:
     """The PL inequality and noise-oracle moments on the synthetic problems.
 
     The PL checks sample max(100, min(draws, 2000)) points; the variance
-    checks use 25 points and max(30, draws) noise draws each.
+    checks use 25 points and max(30, draws) noise draws each (draws >= 1).
     """
+    _require_draws(draws)
     checks: list[CheckResult] = []
     samples = max(100, min(draws, 2000))
     gaussian = NoiseModel(kind="additive_gaussian", sigma=1.0)

@@ -193,6 +193,31 @@ def recursion_slope_terms(spec):
     return terms
 
 
+def convexity_violation(spec, subdivisions=8, tol=1e-9):
+    """The largest refined-grid point where r - chord > tol*max(1, |r|), or None.
+
+    Each gap of the b_k grid is cut into equal parts, the points are sorted,
+    and points within 1e-12 of the span of their predecessor are dropped.
+    """
+    b = [spec.b(k) for k in range(spec.horizon + 1)]
+    points = sorted(
+        [x0 + (x1 - x0) * j / subdivisions for x0, x1 in zip(b, b[1:]) for j in range(subdivisions)]
+        + [b[-1]]
+    )
+    span = max(1.0, abs(points[-1] - points[0]))
+    grid = [points[0]]
+    for x in points[1:]:
+        if x - grid[-1] > 1e-12 * span:
+            grid.append(x)
+    values = [spec.r(x) for x in grid]
+    for i in range(len(grid) - 2, 0, -1):
+        x0, x1, x2 = grid[i - 1], grid[i], grid[i + 1]
+        chord = ((x2 - x1) * values[i - 1] + (x1 - x0) * values[i + 1]) / (x2 - x0)
+        if values[i] - chord > tol * max(1.0, abs(values[i])):
+            return x1
+    return None
+
+
 # ---------------------------------------------------------------------------
 # grid checks of the supporting inequalities, each built as a list of
 # (margin, label, value) items; a check is the tuple (name, passed, margin,

@@ -45,6 +45,7 @@ from steprates.recursions import (
     find_lambda_constant,
     general_bound,
     iterate_recursion_exact,
+    recursion_convexity,
     tech_inequality_suite,
 )
 from steprates.schedules import Constant, Cosine, Exponential, Polynomial, step_sum, step_values
@@ -261,6 +262,8 @@ def test_universal_bound_domination(capsys):
 def test_expansion_matches_exact_iteration(capsys):
     rng = np.random.default_rng(np.random.Philox(key=3))
     worst = 0.0
+    # the relaxed transform claims its ratio 2*zeta*eta^q is convex
+    relaxed = []
     for count in range(100):
         K = max(2, min(int(10 ** rng.uniform(1.0, 4.0)), 10_000))
         a0 = float(rng.uniform(0.0, 5.0))
@@ -300,6 +303,7 @@ def test_expansion_matches_exact_iteration(capsys):
                     horizon=K,
                 )
             spec = relaxed_recursion_transform(mc.params, delta, schedule, K)
+            relaxed.append(recursion_convexity(spec))
         exact = iterate_recursion_exact(spec, a0, K)[-1]
         closed = expansion_bound(spec, a0, K)
         worst = max(worst, abs(closed - exact) / max(1.0, abs(exact)))
@@ -310,16 +314,20 @@ def test_expansion_matches_exact_iteration(capsys):
     exact2 = iterate_recursion_exact(spec2, a0, 64)
     tight_gap = max(abs(general_bound(spec2, cert, a0, k) - exact2[k + 1]) for k in range(64))
 
-    ok = worst <= REL_SLACK and tight_gap <= 1e-12
+    concave = [c for c in relaxed if not c.passed]
+    ok = worst <= REL_SLACK and tight_gap <= 1e-12 and not concave
     _report(
         capsys,
         3,
         "expansion oracle equivalence",
         ok,
-        f"100 specs worst rel diff {worst:.1e}; two-four recursion gap {tight_gap:.1e}",
+        f"100 specs worst rel diff {worst:.1e}; two-four recursion gap {tight_gap:.1e}; "
+        f"{len(relaxed) - len(concave)}/{len(relaxed)} relaxed ratios convex",
     )
     assert worst <= REL_SLACK
     assert tight_gap <= 1e-12
+    assert len(relaxed) == 40
+    assert not concave, concave
 
 
 # --- criterion 4: supporting inequalities on exhaustive grids ---------------

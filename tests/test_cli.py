@@ -448,6 +448,8 @@ def test_heatmap_default_grid(tmp_path):
     assert len(rows) == 1 + 101 * 51
     assert float(rows[1][0]) == 0.5
     assert run_cli(tmp_path, "heatmap", {"method": "newton"}) == 2
+    for grid in ("p_grid", "theta_grid"):
+        assert run_cli(tmp_path, "heatmap", {"method": "sgd", grid: []}) == 2
 
 
 def test_heatmap_custom_grid(tmp_path):
@@ -476,6 +478,14 @@ def test_verify_small_randomized_suites(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert (report["draws_requested"], report["draws_run"]) == (30, 3)
     assert cli.main(["verify", "assumptions", "--draws", "200", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["chung", "bounds", "assumptions"])
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_verify_with_fewer_than_one_draw_is_a_config_error(tmp_path, capsys, suite, draws):
+    assert cli.main(["verify", suite, "--draws", draws, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: draws must be at least 1, got {draws}\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_verify_unknown_suite_is_usage_error():
@@ -779,6 +789,7 @@ def test_every_numeric_field_rejects_a_wrong_type(data):
 
 
 RUN_DIM = ("problem", "dim")
+RUN_POWER = dict(RUN_GD, problem={"kind": "power", "theta": 0.9, "c": 1.0, "radius": 0.5})
 
 
 @pytest.mark.parametrize(
@@ -796,6 +807,9 @@ RUN_DIM = ("problem", "dim")
         ("simulate-recursion", SIM_CONFIG, ("k_grid",), "[9999999999999]"),
         ("simulate-recursion", SIM_CONFIG, ("k_grid",), f"[8, {cli.MAX_HORIZON + 1}]"),
         ("bound", BOUND_CONST, ("K",), "1" + "0" * 399),
+        # power problems whose smoothness constant overflows, or underflows to 0
+        ("run", RUN_POWER, ("problem", "radius"), "1e40"),
+        ("run", RUN_POWER, ("problem", "theta"), "0.9999"),
     ],
 )
 def test_reproduced_config_gaps_exit_2(tmp_path, capsys, command, config, path, text):

@@ -284,6 +284,27 @@ def test_heterogeneous_finite_sum_certificate():
     assert "component-dispersion" in names
 
 
+def test_gd_run_takes_a_first_step_of_exactly_one_over_L():
+    problem = make_quadratic(1.0, 4.0, 2)
+    cap = 1.0 / problem.smoothness_L
+    run = gd_run(problem, Polynomial(alpha=cap, gamma=1.0, p=1.0), [1.0, 1.0], 8)
+    assert run.gaps.shape[-1] == 9 and np.all(np.isfinite(run.gaps))
+    above = math.nextafter(cap, math.inf)
+    with pytest.raises(PreconditionError, match=f"largest step {above} exceeds the descent cap"):
+        gd_run(problem, Constant(alpha=above), [1.0, 1.0], 8)
+    flat = dataclasses.replace(problem, smoothness_L=math.inf)
+    with pytest.raises(ValueError, match="cap must be positive and finite, got 0.0"):
+        gd_run(flat, Constant(alpha=0.1), [1.0, 1.0], 8)
+
+
+@pytest.mark.parametrize(
+    "theta, radius, name", [(0.9, 1e40, "L = inf"), (0.9999, 0.5, "L = 0.0")]
+)
+def test_make_power_family_rejects_constants_past_the_floats(theta, radius, name):
+    with pytest.raises(ValueError, match=f"^{name} is not a positive finite float"):
+        make_power_family(theta, 1.0, radius)
+
+
 def test_make_power_family_constants():
     problem = make_power_family(0.5, 0.5, radius=2.0)
     assert problem.pl_mu == pytest.approx(1.0, rel=1e-15)

@@ -134,3 +134,11 @@ def test_heatmap_grid_argmax_matches_optimal_p():
 def test_heatmap_grid_rejects_unknown_method():
     with pytest.raises(ValueError):
         heatmap_grid([0.5], [0.5], "gd")
+
+
+@pytest.mark.parametrize(
+    "p_grid, theta_grid, name", [([], [0.5], "p_grid"), ([0.5], [], "theta_grid")]
+)
+def test_heatmap_grid_rejects_an_empty_grid(p_grid, theta_grid, name):
+    with pytest.raises(ValueError, match=f"^{name} is empty$"):
+        heatmap_grid(p_grid, theta_grid, "sgd")

@@ -18,7 +18,6 @@ from steprates.recursions import (
     FunctionDescriptor,
     PreconditionError,
     RecursionSpec,
-    check_convexity,
     classical_bound,
     classical_lambda,
     classical_spec,
@@ -299,26 +298,78 @@ def test_forgetting_bound_dominates_general_bound():
             assert fb >= gb * (1 - 1e-10) - 1e-14
 
 
-def test_check_convexity_affine_and_power():
-    line = FunctionDescriptor(fn=lambda x: 3.0 * x - 1.0, label="affine")
-    assert check_convexity(line, (0.0, 10.0)).convex
-    power = FunctionDescriptor(fn=lambda x: 2.0 * x**-0.5, label="power")
-    assert check_convexity(power, (1.0, 500.0)).convex
+def ratio_spec(fn, lo: float, hi: float, K: int = 128) -> RecursionSpec:
+    """A spec whose ratio is fn, on K equal steps from lo to hi."""
+    return RecursionSpec(
+        s=FunctionDescriptor(fn=lambda x: 2.0),
+        t=FunctionDescriptor(fn=lambda x: 4.0),
+        b=lambda k: lo + (hi - lo) * k / K,
+        interval=(lo, hi),
+        horizon=K,
+        ratio=FunctionDescriptor(fn=fn),
+    )
 
 
-def test_check_convexity_cosine_witness_near_midpoint():
+def test_recursion_convexity_affine_and_power():
+    for result in (
+        recursion_convexity(ratio_spec(lambda x: 3.0 * x - 1.0, 0.0, 10.0)),
+        recursion_convexity(ratio_spec(lambda x: 2.0 * x**-0.5, 1.0, 500.0)),
+    ):
+        assert result.check == "ratio-convex"
+        assert result.passed and result.margin >= -1e-9
+        assert result.witness_index is None
+
+
+def test_recursion_convexity_cosine_witness_in_concave_half():
     K = 10.0
-    bump = FunctionDescriptor(fn=lambda x: 1.0 + math.cos(x * math.pi / K))
-    report = check_convexity(bump, (0.0, K), samples=1025)
-    assert not report.convex
-    spacing = K / 1024.0
-    assert abs(report.witness - K / 2.0) <= 3.0 * spacing
+    result = recursion_convexity(ratio_spec(lambda x: 1.0 + math.cos(x * math.pi / K), 0.0, K))
+    assert not result.passed
+    # the bump is concave on [0, K/2]; the witness is the first failing point
+    assert 0.0 < result.witness_value <= K / 2.0
+    assert result.witness_value == K / 1024.0
+    assert result.margin < -1e-9
+
+
+def test_recursion_convexity_concave_ratio_fails_at_its_first_point():
+    spec = ratio_spec(math.sqrt, 1.0, 9.0, K=8)
+    result = recursion_convexity(spec)
+    assert not result.passed
+    assert (result.witness_index, result.witness_value) == ("x=1.125", 1.125)
+    # the margin is the least relative chord slack over the refined points
+    xs = [1.0 + j / 8.0 for j in range(65)]
+    slacks = [
+        ((math.sqrt(a) + math.sqrt(c)) / 2.0 - math.sqrt(b)) / max(1.0, math.sqrt(b))
+        for a, b, c in zip(xs, xs[1:], xs[2:])
+    ]
+    assert result.margin == pytest.approx(min(slacks), rel=1e-6)
+
+
+def test_recursion_convexity_fails_a_ratio_nan_between_grid_points():
+    # 1/2 at every b_k, so the spec builds; NaN at every refined point
+    spec = ratio_spec(lambda x: 0.5 if float(x).is_integer() else math.nan, 0.0, 16.0, K=16)
+    result = recursion_convexity(spec)
+    assert not result.passed
+    assert math.isnan(result.margin)
+    assert (result.witness_index, result.witness_value) == (None, None)
 
 
 def test_recursion_convexity_on_specs():
-    assert recursion_convexity(dyadic_spec()).convex
+    assert recursion_convexity(dyadic_spec()).passed
     params = ClassicalParams(c=1.0, d=1.0, nu=0.5, q=0.25, gamma=4.0)
-    assert recursion_convexity(classical_spec(params, 32)).convex
+    assert recursion_convexity(classical_spec(params, 32)).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(0.1, 2.0),
+    st.floats(0.0, 1e-6),
+    st.integers(2, 40),
+)
+def test_recursion_convexity_decides_as_the_chord_test(power, scale, wobble, K):
+    """Pass or fail as the plain rule r - chord > 1e-9*max(1, |r|) at some point."""
+    spec = ratio_spec(lambda x: scale * x**power + wobble * math.sin(40.0 * x), 1.0, 4.0, K=K)
+    assert recursion_convexity(spec).passed == (oracles.convexity_violation(spec) is None)
 
 
 def test_tech_inequality_suite_passes_exactly():

@@ -17,7 +17,6 @@ from steprates.schedules import (
     step_sum,
     step_value,
     step_values,
-    validate_cap,
 )
 
 
@@ -115,16 +114,6 @@ def test_step_values_matches_step_value_bitwise():
         Cosine(alpha=0.4, p=2.0, horizon=64),
     ):
         assert step_values(sched, 64) == [step_value(sched, k) for k in range(64)]
-
-
-def test_validate_cap_reports():
-    fail = validate_cap(Constant(alpha=0.1), 0.05, 10)
-    assert not fail.passed
-    assert fail.violating_index == 0
-    assert validate_cap(Polynomial(alpha=1.0, gamma=4.0, p=1.0), 0.25, 10).passed
-    assert validate_cap(
-        Exponential(alpha=1.0, beta=1.0, p=1.0, horizon=100), 1.0, 100
-    ).passed
 
 
 @given(

@@ -10,16 +10,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from steprates import verify
+from steprates import plbounds, verify
 from steprates.plbounds import (
     NumericFailure,
     bound_const,
+    offset_admissible,
     sgd_constants,
     simulate_pl_lanes,
     simulate_pl_recursion,
+    smallest_offset,
 )
+from steprates.recursions import CheckResult
 from steprates.schedules import Constant, Polynomial
-from steprates.verify import bounds_suite, chung_suite
+from steprates.verify import assumptions_suite, bounds_suite, chung_suite
 
 
 def test_chung_suite_fails_a_nan_closed_form(monkeypatch):
@@ -41,12 +44,59 @@ def test_chung_suite_margins_are_slacks():
         "classical-general-consistency",
         "extension-propagation",
         "forgetting-dominates-general",
+        "ratio-convex",
     ]
     assert all(c.passed for c in checks)
     # tightness and consistency read minus a gap; the others may exceed 0
     assert -1e-12 <= checks[0].margin <= 0.0
     assert -1e-10 <= checks[3].margin <= 0.0
     assert all(c.margin >= -1e-10 for c in checks)
+
+
+def test_chung_suite_folds_each_spec_convexity_in_as_one_item(monkeypatch):
+    seen = []
+
+    def concave_integral_specs(spec):
+        seen.append(spec)
+        if len(seen) in (4, 6):  # draw 1's and draw 2's integral-decay specs
+            return CheckResult("ratio-convex", False, -len(seen), "x=1", float(len(seen)))
+        return CheckResult("ratio-convex", True, 1e-3)
+
+    monkeypatch.setattr(verify, "recursion_convexity", concave_integral_specs)
+    report = chung_suite(30, 1)
+    assert len(seen) == 6  # three draws, two specs each
+    check = report.checks[-1]
+    assert (check.check, check.passed, check.margin) == ("ratio-convex", False, -6.0)
+    assert (check.witness_index, check.witness_value) == ("draw 1 integral", 4.0)
+
+
+@pytest.mark.parametrize("suite", [chung_suite, bounds_suite, assumptions_suite])
+@pytest.mark.parametrize("draws", [0, -3])
+def test_suites_reject_fewer_than_one_draw(suite, draws):
+    with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
+        suite(draws, 0)
+
+
+def test_case_d_draw_and_its_bound_search_the_offset_once(monkeypatch):
+    tests = []
+
+    def counted(*args):
+        tests.append(args)
+        return offset_admissible(*args)
+
+    monkeypatch.setattr(plbounds, "offset_admissible", counted)
+    smallest_offset.cache_clear()
+    rng = np.random.default_rng(3)
+    drawn = None
+    while drawn is None:
+        drawn = verify._draw_bound_case(rng, verify._draw_method(rng, "sgd"), "poly", "d")
+    searched = len(tests)
+    assert searched > 2
+    evaluate = drawn[2]
+    evaluate(0.25)
+    # the bound tests its own gamma once and takes the offset from the draw's search
+    assert len(tests) == searched + 1
+    assert smallest_offset.cache_info().hits == 1
 
 
 def test_bounds_suite_resamples_a_failed_simulation(monkeypatch):
