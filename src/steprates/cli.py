@@ -37,7 +37,7 @@ import io
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Collection, Mapping, Sequence
 
@@ -604,6 +604,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache  # one parser per process: parse_args leaves it unchanged
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 _CONFIG_COMMANDS = {
     "simulate-recursion": _cmd_simulate_recursion,
     "bound": _cmd_bound,
@@ -613,9 +618,8 @@ _CONFIG_COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -212,6 +212,8 @@ def _coefficient(formula: str, value: Callable[[], float], **constants: float) -
 
 def smoothness_cap(method: str, L: float) -> float:
     """Largest step admissible for the descent analysis itself."""
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L!r}")
     kind = method.lower()
     if kind == "sgd":
         return 1.0 / L

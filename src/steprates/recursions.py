@@ -11,7 +11,8 @@ cross-checking oracles, a numeric certificate search for lambda, the bound
 itself together with its extension past the certified horizon and the
 forgetting-factor refinement, closed forms for the classical decreasing-step
 case s = x^nu/c, t = x^(nu+q)/d, and grid verification of the elementary
-inequalities those derivations lean on.
+inequalities those derivations lean on, whose cosine checks share one row
+per K of cos(k*pi/K) and (1 - k/K)**2.
 
 A spec evaluates s, t, b and the ratio once per grid point, at
 construction, and every evaluator here reads those values (`spec.grid`)
@@ -26,9 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat, takewhile
 from operator import mul
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class PreconditionError(ValueError):
@@ -92,6 +95,7 @@ class RecursionSpec:
     horizon: int
     ratio: FunctionDescriptor | None = None
     grid: SpecGrid = field(init=False, repr=False, compare=False)
+    _forgetting: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -326,11 +330,7 @@ def find_lambda_constant(
     """
     terms, tol = _slope_terms(spec)
     if lambda_target is None:
-        feasible = []
-        for h in terms:
-            if not 1.0 + h > 0.0:
-                break
-            feasible.append(h)
+        feasible = list(takewhile(lambda h: 1.0 + h > 0.0, terms))
         if not feasible:
             return CertifiedLambda(math.inf, 0, -math.inf)
         # lam is the least lambda that clears every 1/(1 + h), so the least
@@ -389,25 +389,34 @@ def extend_bound(
         rv = grid.r[k]
         if rv > B + slack:
             raise PreconditionError(f"r(b_{k}) = {rv} exceeds B = {B}")
-    prod = 1.0
-    for contraction in grid.contraction[k0:K]:
-        prod *= contraction
-    return B + C * prod
+    return B + C * math.prod(grid.contraction[k0:K], start=1.0)
 
 
 def forgetting_factor(spec: RecursionSpec, lam: float, k: int) -> float:
-    """prod_{i=0}^{k} (1 - (1/lam)/(s(b_i)-1+1/lam)); 1 for k = -1."""
+    """prod_{i=0}^{k} (1 - (1/lam)/(s(b_i)-1+1/lam)); 1 for k = -1.
+
+    The products for every k are taken left to right on the first call for
+    a lam and kept on the spec, for its last lam only, so a call costs O(1).
+    An infinite s gives the factor 1.0 (x * 1.0 is x); from an s with
+    s - 1 + 1/lam = 0 on, every k raises ZeroDivisionError.
+    """
     if not lam > 0:
         raise ValueError("lam must be positive")
     if k + 1 > spec.horizon:
         raise ValueError(f"k = {k} beyond spec horizon {spec.horizon}")
-    inv = 1.0 / lam
-    prod = 1.0
-    for sv in spec.grid.s[: max(k + 1, 0)]:
-        if math.isinf(sv):
-            continue
-        prod *= 1.0 - inv / (sv - 1.0 + inv)
-    return prod
+    kept, prefix = spec._forgetting
+    if kept != lam:
+        inv, factors = 1.0 / lam, []
+        try:
+            for s in spec.grid.s[:-1]:
+                factors.append(1.0 if math.isinf(s) else 1.0 - inv / (s - 1.0 + inv))
+        except ZeroDivisionError:
+            pass
+        prefix = tuple(accumulate(factors, mul, initial=1.0))
+        object.__setattr__(spec, "_forgetting", (lam, prefix))
+    if k + 1 >= len(prefix):
+        raise ZeroDivisionError(f"s(b_{len(prefix) - 1}) - 1 + 1/lam is 0")
+    return prefix[max(k + 1, 0)]
 
 
 def forgetting_bound(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: int) -> float:
@@ -566,9 +575,7 @@ def _product_exp_check(k_max: int) -> CheckResult:
     while n <= k_max:
         for offset in (0.0, 0.37, 1.9):
             xs = [-1.0 + 2.5 * math.modf(0.6180339887498949 * (i + 1) + offset)[0] for i in range(n)]
-            prod = 1.0
-            for x in xs:
-                prod *= 1.0 + x
+            prod = math.prod(1.0 + x for x in xs)
             margins.append(math.exp(math.fsum(xs)) - prod)
             values.append(prod)
             case += 1
@@ -596,43 +603,36 @@ def _power_difference_check(r_grid: list[float]) -> CheckResult:
     return worst.result()
 
 
-def _cosine_bracket_check(k_max: int) -> tuple[CheckResult, CheckResult]:
+def _cosine_checks(k_max: int, r_grid: list[float]) -> tuple[CheckResult, ...]:
+    """The cosine brackets, shifted and increment estimates and power-sum floor.
+
+    They share row K: cos(k*pi/K) and (1 - k/K)**2 for k = 0..K, each taken
+    once by math.cos and Python's **. The + - * / on the rows run in numpy,
+    which rounds each element as Python does; the power sum keeps pow and fsum.
+    """
     lower = WorstMargin("cosine-lower-bracket", "K={},k={}".format)
     upper = WorstMargin("cosine-upper-bracket", "K={},k={}".format)
+    shifted = WorstMargin("cosine-shifted-lower", "K={},k={}".format)
+    increment = WorstMargin("cosine-increment-lower", "K={},k={}".format)
+    power_sum = WorstMargin("cosine-power-sum", lambda K, i: f"K={K},r={r_grid[i]}")
     for K in range(1, k_max + 1):
-        fracs = [1.0 - k / K for k in range(K + 1)]
-        mids = [1.0 + math.cos(k * math.pi / K) for k in range(K + 1)]
-        lower.add([mid - 2.0 * frac**2 for mid, frac in zip(mids, fracs)], mids, K)
-        upper.add([(math.pi**2 / 2.0) * frac**2 - mid for mid, frac in zip(mids, fracs)], mids, K)
-    return lower.result(), upper.result()
-
-
-def _cosine_shifted_check(k_max: int) -> CheckResult:
-    worst = WorstMargin("cosine-shifted-lower", "K={},k={}".format)
-    for K in range(2, k_max + 1):
-        lhs = [1.0 + math.cos((k + 1) * math.pi / K) for k in range(K - 1)]
-        rhs = [0.5 * (1.0 - k / K) ** 2 for k in range(K - 1)]
-        worst.add([lv - rv for lv, rv in zip(lhs, rhs)], lhs, K)
-    return worst.result()
-
-
-def _cosine_increment_check(k_max: int) -> CheckResult:
-    worst = WorstMargin("cosine-increment-lower", "K={},k={}".format)
-    for K in range(1, k_max + 1):
-        lhs = [math.cos((k + 1) * math.pi / K) - math.cos(k * math.pi / K) for k in range(K)]
-        rhs = [-(math.pi**2 / K) * (1.0 - k / K) for k in range(K)]
-        worst.add([lv - rv for lv, rv in zip(lhs, rhs)], lhs, K)
-    return worst.result()
-
-
-def _cosine_power_sum_check(k_max: int, r_grid: list[float]) -> CheckResult:
-    worst = WorstMargin("cosine-power-sum", lambda K, i: f"K={K},r={r_grid[i]}")
-    for K in range(1, k_max + 1):
-        bases = [(1.0 + math.cos(k * math.pi / K)) / 2.0 for k in range(K)]
-        totals = [math.fsum(base**r for base in bases) for r in r_grid]
-        floors = [K / 2.0 ** max(1.0, r) for r in r_grid]
-        worst.add([total - floor for total, floor in zip(totals, floors)], totals, K)
-    return worst.result()
+        ks = np.arange(K + 1.0)
+        cos = np.array(list(map(math.cos, (ks * math.pi / K).tolist())))
+        fracs = 1.0 - ks / K
+        squares = np.array(list(map(pow, fracs.tolist(), repeat(2))))
+        mids = 1.0 + cos
+        mid_list = mids.tolist()
+        lower.add((mids - 2.0 * squares).tolist(), mid_list, K)
+        upper.add(((math.pi**2 / 2.0) * squares - mids).tolist(), mid_list, K)
+        if K > 1:  # k = 0..K-2 against cos((k + 1)*pi/K)
+            lhs = mids[1:K]
+            shifted.add((lhs - 0.5 * squares[: K - 1]).tolist(), lhs.tolist(), K)
+        lhs = cos[1:] - cos[:-1]
+        increment.add((lhs + (math.pi**2 / K) * fracs[:K]).tolist(), lhs.tolist(), K)
+        bases = (mids[:K] / 2.0).tolist()
+        totals = [math.fsum(map(pow, bases, repeat(r, K))) for r in r_grid]
+        power_sum.add([t - K / 2.0 ** max(1.0, r) for t, r in zip(totals, r_grid)], totals, K)
+    return tuple(worst.result() for worst in (lower, upper, shifted, increment, power_sum))
 
 
 def _integral_sandwich_check(k_max: int) -> CheckResult:
@@ -664,22 +664,18 @@ def tech_inequality_suite(K_max: int, r_grid: list[float]) -> SuiteReport:
 
     Covers the logarithm upper bound, the product-vs-exponential bound, the
     power-difference bound, the three cosine estimates, the cosine power-sum
-    floor, and the integral sandwich for decreasing power functions.
+    floor, and the integral sandwich for decreasing power functions. The
+    cosine checks share one row per K of cos(k*pi/K) and (1 - k/K)**2.
     """
     if K_max < 2:
         raise ValueError("K_max must be at least 2")
     if not r_grid or any(r <= 0 for r in r_grid):
         raise ValueError("r_grid must contain positive reals")
-    bracket_lower, bracket_upper = _cosine_bracket_check(K_max)
     checks = (
         _log_bound_check(),
         _product_exp_check(K_max),
         _power_difference_check(list(r_grid)),
-        bracket_lower,
-        bracket_upper,
-        _cosine_shifted_check(K_max),
-        _cosine_increment_check(K_max),
-        _cosine_power_sum_check(K_max, list(r_grid)),
+        *_cosine_checks(K_max, list(r_grid)),
         _integral_sandwich_check(K_max),
     )
     return SuiteReport(checks=checks)

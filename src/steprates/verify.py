@@ -348,10 +348,7 @@ def bounds_suite(
     _require_draws(draws)
     rng = keyed_generators([seed])[0]
     worst = WorstMargin("bound-dominates-simulation", "method={} schedule={} K={}".format)
-    evaluated = 0
-    dominated = 0
-    resampled = 0
-    attempts = 0
+    evaluated = dominated = resampled = attempts = 0
     while evaluated < draws and attempts < 50 * draws:
         drawn = []
         while len(drawn) < draws - evaluated and attempts < 50 * draws:

@@ -492,6 +492,36 @@ def test_verify_unknown_suite_is_usage_error():
     assert cli.main(["verify", "spectral"]) == 2
 
 
+def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "bound.json"
+    config.write_text(json.dumps(BOUND_CONST), encoding="utf-8")
+    out = tmp_path / "out"
+    argvs = [
+        ["bound", "--config", str(config), "--out", str(out)],
+        ["verify", "spectral"],
+        ["verify", "inequalities", "--k-max", "8", "--out", str(out)],
+    ]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        in_process = []
+        for argv in argvs:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    for argv, expected in zip(argvs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "steprates", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
 def test_cli_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "steprates", "--help"], capture_output=True, text=True
@@ -838,12 +868,21 @@ VERIFY_REPORTS = {
     ("bounds", "--draws", "200", "--seed", "7"): (
         "4ffeb6a2510c38b39a78df8c2a90c0fbcd0e77daeeaa719625eb14e5d798723a"
     ),
+    # taken before the cosine checks shared one row per K
+    ("inequalities", "--k-max", "512"): (
+        "e47003983c89f22c75398b314cb3e6d0ede0f4648e17cc547664590a389222de"
+    ),
 }
 
 
-@pytest.mark.parametrize(
-    "argv", VERIFY_REPORTS, ids=lambda argv: argv[0] + "".join(argv[3:]).replace("--", "-")
-)
+def verify_report_id(argv):
+    """The suite and the flags after its size; a suite's later pins add the size."""
+    name = argv[0] + "".join(argv[3:]).replace("--", "-")
+    first = next(a for a in VERIFY_REPORTS if a[0] == argv[0] and a[3:] == argv[3:])
+    return name if argv == first else name + "".join(argv[1:3]).replace("--", "-")
+
+
+@pytest.mark.parametrize("argv", VERIFY_REPORTS, ids=verify_report_id)
 def test_verify_reports_keep_their_bytes(tmp_path, argv):
     assert cli.main(["verify", *argv, "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()

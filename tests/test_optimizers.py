@@ -293,8 +293,21 @@ def test_gd_run_takes_a_first_step_of_exactly_one_over_L():
     with pytest.raises(PreconditionError, match=f"largest step {above} exceeds the descent cap"):
         gd_run(problem, Constant(alpha=above), [1.0, 1.0], 8)
     flat = dataclasses.replace(problem, smoothness_L=math.inf)
-    with pytest.raises(ValueError, match="cap must be positive and finite, got 0.0"):
+    with pytest.raises(ValueError, match="^L must be positive and finite, got inf$"):
         gd_run(flat, Constant(alpha=0.1), [1.0, 1.0], 8)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("algorithm", ["gd", "sgd", "rr"])
+def test_runs_reject_a_smoothness_constant_that_is_not_positive(algorithm, L):
+    problem = dataclasses.replace(make_quadratic(1.0, 1.0, 1, N=2), smoothness_L=L)
+    run = {
+        "gd": lambda: gd_run(problem, Constant(0.1), [1.0], 4),
+        "sgd": lambda: sgd_run(problem, NoiseModel("none"), Constant(0.1), [1.0], 4, seeds=[0]),
+        "rr": lambda: rr_run(problem, Constant(0.1), [1.0], 4, seeds=[0]),
+    }[algorithm]
+    with pytest.raises(ValueError, match=f"^L must be positive and finite, got {L!r}$"):
+        run()
 
 
 @pytest.mark.parametrize(

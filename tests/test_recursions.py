@@ -521,6 +521,47 @@ def test_bounds_match_per_call_evaluation_at_every_k(spec, data):
         assert bits(extend_bound(spec, B, 0.7, k0, K_certified, K_end)) == bits(expected)
 
 
+def outcome(fn, *args):
+    """fn's value as bits() gives it, or ZeroDivisionError where it raises one."""
+    try:
+        return bits(fn(*args))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([1.0, math.inf]), st.floats(1.0, 1e6)), min_size=2, max_size=60
+    ),
+    st.lists(
+        st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-320, math.inf])),
+        min_size=2,
+        max_size=5,
+    ),
+    st.data(),
+)
+def test_forgetting_factor_equals_the_loop_at_every_k(s_values, lams, data):
+    # s is infinite or exactly 1 at some grid points; a spec keeps the prefix
+    # of its last lambda, and each lambda, in turn and again, is queried at
+    # every k in a drawn order. 1/lam = 0 at s = 1 divides by zero: both
+    # raise from that k on
+    K = len(s_values) - 1
+    spec = RecursionSpec(
+        s=FunctionDescriptor(fn=lambda x: s_values[int(x)]),
+        t=FunctionDescriptor(fn=lambda x: 2.0),
+        b=float,
+        interval=(0.0, float(K)),
+        horizon=K,
+        ratio=FunctionDescriptor(fn=lambda x: 0.5, derivative=lambda x: 0.0),
+    )
+    for lam in lams + lams[::-1]:
+        ks = data.draw(st.permutations(range(-2, K)))
+        got = [outcome(forgetting_factor, spec, lam, k) for k in ks]
+        expected = [outcome(oracles.recursion_forgetting_factor, spec, lam, k) for k in ks]
+        assert got == expected
+
+
 def _counted(fn, counts, name):
     def wrapper(x):
         counts[name] += 1
@@ -628,7 +669,7 @@ def test_failing_checks_report_the_oracle_witness(name, monkeypatch):
     assert not report.passed
 
 
-@pytest.mark.parametrize("k_max", [2, 5, 64])
+@pytest.mark.parametrize("k_max", [2, 5, 64, 130])
 def test_passing_checks_equal_the_oracle(k_max):
     r_grid = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
     got = [dataclasses.astuple(c) for c in tech_inequality_suite(k_max, r_grid).checks]
