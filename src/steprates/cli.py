@@ -39,7 +39,7 @@ import math
 import sys
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -220,12 +220,7 @@ def _variant(section, key: str, variants: Mapping, where: str):
     return variants[name]
 
 
-_SCHEDULES = {
-    "constant": (Constant, ("alpha",)),
-    "polynomial": (Polynomial, ("alpha", "gamma", "p")),
-    "exponential": (Exponential, ("alpha", "beta", "p")),
-    "cosine": (Cosine, ("alpha", "p")),
-}
+_SCHEDULES = {cls.__name__.lower(): cls for cls in get_args(StepSchedule)}
 _PROBLEMS = {
     "quadratic": (
         make_quadratic,
@@ -238,10 +233,13 @@ _PROBLEMS = {
 
 
 def _build_schedule(section, K: int, where: str = "schedule") -> StepSchedule:
-    cls, names = _variant(section, "family", _SCHEDULES, where)
-    fields = _fields(section, {"family": None, **dict.fromkeys(names, _real)}, where)
+    """The family's schedule: its fields from section, each a number, and horizon K."""
+    cls = _variant(section, "family", _SCHEDULES, where)
+    table = dict.fromkeys((f.name for f in dataclasses.fields(cls)), _real)
+    horizon = {"horizon": K} if table.pop("horizon", None) else {}
+    fields = _fields(section, {"family": None, **table}, where)
     del fields["family"]
-    return cls(**fields, horizon=K) if cls in (Exponential, Cosine) else cls(**fields)
+    return cls(**fields, **horizon)
 
 
 def _build_params(section, where: str) -> PLParams:

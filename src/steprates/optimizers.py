@@ -253,8 +253,6 @@ def _aggregate(gaps: np.ndarray, seeds: tuple[int, ...], left: np.ndarray) -> Tr
 
 
 def _check_cap(schedule: StepSchedule, cap: float, K: int, what: str) -> None:
-    if not (math.isfinite(cap) and cap > 0):
-        raise ValueError(f"cap must be positive and finite, got {cap!r}")
     biggest = step_max(schedule, K)
     if not biggest <= cap:
         raise PreconditionError(f"largest step {biggest} exceeds the {what} cap {cap}")

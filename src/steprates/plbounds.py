@@ -211,14 +211,16 @@ def _coefficient(formula: str, value: Callable[[], float], **constants: float) -
 
 
 def smoothness_cap(method: str, L: float) -> float:
-    """Largest step admissible for the descent analysis itself."""
+    """Largest step admissible for the descent analysis itself: 1/L for sgd,
+    1/(2L) for rr, formed as 0.5/L so it stays positive for L near the
+    largest float. A subnormal L gives an infinite cap, which does not bind."""
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"L must be positive and finite, got {L!r}")
     kind = method.lower()
     if kind == "sgd":
         return 1.0 / L
     if kind == "rr":
-        return 1.0 / (2.0 * L)
+        return 0.5 / L
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -429,9 +431,7 @@ def simulate_pl_lanes(
         return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     for _, schedule, y0, K in lanes:
         _check_start(y0, K)
-        horizon = getattr(schedule, "horizon", None)
-        if horizon is not None and K - 1 > horizon:
-            raise ValueError(f"step index {K - 1} beyond horizon {horizon}")
+        step_max(schedule, K)  # the index and type checks of step_values
     horizons = np.array([lane[3] for lane in lanes], dtype=np.int64)
     order = np.argsort(-horizons, kind="stable")
     ordered = [lanes[i] for i in order]
@@ -451,8 +451,6 @@ def simulate_pl_lanes(
     cube, other = tau == 3.0, (tau != 2.0) & (tau != 3.0)
     families: dict[type, list[int]] = {}
     for i, (_, schedule, _, _) in enumerate(ordered):
-        if type(schedule) not in _STEP_FIELDS:
-            raise TypeError(f"unknown schedule type {type(schedule).__name__}")
         families.setdefault(type(schedule), []).append(i)
     steps = []
     for family, where in families.items():
@@ -631,8 +629,6 @@ def relaxed_recursion_transform(
             return a * x**inv_q
 
         def b(k: int) -> float:
-            if k == K:
-                return 0.0
             return ((1.0 + math.cos(k * math.pi / K)) / 2.0) ** pq
 
         interval = (0.0, 1.0)
@@ -1010,7 +1006,7 @@ def bound_poly(
         )
         if mc.method == "sgd":
             alpha = _floored("alpha", schedule.alpha, poly_alpha_floor(params, derived, "b", p))
-            _capped("largest step", alpha / gamma**p, cap)
+            _capped("largest step", step_max(schedule, K), cap)
             noise = 4.0 * zeta * alpha**q * _decay(omega, math.log(K + gamma))
             init = y0 * _decay(2.0 * omega, math.log((K + gamma) / gamma))
             details = {"tuned": True, "alpha": alpha, "u2": omega}
@@ -1038,7 +1034,7 @@ def bound_poly(
     details = {"alpha": alpha, "gamma": gamma}
 
     if chosen in ("a", "b"):
-        _capped("largest step", alpha / gamma**p, cap)
+        _capped("largest step", step_max(schedule, K), cap)
     if chosen == "a":
         _require(p < rho, f"case a needs p < {rho}, got {p}")
         _floored("gamma", gamma, poly_gamma_floor(params, derived, "a", alpha, p))

@@ -21,7 +21,7 @@ function whose value changes after construction is not seen. The lazy
 calls are the derivative of r, which the lambda certificate evaluates on
 demand, and r between grid points, where the check ratio-convex
 (recursion_convexity) tests the lemma's convexity hypothesis by the
-relative chord slacks (chord - r)/max(1, |r|).
+chord slacks (chord - r) relative to the largest |r| of their three points.
 """
 from __future__ import annotations
 
@@ -282,8 +282,10 @@ def recursion_convexity(spec: RecursionSpec) -> CheckResult:
 
     Each gap of the b_k grid (which need not be uniform or increasing) is
     cut into equal parts; on the sorted points, each interior point is an
-    item with margin (chord - r)/max(1, |r|). The witness value is the first
-    failing point; a ratio NaN or infinite at any point fails with margin NaN.
+    item with margin (chord - r)/max|r|, the largest |r| among the item's
+    three points (margin 0 where all three are 0), so the floor is relative
+    to the ratio's own scale. The witness value is the first failing point;
+    a ratio NaN or infinite at any point fails with margin NaN.
     """
     b, n = spec.grid.b, CONVEXITY_SUBDIVISIONS
     points = [x0 + (x1 - x0) * j / n for x0, x1 in zip(b, b[1:]) for j in range(n)]
@@ -294,10 +296,12 @@ def recursion_convexity(spec: RecursionSpec) -> CheckResult:
         if x - grid[-1] > 1e-12 * span:
             grid.append(x)
     values = [spec.r(x) for x in grid]
-    margins = [
-        (((x2 - x1) * v0 + (x1 - x0) * v2) / (x2 - x0) - v1) / max(1.0, abs(v1))
-        for x0, x1, x2, v0, v1, v2 in zip(grid, grid[1:], grid[2:], values, values[1:], values[2:])
-    ]
+    margins = []
+    for x0, x1, x2, v0, v1, v2 in zip(grid, grid[1:], grid[2:], values, values[1:], values[2:]):
+        slack = ((x2 - x1) * v0 + (x1 - x0) * v2) / (x2 - x0) - v1
+        scale = max(abs(v0), abs(v1), abs(v2))
+        # scale 0: three zeros (slack 0) or a NaN that max() passed over (slack NaN)
+        margins.append(slack / scale if scale else slack)
     worst = WorstMargin("ratio-convex", lambda i: f"x={grid[i + 1]:.6g}")
     if margins:
         worst.add(margins, grid[1:-1], floor=CONVEXITY_TOL)

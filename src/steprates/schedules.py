@@ -94,21 +94,28 @@ def _check_index(schedule: StepSchedule, k: int) -> None:
         raise ValueError(f"step index {k} beyond horizon {horizon}")
 
 
+def _steps(schedule: StepSchedule, ks: range) -> list[float]:
+    """alpha_k for k in ks, by the family's closed form: the one statement
+    of each step rule. At k = K, cos(K*pi/K) is exactly -1.0 (K*pi/K lies
+    within two roundings of pi), so the cosine step is 0.0 there."""
+    if isinstance(schedule, Constant):
+        return [schedule.alpha] * len(ks)
+    if isinstance(schedule, Polynomial):
+        a, g, p = schedule.alpha, schedule.gamma, schedule.p
+        return [a / (k + g) ** p for k in ks]
+    if isinstance(schedule, Exponential):
+        a, lg = schedule.alpha, schedule.log_decay
+        return [a * math.exp(k * lg) for k in ks]
+    if isinstance(schedule, Cosine):
+        a, p, H = schedule.alpha, schedule.p, schedule.horizon
+        return [a * ((1.0 + math.cos(k * math.pi / H)) / 2.0) ** p for k in ks]
+    raise TypeError(f"unknown schedule type {type(schedule).__name__}")
+
+
 def step_value(schedule: StepSchedule, k: int) -> float:
     """alpha_k for the given family; zero only for the cosine family at k = K."""
     _check_index(schedule, k)
-    if isinstance(schedule, Constant):
-        return schedule.alpha
-    if isinstance(schedule, Polynomial):
-        return schedule.alpha / (k + schedule.gamma) ** schedule.p
-    if isinstance(schedule, Exponential):
-        return schedule.alpha * math.exp(k * schedule.log_decay)
-    if isinstance(schedule, Cosine):
-        if k == schedule.horizon:
-            return 0.0
-        base = (1.0 + math.cos(k * math.pi / schedule.horizon)) / 2.0
-        return schedule.alpha * base**schedule.p
-    raise TypeError(f"unknown schedule type {type(schedule).__name__}")
+    return _steps(schedule, range(k, k + 1))[0]
 
 
 def step_values(schedule: StepSchedule, K: int) -> list[float]:
@@ -116,19 +123,7 @@ def step_values(schedule: StepSchedule, K: int) -> list[float]:
     if K < 1:
         raise ValueError("K must be at least 1")
     _check_index(schedule, K - 1)
-    if isinstance(schedule, Constant):
-        return [schedule.alpha] * K
-    if isinstance(schedule, Polynomial):
-        a, g, p = schedule.alpha, schedule.gamma, schedule.p
-        return [a / (k + g) ** p for k in range(K)]
-    if isinstance(schedule, Exponential):
-        lg = schedule.log_decay
-        a = schedule.alpha
-        return [a * math.exp(k * lg) for k in range(K)]
-    if isinstance(schedule, Cosine):
-        a, p, H = schedule.alpha, schedule.p, schedule.horizon
-        return [a * ((1.0 + math.cos(k * math.pi / H)) / 2.0) ** p for k in range(K)]
-    raise TypeError(f"unknown schedule type {type(schedule).__name__}")
+    return _steps(schedule, range(K))
 
 
 def step_max(schedule: StepSchedule, K: int) -> float:

@@ -111,10 +111,12 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
     The general bound is tight on Example 2 and dominates the equality
     recursion on each draw; the closed form dominates it, the integral-decay
     form agrees with it, and the extension and forgetting bounds dominate
-    what they refine; ratio-convex holds one item per draw and decay form.
-    draws must be at least 1, and a tenth of them run (at least one); counts
-    holds draws_requested and draws_run. A draw whose lambda certificate
-    falls short of its horizon ends the suite with that failed check.
+    what they refine; ratio-convex holds one item per draw. The two decay
+    forms share b, t and the ratio, so the direct form's lambda certificate
+    and convexity result stand for both. draws must be at least 1, and a
+    tenth of them run (at least one); counts holds draws_requested and
+    draws_run. A draw whose lambda certificate falls short of its horizon
+    ends the suite with that failed check.
     """
     _require_draws(draws)
     run = max(1, draws // 10)
@@ -136,7 +138,7 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
     consistency = WorstMargin("classical-general-consistency", per_k)
     extension = WorstMargin("extension-propagation", "draw {}".format)
     forgetting = WorstMargin("forgetting-dominates-general", per_k)
-    convex = WorstMargin("ratio-convex", lambda draw, form, i: f"draw {draw} {form}")
+    convex = WorstMargin("ratio-convex", "draw {}".format)
     rng = keyed_generators([seed])[0]
     for draw in range(run):
         params = draw_classical_params(rng, rng.uniform() < 0.3)
@@ -166,17 +168,15 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
         extension.add(slacks, slacks, draw, floor=1e-10)
 
         integral = classical_spec(params, horizon, decay="integral")
-        cert_i = find_lambda_constant(integral, lambda_target=lam)
         a0_hi = lam * integral.grid.r[0] * (1.0 + float(rng.uniform(0.0, 2.0)))
         slacks = []
         for k in range(horizon):
-            gb = general_bound(integral, cert_i, a0_hi, k)
+            gb = general_bound(integral, cert, a0_hi, k)
             cb = classical_bound(params, a0_hi, k)
             slacks.append(-abs(gb - cb) / max(1.0, abs(cb)))
         consistency.add(slacks, slacks, draw, floor=1e-10)
-        for form, each in (("direct", spec), ("integral", integral)):
-            result = recursion_convexity(each)  # one item per spec, at its own floor
-            convex.add([result.margin], [result.witness_value], draw, form, floor=CONVEXITY_TOL)
+        result = recursion_convexity(spec)  # one item per draw, at its own floor
+        convex.add([result.margin], [result.witness_value], draw, floor=CONVEXITY_TOL)
 
     folded = (dominates, closed_form, consistency, extension, forgetting, convex)
     checks += [c.result() for c in folded]

@@ -194,7 +194,8 @@ def recursion_slope_terms(spec):
 
 
 def convexity_violation(spec, subdivisions=8, tol=1e-9):
-    """The largest refined-grid point where r - chord > tol*max(1, |r|), or None.
+    """The largest refined-grid point where r - chord > tol*max|r|, or None;
+    max|r| is the largest |r| of the point and its two neighbours.
 
     Each gap of the b_k grid is cut into equal parts, the points are sorted,
     and points within 1e-12 of the span of their predecessor are dropped.
@@ -213,7 +214,7 @@ def convexity_violation(spec, subdivisions=8, tol=1e-9):
     for i in range(len(grid) - 2, 0, -1):
         x0, x1, x2 = grid[i - 1], grid[i], grid[i + 1]
         chord = ((x2 - x1) * values[i - 1] + (x1 - x0) * values[i + 1]) / (x2 - x0)
-        if values[i] - chord > tol * max(1.0, abs(values[i])):
+        if values[i] - chord > tol * max(abs(v) for v in values[i - 1 : i + 2]):
             return x1
     return None
 

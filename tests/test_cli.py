@@ -95,6 +95,26 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run_cli(tmp_path, "simulate-recursion", config) == 2
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({"family": "polynomial", "alpha": 1.0, "p": 1.0}, "missing keys ['gamma']"),
+        ({"family": "cosine"}, "missing keys ['alpha', 'p']"),
+        ({"family": "constant", "alpha": 0.1, "gamma": 1.0}, "unknown keys ['gamma']"),
+        (
+            {"family": "exponential", "alpha": 0.5, "beta": 1.0, "p": 1.0, "horizon": 8},
+            "unknown keys ['horizon']",
+        ),
+        ({"family": "harmonic", "alpha": 0.1}, "unknown family 'harmonic'"),
+    ],
+)
+def test_schedule_fields_are_named(tmp_path, capsys, body, message):
+    # a schedule's fields are its family's; horizon comes from each K
+    config = dict(SIM_CONFIG, schedules=[{"id": "s", **body}])
+    assert run_cli(tmp_path, "simulate-recursion", config) == 2
+    assert f"{message} in schedule 's'" in capsys.readouterr().err
+
+
 def test_duplicate_schedule_ids_rejected(tmp_path):
     config = dict(SIM_CONFIG)
     config["schedules"] = [
@@ -309,6 +329,14 @@ def test_run_gd_artifacts_and_reproducibility(tmp_path):
     first = (out / "trajectories.csv").read_bytes()
     assert run_cli(tmp_path, "run", RUN_GD) == 0
     assert (out / "trajectories.csv").read_bytes() == first
+
+
+def test_subnormal_smoothness_constant_gives_a_cap_that_does_not_bind(tmp_path):
+    # 1/L overflows to inf for L = 5e-324; run exited 2 on that cap
+    problem = {"kind": "quadratic", "mu": 5e-324, "L": 5e-324, "dim": 1}
+    assert run_cli(tmp_path, "run", dict(RUN_GD, problem=problem)) == 0
+    constants = dict(BOUND_CONST["constants"], L=5e-324)
+    assert run_cli(tmp_path, "bound", dict(BOUND_CONST, constants=constants)) == 0
 
 
 def test_run_non_finite_gap_is_numeric_failure(tmp_path, capsys):
@@ -871,6 +899,10 @@ VERIFY_REPORTS = {
     # taken before the cosine checks shared one row per K
     ("inequalities", "--k-max", "512"): (
         "e47003983c89f22c75398b314cb3e6d0ede0f4648e17cc547664590a389222de"
+    ),
+    # taken after ratio-convex ran once per draw, relative to each ratio's scale
+    ("chung", "--draws", "200"): (
+        "db6fb6a0555a36a09321d1ff1a6c437f7e5fae8e1861e7637635aec4e231e075"
     ),
 }
 

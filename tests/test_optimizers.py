@@ -31,7 +31,7 @@ from steprates.optimizers import (
     verify_pl,
     verify_variance,
 )
-from steprates.plbounds import NumericFailure
+from steprates.plbounds import NumericFailure, smoothness_cap
 from steprates.recursions import PreconditionError
 from steprates.schedules import Constant, Polynomial, step_values
 
@@ -308,6 +308,21 @@ def test_runs_reject_a_smoothness_constant_that_is_not_positive(algorithm, L):
     }[algorithm]
     with pytest.raises(ValueError, match=f"^L must be positive and finite, got {L!r}$"):
         run()
+
+
+def test_smoothness_caps_past_the_floats():
+    # 1/(2L) as 0.5/L: bitwise the same where 2L is finite, and positive past it
+    assert smoothness_cap("rr", 3.0) == 1.0 / (2.0 * 3.0)
+    assert smoothness_cap("rr", 1e308) == 5e-309
+    finite = dataclasses.replace(make_quadratic(1.0, 1.0, 1, N=2), smoothness_L=1e308)
+    with pytest.raises(PreconditionError, match="largest step 0.1 exceeds the reshuffling cap 5e-309"):
+        rr_run(finite, Constant(0.1), [1.0], 4, seeds=[0])
+    # 1/L overflows for a subnormal L: an infinite cap does not bind
+    flat = dataclasses.replace(make_quadratic(1.0, 1.0, 1), smoothness_L=5e-324)
+    assert smoothness_cap("sgd", 5e-324) == math.inf
+    gd = gd_run(flat, Constant(0.1), [1.0], 4)
+    sgd = sgd_run(flat, NoiseModel("none"), Constant(0.1), [1.0], 4, seeds=[0])
+    assert np.array_equal(gd.gaps, sgd.gaps) and np.all(np.isfinite(gd.gaps))
 
 
 @pytest.mark.parametrize(

@@ -388,8 +388,10 @@ def test_lane_batch_validates_its_lanes_and_warns_nowhere():
         simulate_pl_lanes([(params, Constant(alpha=0.1), -1.0, 4)])
     with pytest.raises(ValueError):
         simulate_pl_lanes([(params, Constant(alpha=0.1), 1.0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^step index 5 beyond horizon 4$"):
         simulate_pl_lanes([(params, Cosine(alpha=0.1, p=1.0, horizon=4), 1.0, 6)])
+    with pytest.raises(TypeError, match="^unknown schedule type float$"):
+        simulate_pl_lanes([(params, Constant(alpha=0.1), 1.0, 4), (params, 0.1, 1.0, 4)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         flagged = simulate_pl_lanes(FAILING_LANES)[2]

@@ -338,10 +338,21 @@ def test_recursion_convexity_concave_ratio_fails_at_its_first_point():
     # the margin is the least relative chord slack over the refined points
     xs = [1.0 + j / 8.0 for j in range(65)]
     slacks = [
-        ((math.sqrt(a) + math.sqrt(c)) / 2.0 - math.sqrt(b)) / max(1.0, math.sqrt(b))
+        ((math.sqrt(a) + math.sqrt(c)) / 2.0 - math.sqrt(b)) / math.sqrt(c)
         for a, b, c in zip(xs, xs[1:], xs[2:])
     ]
     assert result.margin == pytest.approx(min(slacks), rel=1e-6)
+
+
+def test_recursion_convexity_holds_a_tiny_ratio_to_its_own_scale():
+    # the slack of 1e-20*sqrt(x) is 1e-20 times that of sqrt(x): far below an
+    # absolute floor of 1e-9, but the same fraction of the ratio's size
+    tiny = recursion_convexity(ratio_spec(lambda x: 1e-20 * math.sqrt(x), 1.0, 9.0, K=8))
+    unit = recursion_convexity(ratio_spec(math.sqrt, 1.0, 9.0, K=8))
+    assert not tiny.passed
+    assert (tiny.witness_index, tiny.witness_value) == ("x=1.125", 1.125)
+    assert tiny.margin == pytest.approx(unit.margin, rel=1e-12)
+    assert recursion_convexity(ratio_spec(lambda x: 0.0, 1.0, 9.0, K=8)).margin == 0.0
 
 
 def test_recursion_convexity_fails_a_ratio_nan_between_grid_points():
@@ -367,7 +378,7 @@ def test_recursion_convexity_on_specs():
     st.integers(2, 40),
 )
 def test_recursion_convexity_decides_as_the_chord_test(power, scale, wobble, K):
-    """Pass or fail as the plain rule r - chord > 1e-9*max(1, |r|) at some point."""
+    """Pass or fail as the plain rule r - chord > 1e-9*max|r| at some point."""
     spec = ratio_spec(lambda x: scale * x**power + wobble * math.sin(40.0 * x), 1.0, 4.0, K=K)
     assert recursion_convexity(spec).passed == (oracles.convexity_violation(spec) is None)
 

@@ -106,14 +106,33 @@ def test_step_sum_equals_the_per_step_fsum(alpha, p, gamma, horizon, data):
         assert step_values(schedule, K)[-1] == 0.0
 
 
+# each family's closed form as written before step_value and step_values
+# shared one statement of it
+CLOSED_FORMS = {
+    Constant: lambda s, k: s.alpha,
+    Polynomial: lambda s, k: s.alpha / (k + s.gamma) ** s.p,
+    Exponential: lambda s, k: s.alpha * math.exp(k * s.log_decay),
+    Cosine: lambda s, k: s.alpha * ((1.0 + math.cos(k * math.pi / s.horizon)) / 2.0) ** s.p,
+}
+
+
 def test_step_values_matches_step_value_bitwise():
+    cosine = Cosine(alpha=0.4, p=2.0, horizon=64)
     for sched in (
         Constant(alpha=0.3),
         Polynomial(alpha=1.5, gamma=3.0, p=0.8),
         Exponential(alpha=1.0, beta=2.0, p=1.1, horizon=64),
-        Cosine(alpha=0.4, p=2.0, horizon=64),
+        cosine,
     ):
-        assert step_values(sched, 64) == [step_value(sched, k) for k in range(64)]
+        for K in (1, 2, 64):
+            values = step_values(sched, K)
+            assert values == [step_value(sched, k) for k in range(K)]
+            for k in (0, K - 1):
+                assert values[k] == step_value(sched, k) == CLOSED_FORMS[type(sched)](sched, k)
+    # K = horizon + 1 reaches k = K, where cos(K*pi/K) is exactly -1.0
+    values = step_values(cosine, 65)
+    assert values == [step_value(cosine, k) for k in range(65)]
+    assert values[-1] == step_value(cosine, 64) == 0.0
 
 
 @given(

@@ -20,9 +20,20 @@ from steprates.plbounds import (
     simulate_pl_recursion,
     smallest_offset,
 )
-from steprates.recursions import CheckResult
+from steprates.recursions import (
+    CheckResult,
+    classical_lambda,
+    classical_spec,
+    find_lambda_constant,
+    recursion_convexity,
+)
 from steprates.schedules import Constant, Polynomial
-from steprates.verify import assumptions_suite, bounds_suite, chung_suite
+from steprates.verify import (
+    assumptions_suite,
+    bounds_suite,
+    chung_suite,
+    draw_classical_params,
+)
 
 
 def test_chung_suite_fails_a_nan_closed_form(monkeypatch):
@@ -56,18 +67,34 @@ def test_chung_suite_margins_are_slacks():
 def test_chung_suite_folds_each_spec_convexity_in_as_one_item(monkeypatch):
     seen = []
 
-    def concave_integral_specs(spec):
+    def concave_later_draws(spec):
         seen.append(spec)
-        if len(seen) in (4, 6):  # draw 1's and draw 2's integral-decay specs
+        if len(seen) in (2, 3):  # draw 1's and draw 2's specs
             return CheckResult("ratio-convex", False, -len(seen), "x=1", float(len(seen)))
         return CheckResult("ratio-convex", True, 1e-3)
 
-    monkeypatch.setattr(verify, "recursion_convexity", concave_integral_specs)
+    monkeypatch.setattr(verify, "recursion_convexity", concave_later_draws)
     report = chung_suite(30, 1)
-    assert len(seen) == 6  # three draws, two specs each
+    # three draws, one spec each: the direct form stands for the integral one
+    assert [spec.s.label for spec in seen] == ["x^nu/c"] * 3
     check = report.checks[-1]
-    assert (check.check, check.passed, check.margin) == ("ratio-convex", False, -6.0)
-    assert (check.witness_index, check.witness_value) == ("draw 1 integral", 4.0)
+    assert (check.check, check.passed, check.margin) == ("ratio-convex", False, -3.0)
+    assert (check.witness_index, check.witness_value) == ("draw 1", 2.0)
+
+
+def test_chung_decay_forms_share_certificate_and_convexity():
+    """The direct and integral-decay forms share b, t and the ratio, so the
+    suite's one certificate and convexity check per draw stand for both."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        params = draw_classical_params(rng, rng.uniform() < 0.3)
+        horizon = int(rng.integers(4, 80))
+        lam = classical_lambda(params)
+        direct, integral = (
+            classical_spec(params, horizon, decay=decay) for decay in ("direct", "integral")
+        )
+        assert find_lambda_constant(direct, lam) == find_lambda_constant(integral, lam)
+        assert recursion_convexity(direct) == recursion_convexity(integral)
 
 
 @pytest.mark.parametrize("suite", [chung_suite, bounds_suite, assumptions_suite])
