@@ -13,11 +13,11 @@ the single-row case. Problems evaluate objective and gradient on whole
 arrays of points with the same arithmetic per point as for a single one.
 
 Each seed draws from its own counter-based Philox stream keyed by the seed
-alone (keyed_generators reads no OS entropy). The engine takes a seed's
-Gaussian noise, or its epoch orders for reshuffling, in blocks of
-consecutive steps, and a block leaves the stream exactly as step-by-step
-draws do. A seed's trajectory is therefore the same whichever seeds run
-beside it.
+alone (keyed_generators reads no OS entropy), in blocks of consecutive
+steps that leave the stream exactly as step-by-step draws do, so a seed's
+trajectory is the same whichever seeds run beside it. A run holds its gap
+array, one generator and a few numbers per seed, and at most one block of
+2^19 numbers: a block's draws and iterates (SGD's overwrite its noise).
 
 Across seeds, the mean and standard error of the gaps are compensated sums
 over blocks of seed rows in ascending seed order, one lane per row of a
@@ -29,6 +29,7 @@ NumericFailure naming the first seed and step where it appears.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -40,8 +41,8 @@ from .plbounds import NumericFailure, smoothness_cap
 from .recursions import CheckResult, PreconditionError, WorstMargin
 from .schedules import StepSchedule, step_max, step_values
 
-# Numbers per block of steps the engine holds at once, over all seeds: the
-# block's iterates, and its draws, are 4 MiB of doubles each at most.
+# Numbers the engine holds at once beyond the gap array and the seeds' own:
+# one block of steps over all seeds, its draws and iterates (4 MiB at most).
 _BLOCK = 1 << 19
 _WORD = (1 << 64) - 1
 
@@ -279,41 +280,51 @@ def _descend(
 
     step(X, a, drawn) maps the iterates, the step size and this step's draws
     to the next iterates. draw(rng, out) fills one seed's draws for
-    consecutive steps, shape (steps, width), from its own stream. The engine
-    works in blocks of steps that hold at most _BLOCK numbers over all seeds:
-    it draws a block's randomness ahead, keeps its iterates, and evaluates
-    their gaps and norms in one call per block.
+    consecutive steps, shape (steps, width), from its own stream. Beyond the
+    gap array and one generator per seed, a run holds one block of at most
+    _BLOCK numbers, the draws and iterates of consecutive steps of all seeds,
+    freed before the next: float draws as wide as the iterate become the
+    iterates in place (step j reads Z_j, then stores X_{j+1} over it).
     """
     K = len(alphas)
     S = max(len(seeds), 1)
     dim = problem.dimension
     rngs = keyed_generators(seeds)
-    objective, f_star = problem.objective, problem.f_star
     X = np.tile(x0, (S, 1))
     gaps = np.empty((S, K + 1))
     # largest squared norm after any step: sqrt is monotone, so a row left the
     # domain at some step exactly when the square root of its peak exceeds it
     # (fmax skips NaN, as the comparison does)
     peak = np.zeros(S)
-    span = max(1, _BLOCK // (S * max(width, dim)))
-    block = None
+    in_place = draw is not None and dtype is float and width == dim
+    span = max(1, _BLOCK // (S * (dim + (0 if in_place or draw is None else width))))
     # overflow shows up as a gap that is not finite, which _aggregate raises
     # as NumericFailure; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps[:, 0] = objective(X) - f_star
+        gaps[:, 0] = problem.objective(X) - problem.f_star
         for start in range(0, K, span):
             n = min(span, K - start)
-            if draw is not None:
-                block = np.empty((S, n, width), dtype=dtype)
-                for rng, out in zip(rngs, block):
-                    draw(rng, out)
-            path = np.empty((S, n, dim))
+            drawn = None if draw is None else np.empty((S, n, width), dtype=dtype)
+            for i in range(0 if draw is None else S):  # by index: no row view outlives it
+                draw(rngs[i], drawn[i])
+            path = drawn if in_place else np.empty((S, n, dim))
             for j in range(n):
-                X = step(X, alphas[start + j], None if block is None else block[:, j])
+                X = step(X, alphas[start + j], None if drawn is None else drawn[:, j])
                 path[:, j] = X
-            gaps[:, start + 1 : start + n + 1] = objective(path) - f_star
-            peak = np.fmax(peak, np.fmax.reduce(_rowdot(path, path), axis=1))
+            _evaluate(problem, path, gaps[:, start + 1 : start + n + 1], peak)
+            drawn = path = None  # freed before the next block is made
     return _aggregate(gaps, seeds, np.sqrt(peak) > problem.domain_radius)
+
+
+def _evaluate(problem: Problem, path: np.ndarray, gaps: np.ndarray, peak: np.ndarray) -> None:
+    """Write path's gaps into gaps and fold its squared norms into peak, in
+    chunks of at most 2^15 numbers (or one point)."""
+    rows = _block_rows(path[0].size)
+    cols = max(1, (1 << 15) // (rows * path.shape[2]))
+    for i, j in itertools.product(range(0, len(path), rows), range(0, path.shape[1], cols)):
+        part, top = path[i : i + rows, j : j + cols], peak[i : i + rows]
+        np.subtract(problem.objective(part), problem.f_star, out=gaps[i : i + rows, j : j + cols])
+        np.fmax(top, np.fmax.reduce(_rowdot(part, part), axis=1), out=top)
 
 
 def _sgd_step(problem: Problem, noise: NoiseModel):
@@ -481,13 +492,26 @@ def make_quadratic(
     cen = np.asarray(shifts, dtype=float)
     if not np.all(kap > 0):
         raise ValueError("curvatures must be positive")
-    mean_kap = math.fsum(kap) / N
+    # dispersion (1/N) sum (grad_i - grad)^2 is quadratic and convex in x,
+    # so its sup over [-R, R] sits at an endpoint
+    def dispersion(v: float) -> float:
+        devs = (kap - mean_kap) * v - (kap * cen - mean_kc)
+        return math.fsum(devs**2) / N
+
+    try:  # a sum past the floats: fsum raises OverflowError, numpy FloatingPointError
+        with np.errstate(over="raise", invalid="raise"):
+            mean_kap = math.fsum(kap) / N
+            x_star = math.fsum(kap * cen) / math.fsum(kap)
+            f_star = math.fsum(kap * (x_star - cen) ** 2) / (2.0 * N)
+            mean_kc = math.fsum(kap * cen) / N
+            sigma_sq = max(dispersion(-radius), dispersion(radius))
+    except ArithmeticError:
+        sums = f"curvatures {kap.tolist()}, shifts {cen.tolist()}, radius {radius}"
+        raise ValueError(f"{sums}: a mean, minimizer or dispersion leaves the floats") from None
     if abs(mean_kap - mu) > 1e-9 * max(1.0, mu):
         raise ValueError(f"mean curvature {mean_kap} must equal mu = {mu}")
     if abs(float(kap.max()) - L) > 1e-9 * max(1.0, L):
         raise ValueError(f"largest curvature {kap.max()} must equal L = {L}")
-    x_star = math.fsum(kap * cen) / math.fsum(kap)
-    f_star = math.fsum(kap * (x_star - cen) ** 2) / (2.0 * N)
 
     # component terms fill a new first axis, one block of N rows summed in order
     def components(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -506,15 +530,6 @@ def make_quadratic(
     def component_gradient(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return kap[idx, None] * (X - cen[idx, None])
 
-    # dispersion (1/N) sum (grad_i - grad)^2 is quadratic and convex in x,
-    # so its sup over [-R, R] sits at an endpoint
-    mean_kc = math.fsum(kap * cen) / N
-
-    def dispersion(v: float) -> float:
-        devs = (kap - mean_kap) * v - (kap * cen - mean_kc)
-        return math.fsum(devs**2) / N
-
-    sigma_sq = max(dispersion(-radius), dispersion(radius))
     return Problem(
         dimension=1,
         objective=objective,

@@ -412,6 +412,21 @@ def test_run_rr_matches_gd_for_single_component(tmp_path):
     assert rr_rows == gd_rows
 
 
+def test_run_finite_sum_whose_curvatures_overflow_is_config_error(tmp_path, capsys):
+    # math.fsum of the curvatures 1e308 + 1e308 raised OverflowError (exit 1)
+    config = {
+        "algorithm": "rr",
+        "problem": {"kind": "quadratic", "mu": 1.0, "L": 1e308, "dim": 1, "N": 2},
+        "schedule": {"family": "constant", "alpha": 1e-309},
+        "K": 4,
+        "x0": [1.0],
+        "seeds": [0],
+    }
+    assert run_cli(tmp_path, "run", config) == 2
+    assert "curvatures [1e+308, 1e+308]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trajectories.csv").exists()
+
+
 def test_fit_round_trip_from_run(tmp_path):
     config = {
         "algorithm": "gd",

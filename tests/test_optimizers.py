@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import statistics
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import compensated_row_sum, point_problem, rr_one_seed, sgd_one_seed
+from steprates import optimizers
 from steprates.optimizers import (
     NoiseModel,
     Problem,
@@ -236,6 +238,21 @@ def test_make_quadratic_validation():
     with pytest.raises(ValueError):
         # largest curvature must equal L
         make_quadratic(1.0, 2.0, 1, N=2, curvatures=(1.5, 0.5), shifts=(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "L, curvatures, shifts, radius",
+    [
+        (1e308, None, None, 10.0),  # the mean curvature's fsum
+        (1.5, (1.5, 0.5), (1e308, 1e308), 10.0),  # the minimizer's fsum
+        (1.5, (1.5, 0.5), (0.0, 1e300), 10.0),  # the squares of the minimum's value
+        (1.5, (1.5, 0.5), None, 1e200),  # the dispersion's squares on the radius
+    ],
+)
+def test_finite_sum_constants_past_the_floats_name_the_curvatures(L, curvatures, shifts, radius):
+    # math.fsum raised OverflowError here, and numpy overflowed to inf
+    with pytest.raises(ValueError, match=r"curvatures \[.*leaves the floats"):
+        make_quadratic(1.0, L, 1, N=2, curvatures=curvatures, shifts=shifts, radius=radius)
 
 
 def test_finite_sum_default_construction():
@@ -558,6 +575,101 @@ def test_rr_engine_matches_per_seed_reference(problem, start, frac, K, seeds):
             objective, components, problem.f_star, 2.0, [alpha] * K, [start], seed
         ),
     )
+
+
+# --- the engine across many blocks of steps and chunks of seed rows ---
+#
+# With _BLOCK at a few thousand numbers or fewer a run spans many blocks of
+# steps, the last one short, and 150 seeds make three chunks of seed rows
+# (64, 64, 22) in the gap and norm evaluation. Every output must keep the
+# bits of the run in one block and match the per-seed loops bit for bit.
+
+
+def _across_blocks(monkeypatch, run, block):
+    whole = run()
+    monkeypatch.setattr(optimizers, "_BLOCK", block)
+    traj = run()
+    for name in ("gaps", "mean", "stderr"):
+        assert np.array_equal(getattr(traj, name), getattr(whole, name)), name
+    assert (traj.seeds, traj.left_domain) == (whole.seeds, whole.left_domain)
+    return traj
+
+
+@pytest.mark.parametrize(
+    "dim, sigma, A, block",
+    [
+        (3, 2.0, 0.0, 1800),  # draws as wide as the iterate: the iterates overwrite them
+        (2, 0.8, 1.5, 700),  # state-scaled noise reads the objective inside the step
+        (2, None, 0.0, 1000),  # no draws: the iterates alone fill the block
+        (1, 1.2, 0.0, 5),  # fewer numbers than seeds: one step per block
+    ],
+)
+def test_sgd_engine_across_blocks_matches_per_seed_reference(monkeypatch, dim, sigma, A, block):
+    problem = make_quadratic(0.5, 2.0, dim, radius=2.0)
+    x0 = [1.2 + 0.1 * i for i in range(dim)]
+    alphas = [0.3] * 23
+    noise = NoiseModel("none") if sigma is None else NoiseModel("additive_gaussian", sigma, A)
+    seeds = list(range(1000, 1150))
+    traj = _across_blocks(
+        monkeypatch, lambda: sgd_run(problem, noise, Constant(0.3), x0, 23, seeds), block
+    )
+    objective, gradient, _ = point_problem(problem.meta)
+    _assert_matches(
+        traj,
+        problem,
+        23,
+        lambda seed: sgd_one_seed(objective, gradient, 0.0, 2.0, alphas, x0, seed, sigma, A),
+    )
+    if sigma is not None:
+        assert any(traj.left_domain) and not all(traj.left_domain)
+
+
+@pytest.mark.parametrize("N, block", [(1, 1000), (2, 1400), (2, 7)])
+def test_rr_engine_across_blocks_matches_per_seed_reference(monkeypatch, N, block):
+    # epoch orders are integers, so they keep a path of their own in the block
+    curvatures = (2.0,) if N == 1 else (2.0, 1.0)
+    problem = make_quadratic(sum(curvatures) / N, 2.0, 1, N=N, curvatures=curvatures, radius=2.0)
+    seeds = list(range(150))
+    traj = _across_blocks(
+        monkeypatch, lambda: rr_run(problem, Constant(0.2), [1.9], 19, seeds), block
+    )
+    objective, _, components = point_problem(problem.meta)
+    alphas, f_star = [0.2] * 19, problem.f_star
+    _assert_matches(
+        traj,
+        problem,
+        19,
+        lambda seed: rr_one_seed(objective, components, f_star, 2.0, alphas, [1.9], seed),
+    )
+
+
+def test_gd_engine_splits_a_long_row_into_chunks_of_steps():
+    # one seed row of 3 * 11000 numbers is more than a chunk: its steps are
+    # evaluated in two chunks, the second of 78 steps
+    problem = make_quadratic(0.01, 1.0, 3, radius=2.0)
+    traj = gd_run(problem, Constant(0.5), [1.0, -1.0, 0.5], 11000)
+    objective, gradient, _ = point_problem(problem.meta)
+    ref, left = sgd_one_seed(objective, gradient, 0.0, 2.0, [0.5] * 11000, [1.0, -1.0, 0.5], 0)
+    assert np.array_equal(traj.gaps[0], ref)
+    assert traj.left_domain == (left,)
+
+
+@pytest.mark.parametrize("S, K", [(3000, 1024), (256, 2048)])
+def test_sgd_run_holds_one_block_beyond_its_gap_array(S, K):
+    # tracemalloc sees numpy's buffers: beyond the gap array a run may hold
+    # one block of _BLOCK doubles, about 1 KiB per seed (its generator, its
+    # iterate, its running peak) and 1 MiB of small temporaries
+    problem = make_quadratic(1.0, 1.0, 1)
+    noise = NoiseModel("additive_gaussian", sigma=1.0)
+    seeds = list(range(S))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        traj = sgd_run(problem, noise, Constant(alpha=0.01), [0.0], K, seeds)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= traj.gaps.nbytes + 8 * optimizers._BLOCK + 1024 * S + (1 << 20)
 
 
 def test_compensated_sum_within_two_ulps_of_fsum():
