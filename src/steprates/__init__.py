@@ -47,6 +47,7 @@ from .plbounds import (
     relaxed_recursion_transform,
     rr_constants,
     sgd_constants,
+    simulate_pl_finals,
     simulate_pl_grid,
     simulate_pl_lanes,
     simulate_pl_recursion,

@@ -19,6 +19,7 @@ import bisect
 import functools
 import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -31,6 +32,7 @@ from .schedules import (
     Exponential,
     Polynomial,
     StepSchedule,
+    _steps,
     step_max,
     step_values,
 )
@@ -269,7 +271,7 @@ def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
 
 def sgd_constants(theta: float, L: float, mu: float, A: float, sigma: float) -> MethodConstants:
     """Constants for single-sample SGD (delta = 1, tau = 2)."""
-    return _method_constants("sgd", theta, L, mu, A, sigma, None, 1.0)
+    return _method_constants("sgd", theta, L, mu, A, sigma, None)
 
 
 def rr_constants(
@@ -278,7 +280,7 @@ def rr_constants(
     """Constants for random reshuffling (delta = N^(-1/(2*theta)), tau = 3)."""
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
-    return _method_constants("rr", theta, L, mu, A, sigma, N, N ** (-1.0 / (2.0 * theta)))
+    return _method_constants("rr", theta, L, mu, A, sigma, N)
 
 
 def _method_constants(
@@ -289,10 +291,9 @@ def _method_constants(
     A: float,
     sigma: float,
     N: int | None,
-    delta: float,
 ) -> MethodConstants:
-    params = descent_coefficients(method, L, mu, A, sigma, N=N, theta=theta)
-    derived = derive_constants(params, delta)
+    params = descent_coefficients(method, L, mu, A, sigma, N=N, theta=theta)  # checks theta
+    derived = derive_constants(params, 1.0 if N is None else N ** (-1.0 / (2.0 * theta)))
     derived = replace(derived, alpha_cap=min(derived.alpha_cap, smoothness_cap(method, L)))
     zeta_bar, xi_bar = derived.zeta, derived.xi
     if method == "rr":
@@ -314,6 +315,15 @@ def _method_constants(
     )
 
 
+def _powers(alphas: list[float], tau: float) -> list[float]:
+    """a^tau of each step, formed as a*a and a*a*a where tau is 2 or 3."""
+    if tau == 2.0:
+        return [a * a for a in alphas]
+    if tau == 3.0:
+        return [a * a * a for a in alphas]
+    return [a**tau for a in alphas]
+
+
 def simulate_pl_recursion(
     params: PLParams, schedule: StepSchedule, y0: float, K: int
 ) -> list[float]:
@@ -327,19 +337,12 @@ def simulate_pl_recursion(
     """
     _check_start(y0, K)
     alphas = step_values(schedule, K)
-    l1, l2, l3, tau = params.l1, params.l2, params.l3, params.tau
+    powers = _powers(alphas, params.tau)
+    l1, l2, l3 = params.l1, params.l2, params.l3
     two_theta = 2.0 * params.theta
-    if tau == 2.0:
-        powers = [a * a for a in alphas]
-    elif tau == 3.0:
-        powers = [a * a * a for a in alphas]
-    else:
-        powers = [a**tau for a in alphas]
     ys = [float(y0)]
     append = ys.append
     y = float(y0)
-    # each step forms its growth (1 + l1*p), pull (l2*a) and push (l3*p) in
-    # place, grouped as the precomputed lists were, so the values are unchanged
     if two_theta == 1.0:
         for i, (a, p) in enumerate(zip(alphas, powers)):
             y = ((1.0 + l1 * p) - l2 * a) * y + l3 * p
@@ -373,6 +376,7 @@ def simulate_pl_recursion(
 # numbers in each per-block array of simulate_pl_lanes, as in the seed sums'
 # row blocks: 2^15 doubles (256 KiB)
 _LANE_BLOCK = 1 << 15
+_FINALS_BLOCK = 1 << 12  # steps per block of simulate_pl_finals; 2^15 ran slower
 # the constants each family's closed form reads, as columns of lanes
 _STEP_FIELDS = {
     Constant: ("alpha",),
@@ -504,13 +508,43 @@ def simulate_pl_lanes(
     return final, low, ~(low >= 0.0) | ~np.isfinite(final)
 
 
-def _picked_finals(
-    params: PLParams, schedule: StepSchedule, y0: float, ks: list[int]
+def simulate_pl_finals(
+    params: PLParams, schedule: StepSchedule, y0: float, ks: Sequence[int]
 ) -> list[float]:
-    # one run to the largest of the sorted ks; the trajectory dies with
-    # this frame, so only the picked y_K stay alive
-    ys = simulate_pl_recursion(params, schedule, y0, ks[-1])
-    return [ys[K] for K in ks]
+    """simulate_pl_recursion(params, schedule, y0, K)[-1] for each K in ks,
+    bitwise, from one pass in blocks of at most 2^12 steps that end at each K.
+    A y that is not finite never turns finite, so from the least K whose run
+    fails, simulate_pl_recursion re-runs each cell and raises its error."""
+    _check_start(y0, min(ks, default=1))
+    step_max(schedule, max(ks, default=1))  # the index and type checks of step_values
+    l1, l2, l3, tau, two_theta = params.l1, params.l2, params.l3, params.tau, 2.0 * params.theta
+    at, y = {}, float(y0)
+    edges = sorted({*ks, *range(0, max(ks, default=0), _FINALS_BLOCK)})
+    with suppress(OverflowError):  # float ** raises where * and + give inf
+        for k0, k1 in zip(edges, edges[1:]):
+            alphas = _steps(schedule, range(k0, k1))
+            steps = zip(alphas, _powers(alphas, tau))
+            if two_theta == 1.0:
+                for a, p in steps:
+                    y = ((1.0 + l1 * p) - l2 * a) * y + l3 * p
+                    if y < 0.0:
+                        break
+            elif two_theta == 2.0:
+                for a, p in steps:
+                    y = (1.0 + l1 * p) * y - l2 * a * y * y + l3 * p
+                    if y < 0.0:
+                        break
+            else:
+                for a, p in steps:
+                    y = (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
+                    if y < 0.0:
+                        break
+            at[k1] = y
+            if not 0.0 <= y < math.inf:
+                break
+    bad = [K for K in sorted(set(ks)) if not 0.0 <= at.get(K, math.nan) < math.inf]
+    at.update((K, simulate_pl_recursion(params, schedule, y0, K)[-1]) for K in bad)
+    return [at[K] for K in ks]
 
 
 def simulate_pl_grid(
@@ -523,33 +557,30 @@ def simulate_pl_grid(
 
     schedules holds one builder K -> StepSchedule per lane, called for every
     cell in walk order. A schedule without a horizon (constant, polynomial)
-    does not depend on K, so its lane is simulated once, to the largest K,
-    and each y_K is read off that run: the steps are a prefix of the same
-    list and the loop is the same, so every value is bitwise
-    simulate_pl_recursion(params, build(K), y0, K)[-1]. Schedules with a
-    horizon run once per K, and so does every cell of a lane whose long run
-    fails and every cell whose builder returns another schedule than the
-    lane's first. A failing grid therefore raises the same first error, at
-    the same cell, as the walk of per-K runs.
+    does not depend on K, so its lane takes one pass of simulate_pl_finals
+    to the largest K; schedules with a horizon take one per K. A pass holds
+    one block of steps, not K, and every value is bitwise
+    simulate_pl_recursion(params, build(K), y0, K)[-1]. Each cell of a lane
+    whose long run fails, or whose builder returns another schedule than the
+    lane's first, runs on its own, so a failing grid raises the same first
+    error, at the same cell, as the walk of per-K runs.
     """
     ks = sorted({K for K in k_grid if K >= 1})
-    row = {K: i for i, K in enumerate(ks)}
     finals: list[float] = []
-    lanes: dict[int, tuple[StepSchedule, list[float]] | None] = {}
+    runs: dict[int, tuple[StepSchedule, list[float]] | None] = {}
     for K in k_grid:
         for lane, build in enumerate(schedules):
             schedule = build(K)
-            if K >= 1 and getattr(schedule, "horizon", None) is None:
-                if lane not in lanes:
-                    try:
-                        lanes[lane] = (schedule, _picked_finals(params, schedule, y0, ks))
-                    except NumericFailure:
-                        lanes[lane] = None
-                picked = lanes[lane]
-                if picked is not None and picked[0] == schedule:
-                    finals.append(picked[1][row[K]])
-                    continue
-            finals.append(simulate_pl_recursion(params, schedule, y0, K)[-1])
+            if K >= 1 and getattr(schedule, "horizon", None) is None and lane not in runs:
+                try:
+                    runs[lane] = (schedule, simulate_pl_finals(params, schedule, y0, ks))
+                except (NumericFailure, OverflowError):
+                    runs[lane] = None
+            run = runs.get(lane)
+            if K >= 1 and run is not None and run[0] == schedule:
+                finals.append(run[1][ks.index(K)])
+            else:
+                finals.append(simulate_pl_finals(params, schedule, y0, [K])[0])
     return finals
 
 

@@ -9,6 +9,7 @@ with their caps, and partial sums (closed form where one exists).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 
@@ -29,7 +30,7 @@ class Constant:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """alpha_k = alpha / (k + gamma)^p."""
+    """alpha_k = alpha / (k + gamma)^p, 0.0 where (k + gamma)^p passes the floats."""
 
     alpha: float
     gamma: float
@@ -39,6 +40,9 @@ class Polynomial:
         _positive(self.alpha, "alpha")
         _positive(self.gamma, "gamma")
         _positive(self.p, "p")
+        with suppress(OverflowError):  # gamma^p past the floats: every step is 0.0
+            if self.gamma**self.p == 0.0 or math.isinf(self.alpha / self.gamma**self.p):
+                raise ValueError(f"alpha/gamma^p overflows for gamma={self.gamma!r}, p={self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,11 @@ def _steps(schedule: StepSchedule, ks: range) -> list[float]:
         return [schedule.alpha] * len(ks)
     if isinstance(schedule, Polynomial):
         a, g, p = schedule.alpha, schedule.gamma, schedule.p
-        return [a / (k + g) ** p for k in ks]
+        steps = []
+        with suppress(OverflowError):  # (k + g)^p passes the floats from some k on
+            for k in ks:
+                steps.append(a / (k + g) ** p)
+        return steps + [0.0] * (len(ks) - len(steps))
     if isinstance(schedule, Exponential):
         a, lg = schedule.alpha, schedule.log_decay
         return [a * math.exp(k * lg) for k in ks]

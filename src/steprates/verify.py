@@ -37,8 +37,8 @@ from .plbounds import (
     poly_gamma_floor,
     rr_constants,
     sgd_constants,
+    simulate_pl_finals,
     simulate_pl_lanes,
-    simulate_pl_recursion,
     smallest_offset,
 )
 from .recursions import (
@@ -279,7 +279,7 @@ _SCREEN = 1e-12
 def _scalar_final(lane: tuple) -> float | None:
     """y_K of simulate_pl_recursion, or None where it raises NumericFailure."""
     try:
-        return simulate_pl_recursion(*lane)[-1]
+        return simulate_pl_finals(*lane[:3], lane[3:])[0]
     except NumericFailure:
         return None
 
@@ -287,7 +287,7 @@ def _scalar_final(lane: tuple) -> float | None:
 def _confirmed_slacks(drawn: list[tuple]) -> list[tuple[float, float] | None]:
     """(slack, floor) of each drawn case, or None where its simulation fails.
 
-    One simulate_pl_lanes batch screens the cases; simulate_pl_recursion
+    One simulate_pl_lanes batch screens the cases; the scalar recursion
     re-runs every lane that the batch flags or whose smallest y comes within
     the screen's tolerance of 0, and then every lane whose slack, within the
     tolerance, could be the worst or could be below -floor. A lane not
@@ -337,7 +337,7 @@ def bounds_suite(
     Screen, then confirm: a round draws attempts until it holds
     draws - evaluated cases (within the 50 x draws cap), and its recursions
     run as one simulate_pl_lanes batch; only a failed simulation leaves
-    draws for another round. simulate_pl_recursion, the scalar oracle,
+    draws for another round. The scalar recursion (simulate_pl_finals)
     re-runs every lane that the batch flags or whose smallest y is within
     1e-12 * max(1, |y_K|) of 0, and every lane whose slack is within that
     tolerance of the round's worst or of -floor, or below it. The

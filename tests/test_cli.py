@@ -89,6 +89,22 @@ def test_simulate_recursion_non_finite_value_exit(tmp_path, capsys):
     assert not (tmp_path / "out" / "recursion.csv").exists()
 
 
+@pytest.mark.parametrize("gamma, p", [(0.5, 2000), (0.5, 1e30), (1e-300, 2.0)])
+def test_simulate_recursion_infinite_first_step_is_config_error(tmp_path, capsys, gamma, p):
+    schedules = [{"id": "s", "family": "polynomial", "alpha": 0.5, "gamma": gamma, "p": p}]
+    assert run_cli(tmp_path, "simulate-recursion", dict(SIM_CONFIG, schedules=schedules)) == 2
+    assert "alpha/gamma^p overflows for gamma" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "recursion.csv").exists()
+
+
+def test_simulate_recursion_steps_past_the_floats_are_zero(tmp_path):
+    # 4^(1e30) passes the floats: every step is 0.0 and y stays at y0
+    schedules = [{"id": "s", "family": "polynomial", "alpha": 1.0, "gamma": 4.0, "p": 1e30}]
+    assert run_cli(tmp_path, "simulate-recursion", dict(SIM_CONFIG, schedules=schedules)) == 0
+    with open(tmp_path / "out" / "recursion.csv", newline="", encoding="utf-8") as fh:
+        assert [float(row[2]) for row in list(csv.reader(fh))[1:]] == [1.0, 1.0, 1.0]
+
+
 def test_unknown_config_key_rejected(tmp_path):
     config = dict(SIM_CONFIG)
     config["typo"] = 1
@@ -301,6 +317,18 @@ def test_bound_rr_rejects_bool_and_non_integral_N(tmp_path):
     for bad in (True, 2.5):
         config["constants"]["N"] = bad
         assert run_cli(tmp_path, "bound", config) == 2
+
+
+@pytest.mark.parametrize("method", ["sgd", "rr"])
+@pytest.mark.parametrize("theta", [0.0, -0.0])
+def test_bound_theta_outside_its_range_is_config_error(tmp_path, capsys, method, theta):
+    constants = {"theta": theta, "L": 1.0, "mu": 1.0, "A": 0.0, "sigma": 1.0, "N": 4}
+    if method == "sgd":
+        del constants["N"]
+    config = {"method": method, "family": "const", "constants": constants, "tuned": True}
+    assert run_cli(tmp_path, "bound", dict(config, y0=1.0, K=100)) == 2
+    assert "theta must lie in [1/2, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bound.json").exists()
 
 
 RUN_GD = {

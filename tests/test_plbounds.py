@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from steprates.plbounds import (
     relaxed_recursion_transform,
     rr_constants,
     sgd_constants,
+    simulate_pl_finals,
     simulate_pl_grid,
     simulate_pl_lanes,
     simulate_pl_recursion,
@@ -136,6 +139,12 @@ def test_rr_constants_rejects_bool_and_non_integral_N():
     assert mc == rr_constants(theta=0.5, L=1.0, mu=1.0, A=0.0, sigma=1.0, N=4)
 
 
+@pytest.mark.parametrize("theta", [0.0, -0.0, 0.25, 1.5])
+def test_rr_constants_checks_theta_before_forming_delta(theta):
+    with pytest.raises(ValueError, match=r"^theta must lie in \[1/2, 1\]"):
+        rr_constants(theta=theta, L=1.0, mu=1.0, A=0.0, sigma=1.0, N=4)
+
+
 def test_simulate_validates_inputs():
     params = PLParams(l1=0.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5)
     with pytest.raises(ValueError):
@@ -245,11 +254,11 @@ def test_grid_equals_the_per_cell_runs(params, builders, y0, k_grid):
 def test_grid_runs_each_horizon_free_lane_once(monkeypatch):
     calls = []
 
-    def counted(params, schedule, y0, K):
-        calls.append((type(schedule).__name__, K))
-        return simulate_pl_recursion(params, schedule, y0, K)
+    def counted(params, schedule, y0, ks):
+        calls.append((type(schedule).__name__, max(ks)))
+        return simulate_pl_finals(params, schedule, y0, ks)
 
-    monkeypatch.setattr(plbounds, "simulate_pl_recursion", counted)
+    monkeypatch.setattr(plbounds, "simulate_pl_finals", counted)
     params = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.75)
     builders = [
         lambda K: Constant(alpha=0.1),
@@ -262,6 +271,157 @@ def test_grid_runs_each_horizon_free_lane_once(monkeypatch):
     assert len(finals) == len(k_grid) * len(builders)
     per_K = [(name, K) for K in k_grid for name in ("Exponential", "Cosine")]
     assert sorted(calls) == sorted([("Constant", 64), ("Polynomial", 64)] + per_K)
+
+
+# --- the finals-only runner against the scalar recursion ---------------------
+
+
+def finals_outcome(run):
+    """The values of a run as float hex, or its error as (type, message, index)."""
+    try:
+        return [v.hex() for v in run()]
+    except (NumericFailure, ArithmeticError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+def oracle_finals(params, schedule, y0, ks):
+    """y_K of one simulate_pl_recursion run per K, in the order of ks; the
+    error of the least K that fails (every larger K fails too)."""
+    by_K = {K: simulate_pl_recursion(params, schedule, y0, K)[-1] for K in sorted(set(ks))}
+    return [by_K[K] for K in ks]
+
+
+@st.composite
+def finals_cases(draw):
+    """A run of 3-7 step blocks whose requested K fall inside blocks, on
+    their edges and at a ragged end; large steps and starts drive it
+    negative, past the floats (inf, NaN, float ** overflow) or, for
+    polynomial steps whose denominator passes the floats, to steps of 0.0."""
+    params = PLParams(
+        l1=draw(st.floats(0.0, 2.0)),
+        l2=draw(st.floats(0.1, 2.0)),
+        l3=draw(st.floats(0.0, 2.0)),
+        tau=draw(st.sampled_from([2.0, 3.0, 2.5, 1.5])),
+        theta=draw(st.sampled_from([0.5, 1.0, 0.75, 2.0 / 3.0])),
+    )
+    block = draw(st.integers(3, 7))
+    edges = st.integers(1, 6).map(lambda j: j * block)
+    ks = draw(st.lists(st.one_of(st.integers(1, 40), edges), min_size=1, max_size=6))
+    horizon = max(ks) + draw(st.integers(0, 3))
+    alpha = draw(st.one_of(st.floats(0.01, 3.0), st.sampled_from([50.0, 1e200])))
+    p = draw(st.one_of(st.floats(0.2, 2.0), st.sampled_from([300.0, 1e30])))
+    family = draw(st.sampled_from(["const", "poly", "exp", "cos"]))
+    if family == "const":
+        schedule = Constant(alpha=alpha)
+    elif family == "poly":
+        schedule = Polynomial(alpha=alpha, gamma=draw(st.floats(1.0, 16.0)), p=p)
+    elif family == "exp":
+        beta = draw(st.floats(0.5, 4.0).filter(lambda b: b < horizon))
+        schedule = Exponential(alpha=alpha, beta=beta, p=min(p, 2.0), horizon=horizon)
+    else:
+        schedule = Cosine(alpha=alpha, p=min(p, 2.0), horizon=horizon)
+    y0 = draw(st.sampled_from([0.0, 0.5, 1.0, 1e100, 1e300, 1e308]))
+    return params, schedule, y0, ks, block
+
+
+@settings(max_examples=300)
+@given(finals_cases())
+# float ** overflows in the steps' powers (a raw OverflowError of the oracle)
+@example((PLParams(1.0, 1.0, 1.0, 2.5, 0.5), Constant(alpha=1e200), 1.0, [2, 5], 3))
+# in y^(2*theta) at step 1, where the oracle raises NumericFailure
+@example((PLParams(1.0, 1.0, 1.0, 2.0, 0.75), Constant(alpha=50.0), 1e300, [1, 4], 4))
+# inf from step 1 and -inf at step 7: K = 4 fails as not finite, K = 8 as negative
+@example(
+    (PLParams(1.0, 3.0, 0.0, 2.0, 0.5), Polynomial(alpha=40.0, gamma=10.0, p=1.0), 1e308, [8, 4], 3)
+)
+# (k + 1)^300 passes the floats from k = 10 on, inside the third block of 4
+@example((PLParams(0.0, 1.0, 1.0, 2.0, 0.5), Polynomial(1.0, 1.0, 300.0), 1.0, [9, 11, 20], 4))
+def test_finals_equal_the_oracle_runs(case):
+    """y_K bitwise, or the oracle's error (type, message and index)."""
+    params, schedule, y0, ks, block = case
+    reference = finals_outcome(lambda: oracle_finals(params, schedule, y0, ks))
+    with mock.patch.object(plbounds, "_FINALS_BLOCK", block):
+        assert finals_outcome(lambda: simulate_pl_finals(params, schedule, y0, ks)) == reference
+
+
+def test_finals_validate_as_the_oracle_does():
+    params = PLParams(l1=0.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5)
+    assert simulate_pl_finals(params, Constant(alpha=0.1), 1.0, []) == []
+    with pytest.raises(ValueError, match="^y0 must be nonnegative$"):
+        simulate_pl_finals(params, Constant(alpha=0.1), -1.0, [4])
+    with pytest.raises(ValueError, match="^K must be a positive integer$"):
+        simulate_pl_finals(params, Constant(alpha=0.1), 1.0, [4, 0])
+    with pytest.raises(ValueError, match="^step index 5 beyond horizon 4$"):
+        simulate_pl_finals(params, Cosine(alpha=0.1, p=1.0, horizon=4), 1.0, [2, 6])
+
+
+def test_polynomial_steps_past_the_floats_agree_in_every_runner():
+    """Steps of 0.0 where (k + gamma)^p passes the floats, in the oracle,
+    the finals runner and the lane batch (numpy's power gives inf there)."""
+    params = PLParams(l1=0.0, l2=1.0, l3=1.0, tau=2.0, theta=0.5)
+    for schedule in (Polynomial(1.0, 1.0, 300.0), Polynomial(1.0, 4.0, 1e30)):
+        ys = simulate_pl_recursion(params, schedule, 0.5, 16)
+        assert simulate_pl_finals(params, schedule, 0.5, [16]) == [ys[-1]]
+        final, smallest, flagged = simulate_pl_lanes([(params, schedule, 0.5, 16)])
+        assert not flagged[0]
+        assert (final[0], smallest[0]) == pytest.approx((ys[-1], min(ys)), rel=SCREEN)
+
+
+def recursion_step(params, a, y):
+    """One step of simulate_pl_recursion from y, in its theta branches' forms."""
+    l1, l2, l3, tau, two_theta = params.l1, params.l2, params.l3, params.tau, 2.0 * params.theta
+    p = a * a if tau == 2.0 else a * a * a if tau == 3.0 else a**tau
+    if two_theta == 1.0:
+        return ((1.0 + l1 * p) - l2 * a) * y + l3 * p
+    if two_theta == 2.0:
+        return (1.0 + l1 * p) * y - l2 * a * y * y + l3 * p
+    return (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
+
+
+@settings(max_examples=300)
+@given(
+    st.builds(
+        PLParams,
+        l1=st.floats(0.0, 1e100),
+        l2=st.floats(1e-100, 1e100),
+        l3=st.floats(0.0, 1e100),
+        tau=st.sampled_from([2.0, 3.0, 2.5, 1.5]),
+        theta=st.sampled_from([0.5, 1.0, 0.75, 2.0 / 3.0]),
+    ),
+    st.one_of(st.just(0.0), st.floats(1e-100, 1e100)),
+    st.floats(0.0, 1e300),
+)
+def test_a_value_that_is_not_finite_never_turns_finite(params, a, y):
+    """Why the finals runner checks only each y_K: NaN stays NaN and +inf
+    gives inf or NaN or -inf, which the negative test trips (so no step
+    ever starts from -inf). Steps include 0.0, the cosine step at K."""
+    try:
+        one = simulate_pl_recursion(params, Constant(alpha=a), y, 1)[1] if a else None
+    except NumericFailure:
+        one = None
+    if one is not None:
+        assert one == recursion_step(params, a, y)  # the oracle's arithmetic
+    assert math.isnan(recursion_step(params, a, math.nan))
+    after_inf = recursion_step(params, a, math.inf)
+    assert after_inf == math.inf or math.isnan(after_inf) or after_inf < 0.0
+
+
+def test_grid_memory_is_one_block_not_K():
+    """One polynomial and one exponential lane to K = 2^16 peak well under
+    1 MiB of traced memory; three K-long lists of a run would take 6 MiB."""
+    params = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.5)
+    builders = [
+        lambda K: Polynomial(alpha=4.0, gamma=8.0, p=1.0),
+        lambda K: Exponential(alpha=0.5, beta=1.0, p=1.0, horizon=K),
+    ]
+    tracemalloc.start()
+    try:
+        finals = simulate_pl_grid(params, builders, 1.0, [1 << 16])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(0.0 < y < 1.0 for y in finals)
+    assert peak < 1 << 20, peak
 
 
 # --- the lane batch against the scalar recursion -----------------------------

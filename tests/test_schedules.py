@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -206,6 +207,28 @@ def test_invalid_parameters_are_unconstructible():
         Exponential(alpha=1.0, beta=10.0, p=1.0, horizon=10)  # needs K > beta
     with pytest.raises(ValueError):
         Cosine(alpha=1.0, p=0.0, horizon=10)
+
+
+@pytest.mark.parametrize(
+    "alpha, gamma, p",
+    # gamma^p underflows to 0.0, or alpha/gamma^p overflows to inf
+    [(0.5, 0.5, 2000.0), (0.5, 0.5, 1e30), (0.5, 1e-300, 2.0), (1e10, 1e-300, 1.0)],
+)
+def test_polynomial_with_an_infinite_first_step_is_unconstructible(alpha, gamma, p):
+    with pytest.raises(ValueError, match=re.escape(f"gamma={gamma!r}, p={p!r}")):
+        Polynomial(alpha=alpha, gamma=gamma, p=p)
+
+
+def test_polynomial_steps_past_the_floats_are_their_limit_zero():
+    # (k + 1)^300 passes the floats from k = 10 on: 11^300 is about 2.6e312
+    sched = Polynomial(alpha=1.0, gamma=1.0, p=300.0)
+    steps = step_values(sched, 16)
+    assert steps[:10] == [1.0 / (k + 1.0) ** 300.0 for k in range(10)]
+    assert steps[10:] == [0.0] * 6
+    assert step_value(sched, 12) == 0.0
+    assert step_sum(sched, 16) == math.fsum(steps[:10])
+    # gamma^p itself passes them: every step is 0.0
+    assert step_values(Polynomial(alpha=1.0, gamma=4.0, p=1e30), 8) == [0.0] * 8
 
 
 def test_out_of_range_index_rejected():

@@ -16,6 +16,7 @@ from steprates.plbounds import (
     bound_const,
     offset_admissible,
     sgd_constants,
+    simulate_pl_finals,
     simulate_pl_lanes,
     simulate_pl_recursion,
     smallest_offset,
@@ -139,14 +140,15 @@ def test_bounds_suite_resamples_a_failed_simulation(monkeypatch):
                 failing.append(lane)
         return final, smallest, flagged
 
-    def fails_where_flagged(*lane):
+    def fails_where_flagged(params, schedule, y0, ks):
+        lane = (params, schedule, y0, *ks)
         reruns.append(lane)
         if lane in failing:
             raise NumericFailure("trajectory overflows at step 1", index=1)
-        return simulate_pl_recursion(*lane)
+        return simulate_pl_finals(params, schedule, y0, ks)
 
     monkeypatch.setattr(verify, "simulate_pl_lanes", every_other_flagged)
-    monkeypatch.setattr(verify, "simulate_pl_recursion", fails_where_flagged)
+    monkeypatch.setattr(verify, "simulate_pl_finals", fails_where_flagged)
     # a constant-step draw always has a bound, so every resample is a failed simulation
     report = bounds_suite(4, seed=5, family="const")
     assert report.passed
@@ -193,11 +195,11 @@ def test_lanes_in_the_confirm_band_are_rerun_in_scalar(monkeypatch, offsets, rer
         finals.append(y)
     reruns = []
 
-    def counted(*lane):
-        reruns.append(lane[3] - 50)
-        return simulate_pl_recursion(*lane)
+    def counted(params, schedule, y0, ks):
+        reruns.extend(K - 50 for K in ks)
+        return simulate_pl_finals(params, schedule, y0, ks)
 
-    monkeypatch.setattr(verify, "simulate_pl_recursion", counted)
+    monkeypatch.setattr(verify, "simulate_pl_finals", counted)
     outcomes = verify._confirmed_slacks(drawn)
     assert sorted(reruns) == rerun
     for i, ((slack, floor), y, lane) in enumerate(zip(outcomes, finals, drawn)):
