@@ -34,7 +34,6 @@ from .schedules import (
     StepSchedule,
     _steps,
     step_max,
-    step_values,
 )
 
 
@@ -122,6 +121,7 @@ class BoundResult:
 
 
 _REL = 1e-12  # relative slack applied to inequality preconditions
+_FINALS_BLOCK = 1 << 12  # steps per block of the scalar runs; 2^15 ran slower
 
 
 def _require(condition: bool, message: str) -> None:
@@ -315,13 +315,20 @@ def _method_constants(
     )
 
 
+def _power(a: float, tau: float) -> float:
+    try:
+        return a**tau
+    except OverflowError:  # float ** raises where numpy's power gives inf
+        return math.inf
+
+
 def _powers(alphas: list[float], tau: float) -> list[float]:
     """a^tau of each step, formed as a*a and a*a*a where tau is 2 or 3."""
     if tau == 2.0:
         return [a * a for a in alphas]
     if tau == 3.0:
         return [a * a * a for a in alphas]
-    return [a**tau for a in alphas]
+    return [_power(a, tau) for a in alphas]
 
 
 def simulate_pl_recursion(
@@ -333,37 +340,40 @@ def simulate_pl_recursion(
     theorem bound must dominate the returned trajectory. A step size too
     large for these dynamics drives the trajectory negative, and one too
     large for the range of doubles makes it infinite or NaN; either raises
-    NumericFailure carrying the offending index.
+    NumericFailure carrying the offending index. Steps and their powers are
+    read in blocks of 2^12, so the run holds one block beside the trajectory.
     """
     _check_start(y0, K)
-    alphas = step_values(schedule, K)
-    powers = _powers(alphas, params.tau)
+    step_max(schedule, K)  # the index and type checks of step_values
     l1, l2, l3 = params.l1, params.l2, params.l3
     two_theta = 2.0 * params.theta
     ys = [float(y0)]
     append = ys.append
     y = float(y0)
-    if two_theta == 1.0:
-        for i, (a, p) in enumerate(zip(alphas, powers)):
-            y = ((1.0 + l1 * p) - l2 * a) * y + l3 * p
-            if y < 0.0:
-                raise NumericFailure(f"trajectory negative at step {i + 1}", index=i + 1)
-            append(y)
-    elif two_theta == 2.0:
-        for i, (a, p) in enumerate(zip(alphas, powers)):
-            y = (1.0 + l1 * p) * y - l2 * a * y * y + l3 * p
-            if y < 0.0:
-                raise NumericFailure(f"trajectory negative at step {i + 1}", index=i + 1)
-            append(y)
-    else:
-        try:
-            for i, (a, p) in enumerate(zip(alphas, powers)):
-                y = (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
+    for k0 in range(0, K, _FINALS_BLOCK):
+        alphas = _steps(schedule, range(k0, min(k0 + _FINALS_BLOCK, K)))
+        steps = enumerate(zip(alphas, _powers(alphas, params.tau)), k0 + 1)
+        if two_theta == 1.0:
+            for i, (a, p) in steps:
+                y = ((1.0 + l1 * p) - l2 * a) * y + l3 * p
                 if y < 0.0:
-                    raise NumericFailure(f"trajectory negative at step {i + 1}", index=i + 1)
+                    raise NumericFailure(f"trajectory negative at step {i}", index=i)
                 append(y)
-        except OverflowError:  # float ** raises where * and + give inf
-            raise NumericFailure(f"trajectory overflows at step {i + 1}", index=i + 1) from None
+        elif two_theta == 2.0:
+            for i, (a, p) in steps:
+                y = (1.0 + l1 * p) * y - l2 * a * y * y + l3 * p
+                if y < 0.0:
+                    raise NumericFailure(f"trajectory negative at step {i}", index=i)
+                append(y)
+        else:
+            try:
+                for i, (a, p) in steps:
+                    y = (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
+                    if y < 0.0:
+                        raise NumericFailure(f"trajectory negative at step {i}", index=i)
+                    append(y)
+            except OverflowError:  # float ** raises where * and + give inf
+                raise NumericFailure(f"trajectory overflows at step {i}", index=i) from None
     # one pass over the finished trajectory: a sum of finite values that is
     # not finite either holds an infinity or NaN or overflowed on the way
     if not math.isfinite(sum(ys)):
@@ -376,7 +386,6 @@ def simulate_pl_recursion(
 # numbers in each per-block array of simulate_pl_lanes, as in the seed sums'
 # row blocks: 2^15 doubles (256 KiB)
 _LANE_BLOCK = 1 << 15
-_FINALS_BLOCK = 1 << 12  # steps per block of simulate_pl_finals; 2^15 ran slower
 # the constants each family's closed form reads, as columns of lanes
 _STEP_FIELDS = {
     Constant: ("alpha",),
@@ -556,32 +565,29 @@ def simulate_pl_grid(
     """y_K of the equality recursion for every (K, schedule), K-major.
 
     schedules holds one builder K -> StepSchedule per lane, called for every
-    cell in walk order. A schedule without a horizon (constant, polynomial)
-    does not depend on K, so its lane takes one pass of simulate_pl_finals
-    to the largest K; schedules with a horizon take one per K. A pass holds
-    one block of steps, not K, and every value is bitwise
-    simulate_pl_recursion(params, build(K), y0, K)[-1]. Each cell of a lane
-    whose long run fails, or whose builder returns another schedule than the
-    lane's first, runs on its own, so a failing grid raises the same first
-    error, at the same cell, as the walk of per-K runs.
+    cell in walk order. Each distinct schedule takes one pass of
+    simulate_pl_finals over its K: schedules compare by value, so a lane
+    without a horizon (constant, polynomial) runs once, and one with a
+    horizon once per distinct K. A pass holds one block of steps, not K,
+    and every value is bitwise simulate_pl_recursion(params, build(K), y0,
+    K)[-1]. A grid that fails is replayed cell by cell, so it raises the
+    same first error, at the same cell, as the walk of per-K runs.
     """
-    ks = sorted({K for K in k_grid if K >= 1})
-    finals: list[float] = []
-    runs: dict[int, tuple[StepSchedule, list[float]] | None] = {}
-    for K in k_grid:
-        for lane, build in enumerate(schedules):
-            schedule = build(K)
-            if K >= 1 and getattr(schedule, "horizon", None) is None and lane not in runs:
-                try:
-                    runs[lane] = (schedule, simulate_pl_finals(params, schedule, y0, ks))
-                except (NumericFailure, OverflowError):
-                    runs[lane] = None
-            run = runs.get(lane)
-            if K >= 1 and run is not None and run[0] == schedule:
-                finals.append(run[1][ks.index(K)])
-            else:
-                finals.append(simulate_pl_finals(params, schedule, y0, [K])[0])
-    return finals
+    cells: list[tuple[StepSchedule, int]] = []
+    try:
+        passes: dict[StepSchedule, list[int]] = {}
+        for K in k_grid:
+            for build in schedules:
+                schedule = build(K)
+                cells.append((schedule, K))
+                passes.setdefault(schedule, []).append(K)
+        # a pass returns its y_K in the order of its cells
+        finals = {s: iter(simulate_pl_finals(params, s, y0, ks)) for s, ks in passes.items()}
+    except Exception:
+        for schedule, K in cells:  # the first error of the per-cell walk
+            simulate_pl_finals(params, schedule, y0, [K])
+        raise
+    return [next(finals[schedule]) for schedule, _ in cells]
 
 
 def relaxed_recursion_transform(

@@ -89,6 +89,16 @@ def test_simulate_recursion_non_finite_value_exit(tmp_path, capsys):
     assert not (tmp_path / "out" / "recursion.csv").exists()
 
 
+def test_simulate_recursion_power_past_the_floats_is_numeric_failure(tmp_path, capsys):
+    config = dict(SIM_CONFIG, k_grid=[8])
+    config["params"] = {"l1": 1.0, "l2": 1.0, "l3": 1.0, "tau": 2.5, "theta": 0.5}
+    config["schedules"] = [{"id": "big", "family": "constant", "alpha": 1e200}]
+    assert run_cli(tmp_path, "simulate-recursion", config) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: trajectory value inf is not finite at step 1\n"
+    assert not (tmp_path / "out" / "recursion.csv").exists()
+
+
 @pytest.mark.parametrize("gamma, p", [(0.5, 2000), (0.5, 1e30), (1e-300, 2.0)])
 def test_simulate_recursion_infinite_first_step_is_config_error(tmp_path, capsys, gamma, p):
     schedules = [{"id": "s", "family": "polynomial", "alpha": 0.5, "gamma": gamma, "p": p}]
@@ -372,6 +382,14 @@ def test_run_non_finite_gap_is_numeric_failure(tmp_path, capsys):
     assert run_cli(tmp_path, "run", config, extra=["--skip-verify"]) == 3
     assert "not finite for the deterministic run at step 0" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trajectories.csv").exists()
+
+
+def test_run_step_above_the_descent_cap_is_precondition_failure(tmp_path, capsys):
+    config = dict(RUN_GD, schedule={"family": "constant", "alpha": 2.0})
+    assert run_cli(tmp_path, "run", config) == 4
+    err = capsys.readouterr().err
+    assert err == "precondition failed: largest step 2.0 exceeds the descent cap 1.0\n"
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_run_sgd_requires_noise_and_seeds(tmp_path):
@@ -887,6 +905,38 @@ def test_every_numeric_field_rejects_a_wrong_type(data):
     value = data.draw(st.one_of(wrong))
     with tempfile.TemporaryDirectory() as tmp:
         assert run_typed(Path(tmp), command, config, path, json.dumps(value)) == 2
+
+
+# extreme finite floats for real fields (and any finite float); small
+# integers for integer fields, and a horizon or seed of 10^18
+EXTREME_FLOATS = [
+    0.0, -0.0, -1.0, 5e-324, 1e-310, 1e-200, 1e-30, 0.999999, 1.000001, 2.0,
+    1e30, 1e200, 1.7976931348623157e308, -1e308,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_numeric_field_ends_in_a_documented_exit(data):
+    """An extreme or any finite value in any numeric field of any command
+    exits 0, 2, 3 or 4 without raising, and a config error or numeric
+    failure writes no file."""
+    command, config = data.draw(st.sampled_from(TYPED_CONFIGS))
+    path = data.draw(st.sampled_from(numeric_leaves(config)))
+    leaf = config
+    for key in path:
+        leaf = leaf[key]
+    if isinstance(leaf, int):
+        values = [-1, 0, 1, 2, 3] + ([10**18] if "K" in path or "seeds" in path else [])
+        value = data.draw(st.sampled_from(values))
+    else:
+        value = data.draw(st.one_of(st.sampled_from(EXTREME_FLOATS), FINITE))
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_typed(Path(tmp), command, config, path, json.dumps(value))
+        out = Path(tmp) / "out"
+        assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            assert not out.exists() or not any(out.iterdir())
 
 
 RUN_DIM = ("problem", "dim")

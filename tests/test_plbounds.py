@@ -251,7 +251,9 @@ def test_grid_equals_the_per_cell_runs(params, builders, y0, k_grid):
     assert grid_outcome(lambda: simulate_pl_grid(params, builders, y0, k_grid)) == reference
 
 
-def test_grid_runs_each_horizon_free_lane_once(monkeypatch):
+def test_grid_runs_each_distinct_schedule_once(monkeypatch):
+    """Constant and polynomial lanes once; exponential and cosine lanes once
+    per distinct K, though K = 8 appears twice in the grid."""
     calls = []
 
     def counted(params, schedule, y0, ks):
@@ -269,7 +271,7 @@ def test_grid_runs_each_horizon_free_lane_once(monkeypatch):
     k_grid = [64, 8, 32, 8, 16]
     finals = simulate_pl_grid(params, builders, 1.0, k_grid)
     assert len(finals) == len(k_grid) * len(builders)
-    per_K = [(name, K) for K in k_grid for name in ("Exponential", "Cosine")]
+    per_K = [(name, K) for K in set(k_grid) for name in ("Exponential", "Cosine")]
     assert sorted(calls) == sorted([("Constant", 64), ("Polynomial", 64)] + per_K)
 
 
@@ -326,7 +328,7 @@ def finals_cases(draw):
 
 @settings(max_examples=300)
 @given(finals_cases())
-# float ** overflows in the steps' powers (a raw OverflowError of the oracle)
+# the steps' powers pass the floats (float ** overflows): inf, not finite at step 1
 @example((PLParams(1.0, 1.0, 1.0, 2.5, 0.5), Constant(alpha=1e200), 1.0, [2, 5], 3))
 # in y^(2*theta) at step 1, where the oracle raises NumericFailure
 @example((PLParams(1.0, 1.0, 1.0, 2.0, 0.75), Constant(alpha=50.0), 1e300, [1, 4], 4))
@@ -365,6 +367,39 @@ def test_polynomial_steps_past_the_floats_agree_in_every_runner():
         final, smallest, flagged = simulate_pl_lanes([(params, schedule, 0.5, 16)])
         assert not flagged[0]
         assert (final[0], smallest[0]) == pytest.approx((ys[-1], min(ys)), rel=SCREEN)
+
+
+def test_powers_past_the_floats_are_inf_in_every_runner():
+    """A tau-th power past the floats is inf, as numpy's power gives in the
+    lane batch: the oracle, the finals runner and the grid raise the same
+    NumericFailure, and the lane batch flags the lane, in every theta branch."""
+    schedule = Constant(alpha=1e200)  # 1e200^2.5 passes the floats
+    message = "^trajectory value inf is not finite at step 1$"
+    for theta in (0.5, 1.0, 0.75):
+        params = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.5, theta=theta)
+        for run in (
+            lambda: simulate_pl_recursion(params, schedule, 1.0, 8),
+            lambda: simulate_pl_finals(params, schedule, 1.0, [8]),
+            lambda: simulate_pl_grid(params, [lambda K: schedule], 1.0, [8]),
+        ):
+            with pytest.raises(NumericFailure, match=message):
+                run()
+        final, _, flagged = simulate_pl_lanes([(params, schedule, 1.0, 8)])
+        assert flagged[0] and not math.isfinite(final[0])
+
+
+def test_a_failing_run_holds_one_block_not_K():
+    """A run to K = 2^20 that goes negative at step 1 reads one block of
+    steps, not K steps and their powers (40 MiB of traced memory)."""
+    params = PLParams(l1=0.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericFailure, match="^trajectory negative at step 1$"):
+            simulate_pl_finals(params, Constant(alpha=3.0), 1.0, [1 << 20])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def recursion_step(params, a, y):
