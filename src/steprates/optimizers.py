@@ -234,9 +234,9 @@ def _aggregate(gaps: np.ndarray, seeds: tuple[int, ...], left: np.ndarray) -> Tr
     n = gaps.shape[0]
     step = _block_rows(gaps.shape[1])
     starts = range(0, n, step)
-    # a gap that is not finite makes TwoSum subtract infinities; Trajectory
-    # raises NumericFailure for it, so the sums need not warn first
-    with np.errstate(invalid="ignore"):
+    # gaps not finite, or far apart (their squares overflow), make TwoSum subtract
+    # infinities; Trajectory and the checks below raise NumericFailure for both
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = _compensated_sum(gaps[:step], (gaps[i : i + step] for i in starts[1:])) / n
         if n > 1:
             devs = (gaps[i : i + step] - mean for i in starts)
@@ -244,13 +244,18 @@ def _aggregate(gaps: np.ndarray, seeds: tuple[int, ...], left: np.ndarray) -> Tr
             stderr = np.sqrt(_compensated_sum(next(squares), squares) / (n - 1) / n)
         else:
             stderr = np.zeros_like(mean)
-    return Trajectory(
+    trajectory = Trajectory(
         gaps=gaps,
         seeds=seeds,
         mean=mean,
         stderr=stderr,
         left_domain=tuple(bool(v) for v in left),
     )
+    for what, column in (("mean", mean), ("standard error", stderr)):
+        if not np.isfinite(column).all():
+            k = int(np.argmin(np.isfinite(column)))
+            raise NumericFailure(f"{what} {column[k]} is not finite at step {k}", index=k)
+    return trajectory
 
 
 def _check_cap(schedule: StepSchedule, cap: float, K: int, what: str) -> None:

@@ -19,9 +19,8 @@ import bisect
 import functools
 import math
 import numbers
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -340,47 +339,11 @@ def simulate_pl_recursion(
     theorem bound must dominate the returned trajectory. A step size too
     large for these dynamics drives the trajectory negative, and one too
     large for the range of doubles makes it infinite or NaN; either raises
-    NumericFailure carrying the offending index. Steps and their powers are
-    read in blocks of 2^12, so the run holds one block beside the trajectory.
+    NumericFailure at the first bad step. This is simulate_pl_finals with a
+    block end at every step, so the runner's y_K are these wherever blocks end.
     """
     _check_start(y0, K)
-    step_max(schedule, K)  # the index and type checks of step_values
-    l1, l2, l3 = params.l1, params.l2, params.l3
-    two_theta = 2.0 * params.theta
-    ys = [float(y0)]
-    append = ys.append
-    y = float(y0)
-    for k0 in range(0, K, _FINALS_BLOCK):
-        alphas = _steps(schedule, range(k0, min(k0 + _FINALS_BLOCK, K)))
-        steps = enumerate(zip(alphas, _powers(alphas, params.tau)), k0 + 1)
-        if two_theta == 1.0:
-            for i, (a, p) in steps:
-                y = ((1.0 + l1 * p) - l2 * a) * y + l3 * p
-                if y < 0.0:
-                    raise NumericFailure(f"trajectory negative at step {i}", index=i)
-                append(y)
-        elif two_theta == 2.0:
-            for i, (a, p) in steps:
-                y = (1.0 + l1 * p) * y - l2 * a * y * y + l3 * p
-                if y < 0.0:
-                    raise NumericFailure(f"trajectory negative at step {i}", index=i)
-                append(y)
-        else:
-            try:
-                for i, (a, p) in steps:
-                    y = (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
-                    if y < 0.0:
-                        raise NumericFailure(f"trajectory negative at step {i}", index=i)
-                    append(y)
-            except OverflowError:  # float ** raises where * and + give inf
-                raise NumericFailure(f"trajectory overflows at step {i}", index=i) from None
-    # one pass over the finished trajectory: a sum of finite values that is
-    # not finite either holds an infinity or NaN or overflowed on the way
-    if not math.isfinite(sum(ys)):
-        for i, y in enumerate(ys):
-            if not math.isfinite(y):
-                raise NumericFailure(f"trajectory value {y} is not finite at step {i}", index=i)
-    return ys
+    return [float(y0), *simulate_pl_finals(params, schedule, y0, range(1, K + 1))]
 
 
 # numbers in each per-block array of simulate_pl_lanes, as in the seed sums'
@@ -517,22 +480,20 @@ def simulate_pl_lanes(
     return final, low, ~(low >= 0.0) | ~np.isfinite(final)
 
 
-def simulate_pl_finals(
-    params: PLParams, schedule: StepSchedule, y0: float, ks: Sequence[int]
-) -> list[float]:
-    """simulate_pl_recursion(params, schedule, y0, K)[-1] for each K in ks,
-    bitwise, from one pass in blocks of at most 2^12 steps that end at each K.
-    A y that is not finite never turns finite, so from the least K whose run
-    fails, simulate_pl_recursion re-runs each cell and raises its error."""
-    _check_start(y0, min(ks, default=1))
-    step_max(schedule, max(ks, default=1))  # the index and type checks of step_values
+def _walk(
+    params: PLParams, schedule: StepSchedule, k0: int, y: float, ends: Collection[int]
+) -> Iterator[tuple[int, float]]:
+    """(K, y_K) at each K of ends in ascending order, from y = y_k0: the one
+    scalar loop of the equality recursion. It keeps no y but the last, and
+    reads steps and their powers in blocks of at most _FINALS_BLOCK that end
+    at each K. A block that ends with y negative or not finite, or where
+    float ** overflows, is walked again a step at a time from its start, so
+    the NumericFailure names the first bad step."""
     l1, l2, l3, tau, two_theta = params.l1, params.l2, params.l3, params.tau, 2.0 * params.theta
-    at, y = {}, float(y0)
-    edges = sorted({*ks, *range(0, max(ks, default=0), _FINALS_BLOCK)})
-    with suppress(OverflowError):  # float ** raises where * and + give inf
-        for k0, k1 in zip(edges, edges[1:]):
-            alphas = _steps(schedule, range(k0, k1))
-            steps = zip(alphas, _powers(alphas, tau))
+    for k1 in sorted({*ends, *range(k0 + _FINALS_BLOCK, max(ends, default=k0), _FINALS_BLOCK)}):
+        alphas = _steps(schedule, range(k0, k1))
+        steps, start, what = zip(alphas, _powers(alphas, tau)), y, None
+        try:
             if two_theta == 1.0:
                 for a, p in steps:
                     y = ((1.0 + l1 * p) - l2 * a) * y + l3 * p
@@ -548,11 +509,29 @@ def simulate_pl_finals(
                     y = (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
                     if y < 0.0:
                         break
-            at[k1] = y
-            if not 0.0 <= y < math.inf:
-                break
-    bad = [K for K in sorted(set(ks)) if not 0.0 <= at.get(K, math.nan) < math.inf]
-    at.update((K, simulate_pl_recursion(params, schedule, y0, K)[-1]) for K in bad)
+        except OverflowError:  # float ** raises where * and + give inf
+            y, what = math.nan, "overflows"
+        if not 0.0 <= y < math.inf:
+            if k1 > k0 + 1:  # the block a step at a time raises at its first bad step
+                dict(_walk(params, schedule, k0, start, range(k0 + 1, k1 + 1)))
+            what = what or ("negative" if y < 0.0 else f"value {y} is not finite")
+            raise NumericFailure(f"trajectory {what} at step {k1}", index=k1)
+        if k1 in ends:
+            yield k1, y
+        k0 = k1
+
+
+def simulate_pl_finals(
+    params: PLParams, schedule: StepSchedule, y0: float, ks: Sequence[int]
+) -> list[float]:
+    """simulate_pl_recursion(params, schedule, y0, K)[-1] for each K in ks,
+    bitwise, from one walk in blocks of at most 2^12 steps that end at each
+    K, keeping no trajectory; a failing run raises at its first bad step."""
+    _check_start(y0, min(ks, default=1))
+    step_max(schedule, max(ks, default=1))  # the index and type checks of step_values
+    if ks and y0 == math.inf:
+        raise NumericFailure("trajectory value inf is not finite at step 0", index=0)
+    at = dict(_walk(params, schedule, 0, float(y0), set(ks)))
     return [at[K] for K in ks]
 
 
@@ -568,10 +547,11 @@ def simulate_pl_grid(
     cell in walk order. Each distinct schedule takes one pass of
     simulate_pl_finals over its K: schedules compare by value, so a lane
     without a horizon (constant, polynomial) runs once, and one with a
-    horizon once per distinct K. A pass holds one block of steps, not K,
-    and every value is bitwise simulate_pl_recursion(params, build(K), y0,
-    K)[-1]. A grid that fails is replayed cell by cell, so it raises the
-    same first error, at the same cell, as the walk of per-K runs.
+    horizon once per distinct K. A pass is one walk that holds one block of
+    steps, not K, and every value is bitwise simulate_pl_recursion's y_K,
+    the same walk with a block end at every step. A grid that fails is
+    replayed cell by cell, so it raises the first bad step of the first
+    failing cell in walk order.
     """
     cells: list[tuple[StepSchedule, int]] = []
     try:

@@ -6,13 +6,15 @@ that the seed-batched optimizer engine must reproduce, a per-call
 recursion evaluator or list-building inequality check that the cached spec
 grid and the streamed checks must reproduce bit for bit, a per-step or
 per-cell loop that the step sum and the recursion grid must reproduce bit
-for bit, the row-by-row compensated sum that the lane-strided one must
-reproduce bit for bit on a single block, the cell-by-cell CSV writer
-whose bytes the block writer must reproduce, or the case-d offset test
-over its whole grid, whose decisions the peak test must reproduce. Nothing
-in this module imports the package under test: these are the independent
-routes (the per-cell loops take the package's scalar functions as
-arguments), and the tests assert that the library agrees with them.
+for bit, a per-step walk whose values and first bad step the scalar
+recursion must reproduce, the row-by-row compensated sum that the
+lane-strided one must reproduce bit for bit on a single block, the
+cell-by-cell CSV writer whose bytes the block writer must reproduce, or
+the case-d offset test over its whole grid, whose decisions the peak test
+must reproduce. Nothing in this module imports the package under test:
+these are the independent routes (the per-cell and per-step loops take the
+package's scalar functions as arguments), and the tests assert that the
+library agrees with them.
 Running the module prints the table of pinned values.
 """
 from __future__ import annotations
@@ -70,6 +72,42 @@ def step_sum_per_k(step_value, schedule, K):
 def recursion_grid_per_cell(simulate, params, builders, y0, k_grid):
     """y_K for every (K, schedule), K-major, one run from k = 0 per cell."""
     return [simulate(params, build(K), y0, K)[-1] for K in k_grid for build in builders]
+
+
+def recursion_step(params, a, y):
+    """One step of the equality recursion from y, in the theta branches'
+    forms; a^tau past the floats is inf, y^(2*theta) past them raises
+    OverflowError."""
+    l1, l2, l3, tau, two_theta = params.l1, params.l2, params.l3, params.tau, 2.0 * params.theta
+    try:
+        p = a * a if tau == 2.0 else a * a * a if tau == 3.0 else a**tau
+    except OverflowError:
+        p = math.inf
+    if two_theta == 1.0:
+        return ((1.0 + l1 * p) - l2 * a) * y + l3 * p
+    if two_theta == 2.0:
+        return (1.0 + l1 * p) * y - l2 * a * y * y + l3 * p
+    return (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
+
+
+def recursion_walk(step_value, params, schedule, y0, K):
+    """([y_0, ..., y_K], None), one step_value call and one step per k; or
+    the walk up to its first bad step, a y that is negative or not finite
+    or a y^(2*theta) past the floats, and that step's (message, index)."""
+    ys = [float(y0)]
+    if not math.isfinite(ys[0]):
+        return ys, (f"trajectory value {ys[0]} is not finite at step 0", 0)
+    for i in range(1, K + 1):
+        try:
+            y = recursion_step(params, step_value(schedule, i - 1), ys[-1])
+        except OverflowError:
+            return ys, (f"trajectory overflows at step {i}", i)
+        ys.append(y)
+        if y < 0.0:
+            return ys, (f"trajectory negative at step {i}", i)
+        if not math.isfinite(y):
+            return ys, (f"trajectory value {y} is not finite at step {i}", i)
+    return ys, None
 
 
 # ---------------------------------------------------------------------------

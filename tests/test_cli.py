@@ -384,6 +384,20 @@ def test_run_non_finite_gap_is_numeric_failure(tmp_path, capsys):
     assert not (tmp_path / "out" / "trajectories.csv").exists()
 
 
+def test_run_stderr_past_the_floats_is_numeric_failure(tmp_path, capsys):
+    # the noise grows with the gap, so the seeds' gaps square past the floats
+    config = dict(
+        RUN_SGD,
+        noise={"kind": "additive_gaussian", "sigma": 1.0, "A": 1e30},
+        schedule={"family": "cosine", "alpha": 0.02, "p": 1.0},
+        K=8,
+    )
+    assert run_cli(tmp_path, "run", config) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: standard error nan is not finite at step 7\n"
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 def test_run_step_above_the_descent_cap_is_precondition_failure(tmp_path, capsys):
     config = dict(RUN_GD, schedule={"family": "constant", "alpha": 2.0})
     assert run_cli(tmp_path, "run", config) == 4

@@ -35,7 +35,7 @@ from steprates.optimizers import (
 )
 from steprates.plbounds import NumericFailure, smoothness_cap
 from steprates.recursions import PreconditionError
-from steprates.schedules import Constant, Polynomial, step_values
+from steprates.schedules import Constant, Cosine, Polynomial, step_values
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
@@ -797,3 +797,26 @@ def test_aggregate_raises_on_a_non_finite_gap_without_warning():
         with pytest.raises(NumericFailure, match="seed 150 at step 4") as info:
             _aggregate(gaps, tuple(range(200)), np.zeros(200, dtype=bool))
     assert info.value.index == 4
+
+
+def test_aggregate_raises_where_the_mean_or_stderr_is_not_finite_without_warning():
+    """Finite gaps whose sum or squared deviations pass the floats raise
+    NumericFailure at the first such step, not a mean or stderr of inf or nan."""
+    huge = np.array([[1.0, 1e308], [1.0, 1e308]])
+    apart = np.array([[1.0, 0.0, 1e200], [1.0, 1e200, 0.0], [1.0, 0.0, 0.0]])
+    # the noise grows with the gap, so the seeds' gaps drift apart past 1e154
+    noise = NoiseModel("additive_gaussian", sigma=1.0, A=1e30)
+    schedule = Cosine(alpha=0.02, p=1.0, horizon=8)
+    cases = (
+        (lambda: _aggregate(huge, (0, 1), np.zeros(2, dtype=bool)), "mean inf", 1),
+        (lambda: _aggregate(apart, (0, 1, 2), np.zeros(3, dtype=bool)), "standard error nan", 1),
+        (lambda: sgd_run(make_quadratic(1.0, 1.0, 1), noise, schedule, [2.0], 8, [0, 1, 2, 3]),
+         "standard error nan", 7),
+    )
+    for run, value, index in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"^{value} is not finite at step {index}$"
+            with pytest.raises(NumericFailure, match=message) as info:
+                run()
+        assert info.value.index == index

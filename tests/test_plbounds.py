@@ -38,7 +38,7 @@ from steprates.recursions import (
     find_lambda_constant,
     general_bound,
 )
-from steprates.schedules import Constant, Cosine, Exponential, Polynomial
+from steprates.schedules import Constant, Cosine, Exponential, Polynomial, step_value
 
 
 def test_frak_p_values():
@@ -208,8 +208,8 @@ BUILDERS = st.one_of(
     1.0,
     [1, 3, 2],
 )
-# inf from step 1 and -inf at step 7: K = 4 fails as not finite, K = 8 as
-# negative, so the run to the largest K does not give the first error
+# inf from step 1 and -inf at step 7: K = 4 and K = 8 both fail as not
+# finite at step 1, the first bad step, not as negative at step 7
 @example(
     PLParams(l1=1.0, l2=3.0, l3=0.0, tau=2.0, theta=0.5),
     [lambda K: Polynomial(alpha=40.0, gamma=10.0, p=1.0)],
@@ -332,7 +332,7 @@ def finals_cases(draw):
 @example((PLParams(1.0, 1.0, 1.0, 2.5, 0.5), Constant(alpha=1e200), 1.0, [2, 5], 3))
 # in y^(2*theta) at step 1, where the oracle raises NumericFailure
 @example((PLParams(1.0, 1.0, 1.0, 2.0, 0.75), Constant(alpha=50.0), 1e300, [1, 4], 4))
-# inf from step 1 and -inf at step 7: K = 4 fails as not finite, K = 8 as negative
+# inf from step 1 and -inf at step 7: K = 4 and 8 both fail at step 1, the first bad step
 @example(
     (PLParams(1.0, 3.0, 0.0, 2.0, 0.5), Polynomial(alpha=40.0, gamma=10.0, p=1.0), 1e308, [8, 4], 3)
 )
@@ -344,6 +344,39 @@ def test_finals_equal_the_oracle_runs(case):
     reference = finals_outcome(lambda: oracle_finals(params, schedule, y0, ks))
     with mock.patch.object(plbounds, "_FINALS_BLOCK", block):
         assert finals_outcome(lambda: simulate_pl_finals(params, schedule, y0, ks)) == reference
+
+
+@settings(max_examples=300)
+@given(finals_cases())
+# inf from step 1 and -inf at step 7: not finite at step 1, the first bad
+# step, not negative at step 7
+@example(
+    (PLParams(1.0, 3.0, 0.0, 2.0, 0.5), Polynomial(alpha=40.0, gamma=10.0, p=1.0), 1e308, [8], 3)
+)
+def test_oracle_equals_the_per_step_walk(case):
+    """simulate_pl_recursion against an independent per-step walk: values
+    bitwise, or the same error type, message and index (the first bad step)."""
+    params, schedule, y0, ks, _ = case
+    K = max(ks)
+    ys, failure = oracles.recursion_walk(step_value, params, schedule, y0, K)
+    reference = [y.hex() for y in ys] if failure is None else (NumericFailure, *failure)
+    assert finals_outcome(lambda: simulate_pl_recursion(params, schedule, y0, K)) == reference
+
+
+def test_an_infinite_start_fails_at_step_0():
+    """y0 = inf is the first bad step, though step 1 would also be negative
+    (growth factor 1 + 1 - 3 < 0), in the oracle, the runner and the grid."""
+    params = PLParams(l1=1.0, l2=3.0, l3=0.0, tau=2.0, theta=0.5)
+    schedule = Constant(alpha=1.0)
+    message = "^trajectory value inf is not finite at step 0$"
+    for run in (
+        lambda: simulate_pl_recursion(params, schedule, math.inf, 4),
+        lambda: simulate_pl_finals(params, schedule, math.inf, [4, 2]),
+        lambda: simulate_pl_grid(params, [lambda K: schedule], math.inf, [4]),
+    ):
+        with pytest.raises(NumericFailure, match=message) as info:
+            run()
+        assert info.value.index == 0
 
 
 def test_finals_validate_as_the_oracle_does():
@@ -402,17 +435,6 @@ def test_a_failing_run_holds_one_block_not_K():
     assert peak < 1 << 20, peak
 
 
-def recursion_step(params, a, y):
-    """One step of simulate_pl_recursion from y, in its theta branches' forms."""
-    l1, l2, l3, tau, two_theta = params.l1, params.l2, params.l3, params.tau, 2.0 * params.theta
-    p = a * a if tau == 2.0 else a * a * a if tau == 3.0 else a**tau
-    if two_theta == 1.0:
-        return ((1.0 + l1 * p) - l2 * a) * y + l3 * p
-    if two_theta == 2.0:
-        return (1.0 + l1 * p) * y - l2 * a * y * y + l3 * p
-    return (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
-
-
 @settings(max_examples=300)
 @given(
     st.builds(
@@ -427,17 +449,18 @@ def recursion_step(params, a, y):
     st.floats(0.0, 1e300),
 )
 def test_a_value_that_is_not_finite_never_turns_finite(params, a, y):
-    """Why the finals runner checks only each y_K: NaN stays NaN and +inf
-    gives inf or NaN or -inf, which the negative test trips (so no step
-    ever starts from -inf). Steps include 0.0, the cosine step at K."""
+    """Why the walk checks only the y at each block end: NaN stays NaN and
+    +inf gives inf or NaN or -inf, so a block with a bad step ends bad and
+    is walked again a step at a time. Steps include 0.0, the cosine step
+    at K."""
     try:
         one = simulate_pl_recursion(params, Constant(alpha=a), y, 1)[1] if a else None
     except NumericFailure:
         one = None
     if one is not None:
-        assert one == recursion_step(params, a, y)  # the oracle's arithmetic
-    assert math.isnan(recursion_step(params, a, math.nan))
-    after_inf = recursion_step(params, a, math.inf)
+        assert one == oracles.recursion_step(params, a, y)  # the oracle's arithmetic
+    assert math.isnan(oracles.recursion_step(params, a, math.nan))
+    after_inf = oracles.recursion_step(params, a, math.inf)
     assert after_inf == math.inf or math.isnan(after_inf) or after_inf < 0.0
 
 
