@@ -16,8 +16,8 @@ Each seed draws from its own counter-based Philox stream keyed by the seed
 alone (keyed_generators reads no OS entropy), in blocks of consecutive
 steps that leave the stream exactly as step-by-step draws do, so a seed's
 trajectory is the same whichever seeds run beside it. A run holds its gap
-array, one generator and a few numbers per seed, and at most one block of
-2^19 numbers: a block's draws and iterates (SGD's overwrite its noise).
+array, a few numbers per seed, one generator per seed of a run that draws,
+and one block of at most 2^19 numbers: a block's draws and iterates.
 
 Across seeds, the mean and standard error of the gaps are compensated sums
 over blocks of seed rows in ascending seed order, one lane per row of a
@@ -57,12 +57,17 @@ def keyed_generators(seeds: Iterable[int]) -> list[np.random.Generator]:
     keeps an object of its own for its key. Seeds must be integers in
     [0, 2^128).
     """
+    seeds = _checked_seeds(seeds)
+    keys = _seed_keys()(seeds)
+    return [np.random.Generator(np.random.Philox(keys)) for _ in seeds]
+
+
+def _checked_seeds(seeds: Iterable[int]) -> list[int]:
     seeds = [operator.index(seed) for seed in seeds]
     for seed in seeds:
         if not 0 <= seed < 1 << 128:
             raise ValueError(f"seed {seed} must be an integer in [0, 2**128)")
-    keys = _seed_keys()(seeds)
-    return [np.random.Generator(np.random.Philox(keys)) for _ in seeds]
+    return seeds
 
 
 @functools.cache
@@ -286,15 +291,15 @@ def _descend(
     step(X, a, drawn) maps the iterates, the step size and this step's draws
     to the next iterates. draw(rng, out) fills one seed's draws for
     consecutive steps, shape (steps, width), from its own stream. Beyond the
-    gap array and one generator per seed, a run holds one block of at most
-    _BLOCK numbers, the draws and iterates of consecutive steps of all seeds,
+    gap array and, if it draws, one generator per seed, a run holds one block
+    of at most _BLOCK numbers, the draws and iterates of steps of all seeds,
     freed before the next: float draws as wide as the iterate become the
     iterates in place (step j reads Z_j, then stores X_{j+1} over it).
     """
     K = len(alphas)
     S = max(len(seeds), 1)
     dim = problem.dimension
-    rngs = keyed_generators(seeds)
+    rngs = None if draw is None else keyed_generators(seeds)
     X = np.tile(x0, (S, 1))
     gaps = np.empty((S, K + 1))
     # largest squared norm after any step: sqrt is monotone, so a row left the
@@ -383,7 +388,7 @@ def sgd_run(
         problem,
         step_values(schedule, K),
         _start(problem, x0),
-        tuple(sorted(int(s) for s in seeds)),
+        tuple(sorted(_checked_seeds(seeds))),
         _sgd_step(problem, noise),
         draw,
         width=problem.dimension,
@@ -432,7 +437,7 @@ def rr_run(
         problem,
         step_values(schedule, K),
         _start(problem, x0),
-        tuple(sorted(int(s) for s in seeds)),
+        tuple(sorted(_checked_seeds(seeds))),
         epoch,
         draw,
         width=N,

@@ -64,6 +64,31 @@ def test_keyed_generators_key_each_stream_by_its_own_seed():
         assert np.array_equal(ours.standard_normal(9), ref.standard_normal(9))
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(3.9)])
+def test_runs_reject_non_integer_seeds(seed):
+    problem = make_quadratic(1.0, 1.0, 1, N=2)
+    noise = NoiseModel("additive_gaussian", sigma=1.0)
+    with pytest.raises(TypeError):
+        sgd_run(problem, noise, Constant(alpha=0.1), [1.0], 4, [seed])
+    with pytest.raises(TypeError):
+        rr_run(problem, Constant(alpha=0.1), [1.0], 4, [seed])
+
+
+def test_noise_free_sgd_builds_no_generators(monkeypatch):
+    def no_generators(seeds):
+        raise AssertionError("a run that draws nothing needs no generators")
+
+    monkeypatch.setattr(optimizers, "keyed_generators", no_generators)
+    problem = make_quadratic(0.5, 1.5, 2)
+    sched = Polynomial(alpha=0.6, gamma=1.0, p=0.6)
+    ref = gd_run(problem, sched, [1.0, -1.0], 16)
+    traj = sgd_run(problem, NoiseModel("none"), sched, [1.0, -1.0], 16, seeds=list(range(3000)))
+    assert traj.seeds == tuple(range(3000))
+    assert all(np.array_equal(row, ref.gaps[0]) for row in traj.gaps)
+    with pytest.raises(ValueError, match="seed -1"):
+        sgd_run(problem, NoiseModel("none"), sched, [1.0, -1.0], 16, seeds=[0, -1])
+
+
 def test_gd_monotone_on_quadratic():
     problem = make_quadratic(0.5, 2.0, 3)
     traj = gd_run(problem, Constant(alpha=0.4), [1.0, -2.0, 0.5], 40)
