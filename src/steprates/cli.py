@@ -15,11 +15,11 @@ A horizon that is materialized, a k_grid entry or the K of run, lies in
 [1, MAX_HORIZON = 2^24]; the K of bound is unbounded, as every bound is
 closed-form.
 
-Exit codes: 0 success, 1 verification-suite failure, 2 configuration error,
-3 numeric failure (a trajectory left its admissible region or is not finite,
-a run's gap is not finite, or fit got a value that is not finite), 4
-precondition failure of a requested bound, 5 problem-verification failure
-before a run.
+Exit codes: 0 success, 1 verification-suite failure, 2 configuration error
+(an --out that cannot be made or written included), 3 numeric failure (a
+trajectory left its admissible region or is not finite, a run's gap is not
+finite, or fit got a value that is not finite), 4 precondition failure of a
+requested bound, 5 problem-verification failure before a run.
 
 CSV output uses UTF-8, LF line endings, a mandatory header row, and floats
 printed with 17 significant digits so parsing returns the exact values.
@@ -297,6 +297,8 @@ def _load_config(path: Path | None) -> dict:
         )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to parse") from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config
@@ -473,6 +475,7 @@ _SUITES = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    out = None if args.out is None else _out_dir(args.out)  # before the suite runs
     suite = _SUITES[args.suite](args)
     report = {
         "suite": args.suite,
@@ -485,8 +488,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"  [{status}] {c.check} margin={_fmt(float(c.margin))}")
     for key, value in suite.counts.items():
         print(f"  {key}: {value}")
-    if args.out is not None:
-        target = _out_dir(args.out) / "report.json"
+    if out is not None:
+        target = out / "report.json"
         _write_json(target, report)
         print(f"wrote {target}")
     else:
@@ -633,6 +636,8 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION_FAILURE
-    except ValueError as exc:  # ConfigError, and the library's checks of its arguments
+    # ConfigError, the library's checks of its arguments, and an --out that
+    # cannot be made or written, whose message names the path
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -308,12 +308,12 @@ def recursion_convexity(spec: RecursionSpec) -> CheckResult:
     return worst.result()
 
 
-def _slope_terms(spec: RecursionSpec, tol_hint: float = 1e-9) -> tuple[list[float], float]:
+def _slope_terms(spec: RecursionSpec) -> tuple[list[float], float]:
     """(b_{k+1}-b_k)*u(b_k) for k < horizon, with the applicable tolerance."""
     # r' is analytic only when an explicit ratio was supplied; numeric
     # differentiation warrants the looser tolerance
     rd = spec.ratio if spec.ratio is not None else FunctionDescriptor(fn=spec.r, label="s/t")
-    tol = tol_hint if rd.derivative is not None else 1e-6
+    tol = 1e-9 if rd.derivative is not None else 1e-6
     grid = spec.grid
     terms = []
     for x, x_next, tv in zip(grid.b, grid.b[1:], grid.t):

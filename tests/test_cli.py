@@ -89,6 +89,19 @@ def test_simulate_recursion_non_finite_value_exit(tmp_path, capsys):
     assert not (tmp_path / "out" / "recursion.csv").exists()
 
 
+def test_simulate_recursion_names_the_first_bad_step(tmp_path, capsys):
+    # y is inf from step 1 and -inf from step 7; the failure names step 1
+    config = dict(SIM_CONFIG, y0=1e308, k_grid=[8])
+    config["params"] = {"l1": 1.0, "l2": 3.0, "l3": 0.0, "tau": 2.0, "theta": 0.5}
+    config["schedules"] = [
+        {"id": "poly", "family": "polynomial", "alpha": 40.0, "gamma": 10.0, "p": 1.0}
+    ]
+    assert run_cli(tmp_path, "simulate-recursion", config) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: trajectory value inf is not finite at step 1\n"
+    assert not (tmp_path / "out" / "recursion.csv").exists()
+
+
 def test_simulate_recursion_power_past_the_floats_is_numeric_failure(tmp_path, capsys):
     config = dict(SIM_CONFIG, k_grid=[8])
     config["params"] = {"l1": 1.0, "l2": 1.0, "l3": 1.0, "tau": 2.5, "theta": 0.5}
@@ -160,6 +173,10 @@ BOUND_CONST = {
 }
 
 
+# the README's bound: horizon-tuned constant steps, no schedule
+BOUND_TUNED = dict({k: v for k, v in BOUND_CONST.items() if k != "schedule"}, tuned=True, K=4096)
+
+
 def test_bound_const_payload(tmp_path):
     assert run_cli(tmp_path, "bound", BOUND_CONST) == 0
     payload = json.loads((tmp_path / "out" / "bound.json").read_text(encoding="utf-8"))
@@ -170,10 +187,7 @@ def test_bound_const_payload(tmp_path):
 
 
 def test_bound_const_tuned_without_schedule(tmp_path):
-    config = {k: v for k, v in BOUND_CONST.items() if k != "schedule"}
-    config["tuned"] = True
-    config["K"] = 4096
-    assert run_cli(tmp_path, "bound", config) == 0
+    assert run_cli(tmp_path, "bound", BOUND_TUNED) == 0
     payload = json.loads((tmp_path / "out" / "bound.json").read_text(encoding="utf-8"))
     assert payload["details"]["tuned_beta"] == 2.0
 
@@ -236,10 +250,11 @@ def test_bound_overflowing_growth_cap_does_not_bind(tmp_path):
     # the growth cap (l2/l1)^2 = 4e600 overflows float ** (it ended in an
     # OverflowError); a cap past the floats does not bind
     constants = dict(BOUND_CONST["constants"], theta=1.0, A=1e-300)
-    assert run_cli(tmp_path, "bound", dict(BOUND_CONST, constants=constants)) == 0
-    payload = json.loads((tmp_path / "out" / "bound.json").read_text(encoding="utf-8"))
-    assert payload["constants_used"]["alpha_cap"] == 1.0
-    assert math.isfinite(payload["value"])
+    for config in (BOUND_CONST, BOUND_TUNED):
+        assert run_cli(tmp_path, "bound", dict(config, constants=constants)) == 0
+        payload = json.loads((tmp_path / "out" / "bound.json").read_text(encoding="utf-8"))
+        assert payload["constants_used"]["alpha_cap"] == 1.0
+        assert math.isfinite(payload["value"])
 
 
 @pytest.mark.parametrize("mu", [1e-320, 5e-324])
@@ -374,7 +389,8 @@ def test_subnormal_smoothness_constant_gives_a_cap_that_does_not_bind(tmp_path):
     problem = {"kind": "quadratic", "mu": 5e-324, "L": 5e-324, "dim": 1}
     assert run_cli(tmp_path, "run", dict(RUN_GD, problem=problem)) == 0
     constants = dict(BOUND_CONST["constants"], L=5e-324)
-    assert run_cli(tmp_path, "bound", dict(BOUND_CONST, constants=constants)) == 0
+    for config in (BOUND_CONST, BOUND_TUNED):
+        assert run_cli(tmp_path, "bound", dict(config, constants=constants)) == 0
 
 
 def test_run_non_finite_gap_is_numeric_failure(tmp_path, capsys):
@@ -744,33 +760,6 @@ def test_recursion_table_equals_the_cell_by_cell_writer(ids, k_grid, data):
     assert ours == reference
 
 
-README_SIM = {
-    "params": {"l1": 1.0, "l2": 1.0, "l3": 1.0, "tau": 2.0, "theta": 0.5},
-    "y0": 1.0,
-    "k_grid": [4096, 8192, 16384, 32768, 65536],
-    "schedules": [
-        {"id": "poly", "family": "polynomial", "alpha": 4.0, "gamma": 8.0, "p": 1.0},
-        {"id": "exp", "family": "exponential", "alpha": 0.5, "beta": 1.0, "p": 1.0},
-    ],
-}
-# sha256 of the README examples' tables as the cell-by-cell csv.writer wrote
-# them, before the block writer replaced it
-README_TABLES = {
-    "recursion.csv": "fe7f559e39110467b4fb82aead2187979370873df430aceacaa31916f52c962b",
-    "trajectories.csv": "03fc33e73698de0d5e4395a22ff84f88839e744b0d731c79bfad921a2f954bea",
-    "mean.csv": "e53357f375c9ce6b5e88cfe7ddc3c4c0711188a6bedcc50eb1fde2933a37a2ca",
-    "heatmap.csv": "1163906f8c9e3882a94348c0eb2ca6caa3d9a7ff2b9c84564cde2a369720284a",
-}
-
-
-def test_readme_tables_keep_their_bytes(tmp_path):
-    assert run_cli(tmp_path, "simulate-recursion", README_SIM) == 0
-    assert run_cli(tmp_path, "run", RUN_SGD) == 0
-    assert run_cli(tmp_path, "heatmap", {"method": "rr"}) == 0
-    for name, digest in README_TABLES.items():
-        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
-
-
 def test_nothing_reads_os_entropy(tmp_path, monkeypatch):
     def no_entropy(n):
         raise AssertionError("OS entropy was read")
@@ -872,7 +861,7 @@ def numeric_leaves(node, path=()):
     return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
 
 
-def run_typed(tmp, command, config, path=None, text=""):
+def run_typed(tmp, command, config, path=None, text="", out="out"):
     """Run command on config with the leaf at path written as the JSON text."""
     config = json.loads(json.dumps(config))
     if command == "fit":
@@ -886,7 +875,7 @@ def run_typed(tmp, command, config, path=None, text=""):
         node[path[-1]] = "@bad"
     (tmp / "config.json").write_text(json.dumps(config).replace('"@bad"', text), "utf-8")
     return cli.main(
-        [command, "--config", str(tmp / "config.json"), "--out", str(tmp / "out"), "--skip-verify"]
+        [command, "--config", str(tmp / "config.json"), "--out", str(tmp / out), "--skip-verify"]
     )
 
 
@@ -980,6 +969,54 @@ RUN_POWER = dict(RUN_GD, problem={"kind": "power", "theta": 0.9, "c": 1.0, "radi
 def test_reproduced_config_gaps_exit_2(tmp_path, capsys, command, config, path, text):
     assert run_typed(tmp_path, command, config, path, text) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+# the file each command writes into --out
+WRITTEN = {
+    "simulate-recursion": "recursion.csv",
+    "bound": "bound.json",
+    "run": "trajectories.csv",
+    "fit": "fit.json",
+    "heatmap": "heatmap.csv",
+    "verify": "report.json",
+}
+# --out paths under a directory that holds a regular file "afile" and, at
+# out/<the command's file>, a directory
+BAD_OUTS = {"a-file": "afile", "below-a-file": "afile/sub", "file-is-a-directory": "out"}
+
+
+def suite_not_reached(args):
+    raise AssertionError("verify ran its suite before it made --out")
+
+
+@pytest.mark.parametrize("bad", BAD_OUTS)
+@pytest.mark.parametrize("command", WRITTEN)
+def test_unusable_out_is_config_error(tmp_path, capsys, monkeypatch, command, bad):
+    """It raised FileExistsError, NotADirectoryError or IsADirectoryError
+    (exit 1), and verify ran its whole suite first."""
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    (tmp_path / "out" / WRITTEN[command]).mkdir(parents=True)
+    out = tmp_path / BAD_OUTS[bad]
+    if command == "verify":
+        if bad != "file-is-a-directory":
+            monkeypatch.setitem(cli._SUITES, "inequalities", suite_not_reached)
+        code = cli.main(["verify", "inequalities", "--k-max", "8", "--out", str(out)])
+    else:
+        config = next(config for name, config in TYPED_CONFIGS if name == command)
+        code = run_typed(tmp_path, command, config, out=BAD_OUTS[bad])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+
+
+def test_config_nested_past_the_recursion_limit_is_config_error(tmp_path, capsys):
+    # json.loads raised RecursionError (exit 1)
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    argv = ["heatmap", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: config {config} nests too deeply to parse\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_largest_horizon_is_accepted(tmp_path):

@@ -415,6 +415,15 @@ def test_verify_pl_detects_inflated_certificate():
     assert result.witness_value is not None
 
 
+def test_verify_pl_fails_a_gap_below_zero():
+    # f_star lies above f everywhere: the first sample's gap is negative
+    problem = dataclasses.replace(make_quadratic(1.0, 1.0, 1), f_star=1e6)
+    result = verify_pl(problem, 50, seed=0)
+    assert not result.passed
+    assert result.witness_index == "sample 0"
+    assert result.margin == result.witness_value < -1e5
+
+
 def test_verify_variance_oracle_and_dispersion():
     problem = make_quadratic(1.0, 2.0, 2)
     checks = verify_variance(

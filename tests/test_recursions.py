@@ -80,6 +80,14 @@ def test_lambda_certificate_dyadic():
     assert cert.condition_margin == 0.0
 
 
+def test_lambda_certificate_of_no_step():
+    # the slope term (b_1 - b_0) r'(b_0) t = -10 * 4 fails at k = 0, with or without a target
+    ratio = FunctionDescriptor(fn=lambda x: 0.5, derivative=lambda x: -10.0, label="falling")
+    spec = dataclasses.replace(dyadic_spec(), ratio=ratio)
+    assert find_lambda_constant(spec) == CertifiedLambda(math.inf, 0, -math.inf)
+    assert find_lambda_constant(spec, 1.0) == CertifiedLambda(1.0, 0, -math.inf)
+
+
 def test_general_bound_dyadic_values_and_tightness():
     spec = dyadic_spec()
     cert = find_lambda_constant(spec)

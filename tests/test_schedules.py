@@ -56,6 +56,11 @@ def test_step_sum_constant():
     assert step_sum(Constant(alpha=0.5), 10) == 5.0
 
 
+def test_step_sum_exponential_without_decay_is_flat():
+    # g^k rounds to 1 (log g = -0.0), where the geometric sum would read 0/0
+    assert step_sum(Exponential(alpha=1.0, beta=1.0, p=5e-324, horizon=2), 2) == 2.0
+
+
 def test_step_sum_cosine_half_horizon_plus_half():
     assert step_sum(Cosine(alpha=1.0, p=1.0, horizon=10), 10) == pytest.approx(
         5.5, rel=1e-14

@@ -83,6 +83,21 @@ def test_chung_suite_folds_each_spec_convexity_in_as_one_item(monkeypatch):
     assert (check.witness_index, check.witness_value) == ("draw 1", 2.0)
 
 
+def test_chung_suite_stops_at_a_draw_its_lambda_does_not_cover(monkeypatch):
+    def one_step_short(spec, lambda_target=None):
+        cert = find_lambda_constant(spec, lambda_target)
+        if lambda_target is None:
+            return cert
+        return dataclasses.replace(cert, certified_horizon=spec.horizon - 1)
+
+    monkeypatch.setattr(verify, "find_lambda_constant", one_step_short)
+    report = chung_suite(30, 1)
+    assert not report.passed
+    assert [c.check for c in report.checks] == ["example2-tightness", "classical-lambda-feasible"]
+    check = report.checks[-1]
+    assert not check.passed and check.witness_index == "draw 0"
+
+
 def test_chung_decay_forms_share_certificate_and_convexity():
     """The direct and integral-decay forms share b, t and the ratio, so the
     suite's one certificate and convexity check per draw stand for both."""
@@ -125,6 +140,18 @@ def test_case_d_draw_and_its_bound_search_the_offset_once(monkeypatch):
     # the bound tests its own gamma once and takes the offset from the draw's search
     assert len(tests) == searched + 1
     assert smallest_offset.cache_info().hits == 1
+
+
+def test_case_d_draw_falls_back_to_the_smallest_offset(monkeypatch):
+    # a drawn offset that fails the offset test gives way to smallest_offset's
+    monkeypatch.setattr(verify, "offset_admissible", lambda *args: False)
+    rng = np.random.default_rng(3)
+    drawn = None
+    while drawn is None:
+        mc = verify._draw_method(rng, "sgd")
+        drawn = verify._draw_bound_case(rng, mc, "poly", "d")
+    schedule, K, _ = drawn
+    assert schedule.gamma == smallest_offset(mc.params, schedule.alpha, K)
 
 
 def test_bounds_suite_resamples_a_failed_simulation(monkeypatch):
