@@ -16,16 +16,17 @@ A horizon that is materialized, a k_grid entry or the K of run, lies in
 closed-form.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 configuration error
-(an --out that cannot be made or written included), 3 numeric failure (a
+(an --out that cannot be made or written included, checked before any
+work, as is every file the command writes there), 3 numeric failure (a
 trajectory left its admissible region or is not finite, a run's gap is not
 finite, or fit got a value that is not finite), 4 precondition failure of a
 requested bound, 5 problem-verification failure before a run.
 
 CSV output uses UTF-8, LF line endings, a mandatory header row, and floats
-printed with 17 significant digits so parsing returns the exact values.
-Infinite values serialize as the strings "inf"/"-inf" in CSV and JSON.
-Tables are written in blocks from prebuilt row templates, byte for byte as
-csv.writer writes them with the same float formatting.
+printed byte for byte as '%.17g' prints them, so parsing returns the exact
+values. Infinite values serialize as the strings "inf"/"-inf" in CSV and
+JSON. Tables are written in blocks from prebuilt row templates, byte for
+byte as csv.writer writes them with the same float formatting.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ import json
 import math
 import sys
 from functools import cache, partial
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Collection, Mapping, Sequence, get_args
 
@@ -111,6 +113,140 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+# --- %.17g of many floats at once --------------------------------------------
+#
+# A float x in (1e-11, 1e16) is M * 2^E with M < 2^53, and its 17 significant
+# digits are N = round(x * 10^s), s = 16 - q, where q = floor(log10 x) is
+# the one exponent that puts N in [10^16, 10^17). q lies in [-11, 15] (the
+# float 1e-11 is below 10^-11), so 10^s = 5^s * 2^s with 5^s < 2^63, and
+# x * 10^s = (M * 5^s) * 2^(E + s) is an exact 128-bit product and a shift,
+# rounded half to even as '%.17g' rounds the exact binary value. The digits
+# are laid out by '%g''s rules in 24 bytes held as three words.
+
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_Q_LO, _Q_HI = -11, 15
+_POW5 = np.array([5**s for s in range(17 - _Q_LO)], dtype=np.uint64)
+_N_LO, _N_HI = _U64(10**16), _U64(10**17)
+# floats per numpy pass of _format17: a few MB of temporaries
+_BLOCK = 2**15
+
+
+def _cells(q: int, ndig: int) -> list:
+    """'%.17g' of a value with exponent q whose digit string d0..d16 has ndig
+    significant digits: each cell a digit's index or a character."""
+    if 0 <= q:
+        cells = list(range(max(q + 1, ndig)))
+        return cells[: q + 1] + ["."] + cells[q + 1 :] if ndig > q + 1 else cells
+    if -4 <= q:
+        return list("0." + "0" * (-q - 1)) + list(range(ndig))
+    mantissa = [0, ".", *range(1, ndig)] if ndig > 1 else [0]
+    return mantissa + list("e%+03d" % q)
+
+
+@cache
+def _layouts() -> np.ndarray:
+    """Column (q - _Q_LO) * 17 + ndig - 1 holds the words of masks A and B,
+    the words of bytes C and a shift t, such that the 24 bytes
+    (D & A) | ((D << t) & B) | C, with D the digit string as bytes, are the
+    cells of _cells(q, ndig) followed by NULs."""
+    keys = [(q, ndig) for q in range(_Q_LO, _Q_HI + 1) for ndig in range(1, 18)]
+    table = bytearray(80 * len(keys))  # per key: A, B, C and t, little-endian
+    for at, (q, ndig) in zip(range(0, len(table), 80), keys):
+        table[at + 72] = 8  # t for keys that move no digit
+        for j, cell in enumerate(_cells(q, ndig)):
+            if isinstance(cell, str):
+                table[at + 48 + j] = ord(cell)
+            elif cell == j:
+                table[at + j] = 0xFF
+            else:  # every moved digit moves by the same j - cell
+                table[at + 24 + j], table[at + 72] = 0xFF, 8 * (j - cell)
+    return np.frombuffer(table, dtype="<u8").reshape(len(keys), 10).T.copy()
+
+
+def _scaled(M, E, q):
+    """floor and half-even rounding of M * 2^E * 10^(16 - q), exactly."""
+    s = 16 - q
+    exponent = E + s
+    a = M << np.maximum(exponent, 0).astype(np.uint64)
+    r = np.maximum(-exponent, 0).astype(np.uint64)
+    b = _POW5[s]
+    # the 128-bit product a * b from 32-bit halves; a < 2^55, b < 2^63
+    a0, a1, b0, b1 = a & _LOW32, a >> _U64(32), b & _LOW32, b >> _U64(32)
+    low, m1, m2 = a0 * b0, a1 * b0, a0 * b1
+    mid = (low >> _U64(32)) + (m1 & _LOW32) + (m2 & _LOW32)
+    high = a1 * b1 + (m1 >> _U64(32)) + (m2 >> _U64(32)) + (mid >> _U64(32))
+    low = (low & _LOW32) | (mid << _U64(32))
+    # shifted right by r <= 62; at r = 0 the product is whole and not rounded
+    floor = (low >> r) | ((high << (_U64(63) - r)) << _U64(1))
+    rest = low & ((_U64(1) << r) - _U64(1))
+    half = (_U64(1) << r) >> _U64(1)
+    return floor, floor + ((r > 0) & (rest + (floor & _U64(1)) > half))
+
+
+def _digit_bytes(v):
+    """The 8 decimal digits of each v < 10^8 as the bytes of a word, the
+    first digit in the lowest byte: 4-digit lanes split into 2-digit and
+    then 1-digit ones, with y // 100 = y * 5243 >> 19 for y < 10^4 and
+    y // 10 = y * 103 >> 10 for y < 100."""
+    t = (v // _U64(10**4)) | ((v % _U64(10**4)) << _U64(32))
+    h = ((t * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
+    t = h | ((t - h * _U64(100)) << _U64(16))
+    h = ((t * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
+    return h | ((t - h * _U64(10)) << _U64(8))
+
+
+def _top_byte(v):
+    """The index of the highest nonzero byte of each word of digits, -1 in a zero word."""
+    nonzero = (v + _U64(0x7F7F7F7F7F7F7F7F)) & _U64(0x8080808080808080)
+    return np.frexp(nonzero.astype(np.float64))[1] // 8 - 1
+
+
+def _format17(x: np.ndarray) -> list[bytes]:
+    """b"%.17g" % v for each float64 v of x, in order.
+
+    Positive floats in (1e-11, 1e16) are printed by the numpy kernel above;
+    every other value (zeros, negatives, subnormals, inf, nan and the rest)
+    by b"%.17g" % v itself.
+    """
+    fast = (x > 1e-11) & (x < 1e16)
+    xf = np.where(fast, x, 1.0)
+    bits = xf.view(np.uint64)
+    M = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    E = (bits >> _U64(52)).astype(np.int64) - 1075
+    q = np.floor(np.log10(xf)).astype(np.int64).clip(_Q_LO, _Q_HI)
+    floor, N = _scaled(M, E, q)
+    # log10 may miss q by one near a power of ten: move q, scale again
+    off = (floor < _N_LO).astype(np.int64) - (floor >= _N_HI)
+    if (fix := np.flatnonzero(off)).size:
+        q[fix] -= off[fix]
+        _, N[fix] = _scaled(M[fix], E[fix], q[fix])
+    carried = N == _N_HI  # rounded up to 10^17, which is 10^16 at q + 1
+    N[carried] = _N_LO
+    q += carried
+    # D as three words: digits 0-7, digits 8-15, digit 16
+    last9 = N % _U64(10**9)
+    last8 = _digit_bytes(last9 % _U64(10**8))
+    d0 = _digit_bytes(N // _U64(10**9))
+    d1 = (last9 // _U64(10**8)) | (last8 << _U64(8))
+    d2 = last8 >> _U64(56)
+    ndig = np.where(d2 != 0, 17, 9 + _top_byte(d1))
+    ndig = np.where(ndig > 8, ndig, 1 + _top_byte(d0))
+    layout = _layouts().take((q - _Q_LO) * 17 + ndig - 1, axis=1)
+    ascii0 = _U64(0x3030303030303030)  # b"0" in every byte
+    d0, d1, d2 = d0 | ascii0, d1 | ascii0, d2 | _U64(0x30)
+    t = layout[9]
+    out = np.empty((x.size, 3), dtype=np.uint64)
+    out[:, 0] = (d0 & layout[0]) | ((d0 << t) & layout[3]) | layout[6]
+    out[:, 1] = (d1 & layout[1]) | (((d1 << t) | (d0 >> (_U64(64) - t))) & layout[4]) | layout[7]
+    out[:, 2] = (d2 & layout[2]) | (((d2 << t) | (d1 >> (_U64(64) - t))) & layout[5]) | layout[8]
+    text = out.view("S24").ravel().tolist()
+    slow = np.flatnonzero(~fast)
+    for i, value in zip(slow.tolist(), x[slow].tolist()):
+        text[i] = b"%.17g" % value
+    return text
+
+
 def _write_table(
     path: Path,
     header: Sequence[str],
@@ -124,25 +260,35 @@ def _write_table(
     line is the text of one row: the key in place of "{}", the label in
     place of "@" (keys must not hold "@" when labels are given), and %.17g
     for each value. values holds the values of label i's row j at [i, j]
-    (at [j] without labels), in column order. Rows go out in blocks of at
-    most _CHUNK, each made by one prebuilt template and one % operation, so
-    no string holds the whole file. The bytes are csv.writer's with every
-    float printed by _fmt.
+    (at [j] without labels), in column order. The values are printed by
+    _format17, _BLOCK at a time, and rows go out in blocks of at most
+    _CHUNK, each made by one prebuilt template and one % operation, so no
+    string holds the whole file. The bytes are csv.writer's with every
+    float printed as '%.17g' prints it.
     """
     groups = labels if labels is not None else ("",)
     values = np.asarray(values, dtype=float).reshape(len(groups), len(keys), -1)
     keys = [key.replace("%", "%%") for key in keys]
+    line = line.replace("%.17g", "%b")
     blocks = [
-        (lo, "".join(line.format(key) for key in keys[lo : lo + _CHUNK]))
+        (lo, "".join(line.format(key) for key in keys[lo : lo + _CHUNK]).encode("utf-8"))
         for lo in range(0, len(keys), _CHUNK)
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for label, rows in zip(groups, values):
+    flat = values.ravel()
+    cells = chain.from_iterable(
+        _format17(flat[lo : lo + _BLOCK]) for lo in range(0, flat.size, _BLOCK)
+    )
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode("utf-8"))
+        for label in groups:
+            mark = label.replace("%", "%%").encode("utf-8")
             for lo, template in blocks:
                 if labels is not None:
-                    template = template.replace("@", label.replace("%", "%%"))
-                fh.write(template % tuple(rows[lo : lo + _CHUNK].ravel().tolist()))
+                    template = template.replace(b"@", mark)
+                count = min(_CHUNK, len(keys) - lo) * values.shape[2]
+                fh.write(template % tuple(islice(cells, count)))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -304,10 +450,27 @@ def _load_config(path: Path | None) -> dict:
     return config
 
 
-def _out_dir(out: Path | None) -> Path:
+# the files each command may write under --out
+_OUTPUTS = {
+    "simulate-recursion": ("recursion.csv",),
+    "bound": ("bound.json",),
+    "run": ("trajectories.csv", "mean.csv", "manifest.json"),
+    "verify": ("report.json",),
+    "fit": ("fit.json",),
+    "heatmap": ("heatmap.csv",),
+}
+
+
+def _out_dir(out: Path | None, command: str) -> Path:
+    """out, made if missing, once none of the command's files there is
+    anything but a regular file, so no work is done for an unwritable target."""
     if out is None:
         raise ConfigError("this command requires --out")
     out.mkdir(parents=True, exist_ok=True)
+    for name in _OUTPUTS[command]:
+        target = out / name
+        if target.exists() and not target.is_file():
+            raise ConfigError(f"cannot write {target}: it is not a regular file")
     return out
 
 
@@ -475,7 +638,7 @@ _SUITES = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    out = None if args.out is None else _out_dir(args.out)  # before the suite runs
+    out = None if args.out is None else _out_dir(args.out, "verify")  # before the suite runs
     suite = _SUITES[args.suite](args)
     report = {
         "suite": args.suite,
@@ -626,7 +789,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        config, out = _load_config(args.config), _out_dir(args.out)
+        config, out = _load_config(args.config), _out_dir(args.out, args.command)
         if args.command == "run":
             return _cmd_run(config, out, args.seed, args.skip_verify)
         return _CONFIG_COMMANDS[args.command](config, out)

@@ -448,6 +448,14 @@ def classical_lambda(params: ClassicalParams) -> float:
     return g / (g - params.q)
 
 
+def _power(base: float, exponent: float) -> float:
+    """base**exponent, inf where it passes the floats (float ** raises there)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def classical_bound(
     params: ClassicalParams, a0: float, k: int, variant: str = "standard"
 ) -> float:
@@ -456,6 +464,7 @@ def classical_bound(
     variant "standard" uses the exponentially decaying start term for nu < 1
     and the power-decay form at nu = 1; variant "sigma" trades a larger
     leading coefficient (1+varsigma)/varsigma for a simpler decay factor.
+    Where gamma^q passes the floats, the start term subtracts its limit, 0.
     """
     if a0 < 0:
         raise ValueError("a0 must be nonnegative")
@@ -479,7 +488,7 @@ def classical_bound(
             )
         lam = classical_lambda(params)
         lead = (1.0 + vs) * d / (vs * c) * x ** (-q)
-        start = max(a0 - lam * d / (c * gamma**q), 0.0)
+        start = max(a0 - lam * d / (c * _power(gamma, q)), 0.0)
         return lead + start * math.exp(-c * (k + 1.0) / x**nu)
 
     if variant != "standard":
@@ -492,7 +501,7 @@ def classical_bound(
             )
         lam = classical_lambda(params)
         lead = lam * d / c * x ** (-q)
-        start = max(a0 - lam * d / (c * gamma**q), 0.0)
+        start = max(a0 - lam * d / (c * _power(gamma, q)), 0.0)
         scale = c / (1.0 - nu)
         return lead + start * math.exp(scale * (gamma ** (1.0 - nu) - x ** (1.0 - nu)))
 
@@ -502,7 +511,7 @@ def classical_bound(
     if not gamma >= c:
         raise PreconditionError(f"need gamma >= c at nu = 1, got {gamma} < {c}")
     lead = d / (c - q) * x ** (-q)
-    start = max(a0 - d / ((c - q) * gamma**q), 0.0)
+    start = max(a0 - d / ((c - q) * _power(gamma, q)), 0.0)
     # gamma^c/x^c in log space; the exponent is nonpositive since x > gamma
     decay = math.exp(c * (math.log(gamma) - math.log(x)))
     return lead + start * decay

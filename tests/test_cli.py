@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import struct
 import subprocess
 import sys
 import tempfile
@@ -760,6 +761,54 @@ def test_recursion_table_equals_the_cell_by_cell_writer(ids, k_grid, data):
     assert ours == reference
 
 
+def test_run_table_of_32_seeds_equals_the_cell_by_cell_writer():
+    """Two of _format17's blocks, each across labels, at the bench's step size."""
+    seeds = list(range(32))
+    config = dict(RUN_SGD, K=2048, seeds=seeds)
+    problem, noise = make_quadratic(1.0, 1.0, 1), NoiseModel(kind="additive_gaussian", sigma=1.0)
+    trajectory = sgd_run(problem, noise, Constant(alpha=0.02), [2.0], 2048, seeds)
+    assert trajectory.gaps.size > cli._BLOCK
+    gaps = trajectory.gaps.tolist()
+    rows = ((k, seed, g) for row, seed in zip(gaps, seeds) for k, g in enumerate(row))
+    ours, reference = written_by_both(
+        "run", config, "trajectories.csv", ["k", "seed", "gap"], rows,
+        sgd_run=lambda *args: trajectory,
+    )
+    assert ours == reference
+
+
+# --- _format17 against '%.17g' itself ------------------------------------------
+
+
+def printed(values):
+    return [("%.17g" % v).encode() for v in values]
+
+
+# every float64 bit pattern, hypothesis's floats, and the kernel's own range
+FLOAT64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.floats(),
+    st.floats(1e-11, 1e16),
+)
+
+
+@given(st.lists(FLOAT64, min_size=1, max_size=64))
+def test_format17_prints_every_float_as_percent_17g(values):
+    assert cli._format17(np.array(values)) == printed(values)
+
+
+def test_format17_prints_the_hard_floats_as_percent_17g():
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    # k + 0.5 near 10^15 and 2^52; k + 0.25 and k + 0.75 have 18 digits, a 5 last
+    k = np.concatenate([np.arange(-1000, 1000) + 1e15, np.arange(-1000, 1000) + 2.0**52])
+    ties = (k[:, None] + np.array([0.25, 0.5, 0.75])).ravel()
+    edges = np.array([1e-11, 1e16, 3557546453977090.5, 1e-6, 0.0, -0.0, math.inf, -math.inf,
+                      math.nan, 5e-324, 2.225073858507201e-308, -1.5, -1e-6, -1e300])
+    values = np.concatenate([tens, edges, ties])
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, math.inf)])
+    assert cli._format17(values) == printed(values.tolist())
+
+
 def test_nothing_reads_os_entropy(tmp_path, monkeypatch):
     def no_entropy(n):
         raise AssertionError("OS entropy was read")
@@ -985,8 +1034,8 @@ WRITTEN = {
 BAD_OUTS = {"a-file": "afile", "below-a-file": "afile/sub", "file-is-a-directory": "out"}
 
 
-def suite_not_reached(args):
-    raise AssertionError("verify ran its suite before it made --out")
+def work_not_reached(*args, **kwargs):
+    raise AssertionError("the command worked before it checked --out")
 
 
 @pytest.mark.parametrize("bad", BAD_OUTS)
@@ -998,8 +1047,7 @@ def test_unusable_out_is_config_error(tmp_path, capsys, monkeypatch, command, ba
     (tmp_path / "out" / WRITTEN[command]).mkdir(parents=True)
     out = tmp_path / BAD_OUTS[bad]
     if command == "verify":
-        if bad != "file-is-a-directory":
-            monkeypatch.setitem(cli._SUITES, "inequalities", suite_not_reached)
+        monkeypatch.setitem(cli._SUITES, "inequalities", work_not_reached)
         code = cli.main(["verify", "inequalities", "--k-max", "8", "--out", str(out)])
     else:
         config = next(config for name, config in TYPED_CONFIGS if name == command)
@@ -1007,6 +1055,30 @@ def test_unusable_out_is_config_error(tmp_path, capsys, monkeypatch, command, ba
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(out) in err
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [("run", "trajectories.csv"), ("run", "mean.csv"), ("run", "manifest.json"),
+     ("verify", "report.json")],
+)
+def test_unwritable_target_stops_before_any_work(tmp_path, capsys, monkeypatch, command, target):
+    """run wrote trajectories.csv before it failed on a mean.csv that is a
+    directory, and verify ran its whole suite before it failed on report.json."""
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    listing = sorted(out.rglob("*"))
+    for name in ("verify_pl", "gd_run"):
+        monkeypatch.setattr(cli, name, work_not_reached)
+    monkeypatch.setitem(cli._SUITES, "inequalities", work_not_reached)
+    if command == "verify":
+        code = cli.main(["verify", "inequalities", "--out", str(out)])
+    else:
+        code = run_cli(tmp_path, command, RUN_GD)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out / target}: it is not a regular file\n"
+    assert sorted(out.rglob("*")) == listing
 
 
 def test_config_nested_past_the_recursion_limit_is_config_error(tmp_path, capsys):

@@ -161,6 +161,23 @@ def test_classical_bound_invariant_violations():
         )
 
 
+@pytest.mark.parametrize(
+    "params, variant",
+    [
+        (ClassicalParams(c=0.5, d=1.0, nu=0.5, q=2.0, gamma=1e155), "standard"),
+        (ClassicalParams(c=0.5, d=1.0, nu=0.5, q=2.0, gamma=1e155, varsigma=1.0), "sigma"),
+        (ClassicalParams(c=3.0, d=1.0, nu=1.0, q=2.0, gamma=1e155), "standard"),
+    ],
+    ids=["nu-below-one", "sigma", "nu-one"],
+)
+def test_classical_bound_start_term_past_the_floats_is_its_limit(params, variant):
+    """gamma^q overflows at gamma = 1e155, q = 2: float ** raised OverflowError."""
+    bound = classical_bound(params, 1.0, 8, variant=variant)
+    assert bound == 1.0
+    below = dataclasses.replace(params, gamma=1e154)
+    assert bound == classical_bound(below, 1.0, 8, variant=variant)
+
+
 def test_classical_general_bounds_agree_at_line_example():
     """Both routes give d/(c-q)(k+1+gamma)^(-q) = 1/3 when a0 = 0."""
     params = ClassicalParams(c=2.0, d=1.0, nu=1.0, q=1.0, gamma=2.0)
