@@ -20,7 +20,8 @@ Exit codes: 0 success, 1 verification-suite failure, 2 configuration error
 work, as is every file the command writes there), 3 numeric failure (a
 trajectory left its admissible region or is not finite, a run's gap is not
 finite, or fit got a value that is not finite), 4 precondition failure of a
-requested bound, 5 problem-verification failure before a run.
+requested bound, 5 problem-verification failure before a run. Files are
+written after the work, and a failure while writing removes them and exits 2.
 
 CSV output uses UTF-8, LF line endings, a mandatory header row, and floats
 printed byte for byte as '%.17g' prints them, so parsing returns the exact
@@ -41,7 +42,7 @@ import sys
 from functools import cache, partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence, get_args
+from typing import BinaryIO, Callable, Collection, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -247,15 +248,12 @@ def _format17(x: np.ndarray) -> list[bytes]:
     return text
 
 
-def _write_table(
-    path: Path,
-    header: Sequence[str],
-    line: str,
-    keys: Sequence[str],
-    values,
+def _table(
+    header: Sequence[str], line: str, keys: Sequence[str], values,
     labels: Sequence[str] | None = None,
-) -> None:
-    """Write a CSV table: for each label in turn, one row per key.
+) -> Callable[[BinaryIO], None]:
+    """A CSV table, as a closure that writes it to an open binary file: for
+    each label in turn, one row per key.
 
     line is the text of one row: the key in place of "{}", the label in
     place of "@" (keys must not hold "@" when labels are given), and %.17g
@@ -266,35 +264,37 @@ def _write_table(
     string holds the whole file. The bytes are csv.writer's with every
     float printed as '%.17g' prints it.
     """
-    groups = labels if labels is not None else ("",)
-    values = np.asarray(values, dtype=float).reshape(len(groups), len(keys), -1)
-    keys = [key.replace("%", "%%") for key in keys]
-    line = line.replace("%.17g", "%b")
-    blocks = [
-        (lo, "".join(line.format(key) for key in keys[lo : lo + _CHUNK]).encode("utf-8"))
-        for lo in range(0, len(keys), _CHUNK)
-    ]
-    flat = values.ravel()
-    cells = chain.from_iterable(
-        _format17(flat[lo : lo + _BLOCK]) for lo in range(0, flat.size, _BLOCK)
-    )
-    head = io.StringIO()
-    csv.writer(head, lineterminator="\n").writerow(header)
-    with open(path, "wb") as fh:
+
+    def write(fh: BinaryIO) -> None:
+        groups = labels if labels is not None else ("",)
+        table = np.asarray(values, dtype=float).reshape(len(groups), len(keys), -1)
+        escaped = [key.replace("%", "%%") for key in keys]
+        row = line.replace("%.17g", "%b")
+        blocks = [
+            (lo, "".join(row.format(key) for key in escaped[lo : lo + _CHUNK]).encode("utf-8"))
+            for lo in range(0, len(keys), _CHUNK)
+        ]
+        flat = table.ravel()
+        cells = chain.from_iterable(
+            _format17(flat[lo : lo + _BLOCK]) for lo in range(0, flat.size, _BLOCK)
+        )
+        head = io.StringIO()
+        csv.writer(head, lineterminator="\n").writerow(header)
         fh.write(head.getvalue().encode("utf-8"))
         for label in groups:
             mark = label.replace("%", "%%").encode("utf-8")
             for lo, template in blocks:
                 if labels is not None:
                     template = template.replace(b"@", mark)
-                count = min(_CHUNK, len(keys) - lo) * values.shape[2]
+                count = min(_CHUNK, len(keys) - lo) * table.shape[2]
                 fh.write(template % tuple(islice(cells, count)))
 
+    return write
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+def _json_text(obj) -> str:
+    """obj as the JSON files and verify's stdout report hold it."""
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
 # --- config fields -----------------------------------------------------------
@@ -450,24 +450,13 @@ def _load_config(path: Path | None) -> dict:
     return config
 
 
-# the files each command may write under --out
-_OUTPUTS = {
-    "simulate-recursion": ("recursion.csv",),
-    "bound": ("bound.json",),
-    "run": ("trajectories.csv", "mean.csv", "manifest.json"),
-    "verify": ("report.json",),
-    "fit": ("fit.json",),
-    "heatmap": ("heatmap.csv",),
-}
-
-
-def _out_dir(out: Path | None, command: str) -> Path:
-    """out, made if missing, once none of the command's files there is
-    anything but a regular file, so no work is done for an unwritable target."""
+def _out_dir(out: Path | None, names: Sequence[str]) -> Path:
+    """out, made if missing, once none of the named files there is anything
+    but a regular file, so no work is done for an unwritable target."""
     if out is None:
         raise ConfigError("this command requires --out")
     out.mkdir(parents=True, exist_ok=True)
-    for name in _OUTPUTS[command]:
+    for name in names:
         target = out / name
         if target.exists() and not target.is_file():
             raise ConfigError(f"cannot write {target}: it is not a regular file")
@@ -480,9 +469,11 @@ def _config_digest(config: dict) -> str:
 
 
 # --- commands --------------------------------------------------------------
+# Each takes the parsed arguments and the config, and returns its exit code
+# and its files: file name -> a JSON value or a table closure, which main writes.
 
 
-def _cmd_simulate_recursion(config: dict, out: Path) -> int:
+def _cmd_simulate_recursion(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
     table = {"params": _build_params, "y0": _real, "k_grid": _list_of(_horizon), "schedules": None}
     fields = _fields(config, table, "config")
     k_grid, entries = fields["k_grid"], fields["schedules"]
@@ -504,13 +495,11 @@ def _cmd_simulate_recursion(config: dict, out: Path) -> int:
     finals = simulate_pl_grid(fields["params"], builders, fields["y0"], k_grid)
     csv_ids = [_csv_field(sid) for sid in ids]
     keys = [f"{K},{field}" for K in k_grid for field in csv_ids]
-    target = out / "recursion.csv"
-    _write_table(target, ["K", "schedule_id", "y_K"], "{},%.17g\n", keys, finals)
-    print(f"wrote {len(finals)} rows to {target}")
-    return EXIT_OK
+    table = _table(["K", "schedule_id", "y_K"], "{},%.17g\n", keys, finals)
+    return EXIT_OK, {"recursion.csv": table}
 
 
-def _cmd_bound(config: dict, out: Path) -> int:
+def _cmd_bound(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
     table = {"method": None, "family": None, "constants": None, "schedule": None,
              "K": _integer, "y0": _real, "tuned": _tuned, "case": None}
     fields = _fields(config, table, "config", ("schedule", "tuned", "case"))
@@ -533,7 +522,6 @@ def _cmd_bound(config: dict, out: Path) -> int:
             )
         return schedule
 
-    target = out / "bound.json"
     try:
         if family == "exp":
             if tuned not in (None, False):
@@ -551,15 +539,14 @@ def _cmd_bound(config: dict, out: Path) -> int:
         else:
             raise ConfigError(f"unknown family {family!r}; expected exp, cos, const, or poly")
     except PreconditionError as exc:
-        _write_json(target, {"error": "precondition-failure", "failed_precondition": str(exc)})
         print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION_FAILURE
-    _write_json(target, dataclasses.asdict(result))
-    print(f"bound value {_fmt(result.value)} ({result.regime}); wrote {target}")
-    return EXIT_OK
+        failure = {"error": "precondition-failure", "failed_precondition": str(exc)}
+        return EXIT_PRECONDITION_FAILURE, {"bound.json": failure}
+    print(f"bound value {_fmt(result.value)} ({result.regime})")
+    return EXIT_OK, {"bound.json": dataclasses.asdict(result)}
 
 
-def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
+def _cmd_run(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
     table = {"algorithm": None, "problem": _build_problem, "schedule": None, "K": _horizon,
              "x0": _reals, "noise": _build_noise, "seeds": _list_of(_integer)}
     fields = _fields(config, table, "config", ("noise", "seeds"))
@@ -588,16 +575,15 @@ def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
         "config_sha256": _config_digest(config),
         "problem_check": {"skipped": True},
     }
-    if not skip_verify:
-        report = verify_pl(problem, sample_count=1000, seed=seed)
+    if not args.skip_verify:
+        report = verify_pl(problem, sample_count=1000, seed=args.seed)
         manifest["problem_check"] = {"skipped": False, **dataclasses.asdict(report)}
         if not report.passed:
-            _write_json(out / "manifest.json", manifest)
             print(
                 f"problem verification failed: margin {report.margin} at {report.witness_index}",
                 file=sys.stderr,
             )
-            return EXIT_PROBLEM_VERIFICATION
+            return EXIT_PROBLEM_VERIFICATION, {"manifest.json": manifest}
 
     if algorithm == "gd":
         trajectory = gd_run(problem, schedule, x0, K)
@@ -606,27 +592,22 @@ def _cmd_run(config: dict, out: Path, seed: int, skip_verify: bool) -> int:
     else:
         trajectory = rr_run(problem, schedule, x0, K, list(seeds))
 
-    traj_path = out / "trajectories.csv"
-    mean_path = out / "mean.csv"
     steps = [str(k) for k in range(trajectory.gaps.shape[1])]
     labels = [str(s) for s in trajectory.seeds] or ["0"]
-    _write_table(traj_path, ["k", "seed", "gap"], "{},@,%.17g\n", steps, trajectory.gaps, labels)
-    _write_table(
-        mean_path,
-        ["k", "mean_gap", "stderr"],
-        "{},%.17g,%.17g\n",
-        steps,
-        np.stack((trajectory.mean, trajectory.stderr), axis=1),
-    )
+    mean = np.stack((trajectory.mean, trajectory.stderr), axis=1)
+    tables = {
+        "trajectories.csv": _table(
+            ["k", "seed", "gap"], "{},@,%.17g\n", steps, trajectory.gaps, labels
+        ),
+        "mean.csv": _table(["k", "mean_gap", "stderr"], "{},%.17g,%.17g\n", steps, mean),
+    }
     manifest.update(
-        seed=seed,
+        seed=args.seed,
         seeds=list(trajectory.seeds),
         left_domain=list(trajectory.left_domain),
-        outputs={"trajectories": traj_path.name, "mean": mean_path.name},
+        outputs={name.removesuffix(".csv"): name for name in tables},
     )
-    _write_json(out / "manifest.json", manifest)
-    print(f"wrote {traj_path}, {mean_path}, and manifest.json")
-    return EXIT_OK
+    return EXIT_OK, {**tables, "manifest.json": manifest}
 
 
 _SUITES = {
@@ -637,8 +618,8 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    out = None if args.out is None else _out_dir(args.out, "verify")  # before the suite runs
+def _cmd_verify(args: argparse.Namespace, config: None) -> tuple[int, dict]:
+    """The suite's report: in report.json under --out, else on stdout."""
     suite = _SUITES[args.suite](args)
     report = {
         "suite": args.suite,
@@ -651,14 +632,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"  [{status}] {c.check} margin={_fmt(float(c.margin))}")
     for key, value in suite.counts.items():
         print(f"  {key}: {value}")
-    if out is not None:
-        target = out / "report.json"
-        _write_json(target, report)
-        print(f"wrote {target}")
-    else:
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    if args.out is None:
+        print(_json_text(report), end="")
     print(f"suite {args.suite}: {'pass' if suite.passed else 'FAIL'}")
-    return EXIT_OK if suite.passed else EXIT_VERIFY_FAILURE
+    code = EXIT_OK if suite.passed else EXIT_VERIFY_FAILURE
+    return code, {} if args.out is None else {"report.json": report}
 
 
 def _read_series(path: Path) -> dict[str, list[tuple[int, float]]]:
@@ -691,7 +669,7 @@ def _read_series(path: Path) -> dict[str, list[tuple[int, float]]]:
         raise ConfigError(f"malformed CSV {path}: {exc}") from exc
 
 
-def _cmd_fit(config: dict, out: Path) -> int:
+def _cmd_fit(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
     fields = _fields(config, {"input": None, "window": _list_of(_integer)}, "config", ("window",))
     window = fields.get("window")
     if window is not None and len(window) != 2:
@@ -711,29 +689,37 @@ def _cmd_fit(config: dict, out: Path) -> int:
         }
         print(f"  {name}: slope {_fmt(fit.slope)} (r^2 {_fmt(fit.r_squared)})")
     payload = next(iter(results.values())) if len(results) == 1 else results
-    target = out / "fit.json"
-    _write_json(target, payload)
-    print(f"wrote {target}")
-    return EXIT_OK
+    return EXIT_OK, {"fit.json": payload}
 
 
-def _cmd_heatmap(config: dict, out: Path) -> int:
+def _cmd_heatmap(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
     table = {"method": None, "p_grid": _reals, "theta_grid": _reals}
     fields = _fields(config, table, "config", ("p_grid", "theta_grid"))
     p_grid = fields.get("p_grid", [(i + 1) / 101.0 for i in range(101)])
     theta_grid = fields.get("theta_grid", [float(v) for v in np.linspace(0.5, 1.0, 51)])
     grid = heatmap_grid(p_grid, theta_grid, str(fields["method"]))
-    target = out / "heatmap.csv"
-    _write_table(
-        target,
+    table = _table(
         ["theta", "p", "exponent"],
         "@,{},%.17g\n",
         [_fmt(p) for p in p_grid],
         grid,
         [_fmt(theta) for theta in theta_grid],
     )
-    print(f"wrote {len(theta_grid) * len(p_grid)} cells to {target}")
-    return EXIT_OK
+    return EXIT_OK, {"heatmap.csv": table}
+
+
+# each command's function, help line, and the files it may write under --out
+_COMMANDS = {
+    "simulate-recursion": (_cmd_simulate_recursion,
+                           "iterate the worst-case progress recursion over a K-grid",
+                           ("recursion.csv",)),
+    "bound": (_cmd_bound, "evaluate one theorem bound", ("bound.json",)),
+    "run": (_cmd_run, "run gd/sgd/rr on a synthetic problem",
+            ("trajectories.csv", "mean.csv", "manifest.json")),
+    "verify": (_cmd_verify, "run a verification suite", ("report.json",)),
+    "fit": (_cmd_fit, "fit log-log rates to an emitted CSV", ("fit.json",)),
+    "heatmap": (_cmd_heatmap, "emit the theoretical rate map", ("heatmap.csv",)),
+}
 
 
 # --- argument parsing ------------------------------------------------------
@@ -752,19 +738,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recursion bounds, reference runs, and rate maps for step-size schedules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "simulate-recursion",
-        parents=[common],
-        help="iterate the worst-case progress recursion over a K-grid",
-    )
-    sub.add_parser("bound", parents=[common], help="evaluate one theorem bound")
-    sub.add_parser("run", parents=[common], help="run gd/sgd/rr on a synthetic problem")
-    verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    for name, (_, help_line, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_line)
+    verify = sub.choices["verify"]
     verify.add_argument("suite", choices=tuple(_SUITES))
     verify.add_argument("--draws", type=int, default=1000, help="randomized draw count")
     verify.add_argument("--k-max", type=int, default=512, help="largest horizon for grids")
-    sub.add_parser("fit", parents=[common], help="fit log-log rates to an emitted CSV")
-    sub.add_parser("heatmap", parents=[common], help="emit the theoretical rate map")
     return parser
 
 
@@ -773,12 +752,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_CONFIG_COMMANDS = {
-    "simulate-recursion": _cmd_simulate_recursion,
-    "bound": _cmd_bound,
-    "fit": _cmd_fit,
-    "heatmap": _cmd_heatmap,
-}
+def _write(out: Path, files: Mapping[str, object]) -> list[Path]:
+    """Write each file under out in place, in order: a JSON value as
+    _json_text, a table by its closure. If a write raises, every file opened
+    here is removed before the error propagates."""
+    written: list[Path] = []
+    try:
+        for name, content in files.items():
+            path = out / name
+            with open(path, "wb") as fh:
+                written.append(path)
+                if callable(content):
+                    content(fh)
+                else:
+                    fh.write(_json_text(content).encode("utf-8"))
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return written
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -786,13 +778,18 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else EXIT_OK
+    command, _, names = _COMMANDS[args.command]
+    # verify alone reads no config, and prints its report when --out is absent
+    verify = args.command == "verify"
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        config, out = _load_config(args.config), _out_dir(args.out, args.command)
-        if args.command == "run":
-            return _cmd_run(config, out, args.seed, args.skip_verify)
-        return _CONFIG_COMMANDS[args.command](config, out)
+        config = None if verify else _load_config(args.config)
+        out = None if verify and args.out is None else _out_dir(args.out, names)
+        code, files = command(args, config)
+        written = _write(out, files)
+        if code in (EXIT_OK, EXIT_VERIFY_FAILURE):  # the error exits print only to stderr
+            for path in written:
+                print(f"wrote {path}")
+        return code
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE

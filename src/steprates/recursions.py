@@ -464,15 +464,17 @@ def classical_bound(
     variant "standard" uses the exponentially decaying start term for nu < 1
     and the power-decay form at nu = 1; variant "sigma" trades a larger
     leading coefficient (1+varsigma)/varsigma for a simpler decay factor.
-    Where gamma^q passes the floats, the start term subtracts its limit, 0.
+    Where gamma^q passes the floats, the start term subtracts its limit, 0;
+    where a floor on gamma does, the floor's PreconditionError names it inf.
     """
     if a0 < 0:
         raise ValueError("a0 must be nonnegative")
     if k < 0:
         raise ValueError("k must be nonnegative")
     c, d, nu, q, gamma = params.c, params.d, params.nu, params.q, params.gamma
-    if not gamma >= c ** (1.0 / nu):
-        raise PreconditionError(f"need gamma >= c^(1/nu), got {gamma} < {c ** (1.0 / nu)}")
+    floor = _power(c, 1.0 / nu)
+    if not gamma >= floor:
+        raise PreconditionError(f"need gamma >= c^(1/nu), got {gamma} < {floor}")
     x = k + 1.0 + gamma
 
     if variant == "sigma":
@@ -481,7 +483,7 @@ def classical_bound(
         if not nu < 1.0:
             raise PreconditionError("sigma variant is defined for nu < 1")
         vs = params.varsigma
-        floor = ((1.0 + vs) * q / c) ** (1.0 / (1.0 - nu))
+        floor = _power((1.0 + vs) * q / c, 1.0 / (1.0 - nu))
         if not gamma >= floor:
             raise PreconditionError(
                 f"need gamma >= ((1+varsigma)q/c)^(1/(1-nu)), got {gamma} < {floor}"
@@ -495,10 +497,9 @@ def classical_bound(
         raise ValueError(f"unknown variant {variant!r}")
 
     if nu < 1.0:
-        if not gamma > (q / c) ** (1.0 / (1.0 - nu)):
-            raise PreconditionError(
-                f"need gamma > (q/c)^(1/(1-nu)), got {gamma}"
-            )
+        floor = _power(q / c, 1.0 / (1.0 - nu))
+        if not gamma > floor:
+            raise PreconditionError(f"need gamma > (q/c)^(1/(1-nu)), got {gamma} <= {floor}")
         lam = classical_lambda(params)
         lead = lam * d / c * x ** (-q)
         start = max(a0 - lam * d / (c * _power(gamma, q)), 0.0)
@@ -562,7 +563,7 @@ def classical_spec(
         raise ValueError(f"unknown decay {decay!r}")
     return RecursionSpec(
         s=s,
-        t=FunctionDescriptor(fn=lambda x: x ** (nu + q) / d, label="x^(nu+q)/d"),
+        t=FunctionDescriptor(fn=lambda x: _power(x, nu + q) / d, label="x^(nu+q)/d"),
         b=lambda k: k + gamma,
         interval=(gamma, horizon + gamma),
         horizon=horizon,

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import math
+import os
 import random
 import struct
 import subprocess
@@ -285,10 +287,13 @@ def test_bound_missing_schedule_is_config_error(tmp_path):
     assert run_cli(tmp_path, "bound", config) == 2
 
 
-def test_bound_precondition_failure_writes_error_file(tmp_path):
+def test_bound_precondition_failure_writes_error_file(tmp_path, capsys):
     config = dict(BOUND_CONST)
     config["schedule"] = {"family": "constant", "alpha": 1.5}
     assert run_cli(tmp_path, "bound", config) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "precondition failed: alpha 1.5 exceeds admissible cap 1.0\n"
+    assert captured.out == ""
     payload = json.loads((tmp_path / "out" / "bound.json").read_text(encoding="utf-8"))
     assert payload["error"] == "precondition-failure"
     assert "cap" in payload["failed_precondition"]
@@ -446,7 +451,7 @@ def test_run_gd_rejects_stochastic_sections(tmp_path):
     assert run_cli(tmp_path, "run", config) == 2
 
 
-def test_run_problem_verification_gate(tmp_path, monkeypatch):
+def test_run_problem_verification_gate(tmp_path, capsys, monkeypatch):
     failed = CheckResult(
         check="pl-inequality",
         passed=False,
@@ -456,6 +461,9 @@ def test_run_problem_verification_gate(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(cli, "verify_pl", lambda problem, sample_count, seed: failed)
     assert run_cli(tmp_path, "run", RUN_GD) == 5
+    captured = capsys.readouterr()
+    assert captured.err == "problem verification failed: margin -0.5 at sample 3\n"
+    assert captured.out == ""
     out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["problem_check"]["passed"] is False
@@ -1079,6 +1087,64 @@ def test_unwritable_target_stops_before_any_work(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err == f"config error: cannot write {out / target}: it is not a regular file\n"
     assert sorted(out.rglob("*")) == listing
+
+
+class FullDisk:
+    """An open file whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_run_whose_mean_table_fails_midway_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """trajectories.csv, written before mean.csv failed, was left behind."""
+
+    def full_at_mean(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return FullDisk(fh) if Path(path).name == "mean.csv" else fh
+
+    monkeypatch.setattr(cli, "open", full_at_mean, raising=False)
+    assert run_cli(tmp_path, "run", RUN_SGD, extra=["--skip-verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: [Errno 28] No space left on device\n"
+    assert captured.out == ""
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("after_open", [False, True], ids=["as-is", "encoded-after-open"])
+def test_schedule_id_that_utf8_cannot_encode_leaves_no_file(
+    tmp_path, capsys, monkeypatch, after_open
+):
+    """A lone surrogate in an id fails the table's UTF-8 encoding (exit 2);
+    encoded-after-open writes a byte to the open file before the table."""
+    if after_open:
+        table = cli._table
+        monkeypatch.setattr(
+            cli, "_table", lambda *a: lambda fh: (fh.write(b"K"), table(*a)(fh))
+        )
+    config = dict(SIM_CONFIG, schedules=[{"id": "a\ud800", "family": "constant", "alpha": 0.2}])
+    assert run_cli(tmp_path, "simulate-recursion", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'utf-8' codec can't encode character '\\ud800'")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, config", TYPED_CONFIGS)
+def test_each_command_writes_exactly_its_declared_files(tmp_path, capsys, command, config):
+    assert run_typed(tmp_path, command, config) == 0
+    _, _, names = cli._COMMANDS[command]
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == sorted(names)
+    written = [f"wrote {tmp_path / 'out' / name}" for name in names]
+    assert capsys.readouterr().out.splitlines()[-len(names) :] == written
 
 
 def test_config_nested_past_the_recursion_limit_is_config_error(tmp_path, capsys):

@@ -178,6 +178,27 @@ def test_classical_bound_start_term_past_the_floats_is_its_limit(params, variant
     assert bound == classical_bound(below, 1.0, 8, variant=variant)
 
 
+@pytest.mark.parametrize(
+    "params, variant",
+    [
+        (ClassicalParams(c=2.0, d=1.0, nu=1e-300, q=1.0, gamma=3.0), "standard"),
+        (ClassicalParams(c=0.5, d=1.0, nu=0.999999, q=0.6, gamma=3.0), "standard"),
+        (ClassicalParams(c=0.5, d=1.0, nu=0.999999, q=0.6, gamma=3.0, varsigma=1.0), "sigma"),
+        (ClassicalParams(c=1.0, d=1.0, nu=0.5, q=1000.0, gamma=3.0), "spec"),
+    ],
+    ids=["c^(1|nu)", "(q|c)^(1|(1-nu))", "sigma-floor", "spec-t"],
+)
+def test_classical_powers_past_the_floats_are_inf(params, variant):
+    """float ** raised OverflowError: a floor on gamma past the floats now
+    fails its precondition as inf, and a t past them gives the error term 0."""
+    if variant == "spec":
+        grid = classical_spec(params, 4).grid
+        assert grid.t == (math.inf,) * 5 and grid.error == (0.0,) * 5
+    else:
+        with pytest.raises(PreconditionError, match=r"got 3\.0 <=? inf$"):
+            classical_bound(params, 1.0, 3, variant=variant)
+
+
 def test_classical_general_bounds_agree_at_line_example():
     """Both routes give d/(c-q)(k+1+gamma)^(-q) = 1/3 when a0 = 0."""
     params = ClassicalParams(c=2.0, d=1.0, nu=1.0, q=1.0, gamma=2.0)
