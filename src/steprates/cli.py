@@ -1,8 +1,8 @@
 """Config-driven command-line driver for recursions, bounds, runs, and rates.
 
 Commands: simulate-recursion, bound, run, verify, fit, heatmap. Every
-command takes its flags after the command name; file-writing commands need
---out and most need a strict JSON --config whose unknown keys are rejected.
+command takes only the flags it reads, after its name: file-writing commands
+need --out and all but verify a strict JSON --config (unknown keys rejected).
 All randomness is keyed by explicit seeds; nothing reads OS entropy. The
 verify suites are the library's steprates.verify; this module parses,
 dispatches and writes.
@@ -726,20 +726,22 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None, help="path to a JSON config")
-    common.add_argument("--out", type=Path, default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    common.add_argument(
-        "--skip-verify", action="store_true", help="skip the pre-run problem verification"
-    )
+    """One subparser per command, each with only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="steprates",
         description="Recursion bounds, reference runs, and rate maps for step-size schedules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, _) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_line)
+        command = sub.add_parser(name, help=help_line)
+        if name != "verify":
+            command.add_argument("--config", type=Path, help="path to a JSON config")
+        command.add_argument("--out", type=Path, help="output directory")
+        if name in ("run", "verify"):
+            command.add_argument("--seed", type=int, default=0, help="seed of the random draws")
+    sub.choices["run"].add_argument(
+        "--skip-verify", action="store_true", help="skip the pre-run problem verification"
+    )
     verify = sub.choices["verify"]
     verify.add_argument("suite", choices=tuple(_SUITES))
     verify.add_argument("--draws", type=int, default=1000, help="randomized draw count")

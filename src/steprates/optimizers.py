@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .plbounds import NumericFailure, smoothness_cap
-from .recursions import CheckResult, PreconditionError, WorstMargin
+from .recursions import CheckResult, PreconditionError, WorstMargin, _power
 from .schedules import StepSchedule, step_max, step_values
 
 # Numbers the engine holds at once beyond the gap array and the seeds' own:
@@ -577,10 +577,7 @@ def make_power_family(theta: float, c: float, radius: float) -> Problem:
         raise ValueError("radius must be positive")
     growth = 1.0 / (1.0 - theta)
     mu = growth**2 * c ** (2.0 * (1.0 - theta)) / 2.0
-    try:
-        L = growth * (growth - 1.0) * c * radius ** (growth - 2.0)
-    except OverflowError:  # float ** raises where * gives inf
-        L = math.inf
+    L = growth * (growth - 1.0) * c * _power(radius, growth - 2.0)
     for name, value in (("mu", mu), ("L", L)):
         if not (math.isfinite(value) and value > 0.0):
             problem = f"theta {theta}, c {c}, radius {radius}"

@@ -19,12 +19,13 @@ import bisect
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .recursions import FunctionDescriptor, PreconditionError, RecursionSpec
+from .recursions import FunctionDescriptor, PreconditionError, RecursionSpec, _power
 from .schedules import (
     Constant,
     Cosine,
@@ -66,8 +67,8 @@ class PLParams:
             raise ValueError(f"l2 must be positive, got {self.l2}")
         if not self.l3 >= 0:
             raise ValueError(f"l3 must be nonnegative, got {self.l3}")
-        if not self.tau > 1:
-            raise ValueError(f"tau must exceed 1, got {self.tau}")
+        if not 1 < self.tau < math.inf:  # tau = inf leaves rho = 0 and omega NaN
+            raise ValueError(f"tau must be finite and exceed 1, got {self.tau}")
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
 
@@ -176,20 +177,21 @@ def descent_coefficients(
     kind = method.lower()
     if kind == "sgd":
         return PLParams(
-            l1=_coefficient("l1 = A*L/2", lambda: A * L / 2.0, A=A, L=L),
+            l1=_coefficient("l1 = A*L/2", A * L / 2.0, A=A, L=L),
             l2=mu,
-            l3=_coefficient("l3 = L*sigma^2/2", lambda: L * sigma**2 / 2.0, L=L, sigma=sigma),
+            l3=_coefficient("l3 = L*sigma^2/2", L * _power(sigma, 2) / 2.0, L=L, sigma=sigma),
             tau=2.0,
             theta=theta,
         )
     if kind == "rr":
-        if N is None or N < 1:
-            raise ValueError("random reshuffling needs a positive component count N")
+        if N is None or not 1 <= N <= sys.float_info.max:  # 2.0 * N must not raise
+            raise ValueError(f"random reshuffling needs a positive component count N, got {N!r}")
+        L2 = _power(L, 2)
         return PLParams(
-            l1=_coefficient("l1 = A*L^2/(2N)", lambda: A * L**2 / (2.0 * N), A=A, L=L, N=N),
+            l1=_coefficient("l1 = A*L^2/(2N)", A * L2 / (2.0 * N), A=A, L=L, N=N),
             l2=mu / 2.0,
             l3=_coefficient(
-                "l3 = L^2*sigma^2/(2N)", lambda: L**2 * sigma**2 / (2.0 * N), L=L, sigma=sigma, N=N
+                "l3 = L^2*sigma^2/(2N)", L2 * _power(sigma, 2) / (2.0 * N), L=L, sigma=sigma, N=N
             ),
             tau=3.0,
             theta=theta,
@@ -197,18 +199,13 @@ def descent_coefficients(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _coefficient(formula: str, value: Callable[[], float], **constants: float) -> float:
-    """value(), a coefficient derived from constants; ValueError names them if
-    it overflows (float ** raises OverflowError where * gives inf, and
-    ZeroDivisionError for 0.0 to a negative power)."""
-    try:
-        result = value()
-    except (OverflowError, ZeroDivisionError):
-        result = math.inf
-    if not math.isfinite(result):
+def _coefficient(formula: str, value: float, **constants: float) -> float:
+    """value, a coefficient formed from constants with _power; ValueError
+    names them if it is not finite."""
+    if not math.isfinite(value):
         given = ", ".join(f"{name} = {v!r}" for name, v in constants.items())
         raise ValueError(f"{formula} overflows a float for {given}")
-    return result
+    return value
 
 
 def smoothness_cap(method: str, L: float) -> float:
@@ -237,7 +234,7 @@ def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
     theta, tau, l1, l2, l3 = params.theta, params.tau, params.l1, params.l2, params.l3
     two_theta = 2.0 * theta
     ratio_root = _coefficient(
-        "zeta = (l3/l2)^(1/(2*theta))", lambda: (l3 / l2) ** (1.0 / two_theta), l3=l3, l2=l2
+        "zeta = (l3/l2)^(1/(2*theta))", _power(l3 / l2, 1.0 / two_theta), l3=l3, l2=l2
     )
     zeta = max((two_theta - 1.0) * delta, ratio_root)
     xi = theta * l2 * zeta ** (two_theta - 1.0)
@@ -246,16 +243,12 @@ def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
     omega = (tau - 1.0) / denom
     q = (tau - 1.0) / two_theta
     fp = frak_p(theta)
-    growth_cap = math.inf
+    growth_cap = math.inf  # a cap past the floats does not bind
     if l1 > 0:
         growth_base = theta * fp * l2 * delta ** (two_theta - 1.0) / l1
-        try:
-            growth_cap = growth_base ** (two_theta / (tau - 1.0))
-        except OverflowError:  # float ** raises; a cap past the floats does not bind
-            pass
-    alpha_cap = min(
-        growth_cap, _coefficient("alpha cap xi^(-rho)", lambda: xi ** (-rho), xi=xi, rho=rho)
-    )
+        growth_cap = _power(growth_base, two_theta / (tau - 1.0))
+    xi_cap = _coefficient("alpha cap xi^(-rho)", _power(xi, -rho), xi=xi, rho=rho)
+    alpha_cap = min(growth_cap, xi_cap)
     return DerivedConstants(
         delta=delta,
         zeta=zeta,
@@ -312,13 +305,6 @@ def _method_constants(
         zeta_bar=zeta_bar,
         xi_bar=xi_bar,
     )
-
-
-def _power(a: float, tau: float) -> float:
-    try:
-        return a**tau
-    except OverflowError:  # float ** raises where numpy's power gives inf
-        return math.inf
 
 
 def _powers(alphas: list[float], tau: float) -> list[float]:
@@ -592,28 +578,27 @@ def relaxed_recursion_transform(
     zeta, xi = derived.zeta, derived.xi
     rho, q, tau = derived.rho, derived.q, params.tau
     inv_rho = 1.0 / rho
-    err_coef = math.inf if zeta == 0.0 else 1.0 / (2.0 * zeta * xi)
-    ratio_coef = 2.0 * zeta
+    noise = 2.0 * zeta * xi  # 0.0 without noise or where it underflows: t is inf
+    err_coef = 1.0 / noise if noise else math.inf
+    a = schedule.alpha
+    scale = 2.0 * zeta * _power(a, q)  # the ratio 2*zeta*eta^q at eta = alpha
 
     if isinstance(schedule, Constant):
-        a = schedule.alpha
 
         def eta(x: float) -> float:
             return a
 
         b = float
         interval = (0.0, float(K))
-        level = ratio_coef * a**q
-        ratio = FunctionDescriptor(fn=lambda x: level, derivative=lambda x: 0.0, label="flat ratio")
+        ratio = FunctionDescriptor(fn=lambda x: scale, derivative=lambda x: 0.0, label="flat ratio")
     elif isinstance(schedule, Exponential):
-        a, lg = schedule.alpha, schedule.log_decay
+        lg = schedule.log_decay
 
         def eta(x: float) -> float:
             return a * math.exp(x * lg)
 
         b = float
         interval = (0.0, float(K))
-        scale = ratio_coef * a**q
 
         def ratio_fn(x: float) -> float:
             return scale * math.exp(q * lg * x)
@@ -622,51 +607,44 @@ def relaxed_recursion_transform(
             fn=ratio_fn, derivative=lambda x: q * lg * ratio_fn(x), label="geometric ratio"
         )
     elif isinstance(schedule, Polynomial):
-        a, g, p = schedule.alpha, schedule.gamma, schedule.p
+        g, p = schedule.gamma, schedule.p
 
         def eta(x: float) -> float:
-            return a * x**-p
+            return a * _power(x, -p)
 
         def b(k: int) -> float:
             return k + g
 
         interval = (g, K + g)
-        scale = ratio_coef * a**q
         ratio = FunctionDescriptor(
-            fn=lambda x: scale * x ** (-p * q),
-            derivative=lambda x: -p * q * scale * x ** (-p * q - 1.0),
+            fn=lambda x: scale * _power(x, -p * q),
+            derivative=lambda x: -p * q * scale * _power(x, -p * q - 1.0),
             label="power ratio",
         )
     elif isinstance(schedule, Cosine):
-        a, p = schedule.alpha, schedule.p
+        p = schedule.p
         pq = p * q
         inv_q = 1.0 / q
 
         def eta(x: float) -> float:
-            return a * x**inv_q
+            return a * _power(x, inv_q)
 
         def b(k: int) -> float:
             return ((1.0 + math.cos(k * math.pi / K)) / 2.0) ** pq
 
         interval = (0.0, 1.0)
-        scale = ratio_coef * a**q
         ratio = FunctionDescriptor(
             fn=lambda x: scale * x, derivative=lambda x: scale, label="linear ratio"
         )
     else:
         raise TypeError(f"unknown schedule type {type(schedule).__name__}")
 
+    # a step of 0.0 gives s = t = inf, no contraction and no error
     def s_fn(x: float) -> float:
-        e = eta(x)
-        if e == 0.0:
-            return math.inf
-        return e**-inv_rho / xi
+        return _power(eta(x), -inv_rho) / xi
 
     def t_fn(x: float) -> float:
-        e = eta(x)
-        if e == 0.0:
-            return math.inf
-        return err_coef * e**-tau
+        return err_coef * _power(eta(x), -tau)
 
     return RecursionSpec(
         s=FunctionDescriptor(fn=s_fn, label="inverse contraction"),

@@ -449,10 +449,12 @@ def classical_lambda(params: ClassicalParams) -> float:
 
 
 def _power(base: float, exponent: float) -> float:
-    """base**exponent, inf where it passes the floats (float ** raises there)."""
+    """base**exponent, or its limit +inf where float ** raises: a power past
+    the floats (OverflowError) or 0.0 to a negative power (ZeroDivisionError).
+    The one limit rule for the powers that build constants and specs."""
     try:
         return base**exponent
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -483,6 +485,8 @@ def classical_bound(
         if not nu < 1.0:
             raise PreconditionError("sigma variant is defined for nu < 1")
         vs = params.varsigma
+        if vs * c == 0.0:  # (1+varsigma)*d/(varsigma*c) would divide by zero
+            raise ValueError(f"varsigma*c underflows to 0.0 for varsigma = {vs!r}, c = {c!r}")
         floor = _power((1.0 + vs) * q / c, 1.0 / (1.0 - nu))
         if not gamma >= floor:
             raise PreconditionError(
@@ -538,8 +542,8 @@ def classical_spec(
             f"(gamma = {gamma!r}, horizon = {horizon})"
         )
     ratio = FunctionDescriptor(
-        fn=lambda x: (d / c) * x ** (-q),
-        derivative=lambda x: -(q * d / c) * x ** (-q - 1.0),
+        fn=lambda x: (d / c) * _power(x, -q),
+        derivative=lambda x: -(q * d / c) * _power(x, -q - 1.0),
         label="(d/c)x^-q",
     )
     if decay == "direct":
@@ -556,9 +560,11 @@ def classical_spec(
             def factor(x: float) -> float:
                 return math.exp(c * (math.log(x) - math.log(x + 1.0)))
 
-        s = FunctionDescriptor(
-            fn=lambda x: 1.0 / (1.0 - factor(x)), label="integral-test contraction"
-        )
+        def inverse_gap(x: float) -> float:
+            gap = 1.0 - factor(x)  # 0.0 where the factor rounds to 1: s is its limit, inf
+            return 1.0 / gap if gap else math.inf
+
+        s = FunctionDescriptor(fn=inverse_gap, label="integral-test contraction")
     else:
         raise ValueError(f"unknown decay {decay!r}")
     return RecursionSpec(

@@ -9,7 +9,6 @@ with their caps, and partial sums (closed form where one exists).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 
@@ -40,9 +39,12 @@ class Polynomial:
         _positive(self.alpha, "alpha")
         _positive(self.gamma, "gamma")
         _positive(self.p, "p")
-        with suppress(OverflowError):  # gamma^p past the floats: every step is 0.0
-            if self.gamma**self.p == 0.0 or math.isinf(self.alpha / self.gamma**self.p):
-                raise ValueError(f"alpha/gamma^p overflows for gamma={self.gamma!r}, p={self.p!r}")
+        try:  # not recursions._power: schedules is the leaf module
+            scale = self.gamma**self.p
+        except OverflowError:  # gamma^p past the floats: every step is 0.0
+            return
+        if scale == 0.0 or math.isinf(self.alpha / scale):
+            raise ValueError(f"alpha/gamma^p overflows for gamma={self.gamma!r}, p={self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,8 @@ class Exponential:
             raise ValueError(
                 f"horizon must exceed beta, got beta={self.beta}, horizon={self.horizon}"
             )
+        if math.isinf(self.log_decay):  # alpha_0 = alpha*exp(0*log g) would be NaN
+            raise ValueError(f"log g passes the floats for beta={self.beta!r}, p={self.p!r}")
 
     @property
     def log_decay(self) -> float:
@@ -107,9 +111,11 @@ def _steps(schedule: StepSchedule, ks: range) -> list[float]:
     if isinstance(schedule, Polynomial):
         a, g, p = schedule.alpha, schedule.gamma, schedule.p
         steps = []
-        with suppress(OverflowError):  # (k + g)^p passes the floats from some k on
+        try:  # one handler per block, not a _power call per step
             for k in ks:
                 steps.append(a / (k + g) ** p)
+        except OverflowError:  # (k + g)^p passes the floats from this k on
+            pass
         return steps + [0.0] * (len(ks) - len(steps))
     if isinstance(schedule, Exponential):
         a, lg = schedule.alpha, schedule.log_decay
@@ -135,11 +141,14 @@ def step_values(schedule: StepSchedule, K: int) -> list[float]:
 
 
 def step_max(schedule: StepSchedule, K: int) -> float:
-    """Largest step over k in [0, K-1]; the first step for these families."""
+    """Largest step over k in [0, K-1]: the first, which is alpha itself but
+    in the polynomial family (exp(0.0) and cos(0.0) are exactly 1.0)."""
     if K < 1:
         raise ValueError("K must be at least 1")
     _check_index(schedule, K - 1)
-    return step_value(schedule, 0)
+    if isinstance(schedule, (Constant, Exponential, Cosine)):
+        return schedule.alpha
+    return _steps(schedule, range(1))[0]  # or the TypeError of an unknown type
 
 
 def step_sum(schedule: StepSchedule, K: int) -> float:

@@ -4,7 +4,8 @@ Hypothesis runs under a derandomized profile, so every run of the suite
 draws the same examples and a failure reproduces from the test alone.
 `pytest --hypothesis-profile default` searches with fresh random examples
 instead, and `--hypothesis-profile fuzz` with 20000 fresh examples per test
-(CI runs it on the %.17g kernel's property test).
+that sets no max_examples of its own (CI runs it on the %.17g kernel's
+property test and on the limit rule's, in tests/test_plbounds.py).
 """
 from hypothesis import settings
 

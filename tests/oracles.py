@@ -14,7 +14,8 @@ the case-d offset test over its whole grid, whose decisions the peak test
 must reproduce. Nothing in this module imports the package under test:
 these are the independent routes (the per-cell and per-step loops take the
 package's scalar functions as arguments), and the tests assert that the
-library agrees with them.
+library agrees with them. It also holds the extreme floats that the
+error-contract property tests draw.
 Running the module prints the table of pinned values.
 """
 from __future__ import annotations
@@ -27,6 +28,13 @@ import numpy as np
 from mpmath import mp, mpf
 
 mp.dps = 40
+
+# extreme finite floats: signed zeros, subnormals, the largest float and
+# values just off 1
+EXTREME_FLOATS = [
+    0.0, -0.0, -1.0, 5e-324, 1e-310, 1e-200, 1e-30, 0.999999, 1.000001, 2.0,
+    1e30, 1e200, 1.7976931348623157e308, -1e308,
+]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ from steprates.recursions import CheckResult
 from steprates.schedules import Constant
 
 
+def skip_verify(command):
+    """--skip-verify where the command reads it: run alone."""
+    return ["--skip-verify"] if command == "run" else []
+
+
 def run_cli(tmp_path, command, config=None, extra=None, name="config.json"):
     argv = [command]
     if config is not None:
@@ -74,6 +79,27 @@ def test_simulate_recursion_rows_match_library(tmp_path):
 
 def test_threads_option_is_gone(tmp_path):
     assert run_cli(tmp_path, "simulate-recursion", SIM_CONFIG, extra=["--threads", "2"]) == 2
+
+
+# the commands that read each flag besides --out, which every command reads
+FLAG_READERS = {
+    ("--config", "x.json"): {"simulate-recursion", "bound", "run", "fit", "heatmap"},
+    ("--seed", "3"): {"run", "verify"},
+    ("--skip-verify",): {"run"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("flag", FLAG_READERS, ids=lambda flag: flag[0])
+def test_a_command_takes_only_the_flags_it_reads(capsys, command, flag):
+    """A flag the command does not read (10 flag/command pairs) exits 2
+    before any work."""
+    argv = [command, *(["inequalities"] if command == "verify" else []), *flag]
+    if command in FLAG_READERS[flag]:
+        assert cli.build_parser().parse_args(argv).command == command
+    else:
+        assert cli.main(argv) == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_simulate_recursion_numeric_failure_exit(tmp_path):
@@ -703,7 +729,7 @@ def written_by_both(command, config, table, header, rows, **patches):
     writer writes the rows; patches replace cli attributes meanwhile."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(cli, **patches):
         tmp = Path(tmp)
-        assert run_cli(tmp, command, config, extra=["--skip-verify"]) == 0
+        assert run_cli(tmp, command, config, extra=skip_verify(command)) == 0
         oracles.write_csv(tmp / "reference.csv", header, rows)
         return (tmp / "out" / table).read_bytes(), (tmp / "reference.csv").read_bytes()
 
@@ -858,7 +884,7 @@ def test_integer_fields_take_json_integers_only(
         config[key][index] = "@bad"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config).replace('"@bad"', literal), encoding="utf-8")
-    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--skip-verify"]
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), *skip_verify(command)]
     assert cli.main(argv) == 2
     expected = f"{field} must be an integer, got "
     if literal == "1e400":
@@ -931,9 +957,8 @@ def run_typed(tmp, command, config, path=None, text="", out="out"):
             node = node[key]
         node[path[-1]] = "@bad"
     (tmp / "config.json").write_text(json.dumps(config).replace('"@bad"', text), "utf-8")
-    return cli.main(
-        [command, "--config", str(tmp / "config.json"), "--out", str(tmp / out), "--skip-verify"]
-    )
+    argv = [command, "--config", str(tmp / "config.json"), "--out", str(tmp / out)]
+    return cli.main(argv + skip_verify(command))
 
 
 @pytest.mark.parametrize("command, config", TYPED_CONFIGS)
@@ -969,10 +994,6 @@ def test_every_numeric_field_rejects_a_wrong_type(data):
 
 # extreme finite floats for real fields (and any finite float); small
 # integers for integer fields, and a horizon or seed of 10^18
-EXTREME_FLOATS = [
-    0.0, -0.0, -1.0, 5e-324, 1e-310, 1e-200, 1e-30, 0.999999, 1.000001, 2.0,
-    1e30, 1e200, 1.7976931348623157e308, -1e308,
-]
 
 
 @settings(max_examples=300, deadline=None)
@@ -990,7 +1011,7 @@ def test_every_numeric_field_ends_in_a_documented_exit(data):
         values = [-1, 0, 1, 2, 3] + ([10**18] if "K" in path or "seeds" in path else [])
         value = data.draw(st.sampled_from(values))
     else:
-        value = data.draw(st.one_of(st.sampled_from(EXTREME_FLOATS), FINITE))
+        value = data.draw(st.one_of(st.sampled_from(oracles.EXTREME_FLOATS), FINITE))
     with tempfile.TemporaryDirectory() as tmp:
         code = run_typed(Path(tmp), command, config, path, json.dumps(value))
         out = Path(tmp) / "out"
@@ -1286,3 +1307,79 @@ def test_bound_json_keeps_its_bytes(tmp_path, key):
     config = {"method": method, "family": family, "constants": constants, "y0": 1.0, **fields}
     assert run_cli(tmp_path, "bound", config) == 0
     assert hashlib.sha256((tmp_path / "out" / "bound.json").read_bytes()).hexdigest() == digest
+
+
+# --- each configuration error in the command layer exits 2, naming it ---------
+
+# (argv, config file content, the message); argv [command] stands for
+# [command, --config, config.json, --out, out], and fit's input series.csv
+# holds a header and no rows
+CONFIG_ERRORS = {
+    "section-not-an-object": (
+        ["simulate-recursion"], dict(SIM_CONFIG, params=3), "params must be a JSON object"
+    ),
+    "schedule-not-an-object": (
+        ["bound"], dict(BOUND_CONST, schedule=3), "schedule must be a JSON object"
+    ),
+    "unknown-method": (
+        ["bound"], dict(BOUND_CONST, method="gd"), "unknown method 'gd'; expected sgd or rr"
+    ),
+    "tuned-not-a-bool-or-object": (
+        ["bound"],
+        dict(BOUND_CONST, tuned=3),
+        "tuned must be a boolean or an object with an optional beta",
+    ),
+    "no-config": (["bound", "--out", "{tmp}/out"], None, "this command requires --config"),
+    "unreadable-config": (
+        ["bound", "--config", "{tmp}/missing.json", "--out", "{tmp}/out"],
+        None,
+        "cannot read config {tmp}/missing.json",
+    ),
+    "config-not-json": (["bound"], "{", "config {tmp}/config.json is not valid JSON"),
+    "config-root-not-an-object": (["bound"], "[]", "config root must be a JSON object"),
+    "no-out": (
+        ["bound", "--config", "{tmp}/config.json"], BOUND_CONST, "this command requires --out"
+    ),
+    "empty-k_grid": (
+        ["simulate-recursion"],
+        dict(SIM_CONFIG, k_grid=[]),
+        "k_grid must be a nonempty list of positive integers",
+    ),
+    "no-schedules": (
+        ["simulate-recursion"], dict(SIM_CONFIG, schedules=[]), "schedules must be a nonempty list"
+    ),
+    "schedule-without-id": (
+        ["simulate-recursion"],
+        dict(SIM_CONFIG, schedules=[{"family": "constant", "alpha": 0.2}]),
+        "each schedule needs an 'id' field",
+    ),
+    "schedule-of-another-family": (
+        ["bound"], dict(BOUND_CONST, family="exp"), "family 'exp' needs a exponential schedule"
+    ),
+    "unknown-bound-family": (
+        ["bound"],
+        dict(BOUND_CONST, family="step"),
+        "unknown family 'step'; expected exp, cos, const, or poly",
+    ),
+    "unknown-algorithm": (["run"], dict(RUN_GD, algorithm="adam"), "unknown algorithm 'adam'"),
+    "window-not-a-pair": (
+        ["fit"],
+        {"input": "{tmp}/series.csv", "window": [1]},
+        "window must be a two-element [lo, hi] list",
+    ),
+    "fit-input-without-rows": (["fit"], {"input": "{tmp}/series.csv"}, "no data rows in"),
+}
+
+
+@pytest.mark.parametrize("argv, config, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+def test_each_config_error_exits_2_naming_it(tmp_path, capsys, argv, config, message):
+    tmp = str(tmp_path)
+    (tmp_path / "series.csv").write_text("K,schedule_id,y_K\n", encoding="utf-8")
+    if config is not None:
+        text = config if isinstance(config, str) else json.dumps(config).replace("{tmp}", tmp)
+        (tmp_path / "config.json").write_text(text, encoding="utf-8")
+    if len(argv) == 1:
+        argv = [*argv, "--config", "{tmp}/config.json", "--out", "{tmp}/out"]
+    assert cli.main([arg.replace("{tmp}", tmp) for arg in argv]) == 2
+    assert f"config error: {message.replace('{tmp}', tmp)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

@@ -8,11 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import steprates.plbounds as plbounds
+from steprates.optimizers import make_power_family
 from steprates.plbounds import (
     NumericFailure,
     PLParams,
@@ -34,7 +35,10 @@ from steprates.plbounds import (
     smallest_offset,
 )
 from steprates.recursions import (
+    ClassicalParams,
     PreconditionError,
+    classical_bound,
+    classical_spec,
     find_lambda_constant,
     general_bound,
 )
@@ -806,6 +810,30 @@ def test_transform_terminal_cosine_point_is_flat():
     assert math.isinf(spec.t(0.0))
 
 
+def test_transform_steps_whose_powers_pass_the_floats_give_s_and_t_inf():
+    """1e-110^(-3) passes the floats, where float ** raised OverflowError:
+    t is its limit inf, so the error term is 0; s = 1e-110^(-1)/xi stays finite."""
+    params = PLParams(l1=0.0, l2=1.0, l3=1.0, tau=3.0, theta=0.5)
+    spec = relaxed_recursion_transform(params, 1.0, Constant(1e-110), 8)
+    assert spec.grid.t == (math.inf,) * 9 and spec.grid.error == (0.0,) * 9
+    assert spec.grid.s == (2e110,) * 9
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PLParams(0.0, 1.0, 1.0, math.inf, 0.75), "tau must be finite and exceed 1"),
+        (lambda: descent_coefficients("rr", 1.0, 1.0, 1.0, 1.0, N=10**400), "count N, got 10000"),
+    ],
+    ids=["tau-inf", "N-past-the-floats"],
+)
+def test_arguments_no_power_can_take_are_rejected_by_name(make, message):
+    """tau = inf left rho = 0 (1/rho raised ZeroDivisionError) and omega NaN;
+    an N past the floats raised OverflowError in 2.0 * N."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_transform_rejects_oversized_steps():
     """The transform enforces the analytic cap xi^(-rho) = 2 at these params."""
     mc = sgd_constants(theta=0.5, L=1.0, mu=1.0, A=0.0, sigma=1.0)
@@ -982,3 +1010,83 @@ def test_precondition_messages_keep_their_text(name):
     with pytest.raises(PreconditionError) as info:
         evaluate()
     assert str(info.value) == message
+
+
+# --- the limit rule: a power past the floats is inf, never a raw error --------
+
+def real(*natural):
+    """A natural value of the argument or an extreme float (inf included)."""
+    return st.sampled_from([*natural, *oracles.EXTREME_FLOATS, math.inf])
+
+
+# the fields of PLParams and of ClassicalParams, which the calls construct
+THETA = real(0.5, 2.0 / 3.0, 0.75, 1.0)
+PARAMS = st.tuples(real(0.0, 0.5), real(1.0), real(0.0, 1.0), real(2.0, 3.0), THETA)
+CLASSICAL = st.tuples(
+    *(real(*natural) for natural in [(0.5, 2.0), (1.0,), (0.5, 1.0), (1.0, 2.0), (1.0, 1e16)]),
+    st.one_of(st.none(), real(0.5)),
+)
+FAMILIES = {
+    "constant": lambda a, u, v, K: Constant(a),
+    "polynomial": lambda a, u, v, K: Polynomial(a, u, v),
+    "exponential": lambda a, u, v, K: Exponential(a, u, v, K),
+    "cosine": lambda a, u, v, K: Cosine(a, v, K),
+}
+
+
+def coefficients_and_constants(method, L, mu, A, sigma, theta, delta):
+    N = 2 if method == "rr" else None
+    return derive_constants(descent_coefficients(method, L, mu, A, sigma, N, theta), delta)
+
+
+def constants(params, delta):
+    return derive_constants(PLParams(*params), delta)
+
+
+def transform(params, delta, K, family, alpha, u, v):
+    schedule = FAMILIES[family](alpha, u, v, K)
+    return relaxed_recursion_transform(PLParams(*params), delta, schedule, K)
+
+
+def bound(params, a0, k, variant):
+    return classical_bound(ClassicalParams(*params), a0, k, variant)
+
+
+def spec(params, horizon, decay):
+    return classical_spec(ClassicalParams(*params), horizon, decay)
+
+
+# each call with a strategy for its arguments
+LIMIT_CALLS = [
+    (coefficients_and_constants, st.tuples(
+        st.sampled_from(["sgd", "rr"]), real(1.0), real(1.0), real(0.5), real(1.0), THETA,
+        real(1.0),
+    )),
+    (constants, st.tuples(PARAMS, real(1.0))),
+    (transform, st.tuples(
+        PARAMS, real(1.0), st.integers(1, 64), st.sampled_from(sorted(FAMILIES)),
+        real(0.01, 1e-110), real(0.5, 1.0), real(1.0),
+    )),
+    (make_power_family, st.tuples(THETA, real(1.0), real(1.0))),
+    (bound, st.tuples(
+        CLASSICAL, real(1.0), st.integers(0, 64), st.sampled_from(["standard", "sigma"])
+    )),
+    (spec, st.tuples(
+        CLASSICAL, st.integers(1, 64), st.sampled_from(["direct", "integral"])
+    )),
+]
+
+
+# no max_examples: CI fuzzes it under the fuzz profile; no explain phase,
+# which takes minutes over six calls
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(st.tuples(*(args for _, args in LIMIT_CALLS)))
+def test_powers_past_the_floats_end_in_their_limit_or_a_named_error(cases):
+    """Extreme floats in the arguments of the calls that build constants and
+    specs from powers: each returns, or raises ValueError (PreconditionError
+    included) or NumericFailure, and never a raw ArithmeticError."""
+    for (call, _), args in zip(LIMIT_CALLS, cases):
+        try:
+            call(*args)
+        except (ValueError, NumericFailure):
+            pass

@@ -199,6 +199,21 @@ def test_classical_powers_past_the_floats_are_inf(params, variant):
             classical_bound(params, 1.0, 3, variant=variant)
 
 
+def test_classical_integral_factor_that_rounds_to_one_gives_s_its_limit():
+    """At gamma = 1e16 the integral-test factor rounds to 1.0 at every grid
+    point, where s = 1/(1 - factor) raised ZeroDivisionError; s is now inf."""
+    params = ClassicalParams(c=1.0, d=1.0, nu=0.5, q=1.0, gamma=1e16)
+    grid = classical_spec(params, 4, decay="integral").grid
+    assert grid.s == (math.inf,) * 5 and grid.contraction == (1.0,) * 5
+
+
+def test_classical_sigma_coefficient_that_divides_by_zero_names_its_constants():
+    params = ClassicalParams(c=0.5, d=1.0, nu=0.5, q=1.0, gamma=8.0, varsigma=5e-324)
+    message = r"^varsigma\*c underflows to 0\.0 for varsigma = 5e-324, c = 0\.5$"
+    with pytest.raises(ValueError, match=message):
+        classical_bound(params, 1.0, 3, variant="sigma")
+
+
 def test_classical_general_bounds_agree_at_line_example():
     """Both routes give d/(c-q)(k+1+gamma)^(-q) = 1/3 when a0 = 0."""
     params = ClassicalParams(c=2.0, d=1.0, nu=1.0, q=1.0, gamma=2.0)

@@ -241,3 +241,39 @@ def test_out_of_range_index_rejected():
         step_value(Cosine(alpha=1.0, p=1.0, horizon=10), 11)
     with pytest.raises(ValueError):
         step_value(Exponential(alpha=1.0, beta=1.0, p=1.0, horizon=10), -1)
+
+
+EXTREME_POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-200, 1e-30, 0.999999, 1.0, 2.0, 1e30, 1e200, 1.7e308]),
+    st.floats(1e-300, 1e300),
+)
+
+
+@given(data=st.data())
+def test_step_max_is_the_first_step_bitwise(data):
+    """step_max reads alpha itself outside the polynomial family; that is the
+    first step of the closed form to the bit, at extreme parameters too."""
+    alpha, p = data.draw(EXTREME_POSITIVE), data.draw(EXTREME_POSITIVE)
+    horizon = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 10**6)))
+    family = data.draw(st.sampled_from(["constant", "polynomial", "exponential", "cosine"]))
+    try:
+        if family == "constant":
+            sched = Constant(alpha=alpha)
+        elif family == "polynomial":
+            sched = Polynomial(alpha=alpha, gamma=data.draw(EXTREME_POSITIVE), p=p)
+        elif family == "exponential":
+            sched = Exponential(alpha=alpha, beta=data.draw(EXTREME_POSITIVE), p=p, horizon=horizon)
+        else:
+            sched = Cosine(alpha=alpha, p=p, horizon=horizon)
+    except ValueError:
+        return
+    K = data.draw(st.integers(1, getattr(sched, "horizon", 2**20)))
+    first = step_values(sched, 1)[0]
+    assert step_max(sched, K).hex() == step_value(sched, 0).hex() == first.hex()
+    assert not math.isnan(first)
+
+
+def test_exponential_whose_log_factor_passes_the_floats_is_unconstructible():
+    # (p/K)*log(beta/K) is -inf, so alpha_0 = alpha*exp(0*-inf) would be NaN
+    with pytest.raises(ValueError, match=re.escape("log g passes the floats for beta=1e-300")):
+        Exponential(alpha=1.0, beta=1e-300, p=1e308, horizon=2)
