@@ -1,8 +1,9 @@
 """Config-driven command-line driver for recursions, bounds, runs, and rates.
 
 Commands: simulate-recursion, bound, run, verify, fit, heatmap. Every
-command takes only the flags it reads, after its name: file-writing commands
-need --out and all but verify a strict JSON --config (unknown keys rejected).
+command takes only the flags it reads, after its name (verify's, after its
+suite's): file-writing commands need --out and all but verify a strict JSON
+--config (unknown keys rejected).
 All randomness is keyed by explicit seeds; nothing reads OS entropy. The
 verify suites are the library's steprates.verify; this module parses,
 dispatches and writes.
@@ -736,16 +737,21 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_line)
         if name != "verify":
             command.add_argument("--config", type=Path, help="path to a JSON config")
-        command.add_argument("--out", type=Path, help="output directory")
-        if name in ("run", "verify"):
-            command.add_argument("--seed", type=int, default=0, help="seed of the random draws")
-    sub.choices["run"].add_argument(
+            command.add_argument("--out", type=Path, help="output directory")
+    run = sub.choices["run"]
+    run.add_argument("--seed", type=int, default=0, help="seed of the random draws")
+    run.add_argument(
         "--skip-verify", action="store_true", help="skip the pre-run problem verification"
     )
-    verify = sub.choices["verify"]
-    verify.add_argument("suite", choices=tuple(_SUITES))
-    verify.add_argument("--draws", type=int, default=1000, help="randomized draw count")
-    verify.add_argument("--k-max", type=int, default=512, help="largest horizon for grids")
+    suites = sub.choices["verify"].add_subparsers(dest="suite", required=True)
+    for name in _SUITES:
+        suite = suites.add_parser(name)
+        suite.add_argument("--out", type=Path, help="output directory")
+        if name == "inequalities":
+            suite.add_argument("--k-max", type=int, default=512, help="largest horizon for grids")
+        else:
+            suite.add_argument("--draws", type=int, default=1000, help="randomized draw count")
+            suite.add_argument("--seed", type=int, default=0, help="seed of the random draws")
     return parser
 
 

@@ -32,6 +32,10 @@ from .schedules import (
     Exponential,
     Polynomial,
     StepSchedule,
+    _check_horizon,
+    _lane_columns,
+    _lane_steps,
+    _positive,
     _steps,
     step_max,
 )
@@ -132,8 +136,7 @@ def _require(condition: bool, message: str) -> None:
 def _check_start(y0: float, K: int) -> None:
     if not y0 >= 0:
         raise ValueError("y0 must be nonnegative")
-    if K < 1:
-        raise ValueError("K must be a positive integer")
+    _check_horizon(K, "K")
 
 
 def _capped(what: str, step: float, cap: float, note: str = "") -> float:
@@ -206,6 +209,13 @@ def _coefficient(formula: str, value: float, **constants: float) -> float:
         given = ", ".join(f"{name} = {v!r}" for name, v in constants.items())
         raise ValueError(f"{formula} overflows a float for {given}")
     return value
+
+
+def _quotient(numerator: float, divisor: float) -> float:
+    """numerator / divisor, or its limit +inf where the divisor is 0.0 (a
+    product that underflows): the bound evaluators' rule for quotients, as
+    _power is for powers. Finite quotients keep their bits."""
+    return numerator / divisor if divisor else math.inf
 
 
 def smoothness_cap(method: str, L: float) -> float:
@@ -335,37 +345,6 @@ def simulate_pl_recursion(
 # numbers in each per-block array of simulate_pl_lanes, as in the seed sums'
 # row blocks: 2^15 doubles (256 KiB)
 _LANE_BLOCK = 1 << 15
-# the constants each family's closed form reads, as columns of lanes
-_STEP_FIELDS = {
-    Constant: ("alpha",),
-    Polynomial: ("alpha", "gamma", "p"),
-    Exponential: ("alpha", "log_decay"),
-    Cosine: ("alpha", "p", "horizon"),
-}
-
-
-def _lane_steps(family: type, k: np.ndarray, alpha: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """Steps at the indices k (a column) of lanes of one family, one per
-    column, by step_values' closed form, evaluated in one buffer."""
-    if family is Constant:
-        return np.broadcast_to(alpha, (len(k), len(alpha)))
-    if family is Polynomial:
-        gamma, p = rest
-        steps = k + gamma
-        np.power(steps, p, out=steps)
-        return np.divide(alpha, steps, out=steps)
-    if family is Exponential:
-        steps = k * rest[0]
-        np.exp(steps, out=steps)
-    else:
-        p, horizon = rest
-        steps = k * math.pi / horizon
-        np.cos(steps, out=steps)
-        steps += 1.0
-        steps /= 2.0
-        np.power(steps, p, out=steps)
-    steps *= alpha
-    return steps
 
 
 def simulate_pl_lanes(
@@ -378,8 +357,8 @@ def simulate_pl_lanes(
     was not finite, where simulate_pl_recursion raises NumericFailure. The
     lanes step together as numpy columns, sorted by K in descending order,
     so the active lanes are a prefix that shrinks as each reaches its K.
-    Steps and their powers come per time block from the schedules' closed
-    forms; a block holds at most 2^15 numbers per array, so it runs
+    Steps come per time block from schedules._lane_steps, and their powers
+    from them; a block holds at most 2^15 numbers per array, so it runs
     max(1, 2^15 // active lanes) steps, and ends where a lane does.
 
     The arithmetic is the scalar loop's, but numpy's exp and pow differ
@@ -398,12 +377,9 @@ def simulate_pl_lanes(
     order = np.argsort(-horizons, kind="stable")
     ordered = [lanes[i] for i in order]
     ends = -horizons[order]  # ascending: lanes with K > k are the first searchsorted(ends, -k)
-    l1, l2, l3, tau, two_theta, y = (
-        np.array(column, dtype=float)
-        for column in zip(
-            *((p.l1, p.l2, p.l3, p.tau, 2.0 * p.theta, y0) for p, _, y0, _ in ordered)
-        )
-    )
+    l1, l2, l3, tau, two_theta, y = np.array(
+        [(p.l1, p.l2, p.l3, p.tau, 2.0 * p.theta, y0) for p, _, y0, _ in ordered], dtype=float
+    ).T.copy()
     # the pull term is l2*a*y^exponent, or (l2*a*y)*y as the scalar loop
     # forms it where a block holds no general theta; affine lanes fold l2*a
     # into the growth factor, as the scalar loop does, and pull nothing
@@ -411,13 +387,7 @@ def simulate_pl_lanes(
     general = ~affine & (two_theta != 2.0)
     exponents = np.where(affine, 0.0, two_theta)
     cube, other = tau == 3.0, (tau != 2.0) & (tau != 3.0)
-    families: dict[type, list[int]] = {}
-    for i, (_, schedule, _, _) in enumerate(ordered):
-        families.setdefault(type(schedule), []).append(i)
-    steps = []
-    for family, where in families.items():
-        fields = [[getattr(ordered[i][1], name) for i in where] for name in _STEP_FIELDS[family]]
-        steps.append((family, np.array(where), np.array(fields, dtype=float)))
+    columns = _lane_columns([schedule for _, schedule, _, _ in ordered])
     smallest = y.copy()
     active, k0 = count, 0
     # four (L, n) arrays, reused by every block: steps a, turned into l2*a
@@ -433,10 +403,7 @@ def simulate_pl_lanes(
                 buffer[: rows * n].reshape(rows, n)
                 for buffer, rows in zip(buffers, (L, L, L, L + 1))
             )
-            for family, where, constants in steps:
-                m = int(np.searchsorted(where, n))
-                if m:
-                    pull[:, where[:m]] = _lane_steps(family, k, *constants[:, :m])
+            _lane_steps(columns, k, n, out=pull)
             mul(pull, pull, out=push)
             mul(push, pull, out=push, where=cube[:n])
             power(pull, tau[:n], out=push, where=other[:n])
@@ -693,7 +660,7 @@ def _n_scale(mc: MethodConstants, K: int) -> tuple[float, float]:
 
 def _tuned_beta(mc: MethodConstants, tuned: Mapping, scale: float) -> float:
     """The tuned beta, by default its floor scale*omega/xi_bar, checked against it."""
-    floor = scale * mc.derived.omega / mc.xi_bar
+    floor = _quotient(scale * mc.derived.omega, mc.xi_bar)
     return _floored("tuned beta", float(tuned.get("beta", floor)), floor)
 
 
@@ -709,7 +676,7 @@ def _flat_level(
     beta = _tuned_beta(mc, tuned, scale)
     _require(K >= 2, f"tuned step needs K >= 2, got {K}")
     log_nk, n_power = _n_scale(mc, K)
-    alpha = (beta * log_nk * n_power / K) ** mc.derived.rho
+    alpha = _power(beta * log_nk * n_power / K, mc.derived.rho)
     return _capped("tuned alpha", alpha, cap, " (horizon too small)"), {"tuned_beta": beta}
 
 
@@ -724,8 +691,12 @@ def _normalize_tuned(tuned: Mapping | bool | None) -> Mapping | None:
 def exp_horizon_floor(mc: MethodConstants, alpha: float, p: float, K: int) -> float:
     """Least K/log(K/beta) the reshuffling bound admits for exponential steps
     that start at alpha and decay with exponent p over the horizon K."""
+    _positive(alpha, "alpha")
+    _positive(p, "p")
+    _check_horizon(K, "K")
     log_nk, n_power = _n_scale(mc, K)
-    return 2.0 * p * log_nk * n_power / (mc.theta * mc.xi_bar * alpha ** (1.0 / mc.derived.rho))
+    scale = mc.theta * mc.xi_bar * _power(alpha, 1.0 / mc.derived.rho)
+    return _quotient(2.0 * p * log_nk * n_power, scale)
 
 
 def bound_exp(mc: MethodConstants, schedule: Exponential, y0: float) -> BoundResult:
@@ -745,12 +716,12 @@ def bound_exp(mc: MethodConstants, schedule: Exponential, y0: float) -> BoundRes
             K / log_ratio >= needed * (1.0 - _REL),
             f"horizon too small: K/log(K/beta) = {K / log_ratio} below {needed}",
         )
-    branch_log = zeta * (2.0 * p * q * log_ratio / (xi * K)) ** omega
-    branch_floor = zeta * alpha**q * math.exp(p * q * (math.log(beta) - math.log(K)))
+    branch_log = zeta * _power(_quotient(2.0 * p * q * log_ratio, xi * K), omega)
+    branch_floor = zeta * _power(alpha, q) * math.exp(p * q * (math.log(beta) - math.log(K)))
     noise = 4.0 * max(branch_log, branch_floor)
     regime = "case I" if branch_log >= branch_floor else "case II"
     tail_fraction = 1.0 - math.exp((p / rho) * (math.log(beta) - math.log(K)))
-    exponent = (rho * xi * alpha ** (1.0 / rho) / p) * tail_fraction * K / log_ratio
+    exponent = (rho * xi * _power(alpha, 1.0 / rho) / p) * tail_fraction * K / log_ratio
     init = y0 * math.exp(-exponent)
     details = {"branch_log": branch_log, "branch_floor": branch_floor, "alpha": alpha}
     return _result(noise, init, regime, mc.derived, details)
@@ -769,24 +740,24 @@ def bound_cos(
     tuned = _normalize_tuned(tuned)
     zeta, xi, rho, omega, q = _unpack(mc)
     _require(K >= 2, f"cosine bound needs K >= 2, got {K}")
-    doubling = 2.0 ** max(1.0, p / rho)
+    doubling = _power(2.0, max(1.0, p / rho))
     alpha, details = _flat_level(mc, schedule, K, tuned, doubling)
     if tuned is not None:
         details["rate_log_power"] = rho / (2.0 * p + rho)
     d_const = max(1.0, 2.0 * p * q * math.pi**2)
-    log_arg = 2.0 * d_const / (xi * K)
-    branch_log = 2.0 * zeta * log_arg**omega
+    log_arg = _quotient(2.0 * d_const, xi * K)
+    branch_log = 2.0 * zeta * _power(log_arg, omega)
     mix = 2.0 * p * omega / (2.0 * p + rho)
     branch_floor = (
         4.0
         * zeta
-        * (math.pi**2 / 4.0) ** (p * q)
-        * alpha ** (omega / (2.0 * p + rho))
-        * log_arg**mix
+        * _power(math.pi**2 / 4.0, p * q)
+        * _power(alpha, omega / (2.0 * p + rho))
+        * _power(log_arg, mix)
     )
     noise = max(branch_log, branch_floor)
     regime = "case I" if branch_log >= branch_floor else "case II"
-    init = y0 * math.exp(-xi * alpha ** (1.0 / rho) * K / doubling)
+    init = y0 * math.exp(-xi * _power(alpha, 1.0 / rho) * K / doubling)
     details.update(
         {"D": d_const, "branch_log": branch_log, "branch_floor": branch_floor, "alpha": alpha}
     )
@@ -811,8 +782,8 @@ def bound_const(
     if tuned is None and schedule is None:
         raise ValueError("schedule is required outside tuned mode")
     alpha, details = _flat_level(mc, schedule, K, tuned, 1.0)
-    noise = 2.0 * zeta * alpha**q
-    init = y0 * math.exp(-xi * alpha ** (1.0 / rho) * K)
+    noise = 2.0 * zeta * _power(alpha, q)
+    init = y0 * math.exp(-xi * _power(alpha, 1.0 / rho) * K)
     details["alpha"] = alpha
     return _result(noise, init, "constant", mc.derived, details)
 
@@ -922,18 +893,18 @@ def smallest_offset(params: PLParams, alpha: float, K: int) -> float:
 
 def _u3(theta: float, p: float) -> float:
     """Rate exponent (1-p)/(2*theta-1) of polynomial case c."""
-    return (1.0 - p) / (2.0 * theta - 1.0)
+    return _quotient(1.0 - p, 2.0 * theta - 1.0)
 
 
 def poly_alpha_floor(params: PLParams, derived: DerivedConstants, case: str, p: float) -> float:
     """Least level alpha that polynomial case b, c or d admits at decay exponent p."""
     theta = params.theta
     if case == "b":
-        return (2.0 * derived.omega / derived.xi) ** derived.rho
+        return _power(_quotient(2.0 * derived.omega, derived.xi), derived.rho)
     if case == "c":
-        return 2.0 * _u3(theta, p) / (theta * params.l2)
+        return _quotient(2.0 * _u3(theta, p), theta * params.l2)
     if case == "d":
-        return 2.0 / (theta * (2.0 * theta - 1.0) * params.l2)
+        return _quotient(2.0, theta * (2.0 * theta - 1.0) * params.l2)
     raise ValueError(f"case {case!r} has no level floor")
 
 
@@ -944,18 +915,22 @@ def poly_gamma_floor(
 
     Cases b and d bound gamma through the cap and offset_admissible.
     """
+    _positive(alpha, "alpha")
+    _positive(p, "p")
     rho = derived.rho
     if case == "a":
-        ratio = 2.0 * p * derived.q / (derived.xi * alpha ** (1.0 / rho))
-        return ratio ** (1.0 / (1.0 - p / rho))
+        ratio = _quotient(2.0 * p * derived.q, derived.xi * _power(alpha, 1.0 / rho))
+        return _power(ratio, _quotient(1.0, 1.0 - p / rho))
     if case != "c":
         raise ValueError(f"case {case!r} has no offset floor")
     theta, l1, l2, l3, tau = params.theta, params.l1, params.l2, params.l3, params.tau
-    floors = [alpha * theta * l2]
+    floors, growth = [alpha * theta * l2], _power(alpha, tau - 1.0)
     if l1 > 0:
-        floors.append((alpha ** (tau - 1.0) * l1 / (theta * l2)) ** (1.0 / (tau * p - 1.0)))
+        base = _quotient(growth * l1, theta * l2)
+        floors.append(_power(base, _quotient(1.0, tau * p - 1.0)))
     if l3 > 0:
-        floors.append((alpha ** (tau - 1.0) * l3 / l2) ** (1.0 / (tau * p - _u3(theta, p) - 1.0)))
+        base = _quotient(growth * l3, l2)
+        floors.append(_power(base, _quotient(1.0, tau * p - _u3(theta, p) - 1.0)))
     return max(floors)
 
 
@@ -1002,7 +977,7 @@ def bound_poly(
         if mc.method == "sgd":
             alpha = _floored("alpha", schedule.alpha, poly_alpha_floor(params, derived, "b", p))
             _capped("largest step", step_max(schedule, K), cap)
-            noise = 4.0 * zeta * alpha**q * _decay(omega, math.log(K + gamma))
+            noise = 4.0 * zeta * _power(alpha, q) * _decay(omega, math.log(K + gamma))
             init = y0 * _decay(2.0 * omega, math.log((K + gamma) / gamma))
             details = {"tuned": True, "alpha": alpha, "u2": omega}
             return _result(noise, init, "case b", derived, details)
@@ -1010,12 +985,11 @@ def bound_poly(
         beta = _tuned_beta(mc, tuned, 2.0)
         log_nk, n_power = _n_scale(mc, K)
         level = beta * log_nk * n_power
-        alpha = level**rho
-        _floored("gamma", gamma, level / cap ** (1.0 / rho))
+        alpha = _power(level, rho)
+        _floored("gamma", gamma, _quotient(level, _power(cap, 1.0 / rho)))
         _require(K >= 2.0 * gamma * (1.0 - _REL), f"horizon {K} below 2*gamma = {2 * gamma}")
-        noise = (
-            4.0 * mc.zeta_bar * beta**omega * (log_nk / (math.sqrt(mc.N) * (K + gamma))) ** omega
-        )
+        share = log_nk / (math.sqrt(mc.N) * (K + gamma))
+        noise = 4.0 * mc.zeta_bar * _power(beta, omega) * _power(share, omega)
         init = y0 * _decay(2.0 * omega, log_nk)
         details = {"tuned": True, "alpha": alpha, "tuned_beta": beta, "u2": omega}
         return _result(noise, init, "case b", derived, details)
@@ -1034,16 +1008,16 @@ def bound_poly(
         _require(p < rho, f"case a needs p < {rho}, got {p}")
         _floored("gamma", gamma, poly_gamma_floor(params, derived, "a", alpha, p))
         u1 = p * q
-        noise = 4.0 * zeta * alpha**q * _decay(u1, math.log(K + gamma))
+        noise = 4.0 * zeta * _power(alpha, q) * _decay(u1, math.log(K + gamma))
         init = y0 * math.exp(
-            -xi * alpha ** (1.0 / rho) * K * _decay(p / rho, math.log(K + gamma))
+            -xi * _power(alpha, 1.0 / rho) * K * _decay(p / rho, math.log(K + gamma))
         )
         details["u1"] = u1
     elif chosen == "b":
         _require(abs(p - rho) <= 1e-12, f"case b needs p = {rho}, got {p}")
         _floored("alpha", alpha, poly_alpha_floor(params, derived, "b", p))
-        noise = 4.0 * zeta * alpha**q * _decay(omega, math.log(K + gamma))
-        init = y0 * _decay(xi * alpha ** (1.0 / rho), math.log((K + gamma) / gamma))
+        noise = 4.0 * zeta * _power(alpha, q) * _decay(omega, math.log(K + gamma))
+        init = y0 * _decay(xi * _power(alpha, 1.0 / rho), math.log((K + gamma) / gamma))
         details["u2"] = omega
     elif chosen == "c":
         _require(

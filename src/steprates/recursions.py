@@ -1,10 +1,10 @@
 """Bounds for one-dimensional affine recursions a_{k+1} <= (1-1/s(b_k)) a_k + 1/t(b_k).
 
-A recursion is described by coefficient functions s and t evaluated along a
-grid b_k inside an interval on which the ratio r = s/t stays finite. Provided
-r is convex and a constant damping factor lambda satisfies the per-step slope
-condition (b_{k+1}-b_k)*u(b_k) >= -1 + 1/lambda with u = r'*t, the iterates
-are bounded by lambda*r(b_{k+1}) plus a contracting memory of the start.
+A recursion is given by coefficient functions s and t on a grid b_k in an
+interval, and by r = s/t, finite there, with its analytic derivative r'. If r
+is convex and a constant lambda satisfies the slope condition (b_{k+1}-b_k)*
+r'(b_k)*t(b_k) >= -1 + 1/lambda, the iterates are bounded by lambda*r(b_{k+1})
+plus a contracting memory of the start.
 
 The module offers the exact iterate and an expanded-form evaluation as
 cross-checking oracles, a numeric certificate search for lambda, the bound
@@ -40,7 +40,7 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionDescriptor:
-    """A scalar function with an optional analytic derivative and a label."""
+    """A scalar function with its analytic derivative, if it has one, and a label."""
 
     fn: Callable[[float], float]
     derivative: Callable[[float], float] | None = None
@@ -50,11 +50,10 @@ class FunctionDescriptor:
         return float(self.fn(x))
 
     def d(self, x: float) -> float:
-        """Derivative at x; central differences when no analytic form is given."""
-        if self.derivative is not None:
-            return float(self.derivative(x))
-        h = max(1e-6, 1e-6 * abs(x))
-        return (float(self.fn(x + h)) - float(self.fn(x - h))) / (2.0 * h)
+        """The analytic derivative at x; ValueError if none was given."""
+        if self.derivative is None:
+            raise ValueError(f"function {self.label or self.fn!r} has no analytic derivative")
+        return float(self.derivative(x))
 
 
 class SpecGrid(NamedTuple):
@@ -79,8 +78,8 @@ class SpecGrid(NamedTuple):
 class RecursionSpec:
     """Coefficient functions, evaluation grid, and horizon of one recursion.
 
-    `ratio` overrides s/t when the quotient is indeterminate at some grid
-    point (e.g. s and t both infinite while r has a finite limit).
+    `ratio` is r = s/t, with the analytic r' that the lambda certificate reads;
+    it gives r where s/t is indeterminate (s and t infinite, r finite).
 
     s, t, b and ratio are evaluated once per grid point, here, and must be
     pure: the values land in `grid`, which every evaluator of this module
@@ -93,7 +92,7 @@ class RecursionSpec:
     b: Callable[[int], float]
     interval: tuple[float, float]
     horizon: int
-    ratio: FunctionDescriptor | None = None
+    ratio: FunctionDescriptor
     grid: SpecGrid = field(init=False, repr=False, compare=False)
     _forgetting: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
@@ -104,10 +103,11 @@ class RecursionSpec:
         if not lo < hi:
             raise ValueError(f"empty interval {self.interval}")
         slack = 1e-12 * max(1.0, abs(lo), 0.0 if math.isinf(hi) else abs(hi))
+        if self.ratio is None:
+            raise TypeError("RecursionSpec needs ratio, r = s/t with its analytic derivative")
         # the descriptors' calls without their frames: this loop is most of
         # what a short spec costs
-        b, s, t = self.b, self.s.fn, self.t.fn
-        ratio = None if self.ratio is None else self.ratio.fn
+        b, s, t, ratio = self.b, self.s.fn, self.t.fn, self.ratio.fn
         rows = []
         for k in range(self.horizon + 1):
             x = b(k)
@@ -119,7 +119,7 @@ class RecursionSpec:
             tv = float(t(x))
             if not tv > 0.0:
                 raise ValueError(f"t(b_{k}) = {tv} violates t > 0")
-            rv = sv / tv if ratio is None else float(ratio(x))
+            rv = float(ratio(x))
             if not math.isfinite(rv):
                 raise ValueError(f"r(b_{k}) = {rv} is not finite")
             contraction = 1.0 if math.isinf(sv) else 1.0 - 1.0 / sv
@@ -131,9 +131,7 @@ class RecursionSpec:
         object.__setattr__(self, "grid", grid)
 
     def r(self, x: float) -> float:
-        if self.ratio is not None:
-            return self.ratio(x)
-        return self.s(x) / self.t(x)
+        return self.ratio(x)
 
 
 @dataclass(frozen=True)
@@ -275,6 +273,7 @@ def expansion_bound(spec: RecursionSpec, a0: float, K: int) -> float:
 
 CONVEXITY_SUBDIVISIONS = 8  # equal parts of each gap of the b_k grid
 CONVEXITY_TOL = 1e-9  # the relative chord slack an item of ratio-convex may lack
+SLOPE_TOL = 1e-9  # the slack a step of the slope condition may lack for a target lambda
 
 
 def recursion_convexity(spec: RecursionSpec) -> CheckResult:
@@ -308,18 +307,10 @@ def recursion_convexity(spec: RecursionSpec) -> CheckResult:
     return worst.result()
 
 
-def _slope_terms(spec: RecursionSpec) -> tuple[list[float], float]:
-    """(b_{k+1}-b_k)*u(b_k) for k < horizon, with the applicable tolerance."""
-    # r' is analytic only when an explicit ratio was supplied; numeric
-    # differentiation warrants the looser tolerance
-    rd = spec.ratio if spec.ratio is not None else FunctionDescriptor(fn=spec.r, label="s/t")
-    tol = 1e-9 if rd.derivative is not None else 1e-6
-    grid = spec.grid
-    terms = []
-    for x, x_next, tv in zip(grid.b, grid.b[1:], grid.t):
-        u = rd.d(x) * tv
-        terms.append((x_next - x) * u)
-    return terms, tol
+def _slope_terms(spec: RecursionSpec) -> list[float]:
+    """(b_{k+1}-b_k)*r'(b_k)*t(b_k) for k < horizon, r' the ratio's derivative."""
+    b, t, derivative = spec.grid.b, spec.grid.t, spec.ratio.d
+    return [(x1 - x) * (derivative(x) * tv) for x, x1, tv in zip(b, b[1:], t)]
 
 
 def find_lambda_constant(
@@ -330,9 +321,10 @@ def find_lambda_constant(
     Without a target, takes the run of indices where 1 + slope term stays
     strictly positive and returns the smallest lambda valid on that run.
     With a target, certifies the run where the slope condition holds for
-    that lambda. An empty run yields certified_horizon 0 with lam = inf.
+    that lambda, to within SLOPE_TOL. A NaN slope term ends either run. An
+    empty run yields certified_horizon 0 (with lam = inf without a target).
     """
-    terms, tol = _slope_terms(spec)
+    terms = _slope_terms(spec)
     if lambda_target is None:
         feasible = list(takewhile(lambda h: 1.0 + h > 0.0, terms))
         if not feasible:
@@ -345,17 +337,8 @@ def find_lambda_constant(
     if not lambda_target > 0:
         raise ValueError("lambda_target must be positive")
     threshold = -1.0 + 1.0 / lambda_target
-    count = 0
-    margin = math.inf
-    for h in terms:
-        gap = h - threshold
-        if gap < -tol:
-            break
-        count += 1
-        margin = min(margin, gap)
-    if count == 0:
-        return CertifiedLambda(lambda_target, 0, -math.inf)
-    return CertifiedLambda(lambda_target, count, margin)
+    gaps = list(takewhile(lambda gap: gap >= -SLOPE_TOL, [h - threshold for h in terms]))
+    return CertifiedLambda(lambda_target, len(gaps), min(gaps, default=-math.inf))
 
 
 def general_bound(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: int) -> float:
@@ -402,7 +385,7 @@ def forgetting_factor(spec: RecursionSpec, lam: float, k: int) -> float:
     The products for every k are taken left to right on the first call for
     a lam and kept on the spec, for its last lam only, so a call costs O(1).
     An infinite s gives the factor 1.0 (x * 1.0 is x); from an s with
-    s - 1 + 1/lam = 0 on, every k raises ZeroDivisionError.
+    s - 1 + 1/lam = 0 on, every k raises a ValueError that names that s and lam.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -419,7 +402,8 @@ def forgetting_factor(spec: RecursionSpec, lam: float, k: int) -> float:
         prefix = tuple(accumulate(factors, mul, initial=1.0))
         object.__setattr__(spec, "_forgetting", (lam, prefix))
     if k + 1 >= len(prefix):
-        raise ZeroDivisionError(f"s(b_{len(prefix) - 1}) - 1 + 1/lam is 0")
+        i, s = len(prefix) - 1, spec.grid.s[len(prefix) - 1]
+        raise ValueError(f"s(b_{i}) - 1 + 1/lam is 0 for s(b_{i}) = {s!r}, lam = {lam!r}")
     return prefix[max(k + 1, 0)]
 
 

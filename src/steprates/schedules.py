@@ -9,12 +9,24 @@ with their caps, and partial sums (closed form where one exists).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def _positive(value: float, name: str) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_horizon(value: int, name: str) -> None:
+    """A horizon's checks: a positive integer, no larger than the largest
+    float, as it enters float arithmetic."""
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must not exceed the largest float")
 
 
 @dataclass(frozen=True)
@@ -60,8 +72,7 @@ class Exponential:
         _positive(self.alpha, "alpha")
         _positive(self.beta, "beta")
         _positive(self.p, "p")
-        if self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
+        _check_horizon(self.horizon, "horizon")
         # beta < K keeps the per-step factor strictly below one
         if not self.beta < self.horizon:
             raise ValueError(
@@ -87,8 +98,7 @@ class Cosine:
     def __post_init__(self) -> None:
         _positive(self.alpha, "alpha")
         _positive(self.p, "p")
-        if self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
+        _check_horizon(self.horizon, "horizon")
 
 
 StepSchedule = Constant | Polynomial | Exponential | Cosine
@@ -103,9 +113,11 @@ def _check_index(schedule: StepSchedule, k: int) -> None:
 
 
 def _steps(schedule: StepSchedule, ks: range) -> list[float]:
-    """alpha_k for k in ks, by the family's closed form: the one statement
-    of each step rule. At k = K, cos(K*pi/K) is exactly -1.0 (K*pi/K lies
-    within two roundings of pi), so the cosine step is 0.0 there."""
+    """alpha_k for k in ks, by the family's closed form in the math module's
+    arithmetic; _lane_steps states each rule in numpy's, for the lane batch,
+    and agrees to rounding (numpy's exp, cos and pow differ by about an ulp).
+    At k = K, cos(K*pi/K) is exactly -1.0 (K*pi/K lies within two roundings
+    of pi), so the cosine step is 0.0 there."""
     if isinstance(schedule, Constant):
         return [schedule.alpha] * len(ks)
     if isinstance(schedule, Polynomial):
@@ -129,6 +141,11 @@ def _steps(schedule: StepSchedule, ks: range) -> list[float]:
 def step_value(schedule: StepSchedule, k: int) -> float:
     """alpha_k for the given family; zero only for the cosine family at k = K."""
     _check_index(schedule, k)
+    if isinstance(schedule, Polynomial):  # _steps' loop for one index
+        try:
+            return schedule.alpha / (k + schedule.gamma) ** schedule.p
+        except OverflowError:  # (k + gamma)^p passes the floats
+            return 0.0
     return _steps(schedule, range(k, k + 1))[0]
 
 
@@ -148,7 +165,7 @@ def step_max(schedule: StepSchedule, K: int) -> float:
     _check_index(schedule, K - 1)
     if isinstance(schedule, (Constant, Exponential, Cosine)):
         return schedule.alpha
-    return _steps(schedule, range(1))[0]  # or the TypeError of an unknown type
+    return step_value(schedule, 0)  # or the TypeError of an unknown type
 
 
 def step_sum(schedule: StepSchedule, K: int) -> float:
@@ -173,3 +190,54 @@ def step_sum(schedule: StepSchedule, K: int) -> float:
         return schedule.alpha * (K + 1) / 2.0
     return math.fsum(step_values(schedule, K))
 
+
+# the constants each family's closed form reads, as columns of lanes
+_STEP_FIELDS = {
+    Constant: ("alpha",),
+    Polynomial: ("alpha", "gamma", "p"),
+    Exponential: ("alpha", "log_decay"),
+    Cosine: ("alpha", "p", "horizon"),
+}
+
+
+def _lane_columns(schedules: list[StepSchedule]) -> list[tuple[type, np.ndarray, np.ndarray]]:
+    """The lanes of each family, in order of first appearance: (family, their
+    indices, the constants its closed form reads, a row per field)."""
+    families: dict[type, list[int]] = {}
+    for i, schedule in enumerate(schedules):
+        families.setdefault(type(schedule), []).append(i)
+    columns = []
+    for family, where in families.items():
+        fields = [[getattr(schedules[i], name) for i in where] for name in _STEP_FIELDS[family]]
+        columns.append((family, np.array(where), np.array(fields, dtype=float)))
+    return columns
+
+
+def _lane_steps(columns: list, k: np.ndarray, n: int, out: np.ndarray) -> None:
+    """out[:, i] = the steps of lane i < n of _lane_columns at the indices k
+    (a column), by step_values' closed forms, in one buffer per family."""
+    for family, where, constants in columns:
+        m = int(np.searchsorted(where, n))
+        if not m:
+            continue
+        alpha, *rest = constants[:, :m]
+        if family is Constant:
+            steps = alpha
+        elif family is Polynomial:
+            gamma, p = rest
+            steps = k + gamma
+            np.power(steps, p, out=steps)
+            np.divide(alpha, steps, out=steps)
+        elif family is Exponential:
+            steps = k * rest[0]
+            np.exp(steps, out=steps)
+            steps *= alpha
+        else:
+            p, horizon = rest
+            steps = k * math.pi / horizon
+            np.cos(steps, out=steps)
+            steps += 1.0
+            steps /= 2.0
+            np.power(steps, p, out=steps)
+            steps *= alpha
+        out[:, where[:m]] = steps

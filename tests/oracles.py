@@ -199,12 +199,15 @@ def recursion_general_bound(spec, lam, a0, k):
 
 
 def recursion_forgetting_factor(spec, lam, k):
+    """The product up to k, or ValueError from the first s with s - 1 + 1/lam = 0."""
     inv = 1.0 / lam
     prod = 1.0
     for i in range(k + 1):
         sv = spec.s(spec.b(i))
         if math.isinf(sv):
             continue
+        if sv - 1.0 + inv == 0.0:
+            raise ValueError(f"s(b_{i}) - 1 + 1/lam is 0 for s(b_{i}) = {sv!r}, lam = {lam!r}")
         prod *= 1.0 - inv / (sv - 1.0 + inv)
     return prod
 

@@ -84,7 +84,7 @@ def test_threads_option_is_gone(tmp_path):
 # the commands that read each flag besides --out, which every command reads
 FLAG_READERS = {
     ("--config", "x.json"): {"simulate-recursion", "bound", "run", "fit", "heatmap"},
-    ("--seed", "3"): {"run", "verify"},
+    ("--seed", "3"): {"run"},
     ("--skip-verify",): {"run"},
 }
 
@@ -305,6 +305,24 @@ def test_bound_value_that_is_not_finite_is_numeric_failure(tmp_path, capsys, fam
     config["schedule"] = FAMILY_SCHEDULES[family]
     assert run_cli(tmp_path, "bound", config) == 3
     assert "bound value inf is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bound.json").exists()
+
+
+def test_bound_power_past_the_floats_is_numeric_failure(tmp_path, capsys):
+    # 2^(p/rho) at p = 1e30 raised OverflowError, a traceback with exit 1; the
+    # power is its limit inf, and so are (pi^2/4)^(p*q) and the noise term
+    config = {
+        "method": "sgd",
+        "family": "cos",
+        "constants": {"theta": 0.75, "L": 1.0, "mu": 1.0, "A": 0.5, "sigma": 1.0},
+        "schedule": {"family": "cosine", "alpha": 0.01, "p": 1e30},
+        "K": 64,
+        "y0": 1.0,
+    }
+    assert run_cli(tmp_path, "bound", config) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: bound value inf is not finite (case II: noise term inf, init term 1.0)\n"
+    )
     assert not (tmp_path / "out" / "bound.json").exists()
 
 
@@ -644,6 +662,28 @@ def test_verify_with_fewer_than_one_draw_is_a_config_error(tmp_path, capsys, sui
 
 def test_verify_unknown_suite_is_usage_error():
     assert cli.main(["verify", "spectral"]) == 2
+
+
+# the flags each verify suite reads besides --out, which every suite reads
+SUITE_FLAGS = {
+    "chung": {"--draws", "--seed"},
+    "bounds": {"--draws", "--seed"},
+    "inequalities": {"--k-max"},
+    "assumptions": {"--draws", "--seed"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_FLAGS))
+@pytest.mark.parametrize("flag", ["--draws", "--seed", "--k-max", "--out"])
+def test_a_verify_suite_takes_only_the_flags_it_reads(capsys, suite, flag):
+    """A flag the suite does not read (8 flag/suite pairs) exits 2 before any work."""
+    assert sorted(SUITE_FLAGS) == sorted(cli._SUITES)
+    argv = ["verify", suite, flag, "3"]
+    if flag == "--out" or flag in SUITE_FLAGS[suite]:
+        assert cli.build_parser().parse_args(argv).suite == suite
+    else:
+        assert cli.main(argv) == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, capsys, monkeypatch):

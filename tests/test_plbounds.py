@@ -23,8 +23,11 @@ from steprates.plbounds import (
     bound_poly,
     derive_constants,
     descent_coefficients,
+    exp_horizon_floor,
     frak_p,
     offset_admissible,
+    poly_alpha_floor,
+    poly_gamma_floor,
     relaxed_recursion_transform,
     rr_constants,
     sgd_constants,
@@ -1014,6 +1017,26 @@ def test_precondition_messages_keep_their_text(name):
 
 # --- the limit rule: a power past the floats is inf, never a raw error --------
 
+def test_floors_whose_divisor_underflows_are_inf_and_fail_their_precondition():
+    # alpha^(1/rho) = 1e-300^(4/3) underflows to 0.0; each floor divided by
+    # it and raised ZeroDivisionError
+    mc = sgd_constants(theta=0.75, L=1.0, mu=1.0, A=0.5, sigma=1.0)
+    assert exp_horizon_floor(mc, 1e-300, 1.0, 64) == math.inf
+    assert poly_gamma_floor(mc.params, mc.derived, "a", 1e-300, 0.5) == math.inf
+    with pytest.raises(PreconditionError, match="^gamma 4.0 below floor inf$"):
+        bound_poly(mc, Polynomial(1e-300, 4.0, 0.5), 1.0, 64, case="a")
+
+
+def test_bound_arguments_past_the_floats_are_rejected_by_name():
+    mc = sgd_constants(theta=0.75, L=1.0, mu=1.0, A=0.5, sigma=1.0)
+    with pytest.raises(ValueError, match="^K must not exceed the largest float$"):
+        bound_const(mc, Constant(0.1), 1.0, 10**400)
+    with pytest.raises(ValueError, match="^horizon must not exceed the largest float$"):
+        Exponential(0.1, 1.0, 1.0, 10**400)
+    with pytest.raises(ValueError, match="^alpha must be positive and finite, got -1.0$"):
+        poly_gamma_floor(mc.params, mc.derived, "c", -1.0, 0.9)  # a complex floor
+
+
 def real(*natural):
     """A natural value of the argument or an extreme float (inf included)."""
     return st.sampled_from([*natural, *oracles.EXTREME_FLOATS, math.inf])
@@ -1056,6 +1079,41 @@ def spec(params, horizon, decay):
     return classical_spec(ClassicalParams(*params), horizon, decay)
 
 
+# the constants of sgd_constants and rr_constants (N = 2)
+METHOD = st.tuples(
+    st.sampled_from(["sgd", "rr"]), THETA, real(1.0), real(1.0), real(0.5), real(1.0)
+)
+HORIZON = st.one_of(st.integers(1, 64), st.sampled_from([10**6, 10**18, 10**400]))
+
+
+def method_constants(method, theta, L, mu, A, sigma):
+    if method == "sgd":
+        return sgd_constants(theta, L, mu, A, sigma)
+    return rr_constants(theta, L, mu, A, sigma, 2)
+
+
+def evaluate(method, family, alpha, u, v, K, y0, tuned, case):
+    """The family's bound evaluator; a tuned polynomial decays at rho."""
+    mc = method_constants(*method)
+    if family == "polynomial" and tuned:
+        v, case = mc.derived.rho, "auto"
+    schedule = FAMILIES[family](alpha, u, v, K)
+    if family == "exponential":
+        return bound_exp(mc, schedule, y0)
+    if family == "cosine":
+        return bound_cos(mc, schedule, y0, tuned=tuned)
+    if family == "constant":
+        return bound_const(mc, schedule, y0, K, tuned=tuned)
+    return bound_poly(mc, schedule, y0, K, case=case, tuned=tuned)
+
+
+def floors(method, alpha, p, K, level_case, offset_case):
+    mc = method_constants(*method)
+    exp_horizon_floor(mc, alpha, p, K)
+    poly_alpha_floor(mc.params, mc.derived, level_case, p)
+    poly_gamma_floor(mc.params, mc.derived, offset_case, alpha, p)
+
+
 # each call with a strategy for its arguments
 LIMIT_CALLS = [
     (coefficients_and_constants, st.tuples(
@@ -1074,17 +1132,26 @@ LIMIT_CALLS = [
     (spec, st.tuples(
         CLASSICAL, st.integers(1, 64), st.sampled_from(["direct", "integral"])
     )),
+    (evaluate, st.tuples(
+        METHOD, st.sampled_from(sorted(FAMILIES)), real(0.01, 1e-110), real(1.0, 4.0),
+        real(0.5, 1.0, 2.0), HORIZON, real(1.0), st.booleans(), st.sampled_from("abcd"),
+    )),
+    (floors, st.tuples(
+        METHOD, real(0.01, 1e-300), real(0.5, 1.0), HORIZON, st.sampled_from("bcd"),
+        st.sampled_from("ac"),
+    )),
 ]
 
 
 # no max_examples: CI fuzzes it under the fuzz profile; no explain phase,
-# which takes minutes over six calls
+# which takes minutes over eight calls
 @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(st.tuples(*(args for _, args in LIMIT_CALLS)))
 def test_powers_past_the_floats_end_in_their_limit_or_a_named_error(cases):
     """Extreme floats in the arguments of the calls that build constants and
-    specs from powers: each returns, or raises ValueError (PreconditionError
-    included) or NumericFailure, and never a raw ArithmeticError."""
+    specs from powers, and of the bound evaluators and their floors: each
+    returns, or raises ValueError (PreconditionError included) or
+    NumericFailure, and never a raw ArithmeticError."""
     for (call, _), args in zip(LIMIT_CALLS, cases):
         try:
             call(*args)

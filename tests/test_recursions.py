@@ -88,6 +88,46 @@ def test_lambda_certificate_of_no_step():
     assert find_lambda_constant(spec, 1.0) == CertifiedLambda(1.0, 0, -math.inf)
 
 
+def test_a_spec_needs_its_ratio():
+    with pytest.raises(TypeError, match="ratio"):
+        RecursionSpec(
+            s=FunctionDescriptor(fn=lambda x: 2.0),
+            t=FunctionDescriptor(fn=lambda x: 4.0),
+            b=float,
+            interval=(0.0, 4.0),
+            horizon=4,
+        )
+    with pytest.raises(TypeError, match="RecursionSpec needs ratio"):
+        dataclasses.replace(dyadic_spec(), ratio=None)
+
+
+def test_a_certificate_needs_the_ratios_analytic_derivative():
+    ratio = FunctionDescriptor(fn=lambda x: 0.5, label="1/2")
+    spec = dataclasses.replace(dyadic_spec(), ratio=ratio)
+    assert recursion_convexity(spec).passed  # r alone serves every other evaluator
+    for target in (None, 2.0):
+        with pytest.raises(ValueError, match="function '1/2' has no analytic derivative"):
+            find_lambda_constant(spec, target)
+
+
+@pytest.mark.parametrize("slack, certified", [(-0.9, 32), (-1.1, 0)])
+def test_a_target_lambda_is_certified_to_the_one_tolerance(slack, certified):
+    # slope term 1 * r' * 4 = slack * SLOPE_TOL against the threshold 0 of lambda = 1
+    derivative = slack * recursions.SLOPE_TOL / 4.0
+    ratio = FunctionDescriptor(fn=lambda x: 0.5, derivative=lambda x: derivative)
+    spec = dataclasses.replace(dyadic_spec(K=32), ratio=ratio)
+    assert find_lambda_constant(spec, 1.0).certified_horizon == certified
+
+
+def test_a_nan_slope_term_ends_the_certified_run():
+    # r' is NaN from b_5 on; with a target, the NaN gaps were certified and
+    # the margin passed over them
+    ratio = FunctionDescriptor(fn=lambda x: 0.5, derivative=lambda x: math.nan if x >= 5 else 0.0)
+    spec = dataclasses.replace(dyadic_spec(), ratio=ratio)
+    assert find_lambda_constant(spec) == CertifiedLambda(1.0, 5, 0.0)
+    assert find_lambda_constant(spec, 2.0) == CertifiedLambda(2.0, 5, 0.5)
+
+
 def test_general_bound_dyadic_values_and_tightness():
     spec = dyadic_spec()
     cert = find_lambda_constant(spec)
@@ -224,36 +264,19 @@ def test_classical_general_bounds_agree_at_line_example():
     assert iterate_recursion_exact(spec, 0.0, 1)[1] == pytest.approx(0.25, rel=1e-14)
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        ClassicalParams(c=1.5, d=2.0, nu=0.7, q=0.6, gamma=6.0),
-        ClassicalParams(c=2.0, d=1.0, nu=1.0, q=0.5, gamma=3.0),
-    ],
-)
-def test_numeric_ratio_derivative_certifies_the_analytic_lambda(params):
-    # without a ratio, r' comes from FunctionDescriptor.d's central differences of s/t
-    spec = classical_spec(params, 64)
-    analytic = find_lambda_constant(spec)
-    numeric = find_lambda_constant(dataclasses.replace(spec, ratio=None))
-    assert numeric.certified_horizon == analytic.certified_horizon == 64
-    assert numeric.lam == pytest.approx(analytic.lam, abs=1e-8)
-
-
 def test_certified_lambda_never_reports_a_negative_margin():
-    """lam = max 1/(1+h) and min(h + 1 - 1/lam) round apart: this spec read
+    """lam = max 1/(1+h) and min(h + 1 - 1/lam) round apart: a spec read
     a margin of -1.1e-16 on a certificate covering all 64 steps."""
     spec = classical_spec(ClassicalParams(c=1.5, d=2.0, nu=0.7, q=0.6, gamma=6.0), 64)
-    cert = find_lambda_constant(dataclasses.replace(spec, ratio=None))
+    cert = find_lambda_constant(spec)
     assert cert.certified_horizon == 64
     assert cert.condition_margin == 0.0
     rng = np.random.default_rng(3)
     for _ in range(40):
         spec = classical_spec(_classical_draw(rng), int(rng.integers(2, 80)))
-        for ratio in (spec.ratio, None):
-            cert = find_lambda_constant(dataclasses.replace(spec, ratio=ratio))
-            if cert.certified_horizon:
-                assert cert.condition_margin >= 0.0
+        cert = find_lambda_constant(spec)
+        if cert.certified_horizon:
+            assert cert.condition_margin >= 0.0
 
 
 def _classical_draw(rng) -> ClassicalParams:
@@ -343,6 +366,17 @@ def test_forgetting_factor_values():
     assert forgetting_factor(spec, 1.0, 2) == pytest.approx(0.125, rel=1e-15)
     assert forgetting_factor(spec, 1.0, -1) == 1.0
     assert forgetting_factor(spec, 1e12, 5) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_forgetting_factor_names_the_s_that_divides_by_zero():
+    # s - 1 + 1/lam = 0 at s(b_2) = 1 for lam = inf; the factor is defined up to k = 1
+    spec = dataclasses.replace(dyadic_spec(4), s=FunctionDescriptor(fn=lambda x: 1.0 + (x != 2)))
+    assert forgetting_factor(spec, math.inf, 1) == 1.0
+    message = "s(b_2) - 1 + 1/lam is 0 for s(b_2) = 1.0, lam = inf"
+    for k in (2, 3):
+        with pytest.raises(ValueError) as info:
+            forgetting_factor(spec, math.inf, k)
+        assert str(info.value) == message
 
 
 def test_forgetting_bound_dominates_general_bound():
@@ -523,7 +557,7 @@ def relaxed_specs(draw, K):
         st.sampled_from(
             [
                 Constant(alpha=level),
-                Exponential(alpha=level, beta=1.0, p=1.0, horizon=K),
+                Exponential(alpha=level, beta=min(1.0, K / 2.0), p=1.0, horizon=K),
                 Polynomial(alpha=level, gamma=1.0 + 7.0 * draw(unit), p=0.3 + 0.7 * draw(unit)),
                 Cosine(alpha=level, p=0.5 + 1.5 * draw(unit), horizon=K),
             ]
@@ -551,7 +585,7 @@ def test_spec_grid_matches_per_call_evaluation(spec, data):
     pairs = [oracles.coefficients(spec, k) for k in range(K + 1)]
     assert bits(grid.contraction) == bits([c for c, _ in pairs])
     assert bits(grid.error) == bits([e for _, e in pairs])
-    assert bits(recursions._slope_terms(spec)[0]) == bits(oracles.recursion_slope_terms(spec))
+    assert bits(recursions._slope_terms(spec)) == bits(oracles.recursion_slope_terms(spec))
 
     a0 = data.draw(st.floats(0.0, 10.0))
     for n in {1, data.draw(st.integers(1, K)), K}:
@@ -594,11 +628,11 @@ def test_bounds_match_per_call_evaluation_at_every_k(spec, data):
 
 
 def outcome(fn, *args):
-    """fn's value as bits() gives it, or ZeroDivisionError where it raises one."""
+    """fn's value as bits() gives it, or the message of the ValueError it raises."""
     try:
         return bits(fn(*args))
-    except ZeroDivisionError:
-        return ZeroDivisionError
+    except ValueError as exc:
+        return str(exc)
 
 
 @settings(max_examples=80)
@@ -617,7 +651,7 @@ def test_forgetting_factor_equals_the_loop_at_every_k(s_values, lams, data):
     # s is infinite or exactly 1 at some grid points; a spec keeps the prefix
     # of its last lambda, and each lambda, in turn and again, is queried at
     # every k in a drawn order. 1/lam = 0 at s = 1 divides by zero: both
-    # raise from that k on
+    # raise the same ValueError from that k on
     K = len(s_values) - 1
     spec = RecursionSpec(
         s=FunctionDescriptor(fn=lambda x: s_values[int(x)]),
@@ -642,16 +676,13 @@ def _counted(fn, counts, name):
     return wrapper
 
 
-@pytest.mark.parametrize("with_ratio", [True, False])
-def test_coefficients_are_evaluated_once_at_construction(with_ratio):
+def test_coefficients_are_evaluated_once_at_construction():
     K = 40
     counts = dict.fromkeys(("s", "t", "b", "ratio", "derivative"), 0)
-    ratio = None
-    if with_ratio:
-        ratio = FunctionDescriptor(
-            fn=_counted(lambda x: 0.5 * (1.0 + x) ** -0.5, counts, "ratio"),
-            derivative=_counted(lambda x: -0.25 * (1.0 + x) ** -1.5, counts, "derivative"),
-        )
+    ratio = FunctionDescriptor(
+        fn=_counted(lambda x: 0.5 * (1.0 + x) ** -0.5, counts, "ratio"),
+        derivative=_counted(lambda x: -0.25 * (1.0 + x) ** -1.5, counts, "derivative"),
+    )
     spec = RecursionSpec(
         s=FunctionDescriptor(fn=_counted(lambda x: 1.0 + x, counts, "s")),
         t=FunctionDescriptor(fn=_counted(lambda x: 2.0 * (1.0 + x) ** 1.5, counts, "t")),
@@ -660,15 +691,14 @@ def test_coefficients_are_evaluated_once_at_construction(with_ratio):
         horizon=K,
         ratio=ratio,
     )
-    once = dict(s=K + 1, t=K + 1, b=K + 1, ratio=K + 1 if with_ratio else 0, derivative=0)
+    once = dict(s=K + 1, t=K + 1, b=K + 1, ratio=K + 1, derivative=0)
     assert counts == once
 
-    if with_ratio:  # without an analytic r' the certificate differentiates s/t numerically
-        cert = find_lambda_constant(spec)
-        assert cert.certified_horizon == K
-        find_lambda_constant(spec, lambda_target=cert.lam)
-        assert counts.pop("derivative") == 2 * K
-        once.pop("derivative")
+    cert = find_lambda_constant(spec)
+    assert cert.certified_horizon == K
+    find_lambda_constant(spec, lambda_target=cert.lam)
+    assert counts.pop("derivative") == 2 * K
+    once.pop("derivative")
     cert = CertifiedLambda(lam=1.5, certified_horizon=K, condition_margin=0.0)
     for k in range(K):
         general_bound(spec, cert, 1.0, k)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,9 @@ from steprates.schedules import (
     Cosine,
     Exponential,
     Polynomial,
+    _lane_columns,
+    _lane_steps,
+    _steps,
     step_max,
     step_sum,
     step_value,
@@ -277,3 +281,45 @@ def test_exponential_whose_log_factor_passes_the_floats_is_unconstructible():
     # (p/K)*log(beta/K) is -inf, so alpha_0 = alpha*exp(0*-inf) would be NaN
     with pytest.raises(ValueError, match=re.escape("log g passes the floats for beta=1e-300")):
         Exponential(alpha=1.0, beta=1e-300, p=1e308, horizon=2)
+
+
+# The lane rule's tolerance, relative to the largest step: alpha, or
+# alpha/gamma^p for a polynomial schedule with gamma < 1. Both arithmetics
+# form the same arguments; numpy's exp, cos and pow may differ from the
+# math module's by an ulp. Most steps carry that ulp, but the cosine step
+# ((1 + cos)/2)^p cancels near k = K, where a cos off by an ulp of 1 is
+# amplified by p*x^(p-1) at x >= sin^2(pi/2K) ~ 1.5e-7 (K = 2^12): at most
+# 1.3e3 for p >= 1/2, so under 1e-13 of alpha, a tenth of the tolerance.
+LANE_STEP_TOL = 1e-12
+
+
+@st.composite
+def lane_schedules(draw, K):
+    """A schedule of any family whose steps are defined for k < K."""
+    alpha = draw(st.floats(1e-3, 1e3))
+    p = draw(st.floats(0.5, 4.0))
+    horizon = draw(st.integers(K, 2 * K))
+    return draw(st.sampled_from([
+        Constant(alpha),
+        Polynomial(alpha, draw(st.floats(1e-2, 1e6)), p),
+        Exponential(alpha, draw(st.floats(0.01, 0.99)) * horizon, p, horizon),
+        Cosine(alpha, p, horizon),
+    ]))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 2**12).flatmap(lambda K: st.tuples(
+    st.just(K), st.lists(lane_schedules(K), min_size=1, max_size=6), st.data()
+)))
+def test_lane_steps_hold_to_the_closed_forms(case):
+    """The numpy rule of each family (_lane_steps) against the math one
+    (_steps), on drawn schedules up to K = 2^12; lanes from n on are left
+    as they were."""
+    K, schedules, data = case
+    n = data.draw(st.integers(1, len(schedules)))
+    out = np.full((K, len(schedules)), np.nan)
+    _lane_steps(_lane_columns(schedules), np.arange(K, dtype=float)[:, None], n, out)
+    for i, schedule in enumerate(schedules[:n]):
+        error = np.abs(out[:, i] - _steps(schedule, range(K))).max()
+        assert error <= LANE_STEP_TOL * step_max(schedule, K)
+    assert np.isnan(out[:, n:]).all()
