@@ -54,8 +54,8 @@ def keyed_generators(seeds: Iterable[int]) -> list[np.random.Generator]:
     discards it. Here one seed sequence, shared by the generators of a call,
     hands each new Philox the 128-bit key of the next seed, low word first,
     as Philox(key=seed) sets it; nothing reads OS entropy, and no generator
-    keeps an object of its own for its key. Seeds must be integers in
-    [0, 2^128).
+    keeps an object of its own for its key. Seeds must be distinct integers
+    in [0, 2^128).
     """
     seeds = _checked_seeds(seeds)
     keys = _seed_keys()(seeds)
@@ -64,9 +64,13 @@ def keyed_generators(seeds: Iterable[int]) -> list[np.random.Generator]:
 
 def _checked_seeds(seeds: Iterable[int]) -> list[int]:
     seeds = [operator.index(seed) for seed in seeds]
+    seen: set[int] = set()
     for seed in seeds:
         if not 0 <= seed < 1 << 128:
             raise ValueError(f"seed {seed} must be an integer in [0, 2**128)")
+        if seed in seen:  # a repeated seed's row would count twice in the mean
+            raise ValueError(f"seeds must be distinct, got seed {seed} twice")
+        seen.add(seed)
     return seeds
 
 
@@ -378,6 +382,7 @@ def sgd_run(
     """
     if not seeds:
         raise ValueError("sgd_run needs at least one seed")
+    seeds = tuple(sorted(_checked_seeds(seeds)))
     _check_cap(schedule, smoothness_cap("sgd", problem.smoothness_L), K, "descent")
     draw = None
     if noise.kind == "additive_gaussian":
@@ -388,7 +393,7 @@ def sgd_run(
         problem,
         step_values(schedule, K),
         _start(problem, x0),
-        tuple(sorted(_checked_seeds(seeds))),
+        seeds,
         _sgd_step(problem, noise),
         draw,
         width=problem.dimension,
@@ -421,6 +426,7 @@ def rr_run(
         raise PreconditionError("random reshuffling needs a finite-sum problem")
     if not seeds:
         raise ValueError("rr_run needs at least one seed")
+    seeds = tuple(sorted(_checked_seeds(seeds)))
     _check_cap(schedule, smoothness_cap("rr", problem.smoothness_L), K, "reshuffling")
     N = problem.component_count
 
@@ -437,7 +443,7 @@ def rr_run(
         problem,
         step_values(schedule, K),
         _start(problem, x0),
-        tuple(sorted(_checked_seeds(seeds))),
+        seeds,
         epoch,
         draw,
         width=N,

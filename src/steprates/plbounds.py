@@ -835,9 +835,14 @@ def offset_admissible(params: PLParams, alpha: float, K: int, gamma: float) -> b
     growth term and 2*theta/(2*theta-1) for the noise term: concave, and
     largest at u = c/(tau-1). So over the grid it is largest at k = 0, at
     the last point or next to the peak, and testing those points, two on
-    each side of each peak, decides as testing the whole grid does.
+    each side of each peak, decides as testing the whole grid does. A
+    ValueError names theta = 1/2 (c has no value), or an alpha or K out of range.
     """
     theta, l1, l2, l3, tau = params.theta, params.l1, params.l2, params.l3, params.tau
+    if not theta > 0.5:
+        raise ValueError(f"the offset test needs theta > 1/2, got theta = {theta!r}")
+    _positive(alpha, "alpha")
+    _check_horizon(K, "K")
     log_power = 2.0 * theta / (2.0 * theta - 1.0)
     if not gamma >= math.e or not math.isfinite(gamma):
         return False

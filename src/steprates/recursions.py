@@ -122,9 +122,8 @@ class RecursionSpec:
             rv = float(ratio(x))
             if not math.isfinite(rv):
                 raise ValueError(f"r(b_{k}) = {rv} is not finite")
-            contraction = 1.0 if math.isinf(sv) else 1.0 - 1.0 / sv
-            error = 0.0 if math.isinf(tv) else 1.0 / tv
-            rows.append((x, sv, tv, rv, contraction, error))
+            # at s = inf or t = inf, IEEE division gives the limits 1.0 and 0.0
+            rows.append((x, sv, tv, rv, 1.0 - 1.0 / sv, 1.0 / tv))
         bs, ss, ts, rs, contractions, errors = zip(*rows)
         decay = tuple(accumulate(contractions[:-1], mul, initial=1.0))
         grid = SpecGrid(bs, ss, ts, rs, contractions, errors, decay)
@@ -396,6 +395,7 @@ def forgetting_factor(spec: RecursionSpec, lam: float, k: int) -> float:
         inv, factors = 1.0 / lam, []
         try:
             for s in spec.grid.s[:-1]:
+                # guarded: at s = inf and inv = inf (lam near 0), inf/inf is NaN
                 factors.append(1.0 if math.isinf(s) else 1.0 - inv / (s - 1.0 + inv))
         except ZeroDivisionError:
             pass

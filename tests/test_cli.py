@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import errno
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -484,6 +485,18 @@ def test_run_sgd_requires_noise_and_seeds(tmp_path):
     assert run_cli(tmp_path, "run", config) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["seeds"] == [0, 1]
+
+
+@pytest.mark.parametrize("algorithm", ["sgd", "rr"])
+def test_run_with_a_repeated_seed_exits_2_naming_it(tmp_path, capsys, algorithm):
+    # the rule is the library's: sgd_run and rr_run raise, after the problem check
+    config = dict(RUN_SGD, seeds=[1, 1], K=8)
+    if algorithm == "rr":
+        del config["noise"]
+        config.update(algorithm="rr", problem=dict(config["problem"], N=2))
+    assert run_cli(tmp_path, "run", config) == 2
+    assert capsys.readouterr().err == "config error: seeds must be distinct, got seed 1 twice\n"
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_run_gd_rejects_stochastic_sections(tmp_path):
@@ -999,6 +1012,17 @@ def run_typed(tmp, command, config, path=None, text="", out="out"):
     (tmp / "config.json").write_text(json.dumps(config).replace('"@bad"', text), "utf-8")
     argv = [command, "--config", str(tmp / "config.json"), "--out", str(tmp / out)]
     return cli.main(argv + skip_verify(command))
+
+
+def test_every_parameter_of_a_section_call_has_a_parser():
+    """Each library call that a config section feeds takes only parameters
+    whose annotation cli._PARSERS parses, so a call that gains one of
+    another type (say Optional[float]) fails here, not in a user's run."""
+    calls = [PLParams, NoiseModel, *cli._CONSTANTS.values(), *cli._PROBLEMS.values(),
+             *cli._SCHEDULES.values()]
+    for call in calls:
+        for name, parameter in inspect.signature(call).parameters.items():
+            assert parameter.annotation in cli._PARSERS, (call.__name__, name)
 
 
 @pytest.mark.parametrize("command, config", TYPED_CONFIGS)

@@ -58,10 +58,25 @@ def test_keyed_generators_reject_seeds_outside_128_bits(seed):
 
 
 def test_keyed_generators_key_each_stream_by_its_own_seed():
-    seeds = [7, 2**64 + 7, 0, 7]
+    seeds = [7, 2**64 + 7, 0, 2**128 - 1]
     for ours, seed in zip(keyed_generators(seeds), seeds):
         ref = np.random.Generator(np.random.Philox(key=seed))
         assert np.array_equal(ours.standard_normal(9), ref.standard_normal(9))
+
+
+def test_a_repeated_seed_is_rejected_by_name():
+    # before, sgd_run and rr_run gave it two identical rows, both counted
+    # in the mean and the stderr; the seeds are checked before the step
+    # cap, which a step of 5.0 exceeds
+    problem = make_quadratic(1.0, 1.0, 1, N=2)
+    message = "^seeds must be distinct, got seed 1 twice$"
+    with pytest.raises(ValueError, match=message):
+        keyed_generators([1, 2, 1])
+    for kind in ("additive_gaussian", "none"):
+        with pytest.raises(ValueError, match=message):
+            sgd_run(problem, NoiseModel(kind, sigma=1.0), Constant(5.0), [1.0], 8, [1, 2, 1])
+    with pytest.raises(ValueError, match=message):
+        rr_run(problem, Constant(5.0), [1.0], 8, [1, 1])
 
 
 @pytest.mark.parametrize("seed", [1.5, np.float64(3.9)])

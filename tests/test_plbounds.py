@@ -657,6 +657,16 @@ def test_offset_peak_test_decides_as_the_grid(case, scale, step):
         ), (params, alpha, K, gamma)
 
 
+def test_offset_test_at_theta_one_half_names_theta():
+    # 2*theta/(2*theta - 1) divided by zero here, a raw ZeroDivisionError
+    params = PLParams(0.1, 1.0, 0.1, 2.0, 0.5)
+    message = "^the offset test needs theta > 1/2, got theta = 0.5$"
+    with pytest.raises(ValueError, match=message):
+        offset_admissible(params, 0.1, 64, 10.0)
+    with pytest.raises(ValueError, match=message):
+        smallest_offset(params, 0.1, 64)
+
+
 def test_exp_bound_reference_values():
     mc = sgd_constants(theta=0.5, L=1.0, mu=1.0, A=0.0, sigma=1.0)
     sched = Exponential(alpha=1.0, beta=1.0, p=1.0, horizon=100)
@@ -1107,6 +1117,14 @@ def evaluate(method, family, alpha, u, v, K, y0, tuned, case):
     return bound_poly(mc, schedule, y0, K, case=case, tuned=tuned)
 
 
+def offset(params, alpha, K, gamma):
+    return offset_admissible(PLParams(*params), alpha, K, gamma)
+
+
+def least_offset(params, alpha, K):
+    return smallest_offset(PLParams(*params), alpha, K)
+
+
 def floors(method, alpha, p, K, level_case, offset_case):
     mc = method_constants(*method)
     exp_horizon_floor(mc, alpha, p, K)
@@ -1140,18 +1158,20 @@ LIMIT_CALLS = [
         METHOD, real(0.01, 1e-300), real(0.5, 1.0), HORIZON, st.sampled_from("bcd"),
         st.sampled_from("ac"),
     )),
+    (offset, st.tuples(PARAMS, real(0.1, 100.0), HORIZON, real(10.0, 1e6))),
+    (least_offset, st.tuples(PARAMS, real(0.1, 100.0), HORIZON)),
 ]
 
 
 # no max_examples: CI fuzzes it under the fuzz profile; no explain phase,
-# which takes minutes over eight calls
+# which takes minutes over ten calls
 @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(st.tuples(*(args for _, args in LIMIT_CALLS)))
 def test_powers_past_the_floats_end_in_their_limit_or_a_named_error(cases):
     """Extreme floats in the arguments of the calls that build constants and
-    specs from powers, and of the bound evaluators and their floors: each
-    returns, or raises ValueError (PreconditionError included) or
-    NumericFailure, and never a raw ArithmeticError."""
+    specs from powers, of the bound evaluators and their floors, and of the
+    case-d offset test: each returns, or raises ValueError (PreconditionError
+    included) or NumericFailure, and never a raw ArithmeticError."""
     for (call, _), args in zip(LIMIT_CALLS, cases):
         try:
             call(*args)
