@@ -17,7 +17,11 @@ alone (keyed_generators reads no OS entropy), in blocks of consecutive
 steps that leave the stream exactly as step-by-step draws do, so a seed's
 trajectory is the same whichever seeds run beside it. A run holds its gap
 array, a few numbers per seed, one generator per seed of a run that draws,
-and one block of at most 2^19 numbers: a block's draws and iterates.
+and one block of at most 2^19 numbers: a block's draws and iterates. A
+finished run leaves its generators in a spare list of at most 2^13 (about
+the 4 MiB of one block), and a later run re-keys spares to its own seeds
+before it builds new generators; a re-keyed generator's whole state is that
+of a new one, so reuse changes no draw.
 
 Across seeds, the mean and standard error of the gaps are compensated sums
 over blocks of seed rows in ascending seed order, one lane per row of a
@@ -72,6 +76,39 @@ def _checked_seeds(seeds: Iterable[int]) -> list[int]:
             raise ValueError(f"seeds must be distinct, got seed {seed} twice")
         seen.add(seed)
     return seeds
+
+
+# Generators of finished runs, for later runs to re-key: at most as many as
+# take about the memory of one block (some 650 bytes each). Runs take them
+# by list.pop and return them by extend, so no two runs hold the same one.
+_SPARE_CAP = _BLOCK // 64
+_spare: list[np.random.Generator] = []
+
+
+def _run_generators(seeds: tuple[int, ...]) -> list[np.random.Generator]:
+    """keyed_generators(seeds) for a run of checked seeds, re-keying spares
+    first: each gets the whole state of a new Philox(key=seed) (counter,
+    key, buffer, buffer_pos and the buffered 32-bit word) from a state dict
+    of this call's own. Generators are built only for the seeds left over."""
+    taken: list[np.random.Generator] = []
+    try:
+        for _ in seeds:
+            taken.append(_spare.pop())
+    except IndexError:  # the spares ran out
+        pass
+    key = np.zeros(2, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for rng, seed in zip(taken, seeds):
+        key[0], key[1] = seed & _WORD, seed >> 64
+        rng.bit_generator.state = state
+    return taken + keyed_generators(seeds[len(taken) :])
 
 
 @functools.cache
@@ -129,8 +166,10 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "additive_gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0 or self.A < 0:
-            raise ValueError("sigma and A must be nonnegative")
+        for name in ("sigma", "A"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be a nonnegative finite float, got {value}")
 
 
 @dataclass(frozen=True)
@@ -298,12 +337,14 @@ def _descend(
     gap array and, if it draws, one generator per seed, a run holds one block
     of at most _BLOCK numbers, the draws and iterates of steps of all seeds,
     freed before the next: float draws as wide as the iterate become the
-    iterates in place (step j reads Z_j, then stores X_{j+1} over it).
+    iterates in place (step j reads Z_j, then stores X_{j+1} over it). A run
+    that draws re-keys spare generators of earlier runs before it builds any,
+    and leaves its own in the spare list, up to _SPARE_CAP of them.
     """
     K = len(alphas)
     S = max(len(seeds), 1)
     dim = problem.dimension
-    rngs = None if draw is None else keyed_generators(seeds)
+    rngs = None if draw is None else _run_generators(seeds)
     X = np.tile(x0, (S, 1))
     gaps = np.empty((S, K + 1))
     # largest squared norm after any step: sqrt is monotone, so a row left the
@@ -327,6 +368,9 @@ def _descend(
                 path[:, j] = X
             _evaluate(problem, path, gaps[:, start + 1 : start + n + 1], peak)
             drawn = path = None  # freed before the next block is made
+    if rngs:
+        _spare.extend(rngs[:_SPARE_CAP])
+        del _spare[_SPARE_CAP:]
     return _aggregate(gaps, seeds, np.sqrt(peak) > problem.domain_radius)
 
 
@@ -469,6 +513,8 @@ def make_quadratic(
     """
     if not 0 < mu <= L:
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
+    if not L < math.inf:
+        raise ValueError(f"L must be finite, got {L}")
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     if not radius > 0:
@@ -692,14 +738,22 @@ def verify_variance(
 
 
 def noise_free_bound(theta: float, mu: float, gap0: float, alpha_sum: float) -> float:
-    """Closed-form gap bound for noise-free gradient descent."""
+    """Closed-form gap bound for noise-free gradient descent.
+
+    A power past the floats is its limit (recursions._power): a gap0 whose
+    -(2*theta - 1)-th power overflows gives 0.0, and gap0 = inf gives the
+    limit as gap0 grows, inf where theta = 1/2 or alpha_sum = 0.
+    """
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
-    if gap0 < 0 or mu <= 0 or alpha_sum < 0:
-        raise ValueError("need gap0 >= 0, mu > 0, alpha_sum >= 0")
+    for name, value in (("gap0", gap0), ("alpha_sum", alpha_sum)):
+        if not value >= 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be a positive finite float, got {mu}")
     if theta == 0.5:
-        return gap0 * math.exp(-mu * alpha_sum)
+        return gap0 * math.exp(-mu * alpha_sum) if gap0 < math.inf else gap0
     if gap0 == 0.0:
         return 0.0
     power = 2.0 * theta - 1.0
-    return (gap0**-power + power * mu * alpha_sum) ** (-1.0 / power)
+    return _power(_power(gap0, -power) + power * mu * alpha_sum, -1.0 / power)

@@ -188,7 +188,10 @@ def step_sum(schedule: StepSchedule, K: int) -> float:
         return schedule.alpha * math.expm1(K * lg) / math.expm1(lg)
     if isinstance(schedule, Cosine) and schedule.p == 1.0 and K == schedule.horizon:
         return schedule.alpha * (K + 1) / 2.0
-    return math.fsum(step_values(schedule, K))
+    try:
+        return math.fsum(step_values(schedule, K))
+    except OverflowError:  # the steps are nonnegative: their sum passes the floats
+        return math.inf
 
 
 # the constants each family's closed form reads, as columns of lanes

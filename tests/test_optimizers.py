@@ -4,6 +4,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import statistics
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -93,7 +95,12 @@ def test_noise_free_sgd_builds_no_generators(monkeypatch):
     def no_generators(seeds):
         raise AssertionError("a run that draws nothing needs no generators")
 
+    # nor does it take a spare one: the spare's place and state stay as they are
+    spare = keyed_generators([2**100])[0]
+    spare.standard_normal(3)
+    state = repr(spare.bit_generator.state)
     monkeypatch.setattr(optimizers, "keyed_generators", no_generators)
+    monkeypatch.setattr(optimizers, "_spare", [spare])
     problem = make_quadratic(0.5, 1.5, 2)
     sched = Polynomial(alpha=0.6, gamma=1.0, p=0.6)
     ref = gd_run(problem, sched, [1.0, -1.0], 16)
@@ -102,6 +109,8 @@ def test_noise_free_sgd_builds_no_generators(monkeypatch):
     assert all(np.array_equal(row, ref.gaps[0]) for row in traj.gaps)
     with pytest.raises(ValueError, match="seed -1"):
         sgd_run(problem, NoiseModel("none"), sched, [1.0, -1.0], 16, seeds=[0, -1])
+    assert len(optimizers._spare) == 1 and optimizers._spare[0] is spare
+    assert repr(spare.bit_generator.state) == state
 
 
 def test_gd_monotone_on_quadratic():
@@ -268,6 +277,9 @@ def test_trajectory_rejects_non_finite_gaps(bad):
 def test_make_quadratic_validation():
     with pytest.raises(ValueError):
         make_quadratic(2.0, 1.0, 1)
+    for N in (None, 2):  # linspace to inf warns, and L would be nan
+        with pytest.raises(ValueError, match="^L must be finite, got inf$"):
+            make_quadratic(1.0, math.inf, 2 if N is None else 1, N=N)
     with pytest.raises(ValueError):
         make_quadratic(1.0, 2.0, 2, N=2)
     with pytest.raises(ValueError):
@@ -474,7 +486,10 @@ def test_verify_pl_fails_a_nan_gradient():
 
 def test_verify_variance_fails_nan_moments():
     problem = make_quadratic(1.0, 1.0, 1, N=2)
-    for noise in (NoiseModel("additive_gaussian", sigma=math.nan), NoiseModel("none", math.nan)):
+    for kind in ("additive_gaussian", "none"):
+        # NoiseModel rejects a NaN sigma; the check must fail on one set past it
+        noise = NoiseModel(kind)
+        object.__setattr__(noise, "sigma", math.nan)
         checks = verify_variance(problem, noise, 20, 50, seed=4)
         assert [c.passed for c in checks] == [False] * len(checks), noise
         assert all(c.witness_index is None and c.witness_value is None for c in checks)
@@ -499,6 +514,34 @@ def test_noise_free_bound_values_and_validation():
         noise_free_bound(0.4, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         noise_free_bound(0.5, -1.0, 1.0, 1.0)
+    for theta in (0.5, 0.75):
+        for name, args in (
+            ("gap0", (1.0, math.nan, 1.0)),
+            ("alpha_sum", (1.0, 1.0, math.nan)),
+            ("mu", (math.inf, 1.0, 0.0)),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                noise_free_bound(theta, *args)
+
+
+def test_noise_free_bound_powers_past_the_floats_are_their_limits():
+    # float ** raises OverflowError for 5e-324 ** -1 and ZeroDivisionError for 0.0 ** -1
+    assert noise_free_bound(1.0, 5e-324, 5e-324, 0.0) == 0.0
+    assert noise_free_bound(1.0, 5e-324, math.inf, 0.0) == math.inf
+    assert noise_free_bound(1.0, 0.5, math.inf, 4.0) == 0.5  # the limit as gap0 grows
+    assert noise_free_bound(0.5, 1.0, math.inf, 1e300) == math.inf
+    # ordinary inputs keep the bits of the float ** formula
+    for theta, mu, gap0, alpha_sum in ((0.75, 0.3, 2.5, 7.0), (2.0 / 3.0, 1.0, 1e-3, 1e3)):
+        power = 2.0 * theta - 1.0
+        expected = (gap0**-power + power * mu * alpha_sum) ** (-1.0 / power)
+        assert noise_free_bound(theta, mu, gap0, alpha_sum) == expected
+
+
+@pytest.mark.parametrize("name", ["sigma", "A"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_noise_model_rejects_a_constant_that_is_not_nonnegative_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative finite float"):
+        NoiseModel("additive_gaussian", **{name: value})
 
 
 def test_problem_rejects_bad_start():
@@ -690,6 +733,131 @@ def test_rr_engine_across_blocks_matches_per_seed_reference(monkeypatch, N, bloc
         19,
         lambda seed: rr_one_seed(objective, components, f_star, 2.0, alphas, [1.9], seed),
     )
+
+
+# --- spare generators: a run re-keys those that earlier runs left ---
+#
+# Each call runs twice: with the spare list emptied, so every generator is
+# new, and with one spare list shared by the whole sequence of calls. The
+# two must agree bit for bit, a run that raises NumericFailure included.
+
+REUSE_QUADRATIC = make_quadratic(0.5, 2.0, 2, radius=2.0)
+REUSE_FINITE_SUM = make_quadratic(1.5, 2.0, 1, N=2, curvatures=(2.0, 1.0), radius=2.0)
+REUSE_NOISE = {
+    "sgd": NoiseModel("additive_gaussian", sigma=0.8),
+    "scaled": NoiseModel("additive_gaussian", sigma=0.8, A=1.5),
+    "failing": NoiseModel("additive_gaussian", sigma=1e200),  # its gaps overflow
+}
+
+
+def _reuse_outcome(kind, seeds, K):
+    """A call's bits, or the NumericFailure it raises."""
+    try:
+        if kind == "rr":
+            traj = rr_run(REUSE_FINITE_SUM, Constant(0.2), [1.9], K, seeds)
+        else:
+            noise = REUSE_NOISE[kind]
+            traj = sgd_run(REUSE_QUADRATIC, noise, Constant(0.3), [1.2, -0.4], K, seeds)
+    except NumericFailure as failure:
+        return str(failure)
+    arrays = (traj.gaps, traj.mean, traj.stderr)
+    return traj.seeds, traj.left_domain, *(a.tobytes() for a in arrays)
+
+
+def _spares_are_distinct_and_capped():
+    spare = optimizers._spare
+    assert len(spare) <= optimizers._SPARE_CAP
+    assert len({id(rng) for rng in spare}) == len(spare)
+
+
+reuse_seeds = st.one_of(
+    st.lists(st.integers(0, 15), min_size=1, max_size=12, unique=True),  # overlapping
+    st.lists(st.integers(2**64, 2**128 - 1), min_size=1, max_size=6, unique=True),  # disjoint
+)
+
+
+# no max_examples: CI fuzzes it under the fuzz profile
+@settings(deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["sgd", "scaled", "rr", "failing"]), reuse_seeds, st.integers(1, 24)
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    cap=st.integers(1, 8),
+    block=st.sampled_from([60, 400, optimizers._BLOCK]),
+)
+def test_reusing_spare_generators_changes_no_bit(calls, cap, block):
+    """Runs with overlapping and disjoint seeds, over one block of steps or
+    several, with more seeds than the cap allows spares or fewer, in any
+    order: each gives the bits of the same call with new generators."""
+    shared: list = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizers, "_SPARE_CAP", cap)
+        patch.setattr(optimizers, "_BLOCK", block)
+        for kind, seeds, K in calls:
+            patch.setattr(optimizers, "_spare", [])
+            fresh = _reuse_outcome(kind, seeds, K)
+            patch.setattr(optimizers, "_spare", shared)
+            assert _reuse_outcome(kind, seeds, K) == fresh
+            assert (kind == "failing") == isinstance(fresh, str)
+            _spares_are_distinct_and_capped()
+
+
+def test_a_run_re_keys_the_spares_and_builds_generators_for_the_rest(monkeypatch):
+    built = []
+
+    def recording(seeds):
+        seeds = list(seeds)
+        built.append(seeds)
+        return keyed_generators(seeds)
+
+    spares = keyed_generators([10, 11])
+    for rng in spares:
+        rng.standard_normal(5)  # mid-buffer: the re-key sets the whole state
+    monkeypatch.setattr(optimizers, "_spare", list(spares))
+    monkeypatch.setattr(optimizers, "_SPARE_CAP", 4)
+    monkeypatch.setattr(optimizers, "keyed_generators", recording)
+    fresh = _reuse_outcome("sgd", [3, 1, 2, 0, 4], 9)
+    # the two spares take the two smallest seeds; the last three are built
+    assert built == [[2, 3, 4]]
+    assert optimizers._spare[:2] == spares[::-1]  # extend keeps the run's order
+    assert len(optimizers._spare) == 4
+    _spares_are_distinct_and_capped()
+    monkeypatch.setattr(optimizers, "_spare", [])
+    assert _reuse_outcome("sgd", [3, 1, 2, 0, 4], 9) == fresh
+
+
+def test_concurrent_runs_share_no_generator():
+    # threads that switch every microsecond run overlapping seed sets at once;
+    # a generator handed to two runs would mix their streams
+    jobs = [("sgd", list(range(i, i + 6)), 12) for i in range(4)]
+    jobs += [("rr", list(range(i, i + 5)), 10) for i in range(4)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizers, "_spare", [])
+        expected = [_reuse_outcome(*job) for job in jobs]
+        patch.setattr(optimizers, "_SPARE_CAP", 16)
+        results = [[] for _ in jobs]
+
+        def worker(i):
+            for _ in range(5):
+                results[i].append(_reuse_outcome(*jobs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[outcome] * 5 for outcome in expected]
+        _spares_are_distinct_and_capped()
 
 
 def test_gd_engine_splits_a_long_row_into_chunks_of_steps():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import steprates.plbounds as plbounds
-from steprates.optimizers import make_power_family
+from steprates.optimizers import make_power_family, noise_free_bound
 from steprates.plbounds import (
     NumericFailure,
     PLParams,
@@ -45,7 +45,14 @@ from steprates.recursions import (
     find_lambda_constant,
     general_bound,
 )
-from steprates.schedules import Constant, Cosine, Exponential, Polynomial, step_value
+from steprates.schedules import (
+    Constant,
+    Cosine,
+    Exponential,
+    Polynomial,
+    step_sum,
+    step_value,
+)
 
 
 def test_frak_p_values():
@@ -1081,6 +1088,10 @@ def transform(params, delta, K, family, alpha, u, v):
     return relaxed_recursion_transform(PLParams(*params), delta, schedule, K)
 
 
+def steps(family, alpha, u, v, K):
+    return step_sum(FAMILIES[family](alpha, u, v, K), K)
+
+
 def bound(params, a0, k, variant):
     return classical_bound(ClassicalParams(*params), a0, k, variant)
 
@@ -1144,6 +1155,11 @@ LIMIT_CALLS = [
         real(0.01, 1e-110), real(0.5, 1.0), real(1.0),
     )),
     (make_power_family, st.tuples(THETA, real(1.0), real(1.0))),
+    (noise_free_bound, st.tuples(THETA, real(1.0), real(1.0), real(0.0, 1.0))),
+    (steps, st.tuples(
+        st.sampled_from(sorted(FAMILIES)), real(0.01, 1e308), real(0.5, 1.0), real(0.5, 1.0),
+        st.integers(1, 64),
+    )),
     (bound, st.tuples(
         CLASSICAL, real(1.0), st.integers(0, 64), st.sampled_from(["standard", "sigma"])
     )),
@@ -1164,14 +1180,15 @@ LIMIT_CALLS = [
 
 
 # no max_examples: CI fuzzes it under the fuzz profile; no explain phase,
-# which takes minutes over ten calls
+# which takes minutes over twelve calls
 @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(st.tuples(*(args for _, args in LIMIT_CALLS)))
 def test_powers_past_the_floats_end_in_their_limit_or_a_named_error(cases):
     """Extreme floats in the arguments of the calls that build constants and
-    specs from powers, of the bound evaluators and their floors, and of the
-    case-d offset test: each returns, or raises ValueError (PreconditionError
-    included) or NumericFailure, and never a raw ArithmeticError."""
+    specs from powers, of the bound evaluators and their floors, of the
+    case-d offset test, of the noise-free descent envelope and of the step
+    sums: each returns, or raises ValueError (PreconditionError included) or
+    NumericFailure, and never a raw ArithmeticError."""
     for (call, _), args in zip(LIMIT_CALLS, cases):
         try:
             call(*args)

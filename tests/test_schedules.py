@@ -65,6 +65,17 @@ def test_step_sum_exponential_without_decay_is_flat():
     assert step_sum(Exponential(alpha=1.0, beta=1.0, p=5e-324, horizon=2), 2) == 2.0
 
 
+def test_step_sums_past_the_floats_are_inf():
+    # fsum of the polynomial's steps raises OverflowError (intermediate overflow)
+    for schedule in (
+        Polynomial(alpha=1e308, gamma=1.0, p=0.5),
+        Constant(alpha=1e308),
+        Exponential(alpha=1e308, beta=1.0, p=1.0, horizon=8),
+        Cosine(alpha=1.79e308, p=1.0, horizon=8),
+    ):
+        assert step_sum(schedule, 8) == math.inf
+
+
 def test_step_sum_cosine_half_horizon_plus_half():
     assert step_sum(Cosine(alpha=1.0, p=1.0, horizon=10), 10) == pytest.approx(
         5.5, rel=1e-14
