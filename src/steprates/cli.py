@@ -11,10 +11,13 @@ dispatches and writes.
 Every config field goes through one typed parser. A section that feeds a
 library call (params, constants, schedule, problem, noise) takes the call's
 parameters as keys, each parsed by its annotation's parser and optional
-where it has a default. A number must be a JSON
-number (not a bool or a string) that fits a float, and a NaN, Infinity or
-overflowing literal such as 1e400 anywhere in a config is rejected; an
-integer field (horizons, seeds, dim, N, window) takes JSON integers only.
+where it has a default. So do bound and run, whose family or algorithm
+picks the call from one table: their keys are that call's parameters, but
+for those the command fills (method constants, schedule, K and run's x0).
+A number must be a JSON number (not a bool or a string) that fits a
+float, and a NaN, Infinity or overflowing literal such as 1e400 anywhere in
+a config is rejected; an integer field (horizons, seeds, dim, N, window)
+takes JSON integers only.
 A horizon that is materialized, a k_grid entry or the K of run, lies in
 [1, MAX_HORIZON = 2^24]; the K of bound is unbounded, as every bound is
 closed-form.
@@ -74,7 +77,7 @@ from .plbounds import (
 )
 from .rates import fit_loglog, heatmap_grid
 from .recursions import PreconditionError, tech_inequality_suite
-from .schedules import Constant, Cosine, Exponential, Polynomial, StepSchedule
+from .schedules import StepSchedule
 from .verify import DEFAULT_R_GRID, assumptions_suite, bounds_suite, chung_suite
 
 EXIT_OK = 0
@@ -330,12 +333,15 @@ def _horizon(value, field: str) -> int:
     return K
 
 
-def _list_of(parse: Callable) -> Callable:
-    """The parser of a JSON list whose every entry parse accepts."""
+def _list_of(parse: Callable, nonempty: str = "") -> Callable:
+    """The parser of a JSON list whose every entry parse accepts and which,
+    where nonempty names its entries, holds at least one."""
 
     def parse_list(value, field: str) -> tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{field} must be a list, got {value!r}")
+        if nonempty and not value:
+            raise ConfigError(f"{field} must be a nonempty list of {nonempty}")
         return tuple(parse(entry, f"{field} entry") for entry in value)
 
     return parse_list
@@ -361,23 +367,22 @@ def _fields(section, table: Mapping, where: str, optional: Collection[str] = ())
     return {k: v if table[k] is None else table[k](v, k) for k, v in section.items()}
 
 
-# the parser of each parameter annotation of a section's call (None keeps the value)
-_PARSERS = {"float": _real, "int": _integer, "int | None": _integer,
-            "tuple[float, ...] | None": _reals, "str": None}
-
-
 @cache  # uncached, a signature read tripled a section's parse: 9 -> 29 us (2-vCPU host)
-def _parameters(build: Callable) -> tuple[dict, frozenset]:
-    """Each of build's parameters with its annotation's parser, and those with a default."""
-    parameters = inspect.signature(build).parameters.values()
+def _parameters(build: Callable, own: tuple[str, ...] = ()) -> tuple[dict, frozenset]:
+    """Each of build's parameters but those its caller fills itself (own)
+    with its annotation's parser, and those with a default."""
+    parameters = [p for p in inspect.signature(build).parameters.values() if p.name not in own]
     return ({p.name: _PARSERS[p.annotation] for p in parameters},
             frozenset(p.name for p in parameters if p.default is not p.empty))
 
 
-def _call(build: Callable, section, where: str, selector: str | None = None, **given):
+def _call(build: Callable | Mapping, section, where: str, selector: str | None = None, **given):
     """build called on those of given it takes and on section's fields: its
     other parameters, each parsed by its annotation's parser and optional
-    where it has a default, and the selector key, if any, which is dropped."""
+    where it has a default. With a selector key, build maps names to calls,
+    and the one that section's selector names is called; the key is dropped."""
+    if selector:
+        build = _variant(build, selector, section, where)
     parsers, optional = _parameters(build)
     table = {name: parse for name, parse in parsers.items() if name not in given}
     fields = _fields(section, {selector: None, **table} if selector else table, where, optional)
@@ -385,14 +390,18 @@ def _call(build: Callable, section, where: str, selector: str | None = None, **g
     return build(**fields, **{name: v for name, v in given.items() if name in parsers})
 
 
-def _chosen(variants: Mapping, key: str, section, where: str, **given):
-    """_call of the entry of variants that section's key names."""
+def _variant(variants: Mapping, key: str, section, where: str | None = None):
+    """The entry of variants that section's key names; where names a section
+    below the config root."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
     name = section.get(key)
     if not isinstance(name, str) or name not in variants:
-        raise ConfigError(f"unknown {key} {name!r} in {where}")
-    return _call(variants[name], section, where, key, **given)
+        *others, last = variants
+        expected = ", ".join(others) + ("," if len(others) > 1 else "") + f" or {last}"
+        at = f" in {where}" if where else ""
+        raise ConfigError(f"unknown {key} {name!r}{at}; expected {expected}")
+    return variants[name]
 
 
 _SCHEDULES = {cls.__name__.lower(): cls for cls in get_args(StepSchedule)}
@@ -402,7 +411,7 @@ _CONSTANTS = {"sgd": sgd_constants, "rr": rr_constants}
 
 def _build_schedule(section, K: int, where: str = "schedule") -> StepSchedule:
     """The family's schedule: its fields from section, and horizon K if it takes one."""
-    return _chosen(_SCHEDULES, "family", section, where, horizon=K)
+    return _call(_SCHEDULES, section, where, "family", horizon=K)
 
 
 def _tuned(value, field: str):
@@ -411,6 +420,14 @@ def _tuned(value, field: str):
     if isinstance(value, dict):
         return _fields(value, {"beta": _real}, field, ("beta",))
     raise ConfigError("tuned must be a boolean or an object with an optional beta")
+
+
+# the parser of each parameter annotation of a call that a config feeds (None keeps the value)
+_PARSERS = {"float": _real, "int": _integer, "int | None": _integer,
+            "tuple[float, ...] | None": _reals, "str": None,
+            "Mapping | bool | None": _tuned, "list[int]": _list_of(_integer, "integers"),
+            "Problem": partial(_call, _PROBLEMS, selector="kind"),
+            "NoiseModel": partial(_call, NoiseModel)}
 
 
 def _reject_non_finite(text: str) -> float:
@@ -464,12 +481,10 @@ def _config_digest(config: dict) -> str:
 
 
 def _cmd_simulate_recursion(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
-    table = {"params": partial(_call, PLParams), "y0": _real, "k_grid": _list_of(_horizon),
-             "schedules": None}
+    table = {"params": partial(_call, PLParams), "y0": _real,
+             "k_grid": _list_of(_horizon, "positive integers"), "schedules": None}
     fields = _fields(config, table, "config")
     k_grid, entries = fields["k_grid"], fields["schedules"]
-    if not k_grid:
-        raise ConfigError("k_grid must be a nonempty list of positive integers")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("schedules must be a nonempty list")
     if not all(isinstance(entry, dict) and "id" in entry for entry in entries):
@@ -487,47 +502,41 @@ def _cmd_simulate_recursion(args: argparse.Namespace, config: dict) -> tuple[int
     return EXIT_OK, {"recursion.csv": table}
 
 
+_BOUNDS = {"exp": bound_exp, "cos": bound_cos, "const": bound_const, "poly": bound_poly}
+# bound's keys besides its evaluator's parameters: method and constants build
+# the method constants (mc, bound_poly's constants), schedule the schedule,
+# and K, the schedule's horizon, is a key of every family; bound_poly's delta
+# applies only to PLParams constants, which bound never builds
+_BOUND_KEYS = {"method": None, "family": None, "constants": None, "schedule": None, "K": _integer}
+_BOUND_OWN = ("mc", "constants", "schedule", "delta")
+
+
+@cache
+def _bound_parameters(evaluate: Callable) -> tuple[dict, frozenset, type]:
+    """evaluate's _parameters but those bound fills itself, its optional keys
+    (schedule too where its annotation admits None), and its schedule class."""
+    parsers, optional = _parameters(evaluate, _BOUND_OWN)
+    kind, _, none = inspect.signature(evaluate).parameters["schedule"].annotation.partition(" | ")
+    return parsers, (optional | {"schedule"}) if none else optional, _SCHEDULES[kind.lower()]
+
+
 def _cmd_bound(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
-    table = {"method": None, "family": None, "constants": None, "schedule": None,
-             "K": _integer, "y0": _real, "tuned": _tuned, "case": None}
-    fields = _fields(config, table, "config", ("schedule", "tuned", "case"))
-    family, method = str(fields["family"]), str(fields["method"])
-    if method not in _CONSTANTS:
-        raise ConfigError(f"unknown method {method!r}; expected sgd or rr")
-    mc = _call(_CONSTANTS[method], fields["constants"], "constants")
-    K, y0, tuned = fields["K"], fields["y0"], fields.get("tuned")
+    evaluate = _variant(_BOUNDS, "family", config)
+    parsers, optional, kind = _bound_parameters(evaluate)
+    fields = _fields(config, {**_BOUND_KEYS, **parsers}, "config", optional)
+    mc = _call(_variant(_CONSTANTS, "method", config), fields["constants"], "constants")
+    K = fields["K"]
     if K < 1:
         raise ConfigError("K must be a positive integer")
-    case = str(fields.get("case", "auto"))
-    if family != "poly" and "case" in config:
-        raise ConfigError("case applies only to the poly family")
-
-    def need_schedule(expected: type) -> StepSchedule:
-        if "schedule" not in config:
-            raise ConfigError(f"family {family!r} requires a schedule section")
-        schedule = _build_schedule(config["schedule"], K)
-        if not isinstance(schedule, expected):
-            raise ConfigError(
-                f"family {family!r} needs a {expected.__name__.lower()} schedule"
-            )
-        return schedule
-
+    schedule = None
+    if "schedule" in fields:
+        schedule = _build_schedule(fields["schedule"], K)
+        if not isinstance(schedule, kind):
+            needs = f"needs a {kind.__name__.lower()} schedule"
+            raise ConfigError(f"family {config['family']!r} {needs}")
+    given = {name: value for name, value in fields.items() if name in parsers}
     try:
-        if family == "exp":
-            if tuned not in (None, False):
-                raise ConfigError("the exp family has no tuned variant")
-            result = bound_exp(mc, need_schedule(Exponential), y0)
-        elif family == "cos":
-            result = bound_cos(mc, need_schedule(Cosine), y0, tuned=tuned)
-        elif family == "const":
-            schedule = None
-            if "schedule" in config or tuned in (None, False):
-                schedule = need_schedule(Constant)
-            result = bound_const(mc, schedule, y0, K, tuned=tuned)
-        elif family == "poly":
-            result = bound_poly(mc, need_schedule(Polynomial), y0, K, case=case, tuned=tuned)
-        else:
-            raise ConfigError(f"unknown family {family!r}; expected exp, cos, const, or poly")
+        result = evaluate(mc, schedule, **given)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         failure = {"error": "precondition-failure", "failed_precondition": str(exc)}
@@ -536,66 +545,39 @@ def _cmd_bound(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
     return EXIT_OK, {"bound.json": dataclasses.asdict(result)}
 
 
-def _cmd_run(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
-    table = {"algorithm": None, "problem": partial(_chosen, _PROBLEMS, "kind"), "schedule": None,
-             "K": _horizon, "x0": _reals, "noise": partial(_call, NoiseModel),
-             "seeds": _list_of(_integer)}
-    fields = _fields(config, table, "config", ("noise", "seeds"))
-    algorithm = str(fields["algorithm"])
-    if algorithm not in ("gd", "sgd", "rr"):
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    problem, K, x0 = fields["problem"], fields["K"], fields["x0"]
-    schedule = _build_schedule(fields["schedule"], K)
-    noise = fields.get("noise")
-    if algorithm == "sgd" and noise is None:
-        raise ConfigError("sgd requires a noise section")
-    if algorithm != "sgd" and noise is not None:
-        raise ConfigError("the noise section applies only to sgd")
-    seeds = fields.get("seeds", ())
-    if algorithm == "gd" and "seeds" in config:
-        raise ConfigError("gd is deterministic and takes no seeds")
-    if algorithm != "gd" and not seeds:
-        raise ConfigError(f"{algorithm} requires a nonempty seeds list")
+_RUNNERS = {"gd": gd_run, "sgd": sgd_run, "rr": rr_run}
+# run's keys that its runner's annotations do not parse: the schedule, built
+# at horizon K; K, a horizon that is materialized; and x0, which has none
+_RUN_KEYS = {"algorithm": None, "schedule": None, "K": _horizon, "x0": _reals}
 
-    manifest = {
-        "version": __version__,
-        "command": "run",
-        "config": config,
-        "config_sha256": _config_digest(config),
-        "problem_check": {"skipped": True},
-    }
+
+def _cmd_run(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
+    runner = _variant(_RUNNERS, "algorithm", config)
+    parsers, _ = _parameters(runner, tuple(_RUN_KEYS))
+    fields = _fields(config, {**_RUN_KEYS, **parsers}, "config")
+    del fields["algorithm"]
+    fields["schedule"] = _build_schedule(fields["schedule"], fields["K"])
+
+    manifest = {"version": __version__, "command": "run", "config": config,
+                "config_sha256": _config_digest(config), "problem_check": {"skipped": True}}
     if not args.skip_verify:
-        report = verify_pl(problem, sample_count=1000, seed=args.seed)
+        report = verify_pl(fields["problem"], sample_count=1000, seed=args.seed)
         manifest["problem_check"] = {"skipped": False, **dataclasses.asdict(report)}
         if not report.passed:
-            print(
-                f"problem verification failed: margin {report.margin} at {report.witness_index}",
-                file=sys.stderr,
-            )
+            at = f"margin {report.margin} at {report.witness_index}"
+            print(f"problem verification failed: {at}", file=sys.stderr)
             return EXIT_PROBLEM_VERIFICATION, {"manifest.json": manifest}
 
-    if algorithm == "gd":
-        trajectory = gd_run(problem, schedule, x0, K)
-    elif algorithm == "sgd":
-        trajectory = sgd_run(problem, noise, schedule, x0, K, list(seeds))
-    else:
-        trajectory = rr_run(problem, schedule, x0, K, list(seeds))
-
+    trajectory = runner(**fields)
     steps = [str(k) for k in range(trajectory.gaps.shape[1])]
     labels = [str(s) for s in trajectory.seeds] or ["0"]
-    mean = np.stack((trajectory.mean, trajectory.stderr), axis=1)
-    tables = {
-        "trajectories.csv": _table(
-            ["k", "seed", "gap"], "{},@,%.17g\n", steps, trajectory.gaps, labels
-        ),
-        "mean.csv": _table(["k", "mean_gap", "stderr"], "{},%.17g,%.17g\n", steps, mean),
-    }
-    manifest.update(
-        seed=args.seed,
-        seeds=list(trajectory.seeds),
-        left_domain=list(trajectory.left_domain),
-        outputs={name.removesuffix(".csv"): name for name in tables},
-    )
+    stats = np.stack((trajectory.mean, trajectory.stderr), axis=1)
+    gaps = _table(["k", "seed", "gap"], "{},@,%.17g\n", steps, trajectory.gaps, labels)
+    mean = _table(["k", "mean_gap", "stderr"], "{},%.17g,%.17g\n", steps, stats)
+    tables = {"trajectories.csv": gaps, "mean.csv": mean}
+    manifest.update(seed=args.seed, seeds=list(trajectory.seeds),
+                    left_domain=list(trajectory.left_domain),
+                    outputs={name.removesuffix(".csv"): name for name in tables})
     return EXIT_OK, {**tables, "manifest.json": manifest}
 
 
@@ -628,28 +610,29 @@ def _cmd_verify(args: argparse.Namespace, config: None) -> tuple[int, dict]:
     return code, {} if args.out is None else {"report.json": report}
 
 
+# each table fit reads, by its header: a row's series name, horizon and value
+_SERIES = {
+    ("K", "schedule_id", "y_K"): lambda row: (row[1], row[0], row[2]),
+    ("k", "mean_gap", "stderr"): lambda row: ("mean", row[0], row[1]),
+    ("k", "seed", "gap"): lambda row: (f"seed-{row[1]}", row[0], row[2]),
+}
+
+
 def _read_series(path: Path) -> dict[str, list[tuple[int, float]]]:
+    """Each series of the table at path, but its rows below horizon 1, such
+    as a run table's start row k = 0."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header == ["K", "schedule_id", "y_K"]:
-                series: dict[str, list[tuple[int, float]]] = {}
-                for row in reader:
-                    series.setdefault(row[1], []).append((int(row[0]), float(row[2])))
-                return series
-            if header == ["k", "mean_gap", "stderr"]:
-                points = [(int(r[0]), float(r[1])) for r in reader if int(r[0]) >= 1]
-                return {"mean": points}
-            if header == ["k", "seed", "gap"]:
-                series = {}
-                for row in reader:
-                    if int(row[0]) >= 1:
-                        series.setdefault(f"seed-{row[1]}", []).append(
-                            (int(row[0]), float(row[2]))
-                        )
-                return series
-            raise ConfigError(f"unrecognized CSV header {header} in {path}")
+            point = _SERIES.get(tuple(header or ()))
+            if point is None:
+                raise ConfigError(f"unrecognized CSV header {header} in {path}")
+            series: dict[str, list[tuple[int, float]]] = {}
+            for name, k, value in map(point, reader):
+                if int(k) >= 1:
+                    series.setdefault(name, []).append((int(k), float(value)))
+            return series
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except (ValueError, IndexError) as exc:
@@ -669,13 +652,9 @@ def _cmd_fit(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
     results = {}
     for name in sorted(series):
         fit = fit_loglog(series[name], window=window)
-        results[name] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "window_lo": fit.window[0],
-            "window_hi": fit.window[1],
-        }
+        lo, hi = fit.window
+        results[name] = {"slope": fit.slope, "intercept": fit.intercept,
+                         "r_squared": fit.r_squared, "window_lo": lo, "window_hi": hi}
         print(f"  {name}: slope {_fmt(fit.slope)} (r^2 {_fmt(fit.r_squared)})")
     payload = next(iter(results.values())) if len(results) == 1 else results
     return EXIT_OK, {"fit.json": payload}
@@ -687,13 +666,8 @@ def _cmd_heatmap(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
     p_grid = fields.get("p_grid", [(i + 1) / 101.0 for i in range(101)])
     theta_grid = fields.get("theta_grid", [float(v) for v in np.linspace(0.5, 1.0, 51)])
     grid = heatmap_grid(p_grid, theta_grid, str(fields["method"]))
-    table = _table(
-        ["theta", "p", "exponent"],
-        "@,{},%.17g\n",
-        [_fmt(p) for p in p_grid],
-        grid,
-        [_fmt(theta) for theta in theta_grid],
-    )
+    table = _table(["theta", "p", "exponent"], "@,{},%.17g\n", [_fmt(p) for p in p_grid], grid,
+                   [_fmt(theta) for theta in theta_grid])
     return EXIT_OK, {"heatmap.csv": table}
 
 

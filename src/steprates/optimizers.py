@@ -740,9 +740,10 @@ def verify_variance(
 def noise_free_bound(theta: float, mu: float, gap0: float, alpha_sum: float) -> float:
     """Closed-form gap bound for noise-free gradient descent.
 
-    A power past the floats is its limit (recursions._power): a gap0 whose
-    -(2*theta - 1)-th power overflows gives 0.0, and gap0 = inf gives the
-    limit as gap0 grows, inf where theta = 1/2 or alpha_sum = 0.
+    A power past the floats is its limit (recursions._power): gap0 = inf
+    gives the limit as gap0 grows, inf where theta = 1/2 or alpha_sum = 0. A
+    gap0 whose -p-th power overflows, p = 2*theta - 1, takes the form
+    gap0 * (1 + p*mu*alpha_sum*gap0^p)^(-1/p): (1.0, 5e-324, 5e-324, 0.0) gives 5e-324.
     """
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
@@ -756,4 +757,7 @@ def noise_free_bound(theta: float, mu: float, gap0: float, alpha_sum: float) -> 
     if gap0 == 0.0:
         return 0.0
     power = 2.0 * theta - 1.0
-    return _power(_power(gap0, -power) + power * mu * alpha_sum, -1.0 / power)
+    inverse = _power(gap0, -power)
+    if inverse == math.inf:
+        return gap0 * _power(1.0 + power * alpha_sum * (mu * gap0**power), -1.0 / power)
+    return _power(inverse + power * mu * alpha_sum, -1.0 / power)

@@ -234,12 +234,19 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
 
+def _check_start(a0: float) -> None:
+    """A start value's check; inf would give inf * 0.0 = NaN where a product is 0."""
+    if not a0 >= 0.0:
+        raise ValueError("a0 must be nonnegative")
+    if a0 == math.inf:
+        raise ValueError("a0 must be finite, got inf")
+
+
 def iterate_recursion_exact(spec: RecursionSpec, a0: float, K: int) -> list[float]:
     """Run the recursion with equality; returns [a_0, ..., a_K]."""
     if not 1 <= K <= spec.horizon:
         raise ValueError(f"K must lie in [1, {spec.horizon}], got {K}")
-    if a0 < 0:
-        raise ValueError("a0 must be nonnegative")
+    _check_start(a0)
     a = float(a0)
     seq = [a]
     append = seq.append
@@ -259,8 +266,7 @@ def expansion_bound(spec: RecursionSpec, a0: float, K: int) -> float:
     """
     if not 1 <= K <= spec.horizon:
         raise ValueError(f"K must lie in [1, {spec.horizon}], got {K}")
-    if a0 < 0:
-        raise ValueError("a0 must be nonnegative")
+    _check_start(a0)
     grid = spec.grid
     suffix = 1.0
     terms = []
@@ -340,18 +346,22 @@ def find_lambda_constant(
     return CertifiedLambda(lambda_target, len(gaps), min(gaps, default=-math.inf))
 
 
+def _check_certified(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: int) -> None:
+    """The checks of general_bound and forgetting_bound: k within cert and spec, and a0."""
+    if not 0 <= k < cert.certified_horizon:
+        raise PreconditionError(f"k = {k} beyond certified horizon {cert.certified_horizon}")
+    if k + 1 > spec.horizon:
+        raise ValueError(f"k + 1 = {k + 1} beyond spec horizon {spec.horizon}")
+    _check_start(a0)
+
+
 def general_bound(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: int) -> float:
     """lambda*r(b_{k+1}) + (a0 - lambda*r(b_0)) * prod_{i<=k}(1-1/s(b_i)).
 
     Valid for k < cert.certified_horizon; the second term keeps its sign.
     The product is the spec's prefix product, so a call costs O(1).
     """
-    if not 0 <= k < cert.certified_horizon:
-        raise PreconditionError(
-            f"k = {k} beyond certified horizon {cert.certified_horizon}"
-        )
-    if k + 1 > spec.horizon:
-        raise ValueError(f"k + 1 = {k + 1} beyond spec horizon {spec.horizon}")
+    _check_certified(spec, cert, a0, k)
     grid = spec.grid
     lam = cert.lam
     return lam * grid.r[k + 1] + (a0 - lam * grid.r[0]) * grid.decay[k + 1]
@@ -369,6 +379,9 @@ def extend_bound(
         raise ValueError("need 0 <= k0 <= K <= horizon")
     if K_certified < 0:
         raise ValueError(f"K_certified must be nonnegative, got {K_certified}")
+    for name, value in (("B", B), ("C", C)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got {value}")
     grid = spec.grid
     slack = 1e-12 * max(1.0, abs(B))
     for k in range(K_certified + 1, K + 1):
@@ -409,12 +422,7 @@ def forgetting_factor(spec: RecursionSpec, lam: float, k: int) -> float:
 
 def forgetting_bound(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: int) -> float:
     """Variant of general_bound whose memory term decays at the refined rate."""
-    if not 0 <= k < cert.certified_horizon:
-        raise PreconditionError(
-            f"k = {k} beyond certified horizon {cert.certified_horizon}"
-        )
-    if k + 1 > spec.horizon:
-        raise ValueError(f"k = {k} beyond spec horizon {spec.horizon}")
+    _check_certified(spec, cert, a0, k)
     lam = cert.lam
     r_next = spec.grid.r[k + 1]
     r0 = spec.grid.r[0]
@@ -453,8 +461,7 @@ def classical_bound(
     Where gamma^q passes the floats, the start term subtracts its limit, 0;
     where a floor on gamma does, the floor's PreconditionError names it inf.
     """
-    if a0 < 0:
-        raise ValueError("a0 must be nonnegative")
+    _check_start(a0)
     if k < 0:
         raise ValueError("k must be nonnegative")
     c, d, nu, q, gamma = params.c, params.d, params.nu, params.q, params.gamma

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import functools
 import hashlib
 import inspect
 import json
@@ -796,7 +797,9 @@ def test_run_tables_equal_the_cell_by_cell_writer(data):
     mean, stderr = (np.array(data.draw(exactly(K + 1, VALUES))) for _ in range(2))
     trajectory = Trajectory(gaps, tuple(seeds), mean, stderr, (False,) * len(seeds))
     config = dict(RUN_SGD, K=K, seeds=seeds)
-    patches = {"sgd_run": lambda *args: trajectory, "_CHUNK": data.draw(st.integers(1, 5))}
+    # run reads its runner's keys from the runner's signature, which wraps keeps
+    runners = dict(cli._RUNNERS, sgd=functools.wraps(sgd_run)(lambda **kwargs: trajectory))
+    patches = {"_RUNNERS": runners, "_CHUNK": data.draw(st.integers(1, 5))}
     rows = ((k, seed, float(g)) for row, seed in zip(gaps, seeds) for k, g in enumerate(row))
     ours, reference = written_by_both(
         "run", config, "trajectories.csv", ["k", "seed", "gap"], rows, **patches
@@ -879,6 +882,7 @@ FLOAT64 = st.one_of(
 )
 
 
+@pytest.mark.fuzz
 @given(st.lists(FLOAT64, min_size=1, max_size=64))
 def test_format17_prints_every_float_as_percent_17g(values):
     assert cli._format17(np.array(values)) == printed(values)
@@ -1015,14 +1019,21 @@ def run_typed(tmp, command, config, path=None, text="", out="out"):
 
 
 def test_every_parameter_of_a_section_call_has_a_parser():
-    """Each library call that a config section feeds takes only parameters
-    whose annotation cli._PARSERS parses, so a call that gains one of
+    """Each library call that a config feeds, a bound evaluator and a runner
+    included, takes only parameters whose annotation cli._PARSERS parses, but
+    those its command fills itself (an evaluator's method constants and
+    schedule, a runner's schedule, K and x0). So a call that gains one of
     another type (say Optional[float]) fails here, not in a user's run."""
     calls = [PLParams, NoiseModel, *cli._CONSTANTS.values(), *cli._PROBLEMS.values(),
              *cli._SCHEDULES.values()]
-    for call in calls:
+    owns = [(call, ()) for call in calls]
+    owns += [(evaluate, cli._BOUND_OWN) for evaluate in cli._BOUNDS.values()]
+    owns += [(runner, tuple(cli._RUN_KEYS)) for runner in cli._RUNNERS.values()]
+    for call, own in owns:
         for name, parameter in inspect.signature(call).parameters.items():
-            assert parameter.annotation in cli._PARSERS, (call.__name__, name)
+            assert name in own or parameter.annotation in cli._PARSERS, (call.__name__, name)
+    for evaluate in cli._BOUNDS.values():  # its schedule annotation names a schedule class
+        assert cli._bound_parameters(evaluate)[2] in cli._SCHEDULES.values()
 
 
 @pytest.mark.parametrize("command, config", TYPED_CONFIGS)
@@ -1033,6 +1044,7 @@ def test_typed_configs_run(tmp_path, command, config):
 DIGITS_400 = st.integers(10**399, 10**400 - 1)
 
 
+@pytest.mark.fuzz
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_every_numeric_field_rejects_a_wrong_type(data):
@@ -1060,6 +1072,7 @@ def test_every_numeric_field_rejects_a_wrong_type(data):
 # integers for integer fields, and a horizon or seed of 10^18
 
 
+@pytest.mark.fuzz
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_every_numeric_field_ends_in_a_documented_exit(data):
@@ -1161,8 +1174,8 @@ def test_unwritable_target_stops_before_any_work(tmp_path, capsys, monkeypatch, 
     out = tmp_path / "out"
     (out / target).mkdir(parents=True)
     listing = sorted(out.rglob("*"))
-    for name in ("verify_pl", "gd_run"):
-        monkeypatch.setattr(cli, name, work_not_reached)
+    monkeypatch.setattr(cli, "verify_pl", work_not_reached)
+    monkeypatch.setitem(cli._RUNNERS, "gd", work_not_reached)
     monkeypatch.setitem(cli._SUITES, "inequalities", work_not_reached)
     if command == "verify":
         code = cli.main(["verify", "inequalities", "--out", str(out)])

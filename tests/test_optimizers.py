@@ -526,7 +526,7 @@ def test_noise_free_bound_values_and_validation():
 
 def test_noise_free_bound_powers_past_the_floats_are_their_limits():
     # float ** raises OverflowError for 5e-324 ** -1 and ZeroDivisionError for 0.0 ** -1
-    assert noise_free_bound(1.0, 5e-324, 5e-324, 0.0) == 0.0
+    assert noise_free_bound(1.0, 5e-324, 5e-324, 0.0) == 5e-324
     assert noise_free_bound(1.0, 5e-324, math.inf, 0.0) == math.inf
     assert noise_free_bound(1.0, 0.5, math.inf, 4.0) == 0.5  # the limit as gap0 grows
     assert noise_free_bound(0.5, 1.0, math.inf, 1e300) == math.inf
@@ -777,6 +777,7 @@ reuse_seeds = st.one_of(
 
 
 # no max_examples: CI fuzzes it under the fuzz profile
+@pytest.mark.fuzz
 @settings(deadline=None)
 @given(
     calls=st.lists(

@@ -1181,6 +1181,7 @@ LIMIT_CALLS = [
 
 # no max_examples: CI fuzzes it under the fuzz profile; no explain phase,
 # which takes minutes over twelve calls
+@pytest.mark.fuzz
 @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(st.tuples(*(args for _, args in LIMIT_CALLS)))
 def test_powers_past_the_floats_end_in_their_limit_or_a_named_error(cases):

@@ -726,6 +726,34 @@ def test_extend_bound_rejects_negative_certified_horizon():
         extend_bound(dyadic_spec(), 0.5, 0.5, 0, -1, 3)
 
 
+CERTIFIED = CertifiedLambda(1.0, 16, 0.0)
+CLASSICAL = ClassicalParams(c=1.0, d=1.0, nu=0.5, q=0.25, gamma=4.0)
+# each callable that takes a start value a0, or extend_bound's B or C, as a
+# function of that value, and the name its error starts with
+START_CALLS = {
+    "iterate_recursion_exact": (lambda v: iterate_recursion_exact(dyadic_spec(), v, 4), "a0"),
+    "expansion_bound": (lambda v: expansion_bound(dyadic_spec(), v, 4), "a0"),
+    "general_bound": (lambda v: general_bound(dyadic_spec(), CERTIFIED, v, 2), "a0"),
+    "forgetting_bound": (lambda v: forgetting_bound(dyadic_spec(), CERTIFIED, v, 2), "a0"),
+    "classical_bound": (lambda v: classical_bound(CLASSICAL, v, 2), "a0"),
+    "extend_bound-B": (lambda v: extend_bound(dyadic_spec(), v, 0.5, 0, 0, 3), "B"),
+    "extend_bound-C": (lambda v: extend_bound(dyadic_spec(), 0.5, v, 0, 0, 3), "C"),
+}
+# a0 must be a nonnegative finite float; B and C may be any number but NaN
+BAD_VALUES = {"a0": (math.nan, -1.0, -math.inf, math.inf), "B": (math.nan,), "C": (math.nan,)}
+
+
+@pytest.mark.parametrize(
+    "name, value", [(name, v) for name, (_, f) in START_CALLS.items() for v in BAD_VALUES[f]]
+)
+def test_a_start_value_that_is_not_a_nonnegative_float_raises_naming_it(name, value):
+    """a0 = NaN returned NaN, and so did a0 = inf wherever the start term was
+    inf * 0.0; a negative a0 passed general_bound and forgetting_bound."""
+    call, field = START_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        call(value)
+
+
 class PerturbedMath:
     """The math module with some of its functions replaced."""
 
