@@ -73,7 +73,7 @@ from .plbounds import (
     bound_poly,
     rr_constants,
     sgd_constants,
-    simulate_pl_grid,
+    simulate_pl_finals,
 )
 from .rates import fit_loglog, heatmap_grid
 from .recursions import PreconditionError, tech_inequality_suite
@@ -494,8 +494,10 @@ def _cmd_simulate_recursion(args: argparse.Namespace, config: dict) -> tuple[int
         raise ConfigError("schedule ids must be unique")
 
     bodies = [{k: v for k, v in entry.items() if k != "id"} for entry in entries]
-    builders = [partial(_build_schedule, b, where=f"schedule {i!r}") for i, b in zip(ids, bodies)]
-    finals = simulate_pl_grid(fields["params"], builders, fields["y0"], k_grid)
+    params, y0 = fields["params"], fields["y0"]
+    cells = [(params, _build_schedule(body, K, where=f"schedule {sid!r}"), y0, K)
+             for K in k_grid for sid, body in zip(ids, bodies)]  # every schedule before any walk
+    finals = simulate_pl_finals(cells)
     csv_ids = [_csv_field(sid) for sid in ids]
     keys = [f"{K},{field}" for K in k_grid for field in csv_ids]
     table = _table(["K", "schedule_id", "y_K"], "{},%.17g\n", keys, finals)

@@ -744,6 +744,7 @@ def noise_free_bound(theta: float, mu: float, gap0: float, alpha_sum: float) -> 
     gives the limit as gap0 grows, inf where theta = 1/2 or alpha_sum = 0. A
     gap0 whose -p-th power overflows, p = 2*theta - 1, takes the form
     gap0 * (1 + p*mu*alpha_sum*gap0^p)^(-1/p): (1.0, 5e-324, 5e-324, 0.0) gives 5e-324.
+    Where theta > 1/2, alpha_sum = inf gives the limit 0.0.
     """
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
@@ -754,7 +755,7 @@ def noise_free_bound(theta: float, mu: float, gap0: float, alpha_sum: float) -> 
         raise ValueError(f"mu must be a positive finite float, got {mu}")
     if theta == 0.5:
         return gap0 * math.exp(-mu * alpha_sum) if gap0 < math.inf else gap0
-    if gap0 == 0.0:
+    if gap0 == 0.0 or alpha_sum == math.inf:  # p*mu may underflow, and 0.0 * inf is NaN
         return 0.0
     power = 2.0 * theta - 1.0
     inverse = _power(gap0, -power)

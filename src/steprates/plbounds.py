@@ -5,9 +5,11 @@ y_{k+1} <= (1 + l1*a_k^tau) y_k - l2*a_k*y_k^(2*theta) + l3*a_k^tau
 admit closed-form rates for each step-size family. This module derives the
 scaling constants of that analysis (noise scale zeta, contraction scale xi,
 balance exponents rho/omega/q, admissible step cap), simulates the worst-case
-equality recursion, rewrites the relaxed recursion as an affine recursion for
-the machinery in recursions.py, and evaluates the displayed bound of every
-method/schedule combination, including the horizon-tuned step choices.
+equality recursion (a trajectory, or y_K of (params, schedule, y0, K) lanes,
+bitwise or as one numpy batch), rewrites the relaxed recursion as an affine
+recursion for the machinery in recursions.py, and evaluates the displayed
+bound of every method/schedule combination, including the horizon-tuned step
+choices.
 
 Two methods are built in: single-sample stochastic gradient descent (tau = 2)
 and random reshuffling over N components (tau = 3), each with its own
@@ -21,7 +23,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -326,6 +328,14 @@ def _powers(alphas: list[float], tau: float) -> list[float]:
     return [_power(a, tau) for a in alphas]
 
 
+def _check_lanes(lanes: Sequence[tuple[PLParams, StepSchedule, float, int]]) -> None:
+    """The checks of a run, on every (params, schedule, y0, K) lane before
+    any runs: y0 and K, then the index and type checks of step_values."""
+    for _, schedule, y0, K in lanes:
+        _check_start(y0, K)
+        step_max(schedule, K)
+
+
 def simulate_pl_recursion(
     params: PLParams, schedule: StepSchedule, y0: float, K: int
 ) -> list[float]:
@@ -335,11 +345,11 @@ def simulate_pl_recursion(
     theorem bound must dominate the returned trajectory. A step size too
     large for these dynamics drives the trajectory negative, and one too
     large for the range of doubles makes it infinite or NaN; either raises
-    NumericFailure at the first bad step. This is simulate_pl_finals with a
-    block end at every step, so the runner's y_K are these wherever blocks end.
+    NumericFailure at the first bad step. This is the walk of
+    simulate_pl_finals with an end at every step, so its y_K are these.
     """
-    _check_start(y0, K)
-    return [float(y0), *simulate_pl_finals(params, schedule, y0, range(1, K + 1))]
+    _check_lanes([(params, schedule, y0, K)])
+    return [float(y0), *(y for _, y in _walk(params, schedule, 0, float(y0), range(1, K + 1)))]
 
 
 # numbers in each per-block array of simulate_pl_lanes, as in the seed sums'
@@ -370,9 +380,7 @@ def simulate_pl_lanes(
     count = len(lanes)
     if not count:
         return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
-    for _, schedule, y0, K in lanes:
-        _check_start(y0, K)
-        step_max(schedule, K)  # the index and type checks of step_values
+    _check_lanes(lanes)
     horizons = np.array([lane[3] for lane in lanes], dtype=np.int64)
     order = np.argsort(-horizons, kind="stable")
     ordered = [lanes[i] for i in order]
@@ -441,7 +449,9 @@ def _walk(
     reads steps and their powers in blocks of at most _FINALS_BLOCK that end
     at each K. A block that ends with y negative or not finite, or where
     float ** overflows, is walked again a step at a time from its start, so
-    the NumericFailure names the first bad step."""
+    the NumericFailure names the first bad step, step k0 where y = inf."""
+    if y == math.inf:
+        raise NumericFailure(f"trajectory value inf is not finite at step {k0}", index=k0)
     l1, l2, l3, tau, two_theta = params.l1, params.l2, params.l3, params.tau, 2.0 * params.theta
     for k1 in sorted({*ends, *range(k0 + _FINALS_BLOCK, max(ends, default=k0), _FINALS_BLOCK)}):
         alphas = _steps(schedule, range(k0, k1))
@@ -474,53 +484,29 @@ def _walk(
         k0 = k1
 
 
-def simulate_pl_finals(
-    params: PLParams, schedule: StepSchedule, y0: float, ks: Sequence[int]
-) -> list[float]:
-    """simulate_pl_recursion(params, schedule, y0, K)[-1] for each K in ks,
-    bitwise, from one walk in blocks of at most 2^12 steps that end at each
-    K, keeping no trajectory; a failing run raises at its first bad step."""
-    _check_start(y0, min(ks, default=1))
-    step_max(schedule, max(ks, default=1))  # the index and type checks of step_values
-    if ks and y0 == math.inf:
-        raise NumericFailure("trajectory value inf is not finite at step 0", index=0)
-    at = dict(_walk(params, schedule, 0, float(y0), set(ks)))
-    return [at[K] for K in ks]
+def simulate_pl_finals(lanes: Sequence[tuple[PLParams, StepSchedule, float, int]]) -> list[float]:
+    """simulate_pl_recursion(params, schedule, y0, K)[-1] for each
+    (params, schedule, y0, K) lane, bitwise, in the order of lanes.
 
-
-def simulate_pl_grid(
-    params: PLParams,
-    schedules: Sequence[Callable[[int], StepSchedule]],
-    y0: float,
-    k_grid: Sequence[int],
-) -> list[float]:
-    """y_K of the equality recursion for every (K, schedule), K-major.
-
-    schedules holds one builder K -> StepSchedule per lane, called for every
-    cell in walk order. Each distinct schedule takes one pass of
-    simulate_pl_finals over its K: schedules compare by value, so a lane
-    without a horizon (constant, polynomial) runs once, and one with a
-    horizon once per distinct K. A pass is one walk that holds one block of
-    steps, not K, and every value is bitwise simulate_pl_recursion's y_K,
-    the same walk with a block end at every step. A grid that fails is
-    replayed cell by cell, so it raises the first bad step of the first
-    failing cell in walk order.
+    Every lane is checked before any walk. Lanes whose params, schedule and
+    y0 are the same share one walk over their K: schedules compare by value,
+    and params and y0 by repr, so a zero's sign, which a y can keep, splits
+    them. A walk holds one block of at most 2^12 steps, not K, and ends a
+    block at each K. A walk that fails is replayed lane by lane in order,
+    so the first failing lane raises its first bad step.
     """
-    cells: list[tuple[StepSchedule, int]] = []
+    _check_lanes(lanes)
+    keys = [(repr(params), schedule, repr(y0)) for params, schedule, y0, _ in lanes]
+    walks: dict[tuple, tuple] = {}
+    for key, (params, schedule, y0, K) in zip(keys, lanes):
+        walks.setdefault(key, (params, schedule, float(y0), set()))[3].add(K)
     try:
-        passes: dict[StepSchedule, list[int]] = {}
-        for K in k_grid:
-            for build in schedules:
-                schedule = build(K)
-                cells.append((schedule, K))
-                passes.setdefault(schedule, []).append(K)
-        # a pass returns its y_K in the order of its cells
-        finals = {s: iter(simulate_pl_finals(params, s, y0, ks)) for s, ks in passes.items()}
-    except Exception:
-        for schedule, K in cells:  # the first error of the per-cell walk
-            simulate_pl_finals(params, schedule, y0, [K])
+        at = {key: dict(_walk(p, s, 0, y0, ks)) for key, (p, s, y0, ks) in walks.items()}
+    except NumericFailure:
+        for params, schedule, y0, K in lanes:  # the first error of the per-lane runs
+            dict(_walk(params, schedule, 0, float(y0), (K,)))
         raise
-    return [next(finals[schedule]) for schedule, _ in cells]
+    return [at[key][lane[3]] for key, lane in zip(keys, lanes)]
 
 
 def relaxed_recursion_transform(

@@ -88,6 +88,16 @@ def fit_loglog(
     )
 
 
+# each method's scale s: its noise branch is p/(s*theta)
+_RATE_SCALES = {"sgd": 2.0, "rr": 1.0}
+
+
+def _rate_scale(method: str) -> float:
+    if method not in _RATE_SCALES:
+        raise ValueError(f"unknown method {method!r}")
+    return _RATE_SCALES[method]
+
+
 def _rate_exponent(p: float, theta: float, scale: float) -> float:
     """min of the noise branch p/(scale*theta) and the initialization branch."""
     if not 0.0 < p <= 1.0:
@@ -100,7 +110,7 @@ def _rate_exponent(p: float, theta: float, scale: float) -> float:
 
 def rate_exponent_sgd(p: float, theta: float) -> float:
     """Guaranteed gap-decay exponent for single-draw steps alpha_k ~ k^-p."""
-    return _rate_exponent(p, theta, 2.0)
+    return _rate_exponent(p, theta, _RATE_SCALES["sgd"])
 
 
 def rate_exponent_rr(p: float, theta: float) -> float:
@@ -109,26 +119,21 @@ def rate_exponent_rr(p: float, theta: float) -> float:
     The noise branch is p/theta, twice as fast as the single-draw one; the
     initialization branch coincides.
     """
-    return _rate_exponent(p, theta, 1.0)
+    return _rate_exponent(p, theta, _RATE_SCALES["rr"])
 
 
 def heatmap_grid(
     p_grid: Sequence[float], theta_grid: Sequence[float], method: str
 ) -> np.ndarray:
     """Rate exponents on a grid, one row per theta value, one column per p."""
-    if method == "sgd":
-        fn = rate_exponent_sgd
-    elif method == "rr":
-        fn = rate_exponent_rr
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    scale = _rate_scale(method)
     for name, grid in (("p_grid", p_grid), ("theta_grid", theta_grid)):
         if len(grid) == 0:
             raise ValueError(f"{name} is empty")
     out = np.empty((len(theta_grid), len(p_grid)))
     for i, theta in enumerate(theta_grid):
         for j, p in enumerate(p_grid):
-            out[i, j] = fn(float(p), float(theta))
+            out[i, j] = _rate_exponent(float(p), float(theta), scale)
     return out
 
 
@@ -136,8 +141,5 @@ def optimal_p(theta: float, method: str) -> float:
     """The decay exponent p maximizing the rate at a fixed theta."""
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
-    if method == "sgd":
-        return 2.0 * theta / (4.0 * theta - 1.0)
-    if method == "rr":
-        return theta / (3.0 * theta - 1.0)
-    raise ValueError(f"unknown method {method!r}")
+    scale = _rate_scale(method)
+    return scale * theta / (scale * theta + 2.0 * theta - 1.0)

@@ -372,7 +372,8 @@ def extend_bound(
 ) -> float:
     """Propagate a bound of the form B + C*prod past the certified horizon.
 
-    Requires r(b_k) <= B for every k in [K_certified+1, K]; returns
+    Requires finite B and C (an infinite C times a product of 0.0 is NaN)
+    and r(b_k) <= B for every k in [K_certified+1, K]; returns
     B + C*prod_{i=k0}^{K-1}(1-1/s(b_i)).
     """
     if not 0 <= k0 <= K <= spec.horizon:
@@ -380,8 +381,8 @@ def extend_bound(
     if K_certified < 0:
         raise ValueError(f"K_certified must be nonnegative, got {K_certified}")
     for name, value in (("B", B), ("C", C)):
-        if math.isnan(value):
-            raise ValueError(f"{name} must be a number, got {value}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
     grid = spec.grid
     slack = 1e-12 * max(1.0, abs(B))
     for k in range(K_certified + 1, K + 1):

@@ -279,7 +279,7 @@ _SCREEN = 1e-12
 def _scalar_final(lane: tuple) -> float | None:
     """y_K of simulate_pl_recursion, or None where it raises NumericFailure."""
     try:
-        return simulate_pl_finals(*lane[:3], lane[3:])[0]
+        return simulate_pl_finals([lane])[0]
     except NumericFailure:
         return None
 
@@ -337,13 +337,14 @@ def bounds_suite(
     Screen, then confirm: a round draws attempts until it holds
     draws - evaluated cases (within the 50 x draws cap), and its recursions
     run as one simulate_pl_lanes batch; only a failed simulation leaves
-    draws for another round. The scalar recursion (simulate_pl_finals)
-    re-runs every lane that the batch flags or whose smallest y is within
-    1e-12 * max(1, |y_K|) of 0, and every lane whose slack is within that
-    tolerance of the round's worst or of -floor, or below it. The
-    simulation draws no random numbers, so the attempts, the accepted draws
-    and the resamples are those of a draw-by-draw loop, and the report is
-    bit for bit the one that loop with simulate_pl_recursion writes.
+    draws for another round. The scalar recursion (simulate_pl_finals on
+    one of the batch's lanes) re-runs every lane that the batch flags or
+    whose smallest y is within 1e-12 * max(1, |y_K|) of 0, and every lane
+    whose slack is within that tolerance of the round's worst or of -floor,
+    or below it. The simulation draws no random numbers, so the attempts,
+    the accepted draws and the resamples are those of a draw-by-draw loop,
+    and the report is bit for bit the one that loop with
+    simulate_pl_recursion writes.
     """
     _require_draws(draws)
     rng = keyed_generators([seed])[0]

@@ -5,14 +5,14 @@ evaluated with mpmath where rounding could matter, a plain per-seed loop
 that the seed-batched optimizer engine must reproduce, a per-call
 recursion evaluator or list-building inequality check that the cached spec
 grid and the streamed checks must reproduce bit for bit, a per-step or
-per-cell loop that the step sum and the recursion grid must reproduce bit
-for bit, a per-step walk whose values and first bad step the scalar
+per-lane loop that the step sum and the recursion finals must reproduce
+bit for bit, a per-step walk whose values and first bad step the scalar
 recursion must reproduce, the row-by-row compensated sum that the
 lane-strided one must reproduce bit for bit on a single block, the
 cell-by-cell CSV writer whose bytes the block writer must reproduce, or
 the case-d offset test over its whole grid, whose decisions the peak test
 must reproduce. Nothing in this module imports the package under test:
-these are the independent routes (the per-cell and per-step loops take the
+these are the independent routes (the per-lane and per-step loops take the
 package's scalar functions as arguments), and the tests assert that the
 library agrees with them. It also holds the extreme floats that the
 error-contract property tests draw.
@@ -74,12 +74,24 @@ def step_sum_per_k(step_value, schedule, K):
 
 
 # ---------------------------------------------------------------------------
-# worst-case progress recursion over a K grid
+# worst-case progress recursion over a list of lanes
 
 
-def recursion_grid_per_cell(simulate, params, builders, y0, k_grid):
-    """y_K for every (K, schedule), K-major, one run from k = 0 per cell."""
-    return [simulate(params, build(K), y0, K)[-1] for K in k_grid for build in builders]
+def recursion_finals_per_lane(simulate, failure, lanes):
+    """y_K of one simulate(params, schedule, y0, K) run from k = 0 per lane,
+    in order. Every lane runs before a failure counts, so the first lane
+    that simulate rejects (any other error) raises before the first lane
+    that fails as a run does (failure, the type of a bad step's error)."""
+    runs = []
+    for lane in lanes:
+        try:
+            runs.append(simulate(*lane)[-1])
+        except failure as exc:
+            runs.append(exc)
+    for run in runs:
+        if isinstance(run, failure):
+            raise run
+    return runs
 
 
 def recursion_step(params, a, y):

@@ -111,6 +111,20 @@ def test_simulate_recursion_numeric_failure_exit(tmp_path):
     assert run_cli(tmp_path, "simulate-recursion", config) == 3
 
 
+def test_simulate_recursion_builds_every_schedule_before_any_walk(tmp_path, capsys):
+    # the constant cell at K = 8 fails numerically, but the exponential
+    # schedule cannot be built at K = 2 (beta must be below K): a config error
+    config = dict(SIM_CONFIG, k_grid=[8, 2])
+    config["params"] = {"l1": 0.0, "l2": 1.0, "l3": 0.01, "tau": 2.0, "theta": 0.5}
+    config["schedules"] = [
+        {"id": "wild", "family": "constant", "alpha": 2.5},
+        {"id": "exp", "family": "exponential", "alpha": 0.5, "beta": 4.0, "p": 1.0},
+    ]
+    assert run_cli(tmp_path, "simulate-recursion", config) == 2
+    assert "horizon must exceed beta" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "recursion.csv").exists()
+
+
 def test_simulate_recursion_non_finite_value_exit(tmp_path, capsys):
     config = dict(SIM_CONFIG, y0=1e300, k_grid=[8])
     config["params"] = {"l1": 1.0, "l2": 1.0, "l3": 1.0, "tau": 2.0, "theta": 0.5}
@@ -841,7 +855,7 @@ def test_recursion_table_equals_the_cell_by_cell_writer(ids, k_grid, data):
     config = dict(SIM_CONFIG, k_grid=k_grid)
     config["schedules"] = [{"id": sid, "family": "constant", "alpha": 0.1} for sid in ids]
     patches = {
-        "simulate_pl_grid": lambda *args: finals,
+        "simulate_pl_finals": lambda cells: finals,
         "_CHUNK": data.draw(st.integers(1, 5)),
     }
     rows = zip((K for K in k_grid for _ in ids), (sid for _ in k_grid for sid in ids), finals)
@@ -1258,7 +1272,7 @@ def test_config_nested_past_the_recursion_limit_is_config_error(tmp_path, capsys
 def test_largest_horizon_is_accepted(tmp_path):
     config = dict(SIM_CONFIG, k_grid=[cli.MAX_HORIZON])
     config["schedules"] = [{"id": "flat", "family": "constant", "alpha": 0.2}]
-    with mock.patch.object(cli, "simulate_pl_grid", lambda *args: [0.5]):
+    with mock.patch.object(cli, "simulate_pl_finals", lambda cells: [0.5]):
         assert run_cli(tmp_path, "simulate-recursion", config) == 0
 
 

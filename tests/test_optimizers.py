@@ -530,6 +530,8 @@ def test_noise_free_bound_powers_past_the_floats_are_their_limits():
     assert noise_free_bound(1.0, 5e-324, math.inf, 0.0) == math.inf
     assert noise_free_bound(1.0, 0.5, math.inf, 4.0) == 0.5  # the limit as gap0 grows
     assert noise_free_bound(0.5, 1.0, math.inf, 1e300) == math.inf
+    # p*mu underflows to 0.0, and 0.0 * inf was NaN; the limit is 0.0
+    assert noise_free_bound(0.75, 5e-324, 1.0, math.inf) == 0.0
     # ordinary inputs keep the bits of the float ** formula
     for theta, mu, gap0, alpha_sum in ((0.75, 0.3, 2.5, 7.0), (2.0 / 3.0, 1.0, 1e-3, 1e3)):
         power = 2.0 * theta - 1.0

@@ -32,7 +32,6 @@ from steprates.plbounds import (
     rr_constants,
     sgd_constants,
     simulate_pl_finals,
-    simulate_pl_grid,
     simulate_pl_lanes,
     simulate_pl_recursion,
     smallest_offset,
@@ -167,114 +166,144 @@ def test_simulate_validates_inputs():
         simulate_pl_recursion(params, Constant(alpha=0.1), 1.0, 0)
 
 
-def grid_outcome(run):
-    """The values of a grid as float hex, or its first error as (type, message, index)."""
+def finals_outcome(run):
+    """The values of a run as float hex, or its first error as (type, message, index)."""
     try:
         return [v.hex() for v in run()]
-    except (NumericFailure, ValueError) as exc:
+    except (NumericFailure, ValueError, ArithmeticError) as exc:
         return type(exc), str(exc), getattr(exc, "index", None)
 
 
 STEP = st.floats(0.01, 3.0)
 POWER = st.floats(0.2, 2.0)
-# one builder K -> schedule per lane; an exponential lane with beta >= K
-# makes its builder raise partway through the grid, and a polynomial lane
-# with gamma = K has no horizon yet differs from K to K
+# one builder K -> schedule per column of a K-major lane list; a polynomial
+# lane with gamma = K has no horizon yet differs from K to K
 BUILDERS = st.one_of(
     st.builds(lambda a: lambda K: Constant(alpha=a), STEP),
     st.builds(lambda s: lambda K: s, st.builds(Polynomial, STEP, st.floats(0.5, 16.0), POWER)),
     st.builds(lambda a, p: lambda K: Polynomial(alpha=a, gamma=float(K), p=p), STEP, POWER),
     st.builds(
-        lambda a, b, p: lambda K: Exponential(alpha=a, beta=b, p=p, horizon=K),
+        lambda a, b, p: lambda K: Exponential(alpha=a, beta=b, p=p, horizon=K + 4),
         STEP,
         st.floats(0.5, 4.0),
         POWER,
     ),
     st.builds(lambda a, p: lambda K: Cosine(alpha=a, p=p, horizon=K), STEP, POWER),
 )
-
-
-@settings(max_examples=300)
-@given(
-    st.builds(
-        PLParams,
-        l1=st.floats(0.0, 2.0),
-        l2=st.floats(0.1, 2.0),
-        l3=st.floats(0.0, 2.0),
-        tau=st.sampled_from([2.0, 3.0, 2.5]),
-        theta=st.sampled_from([0.5, 1.0, 0.75, 2.0 / 3.0]),
-    ),
-    st.lists(BUILDERS, min_size=1, max_size=4),
-    st.sampled_from([0.0, 0.5, 1.0, 1e100, 1e290, 1e300]),
-    st.lists(st.integers(1, 48), min_size=1, max_size=6),
+RECURSION_PARAMS = st.builds(
+    PLParams,
+    l1=st.floats(0.0, 2.0),
+    l2=st.floats(0.1, 2.0),
+    l3=st.one_of(st.floats(0.0, 2.0), st.just(-0.0)),
+    tau=st.sampled_from([2.0, 3.0, 2.5]),
+    theta=st.sampled_from([0.5, 1.0, 0.75, 2.0 / 3.0]),
 )
+
+
+@st.composite
+def lane_lists(draw):
+    """K-major lanes, one per K and builder, over an unsorted K grid that
+    may repeat a K; each lane's params and y0 come from pools of one or
+    two, so lanes share walks, and y0 = 0.0 and -0.0 may both appear."""
+    params = draw(st.lists(RECURSION_PARAMS, min_size=1, max_size=2))
+    starts = draw(
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e100, 1e290, 1e300]), min_size=1, max_size=2)
+    )
+    builders = draw(st.lists(BUILDERS, min_size=1, max_size=4))
+    k_grid = draw(st.lists(st.integers(1, 48), min_size=1, max_size=6))
+    lanes = []
+    for K in k_grid:
+        for build in builders:
+            lanes.append((draw(st.sampled_from(params)), build(K), draw(st.sampled_from(starts)), K))
+    return lanes
+
+
+# no max_examples: CI fuzzes it under the fuzz profile
+@pytest.mark.fuzz
+@given(lane_lists())
 # inf from step 10 on: fine at K = 4 and 8, not finite at K = 16 and 12
 @example(
-    PLParams(l1=1.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5),
-    [lambda K: Polynomial(alpha=1.0, gamma=4.0, p=1.0), lambda K: Constant(alpha=3.0)],
-    1e300,
-    [4, 8, 16, 12, 4],
+    [
+        (PLParams(l1=1.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5), schedule, 1e300, K)
+        for K in [4, 8, 16, 12, 4]
+        for schedule in (Polynomial(alpha=1.0, gamma=4.0, p=1.0), Constant(alpha=3.0))
+    ]
 )
 # y = 16 after one step and negative after two: K = 1 passes, K = 3 fails
 @example(
-    PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=1.0),
-    [lambda K: Cosine(alpha=0.5, p=1.0, horizon=K), lambda K: Constant(alpha=3.0)],
-    1.0,
-    [1, 3, 2],
+    [
+        (PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=1.0), schedule, 1.0, K)
+        for K in [1, 3, 2]
+        for schedule in (Cosine(alpha=0.5, p=1.0, horizon=K), Constant(alpha=3.0))
+    ]
 )
 # inf from step 1 and -inf at step 7: K = 4 and K = 8 both fail as not
 # finite at step 1, the first bad step, not as negative at step 7
 @example(
-    PLParams(l1=1.0, l2=3.0, l3=0.0, tau=2.0, theta=0.5),
-    [lambda K: Polynomial(alpha=40.0, gamma=10.0, p=1.0)],
-    1e308,
-    [4, 8],
-)
-# the constant lane fails only at K = 16, after the exponential lane's
-# builder fails at K = 4
-@example(
-    PLParams(l1=1.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5),
     [
-        lambda K: Constant(alpha=3.0),
-        lambda K: Exponential(alpha=0.5, beta=8.0, p=1.0, horizon=K),
-    ],
-    1e300,
-    [4, 16],
+        (PLParams(l1=1.0, l2=3.0, l3=0.0, tau=2.0, theta=0.5), schedule, 1e308, K)
+        for K in [4, 8]
+        for schedule in [Polynomial(alpha=40.0, gamma=10.0, p=1.0)]
+    ]
 )
-# K = 0 fails after good cells, in the builder of the cosine lane
+# the constant lane fails at K = 16, yet the cosine lane past its horizon
+# raises first: every lane is checked before any walk
 @example(
-    PLParams(l1=0.0, l2=1.0, l3=1.0, tau=2.0, theta=0.75),
     [
-        lambda K: Cosine(alpha=0.5, p=1.0, horizon=K),
-        lambda K: Polynomial(alpha=0.5, gamma=1.0, p=0.5),
-    ],
-    1.0,
-    [8, 0, 4],
+        (PLParams(l1=1.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5), schedule, 1e300, K)
+        for K in [4, 16]
+        for schedule in (Constant(alpha=3.0), Cosine(alpha=0.5, p=1.0, horizon=4))
+    ]
 )
-def test_grid_equals_the_per_cell_runs(params, builders, y0, k_grid):
+# K = 0 is rejected after good lanes
+@example(
+    [
+        (PLParams(l1=0.0, l2=1.0, l3=1.0, tau=2.0, theta=0.75), schedule, 1.0, K)
+        for K in [8, 0, 4]
+        for schedule in (Cosine(alpha=0.5, p=1.0, horizon=8), Polynomial(0.5, 1.0, 0.5))
+    ]
+)
+# the first walk fails at step 2 (its K = 3 lane), but the lane before that
+# one fails first, at step 1: a failing walk is replayed lane by lane in order
+@example(
+    [
+        (PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=1.0), Constant(alpha=3.0), 1.0, 1),
+        (PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.5, theta=0.5), Constant(alpha=1e200), 1.0, 8),
+        (PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=1.0), Constant(alpha=3.0), 1.0, 3),
+    ]
+)
+# y0 = -0.0 with l3 = -0.0 stays -0.0, and y0 = 0.0 stays 0.0: no shared walk
+@example(
+    [
+        (PLParams(l1=1.0, l2=1.0, l3=-0.0, tau=2.0, theta=theta), Constant(alpha=0.5), y0, 4)
+        for theta in (0.5, 1.0, 0.75)
+        for y0 in (0.0, -0.0, 0.0)
+    ]
+)
+def test_finals_equal_the_per_lane_runs(lanes):
     """Values bitwise, or the same first error: type, message and index.
 
     Large y0 and steps drive lanes negative, past the range of doubles or to
-    NaN partway through a grid that is unsorted and repeats K.
+    NaN partway through a lane list whose K are unsorted and repeat.
     """
-    reference = grid_outcome(
-        lambda: oracles.recursion_grid_per_cell(
-            simulate_pl_recursion, params, builders, y0, k_grid
-        )
+    reference = finals_outcome(
+        lambda: oracles.recursion_finals_per_lane(simulate_pl_recursion, NumericFailure, lanes)
     )
-    assert grid_outcome(lambda: simulate_pl_grid(params, builders, y0, k_grid)) == reference
+    assert finals_outcome(lambda: simulate_pl_finals(lanes)) == reference
 
 
-def test_grid_runs_each_distinct_schedule_once(monkeypatch):
+def test_finals_walk_each_distinct_lane_once(monkeypatch):
     """Constant and polynomial lanes once; exponential and cosine lanes once
-    per distinct K, though K = 8 appears twice in the grid."""
-    calls = []
+    per distinct K, though K = 8 appears twice; a second y0 or params takes
+    a walk of its own, and so does y0 = -0.0 beside 0.0."""
+    walks = []
 
-    def counted(params, schedule, y0, ks):
-        calls.append((type(schedule).__name__, max(ks)))
-        return simulate_pl_finals(params, schedule, y0, ks)
+    def counted(params, schedule, k0, y, ends):
+        walks.append((params.l3, type(schedule).__name__, repr(y), max(ends)))
+        return walk(params, schedule, k0, y, ends)
 
-    monkeypatch.setattr(plbounds, "simulate_pl_finals", counted)
+    walk = plbounds._walk
+    monkeypatch.setattr(plbounds, "_walk", counted)
     params = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.75)
     builders = [
         lambda K: Constant(alpha=0.1),
@@ -283,21 +312,25 @@ def test_grid_runs_each_distinct_schedule_once(monkeypatch):
         lambda K: Cosine(alpha=0.2, p=1.0, horizon=K),
     ]
     k_grid = [64, 8, 32, 8, 16]
-    finals = simulate_pl_grid(params, builders, 1.0, k_grid)
-    assert len(finals) == len(k_grid) * len(builders)
-    per_K = [(name, K) for K in set(k_grid) for name in ("Exponential", "Cosine")]
-    assert sorted(calls) == sorted([("Constant", 64), ("Polynomial", 64)] + per_K)
+    lanes = [(params, build(K), 1.0, K) for K in k_grid for build in builders]
+    lanes += [
+        (params, Constant(alpha=0.1), 0.5, 4),
+        (PLParams(l1=1.0, l2=1.0, l3=2.0, tau=2.0, theta=0.75), Constant(alpha=0.1), 1.0, 4),
+        (params, Constant(alpha=0.1), 0.0, 4),
+        (params, Constant(alpha=0.1), -0.0, 4),
+    ]
+    finals = simulate_pl_finals(lanes)
+    assert len(finals) == len(lanes)
+    per_K = [(1.0, name, "1.0", K) for K in set(k_grid) for name in ("Exponential", "Cosine")]
+    assert sorted(walks) == sorted(
+        [(1.0, "Constant", "1.0", 64), (1.0, "Polynomial", "1.0", 64)]
+        + per_K
+        + [(1.0, "Constant", y0, 4) for y0 in ("0.5", "0.0", "-0.0")]
+        + [(2.0, "Constant", "1.0", 4)]
+    )
 
 
-# --- the finals-only runner against the scalar recursion ---------------------
-
-
-def finals_outcome(run):
-    """The values of a run as float hex, or its error as (type, message, index)."""
-    try:
-        return [v.hex() for v in run()]
-    except (NumericFailure, ArithmeticError) as exc:
-        return type(exc), str(exc), getattr(exc, "index", None)
+# --- the finals runner against the scalar recursion --------------------------
 
 
 def oracle_finals(params, schedule, y0, ks):
@@ -357,7 +390,8 @@ def test_finals_equal_the_oracle_runs(case):
     params, schedule, y0, ks, block = case
     reference = finals_outcome(lambda: oracle_finals(params, schedule, y0, ks))
     with mock.patch.object(plbounds, "_FINALS_BLOCK", block):
-        assert finals_outcome(lambda: simulate_pl_finals(params, schedule, y0, ks)) == reference
+        lanes = [(params, schedule, y0, K) for K in ks]
+        assert finals_outcome(lambda: simulate_pl_finals(lanes)) == reference
 
 
 @settings(max_examples=300)
@@ -379,14 +413,13 @@ def test_oracle_equals_the_per_step_walk(case):
 
 def test_an_infinite_start_fails_at_step_0():
     """y0 = inf is the first bad step, though step 1 would also be negative
-    (growth factor 1 + 1 - 3 < 0), in the oracle, the runner and the grid."""
+    (growth factor 1 + 1 - 3 < 0), in the oracle and the finals runner."""
     params = PLParams(l1=1.0, l2=3.0, l3=0.0, tau=2.0, theta=0.5)
     schedule = Constant(alpha=1.0)
     message = "^trajectory value inf is not finite at step 0$"
     for run in (
         lambda: simulate_pl_recursion(params, schedule, math.inf, 4),
-        lambda: simulate_pl_finals(params, schedule, math.inf, [4, 2]),
-        lambda: simulate_pl_grid(params, [lambda K: schedule], math.inf, [4]),
+        lambda: simulate_pl_finals([(params, schedule, math.inf, K) for K in (4, 2)]),
     ):
         with pytest.raises(NumericFailure, match=message) as info:
             run()
@@ -395,13 +428,16 @@ def test_an_infinite_start_fails_at_step_0():
 
 def test_finals_validate_as_the_oracle_does():
     params = PLParams(l1=0.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5)
-    assert simulate_pl_finals(params, Constant(alpha=0.1), 1.0, []) == []
+    flat, cosine = Constant(alpha=0.1), Cosine(alpha=0.1, p=1.0, horizon=4)
+    assert simulate_pl_finals([]) == []
     with pytest.raises(ValueError, match="^y0 must be nonnegative$"):
-        simulate_pl_finals(params, Constant(alpha=0.1), -1.0, [4])
+        simulate_pl_finals([(params, flat, 1.0, 4), (params, flat, -1.0, 4)])
     with pytest.raises(ValueError, match="^K must be a positive integer$"):
-        simulate_pl_finals(params, Constant(alpha=0.1), 1.0, [4, 0])
+        simulate_pl_finals([(params, flat, 1.0, 4), (params, flat, 1.0, 0)])
     with pytest.raises(ValueError, match="^step index 5 beyond horizon 4$"):
-        simulate_pl_finals(params, Cosine(alpha=0.1, p=1.0, horizon=4), 1.0, [2, 6])
+        simulate_pl_finals([(params, cosine, 1.0, 2), (params, cosine, 1.0, 6)])
+    with pytest.raises(TypeError, match="^unknown schedule type float$"):
+        simulate_pl_finals([(params, flat, 1.0, 4), (params, 0.1, 1.0, 4)])
 
 
 def test_polynomial_steps_past_the_floats_agree_in_every_runner():
@@ -410,7 +446,7 @@ def test_polynomial_steps_past_the_floats_agree_in_every_runner():
     params = PLParams(l1=0.0, l2=1.0, l3=1.0, tau=2.0, theta=0.5)
     for schedule in (Polynomial(1.0, 1.0, 300.0), Polynomial(1.0, 4.0, 1e30)):
         ys = simulate_pl_recursion(params, schedule, 0.5, 16)
-        assert simulate_pl_finals(params, schedule, 0.5, [16]) == [ys[-1]]
+        assert simulate_pl_finals([(params, schedule, 0.5, 16)]) == [ys[-1]]
         final, smallest, flagged = simulate_pl_lanes([(params, schedule, 0.5, 16)])
         assert not flagged[0]
         assert (final[0], smallest[0]) == pytest.approx((ys[-1], min(ys)), rel=SCREEN)
@@ -418,7 +454,7 @@ def test_polynomial_steps_past_the_floats_agree_in_every_runner():
 
 def test_powers_past_the_floats_are_inf_in_every_runner():
     """A tau-th power past the floats is inf, as numpy's power gives in the
-    lane batch: the oracle, the finals runner and the grid raise the same
+    lane batch: the oracle and the finals runner raise the same
     NumericFailure, and the lane batch flags the lane, in every theta branch."""
     schedule = Constant(alpha=1e200)  # 1e200^2.5 passes the floats
     message = "^trajectory value inf is not finite at step 1$"
@@ -426,8 +462,7 @@ def test_powers_past_the_floats_are_inf_in_every_runner():
         params = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.5, theta=theta)
         for run in (
             lambda: simulate_pl_recursion(params, schedule, 1.0, 8),
-            lambda: simulate_pl_finals(params, schedule, 1.0, [8]),
-            lambda: simulate_pl_grid(params, [lambda K: schedule], 1.0, [8]),
+            lambda: simulate_pl_finals([(params, schedule, 1.0, 8)]),
         ):
             with pytest.raises(NumericFailure, match=message):
                 run()
@@ -442,7 +477,7 @@ def test_a_failing_run_holds_one_block_not_K():
     tracemalloc.start()
     try:
         with pytest.raises(NumericFailure, match="^trajectory negative at step 1$"):
-            simulate_pl_finals(params, Constant(alpha=3.0), 1.0, [1 << 20])
+            simulate_pl_finals([(params, Constant(alpha=3.0), 1.0, 1 << 20)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -478,17 +513,17 @@ def test_a_value_that_is_not_finite_never_turns_finite(params, a, y):
     assert after_inf == math.inf or math.isnan(after_inf) or after_inf < 0.0
 
 
-def test_grid_memory_is_one_block_not_K():
+def test_finals_memory_is_one_block_not_K():
     """One polynomial and one exponential lane to K = 2^16 peak well under
     1 MiB of traced memory; three K-long lists of a run would take 6 MiB."""
-    params = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.5)
-    builders = [
-        lambda K: Polynomial(alpha=4.0, gamma=8.0, p=1.0),
-        lambda K: Exponential(alpha=0.5, beta=1.0, p=1.0, horizon=K),
+    params, K = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.5), 1 << 16
+    schedules = [
+        Polynomial(alpha=4.0, gamma=8.0, p=1.0),
+        Exponential(alpha=0.5, beta=1.0, p=1.0, horizon=K),
     ]
     tracemalloc.start()
     try:
-        finals = simulate_pl_grid(params, builders, 1.0, [1 << 16])
+        finals = simulate_pl_finals([(params, schedule, 1.0, K) for schedule in schedules])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -738,9 +738,22 @@ START_CALLS = {
     "classical_bound": (lambda v: classical_bound(CLASSICAL, v, 2), "a0"),
     "extend_bound-B": (lambda v: extend_bound(dyadic_spec(), v, 0.5, 0, 0, 3), "B"),
     "extend_bound-C": (lambda v: extend_bound(dyadic_spec(), 0.5, v, 0, 0, 3), "C"),
+    # both returned NaN: inf - inf, and inf times the product 0.5^1500 = 0.0
+    "extend_bound-B-against-C": (
+        lambda v: extend_bound(dyadic_spec(2000), v, -math.inf, 0, 0, 10),
+        "B",
+    ),
+    "extend_bound-C-product-0": (
+        lambda v: extend_bound(dyadic_spec(2000), 0.5, v, 0, 0, 1500),
+        "C",
+    ),
 }
-# a0 must be a nonnegative finite float; B and C may be any number but NaN
-BAD_VALUES = {"a0": (math.nan, -1.0, -math.inf, math.inf), "B": (math.nan,), "C": (math.nan,)}
+# a0 must be a nonnegative finite float; B and C any finite number
+BAD_VALUES = {
+    "a0": (math.nan, -1.0, -math.inf, math.inf),
+    "B": (math.nan, math.inf, -math.inf),
+    "C": (math.nan, math.inf, -math.inf),
+}
 
 
 @pytest.mark.parametrize(

@@ -167,12 +167,11 @@ def test_bounds_suite_resamples_a_failed_simulation(monkeypatch):
                 failing.append(lane)
         return final, smallest, flagged
 
-    def fails_where_flagged(params, schedule, y0, ks):
-        lane = (params, schedule, y0, *ks)
-        reruns.append(lane)
-        if lane in failing:
+    def fails_where_flagged(lanes):
+        reruns.extend(lanes)
+        if any(lane in failing for lane in lanes):
             raise NumericFailure("trajectory overflows at step 1", index=1)
-        return simulate_pl_finals(params, schedule, y0, ks)
+        return simulate_pl_finals(lanes)
 
     monkeypatch.setattr(verify, "simulate_pl_lanes", every_other_flagged)
     monkeypatch.setattr(verify, "simulate_pl_finals", fails_where_flagged)
@@ -222,9 +221,9 @@ def test_lanes_in_the_confirm_band_are_rerun_in_scalar(monkeypatch, offsets, rer
         finals.append(y)
     reruns = []
 
-    def counted(params, schedule, y0, ks):
-        reruns.extend(K - 50 for K in ks)
-        return simulate_pl_finals(params, schedule, y0, ks)
+    def counted(lanes):
+        reruns.extend(K - 50 for *_, K in lanes)
+        return simulate_pl_finals(lanes)
 
     monkeypatch.setattr(verify, "simulate_pl_finals", counted)
     outcomes = verify._confirmed_slacks(drawn)
