@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -67,6 +67,10 @@ def keyed_generators(seeds: Iterable[int]) -> list[np.random.Generator]:
 
 
 def _checked_seeds(seeds: Iterable[int]) -> list[int]:
+    seeds = list(seeds)
+    for seed in seeds:
+        if isinstance(seed, bool):  # operator.index would take True as seed 1
+            raise ValueError(f"seed {seed!r} must be an integer, not a bool")
     seeds = [operator.index(seed) for seed in seeds]
     seen: set[int] = set()
     for seed in seeds:
@@ -179,7 +183,8 @@ class Trajectory:
     gaps has one row per seed (a single row with empty seeds for the
     deterministic method). left_domain flags seeds whose iterates exited the
     certified region; such rows are excluded from bound checks downstream.
-    A gap that is not finite raises NumericFailure; a negative one, ValueError.
+    A gap that is not finite raises NumericFailure; a negative one beyond the
+    rounding of the problem's f_star (_gap_floor), ValueError.
     """
 
     gaps: np.ndarray
@@ -187,8 +192,9 @@ class Trajectory:
     mean: np.ndarray
     stderr: np.ndarray
     left_domain: tuple[bool, ...]
+    f_star: InitVar[float] = 0.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, f_star: float) -> None:
         # one min and one max: both propagate NaN and show infinities
         low, high = float(self.gaps.min()), float(self.gaps.max())
         if not (math.isfinite(low) and math.isfinite(high)):
@@ -198,8 +204,14 @@ class Trajectory:
                 f"objective gap {self.gaps[row, step]} is not finite for {who} at step {step}",
                 index=step,
             )
-        if low < -1e-12:
+        if low < _gap_floor(f_star):
             raise ValueError(f"negative objective gap {low} in trajectory")
+
+
+def _gap_floor(f_star: float) -> float:
+    """The least gap f(x) - f_star taken as rounding, not as a point below the
+    minimum: -1e-12 relative to f_star, and at least 1e-12 absolute."""
+    return -1e-12 * max(1.0, abs(f_star))
 
 
 def _compensated_sum(first: np.ndarray, rest: Iterable[np.ndarray] = ()) -> np.ndarray:
@@ -278,7 +290,9 @@ def _block_rows(width: int) -> int:
     return max(1, min(64, (1 << 15) // width))
 
 
-def _aggregate(gaps: np.ndarray, seeds: tuple[int, ...], left: np.ndarray) -> Trajectory:
+def _aggregate(
+    gaps: np.ndarray, seeds: tuple[int, ...], left: np.ndarray, f_star: float = 0.0
+) -> Trajectory:
     n = gaps.shape[0]
     step = _block_rows(gaps.shape[1])
     starts = range(0, n, step)
@@ -298,6 +312,7 @@ def _aggregate(gaps: np.ndarray, seeds: tuple[int, ...], left: np.ndarray) -> Tr
         mean=mean,
         stderr=stderr,
         left_domain=tuple(bool(v) for v in left),
+        f_star=f_star,
     )
     for what, column in (("mean", mean), ("standard error", stderr)):
         if not np.isfinite(column).all():
@@ -371,7 +386,7 @@ def _descend(
     if rngs:
         _spare.extend(rngs[:_SPARE_CAP])
         del _spare[_SPARE_CAP:]
-    return _aggregate(gaps, seeds, np.sqrt(peak) > problem.domain_radius)
+    return _aggregate(gaps, seeds, np.sqrt(peak) > problem.domain_radius, problem.f_star)
 
 
 def _evaluate(problem: Problem, path: np.ndarray, gaps: np.ndarray, peak: np.ndarray) -> None:
@@ -667,7 +682,7 @@ def verify_pl(problem: Problem, sample_count: int, seed: int) -> CheckResult:
     for i in range(sample_count):
         x = rng.uniform(-radius, radius, size=problem.dimension)
         gap = float(problem.objective(x)) - problem.f_star
-        if gap < -1e-12 * max(1.0, abs(problem.f_star)):
+        if gap < _gap_floor(problem.f_star):
             return CheckResult(
                 check="pl-inequality",
                 passed=False,

@@ -160,6 +160,29 @@ def frak_p(theta: float) -> float:
     return (2.0 * theta - 1.0) ** (2.0 * theta - 1.0)
 
 
+@dataclass(frozen=True)
+class _Method:
+    """One method's descent analysis: step power tau, l1 = A*L^L_power/(2N),
+    l2 = mu_share*mu, l3 = L^L_power*sigma^2/(2N) (N = 1 for SGD), and steps
+    up to cap_share/L."""
+
+    tau: float
+    mu_share: float
+    L_power: float
+    cap_share: float
+
+
+_METHODS = {"sgd": _Method(2.0, 1.0, 1.0, 1.0), "rr": _Method(3.0, 0.5, 2.0, 0.5)}
+
+
+def _method(name: str) -> _Method:
+    """The record of the method named exactly "sgd" or "rr"."""
+    try:
+        return _METHODS[name]
+    except KeyError:
+        raise ValueError(f"unknown method {name!r}") from None
+
+
 def descent_coefficients(
     method: str,
     L: float,
@@ -173,35 +196,27 @@ def descent_coefficients(
 
     SGD: (A*L/2, mu, L*sigma^2/2), tau = 2, valid for steps up to 1/L.
     Random reshuffling: (A*L^2/(2N), mu/2, L^2*sigma^2/(2N)), tau = 3,
-    valid for steps up to 1/(2L).
+    valid for steps up to 1/(2L). Both read the method's _METHODS record,
+    named exactly "sgd" or "rr".
     """
     if not (L > 0 and mu > 0):
         raise ValueError("L and mu must be positive")
     if A < 0 or sigma < 0:
         raise ValueError("A and sigma must be nonnegative")
-    kind = method.lower()
-    if kind == "sgd":
-        return PLParams(
-            l1=_coefficient("l1 = A*L/2", A * L / 2.0, A=A, L=L),
-            l2=mu,
-            l3=_coefficient("l3 = L*sigma^2/2", L * _power(sigma, 2) / 2.0, L=L, sigma=sigma),
-            tau=2.0,
-            theta=theta,
-        )
-    if kind == "rr":
+    m = _method(method)
+    n = 1
+    if method == "rr":
         if N is None or not 1 <= N <= sys.float_info.max:  # 2.0 * N must not raise
             raise ValueError(f"random reshuffling needs a positive component count N, got {N!r}")
-        L2 = _power(L, 2)
-        return PLParams(
-            l1=_coefficient("l1 = A*L^2/(2N)", A * L2 / (2.0 * N), A=A, L=L, N=N),
-            l2=mu / 2.0,
-            l3=_coefficient(
-                "l3 = L^2*sigma^2/(2N)", L2 * _power(sigma, 2) / (2.0 * N), L=L, sigma=sigma, N=N
-            ),
-            tau=3.0,
-            theta=theta,
-        )
-    raise ValueError(f"unknown method {method!r}")
+        n = N
+    k, two_n = m.L_power, 2.0 * n
+    Lk = _power(L, k)
+    l1, l3 = A * Lk / two_n, Lk * _power(sigma, 2) / two_n
+    # messages only on failure: a verify bounds pass builds some 1,000 constants
+    if not (math.isfinite(l1) and math.isfinite(l3)):
+        _coefficient("l1 = A*L^k/(2N)", l1, A=A, L=L, k=k, N=n)
+        _coefficient("l3 = L^k*sigma^2/(2N)", l3, L=L, sigma=sigma, k=k, N=n)
+    return PLParams(l1=l1, l2=m.mu_share * mu, l3=l3, tau=m.tau, theta=theta)
 
 
 def _coefficient(formula: str, value: float, **constants: float) -> float:
@@ -226,12 +241,7 @@ def smoothness_cap(method: str, L: float) -> float:
     largest float. A subnormal L gives an infinite cap, which does not bind."""
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"L must be positive and finite, got {L!r}")
-    kind = method.lower()
-    if kind == "sgd":
-        return 1.0 / L
-    if kind == "rr":
-        return 0.5 / L
-    raise ValueError(f"unknown method {method!r}")
+    return _method(method).cap_share / L
 
 
 def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
@@ -261,16 +271,7 @@ def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
         growth_cap = _power(growth_base, two_theta / (tau - 1.0))
     xi_cap = _coefficient("alpha cap xi^(-rho)", _power(xi, -rho), xi=xi, rho=rho)
     alpha_cap = min(growth_cap, xi_cap)
-    return DerivedConstants(
-        delta=delta,
-        zeta=zeta,
-        xi=xi,
-        rho=rho,
-        omega=omega,
-        q=q,
-        frak_p=fp,
-        alpha_cap=alpha_cap,
-    )
+    return DerivedConstants(delta, zeta, xi, rho, omega, q, fp, alpha_cap)
 
 
 def sgd_constants(theta: float, L: float, mu: float, A: float, sigma: float) -> MethodConstants:
@@ -288,13 +289,7 @@ def rr_constants(
 
 
 def _method_constants(
-    method: str,
-    theta: float,
-    L: float,
-    mu: float,
-    A: float,
-    sigma: float,
-    N: int | None,
+    method: str, theta: float, L: float, mu: float, A: float, sigma: float, N: int | None
 ) -> MethodConstants:
     params = descent_coefficients(method, L, mu, A, sigma, N=N, theta=theta)  # checks theta
     derived = derive_constants(params, 1.0 if N is None else N ** (-1.0 / (2.0 * theta)))
@@ -302,21 +297,10 @@ def _method_constants(
     zeta_bar, xi_bar = derived.zeta, derived.xi
     if method == "rr":
         two_theta = 2.0 * theta
-        zeta_bar = max(two_theta - 1.0, (L**2 * sigma**2 / mu) ** (1.0 / two_theta))
+        Lk = L ** _METHODS["rr"].L_power
+        zeta_bar = max(two_theta - 1.0, (Lk * sigma**2 / mu) ** (1.0 / two_theta))
         xi_bar = theta * mu * zeta_bar ** (two_theta - 1.0) / 2.0
-    return MethodConstants(
-        method=method,
-        theta=theta,
-        L=L,
-        mu=mu,
-        A=A,
-        sigma=sigma,
-        N=N,
-        params=params,
-        derived=derived,
-        zeta_bar=zeta_bar,
-        xi_bar=xi_bar,
-    )
+    return MethodConstants(method, theta, L, mu, A, sigma, N, params, derived, zeta_bar, xi_bar)
 
 
 def _powers(alphas: list[float], tau: float) -> list[float]:
@@ -628,14 +612,7 @@ def _result(
             f"bound value {value} is not finite ({regime}: noise term {noise}, init term {init})",
             index=-1,
         )
-    return BoundResult(
-        value=value,
-        noise_term=noise,
-        init_term=init,
-        regime=regime,
-        constants_used=derived,
-        details=details,
-    )
+    return BoundResult(value, noise, init, regime, derived, details)
 
 
 def _n_scale(mc: MethodConstants, K: int) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .plbounds import NumericFailure
+from .plbounds import NumericFailure, _method
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,10 @@ def fit_loglog(
     )
 
 
-# each method's scale s: its noise branch is p/(s*theta)
-_RATE_SCALES = {"sgd": 2.0, "rr": 1.0}
-
-
-def _rate_scale(method: str) -> float:
-    if method not in _RATE_SCALES:
-        raise ValueError(f"unknown method {method!r}")
-    return _RATE_SCALES[method]
+def _noise_scale(method: str) -> float:
+    """The scale s = 2/(tau - 1) of a method's noise branch p/(s*theta):
+    p*q with q = (tau - 1)/(2*theta), exactly 2.0 for sgd and 1.0 for rr."""
+    return 2.0 / (_method(method).tau - 1.0)
 
 
 def _rate_exponent(p: float, theta: float, scale: float) -> float:
@@ -110,7 +106,7 @@ def _rate_exponent(p: float, theta: float, scale: float) -> float:
 
 def rate_exponent_sgd(p: float, theta: float) -> float:
     """Guaranteed gap-decay exponent for single-draw steps alpha_k ~ k^-p."""
-    return _rate_exponent(p, theta, _RATE_SCALES["sgd"])
+    return _rate_exponent(p, theta, _noise_scale("sgd"))
 
 
 def rate_exponent_rr(p: float, theta: float) -> float:
@@ -119,14 +115,14 @@ def rate_exponent_rr(p: float, theta: float) -> float:
     The noise branch is p/theta, twice as fast as the single-draw one; the
     initialization branch coincides.
     """
-    return _rate_exponent(p, theta, _RATE_SCALES["rr"])
+    return _rate_exponent(p, theta, _noise_scale("rr"))
 
 
 def heatmap_grid(
     p_grid: Sequence[float], theta_grid: Sequence[float], method: str
 ) -> np.ndarray:
     """Rate exponents on a grid, one row per theta value, one column per p."""
-    scale = _rate_scale(method)
+    scale = _noise_scale(method)
     for name, grid in (("p_grid", p_grid), ("theta_grid", theta_grid)):
         if len(grid) == 0:
             raise ValueError(f"{name} is empty")
@@ -141,5 +137,5 @@ def optimal_p(theta: float, method: str) -> float:
     """The decay exponent p maximizing the rate at a fixed theta."""
     if not 0.5 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
-    scale = _rate_scale(method)
+    scale = _noise_scale(method)
     return scale * theta / (scale * theta + 2.0 * theta - 1.0)

@@ -314,8 +314,9 @@ def recursion_convexity(spec: RecursionSpec) -> CheckResult:
 
 def _slope_terms(spec: RecursionSpec) -> list[float]:
     """(b_{k+1}-b_k)*r'(b_k)*t(b_k) for k < horizon, r' the ratio's derivative."""
-    b, t, derivative = spec.grid.b, spec.grid.t, spec.ratio.d
-    return [(x1 - x) * (derivative(x) * tv) for x, x1, tv in zip(b, b[1:], t)]
+    b, t, ratio = spec.grid.b, spec.grid.t, spec.ratio
+    derivative = ratio.derivative or ratio.d  # d raises the ValueError where r' is missing
+    return [(x1 - x) * (float(derivative(x)) * tv) for x, x1, tv in zip(b, b[1:], t)]
 
 
 def find_lambda_constant(

@@ -112,6 +112,13 @@ def _check_index(schedule: StepSchedule, k: int) -> None:
         raise ValueError(f"step index {k} beyond horizon {horizon}")
 
 
+def _check_steps(schedule: StepSchedule, K: int) -> None:
+    """K is a step count of at least 1 that the schedule's horizon covers."""
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    _check_index(schedule, K - 1)
+
+
 def _steps(schedule: StepSchedule, ks: range) -> list[float]:
     """alpha_k for k in ks, by the family's closed form in the math module's
     arithmetic; _lane_steps states each rule in numpy's, for the lane batch,
@@ -151,18 +158,14 @@ def step_value(schedule: StepSchedule, k: int) -> float:
 
 def step_values(schedule: StepSchedule, K: int) -> list[float]:
     """[alpha_0, ..., alpha_{K-1}] without per-element dispatch overhead."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    _check_index(schedule, K - 1)
+    _check_steps(schedule, K)
     return _steps(schedule, range(K))
 
 
 def step_max(schedule: StepSchedule, K: int) -> float:
     """Largest step over k in [0, K-1]: the first, which is alpha itself but
     in the polynomial family (exp(0.0) and cos(0.0) are exactly 1.0)."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    _check_index(schedule, K - 1)
+    _check_steps(schedule, K)
     if isinstance(schedule, (Constant, Exponential, Cosine)):
         return schedule.alpha
     return step_value(schedule, 0)  # or the TypeError of an unknown type
@@ -175,9 +178,7 @@ def step_sum(schedule: StepSchedule, K: int) -> float:
     horizon with p = 1 equals alpha*(K+1)/2; everything else is summed
     directly with compensated accumulation.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    _check_index(schedule, K - 1)
+    _check_steps(schedule, K)
     if isinstance(schedule, Constant):
         return schedule.alpha * K
     if isinstance(schedule, Exponential):

@@ -81,6 +81,20 @@ def test_a_repeated_seed_is_rejected_by_name():
         rr_run(problem, Constant(5.0), [1.0], 8, [1, 1])
 
 
+@pytest.mark.parametrize("seed", [True, False])
+def test_a_bool_seed_is_rejected_by_name(seed):
+    # operator.index took True as seed 1 and False as seed 0
+    problem = make_quadratic(1.0, 1.0, 1, N=2)
+    message = f"^seed {seed} must be an integer, not a bool$"
+    with pytest.raises(ValueError, match=message):
+        keyed_generators([2, seed])
+    noise = NoiseModel("additive_gaussian", sigma=1.0)
+    with pytest.raises(ValueError, match=message):
+        sgd_run(problem, noise, Constant(0.1), [1.0], 8, [seed])
+    with pytest.raises(ValueError, match=message):
+        rr_run(problem, Constant(0.1), [1.0], 8, [seed])
+
+
 @pytest.mark.parametrize("seed", [1.5, np.float64(3.9)])
 def test_runs_reject_non_integer_seeds(seed):
     problem = make_quadratic(1.0, 1.0, 1, N=2)
@@ -254,6 +268,24 @@ def test_trajectory_rejects_negative_gaps():
         Trajectory(
             gaps=gaps, seeds=(), mean=gaps[0], stderr=np.zeros(2), left_domain=(False,)
         )
+
+
+def test_a_gap_below_zero_by_a_rounding_of_f_star_is_kept():
+    # f* is about 2.26e13, and one gap is -0.00390625, 1 ulp of it: the run
+    # exited 2 through an absolute -1e-12 floor in Trajectory, while verify_pl
+    # held gaps to -1e-12*max(1, |f*|)
+    problem = make_quadratic(
+        1.0, 1.3, 1, N=3, shifts=(123456.789, -9876543.21, 5555555.5),
+        curvatures=(0.7, 1.0, 1.3), radius=1e9,
+    )
+    traj = gd_run(problem, Constant(0.5), [-1453124.0], 200)
+    assert traj.gaps.min() == -0.00390625
+    assert -1e-12 * problem.f_star < traj.gaps.min() < -1e-12
+    assert verify_pl(problem, 50, 0).passed
+    gaps = np.array([[1.0, -1e-6]])
+    Trajectory(gaps, (), gaps[0], np.zeros(2), (False,), f_star=1e7)
+    with pytest.raises(ValueError, match="^negative objective gap -1e-06 in trajectory$"):
+        Trajectory(gaps, (), gaps[0], np.zeros(2), (False,), f_star=1e5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
