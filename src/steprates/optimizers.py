@@ -521,10 +521,10 @@ def make_quadratic(
 ) -> Problem:
     """Diagonal quadratic with spectrum spanning [mu, L]; optional finite sum.
 
-    The finite-sum variant is one-dimensional: component i is
-    kappa_i*(x - c_i)^2/2 and the average has curvature mean(kappa), exact
-    minimizer, and state-independent gradient dispersion certified on the
-    given radius (the dispersion bound then holds with A = 0).
+    The finite-sum variant, the only one to take shifts and curvatures, is
+    one-dimensional: component i is kappa_i*(x - c_i)^2/2 and the average
+    has curvature mean(kappa), exact minimizer, and state-independent
+    gradient dispersion certified on the given radius (so A = 0).
     """
     if not 0 < mu <= L:
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
@@ -535,6 +535,8 @@ def make_quadratic(
     if not radius > 0:
         raise ValueError("radius must be positive")
     if N is None:
+        if shifts is not None or curvatures is not None:
+            raise ValueError("shifts and curvatures define a finite sum and need N")
         spectrum = np.linspace(mu, L, dim)
 
         def objective(X: np.ndarray) -> np.ndarray:

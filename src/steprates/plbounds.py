@@ -520,15 +520,7 @@ def relaxed_recursion_transform(
     a = schedule.alpha
     scale = 2.0 * zeta * _power(a, q)  # the ratio 2*zeta*eta^q at eta = alpha
 
-    if isinstance(schedule, Constant):
-
-        def eta(x: float) -> float:
-            return a
-
-        b = float
-        interval = (0.0, float(K))
-        ratio = FunctionDescriptor(fn=lambda x: scale, derivative=lambda x: 0.0, label="flat ratio")
-    elif isinstance(schedule, Exponential):
+    if isinstance(schedule, (Constant, Exponential)):  # constant: log g = 0, a flat ratio
         lg = schedule.log_decay
 
         def eta(x: float) -> float:

@@ -15,6 +15,7 @@ initialization branch is treated as inactive (+inf), which also settles the
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,8 +46,8 @@ def fit_loglog(
 ) -> RateFit:
     """Regress log2(y) on log2(K) over a window of the K-sorted points.
 
-    window is an inclusive (lo, hi) index pair into the points after sorting
-    by horizon; the default keeps the upper half, indices n//2 through n-1.
+    window is an inclusive (lo, hi) pair of integer indices into the points
+    sorted by horizon; the default keeps the upper half, n//2 through n-1.
     A value that is not finite raises NumericFailure whose index is its
     horizon K.
     """
@@ -61,7 +62,11 @@ def fit_loglog(
             raise ValueError(f"cannot fit a power law through nonpositive value {y}")
     if window is None:
         window = (n // 2, n - 1)
-    lo, hi = int(window[0]), int(window[1])
+    if not (isinstance(window, (tuple, list)) and len(window) == 2) or any(
+        isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in window
+    ):
+        raise ValueError(f"window must be a two-element [lo, hi] list of integers, got {window!r}")
+    lo, hi = map(int, window)
     if not 0 <= lo <= hi < n:
         raise ValueError(f"window {window} out of range for {n} points")
     if hi - lo + 1 < 3:

@@ -2,8 +2,10 @@
 
 Four immutable families: constant, polynomial alpha/(k+gamma)^p, exponential
 alpha*g^k with per-step factor g = (beta/K)^(p/K), and cosine
-alpha*[(1+cos(k*pi/K))/2]^p. All are non-increasing in k. Aggregate helpers
-compute the largest step, which the bound evaluators and optimizers compare
+alpha*[(1+cos(k*pi/K))/2]^p; constant is the exponential rule at g = 1. All
+are non-increasing in k. Each rule is stated once per arithmetic: in _steps
+(math), which every scalar query reads, and in _lane_steps (numpy). Helpers
+give the largest step, which the bound evaluators and optimizers compare
 with their caps, and partial sums (closed form where one exists).
 """
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,9 +34,10 @@ def _check_horizon(value: int, name: str) -> None:
 
 @dataclass(frozen=True)
 class Constant:
-    """alpha_k = alpha for every k."""
+    """alpha_k = alpha for every k: the exponential rule at g = 1."""
 
     alpha: float
+    log_decay: ClassVar[float] = 0.0  # log g
 
     def __post_init__(self) -> None:
         _positive(self.alpha, "alpha")
@@ -120,13 +124,10 @@ def _check_steps(schedule: StepSchedule, K: int) -> None:
 
 
 def _steps(schedule: StepSchedule, ks: range) -> list[float]:
-    """alpha_k for k in ks, by the family's closed form in the math module's
-    arithmetic; _lane_steps states each rule in numpy's, for the lane batch,
-    and agrees to rounding (numpy's exp, cos and pow differ by about an ulp).
-    At k = K, cos(K*pi/K) is exactly -1.0 (K*pi/K lies within two roundings
-    of pi), so the cosine step is 0.0 there."""
-    if isinstance(schedule, Constant):
-        return [schedule.alpha] * len(ks)
+    """alpha_k for k in ks by the family's closed form; _lane_steps agrees to
+    rounding (numpy's exp, cos and pow differ by about an ulp). At k = K,
+    cos(K*pi/K) is exactly -1.0 (K*pi/K lies within two roundings of pi), so
+    the cosine step is 0.0 there."""
     if isinstance(schedule, Polynomial):
         a, g, p = schedule.alpha, schedule.gamma, schedule.p
         steps = []
@@ -136,8 +137,10 @@ def _steps(schedule: StepSchedule, ks: range) -> list[float]:
         except OverflowError:  # (k + g)^p passes the floats from this k on
             pass
         return steps + [0.0] * (len(ks) - len(steps))
-    if isinstance(schedule, Exponential):
+    if isinstance(schedule, (Constant, Exponential)):
         a, lg = schedule.alpha, schedule.log_decay
+        if lg == 0.0:  # g = 1: exp(k*0.0) is exactly 1.0
+            return [a] * len(ks)
         return [a * math.exp(k * lg) for k in ks]
     if isinstance(schedule, Cosine):
         a, p, H = schedule.alpha, schedule.p, schedule.horizon
@@ -148,11 +151,6 @@ def _steps(schedule: StepSchedule, ks: range) -> list[float]:
 def step_value(schedule: StepSchedule, k: int) -> float:
     """alpha_k for the given family; zero only for the cosine family at k = K."""
     _check_index(schedule, k)
-    if isinstance(schedule, Polynomial):  # _steps' loop for one index
-        try:
-            return schedule.alpha / (k + schedule.gamma) ** schedule.p
-        except OverflowError:  # (k + gamma)^p passes the floats
-            return 0.0
     return _steps(schedule, range(k, k + 1))[0]
 
 
@@ -163,27 +161,22 @@ def step_values(schedule: StepSchedule, K: int) -> list[float]:
 
 
 def step_max(schedule: StepSchedule, K: int) -> float:
-    """Largest step over k in [0, K-1]: the first, which is alpha itself but
-    in the polynomial family (exp(0.0) and cos(0.0) are exactly 1.0)."""
+    """Largest step over k in [0, K-1]: the first, as no family increases."""
     _check_steps(schedule, K)
-    if isinstance(schedule, (Constant, Exponential, Cosine)):
-        return schedule.alpha
-    return step_value(schedule, 0)  # or the TypeError of an unknown type
+    return _steps(schedule, range(1))[0]
 
 
 def step_sum(schedule: StepSchedule, K: int) -> float:
     """Sum of the first K steps.
 
-    Constant and exponential sums use closed forms; the cosine sum at full
+    Exponential (so constant) sums use closed forms; the cosine sum at full
     horizon with p = 1 equals alpha*(K+1)/2; everything else is summed
     directly with compensated accumulation.
     """
     _check_steps(schedule, K)
-    if isinstance(schedule, Constant):
-        return schedule.alpha * K
-    if isinstance(schedule, Exponential):
+    if isinstance(schedule, (Constant, Exponential)):
         lg = schedule.log_decay
-        if lg == 0.0:
+        if lg == 0.0:  # g = 1, where the geometric form below is 0/0
             return schedule.alpha * K
         # geometric sum (1 - g^K)/(1 - g) via expm1 to avoid cancellation
         return schedule.alpha * math.expm1(K * lg) / math.expm1(lg)
@@ -197,7 +190,7 @@ def step_sum(schedule: StepSchedule, K: int) -> float:
 
 # the constants each family's closed form reads, as columns of lanes
 _STEP_FIELDS = {
-    Constant: ("alpha",),
+    Constant: ("alpha", "log_decay"),
     Polynomial: ("alpha", "gamma", "p"),
     Exponential: ("alpha", "log_decay"),
     Cosine: ("alpha", "p", "horizon"),
@@ -225,23 +218,21 @@ def _lane_steps(columns: list, k: np.ndarray, n: int, out: np.ndarray) -> None:
         if not m:
             continue
         alpha, *rest = constants[:, :m]
-        if family is Constant:
-            steps = alpha
-        elif family is Polynomial:
+        if family is Polynomial:
             gamma, p = rest
             steps = k + gamma
             np.power(steps, p, out=steps)
             np.divide(alpha, steps, out=steps)
-        elif family is Exponential:
-            steps = k * rest[0]
-            np.exp(steps, out=steps)
-            steps *= alpha
-        else:
+        elif family is Cosine:
             p, horizon = rest
             steps = k * math.pi / horizon
             np.cos(steps, out=steps)
             steps += 1.0
             steps /= 2.0
             np.power(steps, p, out=steps)
+            steps *= alpha
+        else:  # exponential, and constant at log g = 0
+            steps = k * rest[0]
+            np.exp(steps, out=steps)
             steps *= alpha
         out[:, where[:m]] = steps

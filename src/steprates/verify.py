@@ -27,6 +27,7 @@ from .optimizers import (
 from .plbounds import (
     MethodConstants,
     NumericFailure,
+    _method,
     bound_const,
     bound_cos,
     bound_exp,
@@ -64,6 +65,7 @@ from .schedules import Constant, Cosine, Exponential, Polynomial
 
 # the exponents r of the power-sum and power-difference inequality grids
 DEFAULT_R_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+_FAMILIES = ("const", "exp", "cos", "poly")  # the pins of bounds_suite's family
 
 
 def _require_draws(draws: int) -> None:
@@ -211,7 +213,7 @@ def _draw_bound_case(
     derived, params = mc.derived, mc.params
     cap, rho = derived.alpha_cap, derived.rho
     if family is None:
-        family = ("const", "exp", "cos", "poly")[int(rng.integers(0, 4))]
+        family = _FAMILIES[int(rng.integers(0, len(_FAMILIES)))]
     K = int(rng.integers(4, 257))
     if family == "const":
         schedule = Constant(alpha=cap * float(rng.uniform(0.1, 1.0)))
@@ -329,10 +331,10 @@ def bounds_suite(
     """Every displayed bound dominates the worst-case recursion on random draws.
 
     method ("sgd" or "rr"), family ("const", "exp", "cos" or "poly") and
-    poly_case ("a" to "d") pin the draws; each is random when omitted. A
-    draw that would need an impractical horizon, or whose simulation fails,
-    is resampled, up to 50 attempts per requested draw (at least 1). counts holds
-    dominated ("d/evaluated") and resampled.
+    poly_case ("a" to "d") pin the draws (others raise ValueError); each is
+    random when omitted. A draw that would need an impractical horizon, or
+    whose simulation fails, is resampled, up to 50 attempts per requested
+    draw (at least 1). counts holds dominated ("d/evaluated") and resampled.
 
     Screen, then confirm: a round draws attempts until it holds
     draws - evaluated cases (within the 50 x draws cap), and its recursions
@@ -347,6 +349,12 @@ def bounds_suite(
     simulate_pl_recursion writes.
     """
     _require_draws(draws)
+    if method is not None:
+        _method(method)  # the ValueError that names an unknown method
+    if family not in (None, *_FAMILIES):
+        raise ValueError(f"unknown family {family!r}")
+    if poly_case not in (None, "a", "b", "c", "d"):
+        raise ValueError(f"unknown poly_case {poly_case!r}")
     rng = keyed_generators([seed])[0]
     worst = WorstMargin("bound-dominates-simulation", "method={} schedule={} K={}".format)
     evaluated = dominated = resampled = attempts = 0

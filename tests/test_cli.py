@@ -584,6 +584,21 @@ def test_run_finite_sum_whose_curvatures_overflow_is_config_error(tmp_path, caps
     assert not (tmp_path / "out" / "trajectories.csv").exists()
 
 
+def test_run_with_shifts_or_curvatures_but_no_n_is_config_error(tmp_path, capsys):
+    # without N, make_quadratic ignored them and gd ran the unshifted quadratic (exit 0)
+    config = {
+        "algorithm": "gd",
+        "problem": {"kind": "quadratic", "mu": 1.0, "L": 2.0, "dim": 1,
+                    "shifts": [5.0], "curvatures": [9.0]},
+        "schedule": {"family": "constant", "alpha": 0.1},
+        "K": 4,
+        "x0": [1.0],
+    }
+    assert run_cli(tmp_path, "run", config) == 2
+    assert "shifts and curvatures define a finite sum and need N" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trajectories.csv").exists()
+
+
 def test_fit_round_trip_from_run(tmp_path):
     config = {
         "algorithm": "gd",

@@ -38,7 +38,10 @@ from steprates.plbounds import (
 )
 from steprates.recursions import (
     ClassicalParams,
+    FunctionDescriptor,
     PreconditionError,
+    RecursionSpec,
+    _power,
     classical_bound,
     classical_spec,
     find_lambda_constant,
@@ -49,8 +52,10 @@ from steprates.schedules import (
     Cosine,
     Exponential,
     Polynomial,
+    step_max,
     step_sum,
     step_value,
+    step_values,
 )
 
 
@@ -1230,3 +1235,113 @@ def test_powers_past_the_floats_end_in_their_limit_or_a_named_error(cases):
             call(*args)
         except (ValueError, NumericFailure):
             pass
+
+
+# The constant and polynomial rules as they were stated before the constant
+# family became the exponential rule at g = 1, each in its own branch.
+def separate_polynomial_step(alpha, gamma, p, k):
+    try:
+        return alpha / (k + gamma) ** p
+    except OverflowError:  # (k + gamma)^p passes the floats
+        return 0.0
+
+
+def separate_lane_steps(columns, k, n, out):
+    """schedules._lane_steps on constant and polynomial lanes, each rule apart."""
+    for family, where, constants in columns:
+        m = int(np.searchsorted(where, n))
+        if not m:
+            continue
+        if family is Constant:
+            steps = constants[0, :m]
+        else:
+            alpha, gamma, p = constants[:, :m]
+            steps = k + gamma
+            np.power(steps, p, out=steps)
+            np.divide(alpha, steps, out=steps)
+        out[:, where[:m]] = steps
+
+
+def separate_constant_spec(params, delta, alpha, K):
+    """relaxed_recursion_transform's flat-ratio spec of Constant(alpha)."""
+    d = derive_constants(params, delta)
+    plbounds._capped("largest step", alpha, d.alpha_cap)
+    inv_rho, noise = 1.0 / d.rho, 2.0 * d.zeta * d.xi
+    err_coef = 1.0 / noise if noise else math.inf
+    scale = 2.0 * d.zeta * _power(alpha, d.q)
+    return RecursionSpec(
+        s=FunctionDescriptor(fn=lambda x: _power(alpha, -inv_rho) / d.xi),
+        t=FunctionDescriptor(fn=lambda x: err_coef * _power(alpha, -params.tau)),
+        b=float,
+        interval=(0.0, float(K)),
+        horizon=K,
+        ratio=FunctionDescriptor(fn=lambda x: scale, derivative=lambda x: 0.0),
+    )
+
+
+def spec_outcome(build):
+    """A spec's grid and lambda certificate as repr, or its ValueError."""
+    try:
+        spec = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr(spec.grid), repr(find_lambda_constant(spec))
+
+
+ANY_STEP = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-200, 1e-30, 0.5, 1.0, 3.0, 1e30, 1e200, 1.7e308]),
+    st.floats(5e-324, 1.7e308),
+)
+
+
+FLAT_OR_POLYNOMIAL_LANES = st.lists(
+    st.tuples(
+        RECURSION_PARAMS,
+        st.one_of(
+            st.builds(Constant, st.one_of(ANY_STEP, STEP)),
+            st.builds(Polynomial, STEP, st.floats(0.5, 16.0), POWER),
+        ),
+        st.sampled_from([0.0, 0.5, 1.0, 1e300]),
+        st.integers(1, 48),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+# no max_examples: CI fuzzes it under the fuzz profile
+@pytest.mark.fuzz
+@given(st.data())
+def test_constant_and_polynomial_steps_keep_the_bits_of_their_separate_rules(data):
+    """Every query of a constant or polynomial step, the lane batch and the
+    constant transform give, bit for bit, what the rules stated apart give."""
+    alpha = data.draw(ANY_STEP)
+    constant = Constant(alpha)
+    K = data.draw(st.integers(1, 2**12))
+    assert step_values(constant, K) == [alpha] * K
+    assert step_max(constant, K).hex() == alpha.hex()
+    assert step_value(constant, data.draw(st.integers(0, 2**40))).hex() == alpha.hex()
+    K_sum = data.draw(st.integers(1, 2**40))
+    assert step_sum(constant, K_sum).hex() == (alpha * K_sum).hex()
+
+    try:
+        poly = Polynomial(alpha, data.draw(ANY_STEP), data.draw(ANY_STEP))
+    except ValueError:  # alpha/gamma^p passes the floats
+        poly = Polynomial(1.0, 1.0, 1.0)
+    # an index past the floats raises OverflowError in k + gamma, as a power does
+    k = data.draw(st.one_of(st.sampled_from([0, 2**40, 10**308, 10**400]), st.integers(0, 2**40)))
+    expected = separate_polynomial_step(poly.alpha, poly.gamma, poly.p, k)
+    assert step_value(poly, k).hex() == expected.hex()
+
+    lanes = data.draw(FLAT_OR_POLYNOMIAL_LANES)
+    batch = [a.tobytes() for a in simulate_pl_lanes(lanes)]
+    with mock.patch.object(plbounds, "_lane_steps", separate_lane_steps):
+        assert [a.tobytes() for a in simulate_pl_lanes(lanes)] == batch
+
+    # alpha, or the cap where alpha exceeds it, so most transforms succeed
+    params = data.draw(RECURSION_PARAMS)
+    delta, K = data.draw(st.floats(0.1, 4.0)), data.draw(st.integers(1, 48))
+    a = min(alpha, derive_constants(params, delta).alpha_cap)
+    assert spec_outcome(
+        lambda: relaxed_recursion_transform(params, delta, Constant(a), K)
+    ) == spec_outcome(lambda: separate_constant_spec(params, delta, a, K))

@@ -73,6 +73,15 @@ def test_fit_input_validation():
         fit_loglog([(8, 1.0), (8, 2.0), (8, 3.0)], window=(0, 2))
 
 
+@pytest.mark.parametrize("window", [(0, 5, 9), (0.5, 6.7), (3,), (True, 5), [0, "5"]])
+def test_fit_window_that_is_not_a_pair_of_integers_is_rejected_naming_it(window):
+    """(0, 5, 9) fitted (0, 5), (0.5, 6.7) fitted (0, 6), and (3,) raised IndexError."""
+    good = [(2**i, 1.0 / 2**i) for i in range(1, 9)]
+    message = re.escape(f"window must be a two-element [lo, hi] list of integers, got {window!r}")
+    with pytest.raises(ValueError, match=message):
+        fit_loglog(good, window=window)
+
+
 def test_fit_rejects_non_finite_values_naming_the_point():
     good = [(2**i, 1.0 / 2**i) for i in range(1, 7)]
     for bad in (math.inf, math.nan):

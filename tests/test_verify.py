@@ -154,6 +154,23 @@ def test_case_d_draw_falls_back_to_the_smallest_offset(monkeypatch):
     assert schedule.gamma == smallest_offset(mc.params, schedule.alpha, K)
 
 
+@pytest.mark.parametrize(
+    "pin, message",
+    [
+        ({"method": "SGD"}, "unknown method 'SGD'"),
+        ({"method": "gd"}, "unknown method 'gd'"),
+        ({"family": "exponential"}, "unknown family 'exponential'"),
+        ({"family": "poly", "poly_case": "e"}, "unknown poly_case 'e'"),
+    ],
+)
+def test_bounds_suite_rejects_an_unknown_pin_before_drawing(pin, message, monkeypatch):
+    """An unknown method ran random reshuffling, an unknown family drew
+    polynomials, and an unknown case resampled every attempt."""
+    monkeypatch.setattr(verify, "keyed_generators", None)  # drawing would raise TypeError
+    with pytest.raises(ValueError, match=message):
+        bounds_suite(3, 0, **pin)
+
+
 def test_bounds_suite_resamples_a_failed_simulation(monkeypatch):
     seen, failing, reruns = [], [], []
 
