@@ -62,7 +62,6 @@ from .optimizers import (
     make_quadratic,
     rr_run,
     sgd_run,
-    verify_pl,
 )
 from .plbounds import (
     NumericFailure,
@@ -76,9 +75,16 @@ from .plbounds import (
     simulate_pl_finals,
 )
 from .rates import fit_loglog, heatmap_grid
-from .recursions import PreconditionError, tech_inequality_suite
+from .recursions import PreconditionError
 from .schedules import StepSchedule
-from .verify import DEFAULT_R_GRID, assumptions_suite, bounds_suite, chung_suite
+from .verify import (
+    DEFAULT_R_GRID,
+    assumptions_suite,
+    bounds_suite,
+    chung_suite,
+    tech_inequality_suite,
+    verify_pl,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1

@@ -3,9 +3,9 @@
 Provides noise-free gradient descent, stochastic gradient descent with an
 additive (optionally state-scaled) Gaussian oracle, and random reshuffling
 over finite sums, together with problem builders whose curvature, gradient-
-domination, and noise certificates are known in closed form. Empirical
-verification helpers sample those certificates so that runs feeding the
-bound checks are backed by checked assumptions rather than trust.
+domination, and noise certificates are known in closed form. The checks
+that sample those certificates, verify.verify_pl and verify.verify_variance,
+back the runs feeding the bound checks with checked assumptions, not trust.
 
 All three methods run on one engine that steps every seed together as an
 (S, d) array, one row per seed in ascending seed order; gradient descent is
@@ -42,7 +42,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .plbounds import NumericFailure, smoothness_cap
-from .recursions import CheckResult, PreconditionError, WorstMargin, _power
+from .recursions import PreconditionError, _power
 from .schedules import StepSchedule, step_max, step_values
 
 # Numbers the engine holds at once beyond the gap array and the seeds' own:
@@ -670,88 +670,6 @@ def make_power_family(theta: float, c: float, radius: float) -> Problem:
         domain_radius=radius,
         meta={"kind": "power", "growth": growth, "scale": c},
     )
-
-
-def verify_pl(problem: Problem, sample_count: int, seed: int) -> CheckResult:
-    """Sample the gradient-domination inequality inside the certified box."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
-    rng = keyed_generators([seed])[0]
-    radius = problem.domain_radius
-    root = math.sqrt(2.0 * problem.pl_mu)
-    theta = problem.pl_theta
-    worst = WorstMargin("pl-inequality", "sample {}".format)
-    for i in range(sample_count):
-        x = rng.uniform(-radius, radius, size=problem.dimension)
-        gap = float(problem.objective(x)) - problem.f_star
-        if gap < _gap_floor(problem.f_star):
-            return CheckResult(
-                check="pl-inequality",
-                passed=False,
-                margin=gap,
-                witness_index=f"sample {i}",
-                witness_value=gap,
-            )
-        rhs = root * max(gap, 0.0) ** theta
-        margin = [float(np.linalg.norm(problem.gradient(x))) - rhs]
-        worst.add(margin, margin, i, floor=1e-9 * max(1.0, rhs))
-    return worst.result()
-
-
-def verify_variance(
-    problem: Problem, noise: NoiseModel, sample_count: int, draws: int, seed: int
-) -> list[CheckResult]:
-    """Check the noise-oracle and component-dispersion variance certificates.
-
-    The stochastic oracle check is Monte Carlo with a three-standard-error
-    slack; the finite-sum dispersion check is exact up to floating point.
-    """
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
-    rng = keyed_generators([seed])[0]
-    radius = problem.domain_radius
-    dim = problem.dimension
-    checks: list[WorstMargin] = []
-
-    if noise.kind == "additive_gaussian":
-        if draws < 30:
-            raise ValueError("need at least 30 draws for the stochastic check")
-        mean = WorstMargin("noise-mean-zero", "state {}".format)
-        variance = WorstMargin("noise-variance", "state {}".format)
-        for i in range(sample_count):
-            x = rng.uniform(-radius, radius, size=dim)
-            gap = max(float(problem.objective(x)) - problem.f_star, 0.0)
-            bound = noise.A * gap + noise.sigma**2
-            scale = math.sqrt(bound / dim)
-            sample = rng.standard_normal((draws, dim)) * scale
-            sq = np.einsum("ij,ij->i", sample, sample)
-            mean_norm = float(np.linalg.norm(sample.mean(axis=0)))
-            mean_slack = [3.0 * math.sqrt(bound / draws) - mean_norm]
-            var_hat = float(sq.mean())
-            se = float(sq.std(ddof=1)) / math.sqrt(draws)
-            var_slack = [bound + 3.0 * se - var_hat]
-            mean.add(mean_slack, mean_slack, i)
-            variance.add(var_slack, var_slack, i)
-        checks += [mean, variance]
-    else:
-        variance = WorstMargin("noise-variance", "state {}".format)
-        variance.add([noise.sigma**2], [noise.sigma**2])
-        checks.append(variance)
-
-    if problem.component_gradient is not None:
-        N = problem.component_count
-        every = np.arange(N)
-        dispersion = WorstMargin("component-dispersion", "state {}".format)
-        for i in range(sample_count):
-            x = rng.uniform(-radius, radius, size=dim)
-            devs = problem.component_gradient(np.tile(x, (N, 1)), every) - problem.gradient(x)
-            disp = math.fsum(float(v) ** 2 for v in np.sqrt(_rowdot(devs, devs))) / N
-            gap = max(float(problem.objective(x)) - problem.f_star, 0.0)
-            bound = noise.A * gap + noise.sigma**2
-            slack = [bound - disp + 1e-12 * max(1.0, bound)]
-            dispersion.add(slack, slack, i)
-        checks.append(dispersion)
-    return [check.result() for check in checks]
 
 
 def noise_free_bound(theta: float, mu: float, gap0: float, alpha_sum: float) -> float:

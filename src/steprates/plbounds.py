@@ -179,7 +179,7 @@ def _method(name: str) -> _Method:
     """The record of the method named exactly "sgd" or "rr"."""
     try:
         return _METHODS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
         raise ValueError(f"unknown method {name!r}") from None
 
 
@@ -502,8 +502,8 @@ def relaxed_recursion_transform(
     encoded through s(x) = xi^(-1)*eta(x)^(-1/rho), t(x) = (2*zeta*xi)^(-1)
     *eta(x)^(-tau), where eta and the grid b_k depend on the family so that
     eta(b_k) equals the step a_k and the ratio r = 2*zeta*eta^q is convex.
-    Requires step_max <= alpha_cap. recursions.recursion_convexity checks
-    the convexity; the acceptance test of the expanded form runs it here.
+    Requires step_max <= alpha_cap. verify.recursion_convexity checks the
+    convexity; the acceptance test of the expanded form runs it here.
     """
     derived = derive_constants(params, delta)
     if K < 1:

@@ -9,29 +9,25 @@ plus a contracting memory of the start.
 The module offers the exact iterate and an expanded-form evaluation as
 cross-checking oracles, a numeric certificate search for lambda, the bound
 itself together with its extension past the certified horizon and the
-forgetting-factor refinement, closed forms for the classical decreasing-step
-case s = x^nu/c, t = x^(nu+q)/d, and grid verification of the elementary
-inequalities those derivations lean on, whose cosine checks share one row
-per K of cos(k*pi/K) and (1 - k/K)**2.
+forgetting-factor refinement, and closed forms for the classical
+decreasing-step case s = x^nu/c, t = x^(nu+q)/d. The numeric checks of the
+lemma's hypotheses (verify.recursion_convexity) and of the elementary
+inequalities behind it (verify.tech_inequality_suite) live in verify.
 
 A spec evaluates s, t, b and the ratio once per grid point, at
 construction, and every evaluator here reads those values (`spec.grid`)
 instead of calling the functions again. They must therefore be pure: a
 function whose value changes after construction is not seen. The lazy
 calls are the derivative of r, which the lambda certificate evaluates on
-demand, and r between grid points, where the check ratio-convex
-(recursion_convexity) tests the lemma's convexity hypothesis by the
-chord slacks (chord - r) relative to the largest |r| of their three points.
+demand, and r between grid points, which verify.recursion_convexity reads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat, takewhile
+from itertools import accumulate, takewhile
 from operator import mul
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 
 class PreconditionError(ValueError):
@@ -84,7 +80,7 @@ class RecursionSpec:
     s, t, b and ratio are evaluated once per grid point, here, and must be
     pure: the values land in `grid`, which every evaluator of this module
     reads. Only r's derivative, by the lambda certificate, and r between
-    grid points, by recursion_convexity, are called later.
+    grid points, by verify.recursion_convexity, are called later.
     """
 
     s: FunctionDescriptor
@@ -171,69 +167,6 @@ class ClassicalParams:
             raise ValueError("varsigma must be positive when given")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One verification outcome; serializes to the report JSON schema."""
-
-    check: str
-    passed: bool
-    margin: float
-    witness_index: str | None = None
-    witness_value: float | None = None
-
-
-class WorstMargin:
-    """One check's CheckResult, streamed over its items in rows.
-
-    The rule every check follows: the margin is min() over the item margins
-    (NaN if any is NaN, +inf with no items); an item fails when its margin
-    is below -floor, the tolerance given with its row; the check passes only
-    when no item fails and no margin is NaN; the witness is the first
-    failing item, so never a NaN. `add` keeps what a scan of all items would
-    find without storing them. Item i of a row added with `where` is
-    labelled label(*where, i), formatted only for the witness.
-    """
-
-    __slots__ = ("name", "label", "margin", "witness")
-
-    def __init__(self, name: str, label: Callable[..., str]) -> None:
-        self.name = name
-        self.label = label
-        self.margin: float | None = None
-        self.witness: tuple | None = None
-
-    def add(self, margins: list[float], values: list[float], *where, floor: float = 0.0) -> None:
-        """Fold in one nonempty row of item margins and the values they witness."""
-        total = sum(margins)  # NaN when a margin is, or when both infinities are
-        low = math.nan if total != total and any(map(math.isnan, margins)) else min(margins)
-        if self.margin is None or low < self.margin or low != low:
-            self.margin = low  # a NaN, once in, stays: nothing is below it
-        if self.witness is None and not low >= -floor:
-            for i, m in enumerate(margins):
-                if m < -floor:
-                    self.witness = (values[i], self.label(*where, i))
-                    return
-
-    def result(self) -> CheckResult:
-        margin = math.inf if self.margin is None else self.margin
-        if self.witness is None:
-            return CheckResult(self.name, not math.isnan(margin), margin)
-        value, label = self.witness
-        return CheckResult(self.name, False, margin, label, value)
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    """A suite's checks and its counts of the work behind them (draws, resamples)."""
-
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
-    counts: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _check_start(a0: float) -> None:
     """A start value's check; inf would give inf * 0.0 = NaN where a product is 0."""
     if not a0 >= 0.0:
@@ -276,40 +209,7 @@ def expansion_bound(spec: RecursionSpec, a0: float, K: int) -> float:
     return float(a0) * suffix + math.fsum(terms)
 
 
-CONVEXITY_SUBDIVISIONS = 8  # equal parts of each gap of the b_k grid
-CONVEXITY_TOL = 1e-9  # the relative chord slack an item of ratio-convex may lack
 SLOPE_TOL = 1e-9  # the slack a step of the slope condition may lack for a target lambda
-
-
-def recursion_convexity(spec: RecursionSpec) -> CheckResult:
-    """The lemma's hypothesis that r is convex, as the check ratio-convex.
-
-    Each gap of the b_k grid (which need not be uniform or increasing) is
-    cut into equal parts; on the sorted points, each interior point is an
-    item with margin (chord - r)/max|r|, the largest |r| among the item's
-    three points (margin 0 where all three are 0), so the floor is relative
-    to the ratio's own scale. The witness value is the first failing point;
-    a ratio NaN or infinite at any point fails with margin NaN.
-    """
-    b, n = spec.grid.b, CONVEXITY_SUBDIVISIONS
-    points = [x0 + (x1 - x0) * j / n for x0, x1 in zip(b, b[1:]) for j in range(n)]
-    points = sorted(points + [b[-1]])
-    grid = [points[0]]
-    span = max(1.0, abs(points[-1] - points[0]))
-    for x in points[1:]:
-        if x - grid[-1] > 1e-12 * span:
-            grid.append(x)
-    values = [spec.r(x) for x in grid]
-    margins = []
-    for x0, x1, x2, v0, v1, v2 in zip(grid, grid[1:], grid[2:], values, values[1:], values[2:]):
-        slack = ((x2 - x1) * v0 + (x1 - x0) * v2) / (x2 - x0) - v1
-        scale = max(abs(v0), abs(v1), abs(v2))
-        # scale 0: three zeros (slack 0) or a NaN that max() passed over (slack NaN)
-        margins.append(slack / scale if scale else slack)
-    worst = WorstMargin("ratio-convex", lambda i: f"x={grid[i + 1]:.6g}")
-    if margins:
-        worst.add(margins, grid[1:-1], floor=CONVEXITY_TOL)
-    return worst.result()
 
 
 def _slope_terms(spec: RecursionSpec) -> list[float]:
@@ -568,127 +468,3 @@ def classical_spec(
         horizon=horizon,
         ratio=ratio,
     )
-
-
-# --- grid verification of the supporting inequalities ---------------------
-
-
-def _log_bound_check() -> CheckResult:
-    xs = [-1.0] + [-1.0 + 0.01 * i for i in range(1, 200)] + [float(i) for i in range(1, 100)]
-    worst = WorstMargin("log-upper-bound", lambda i: f"x={xs[i]:.6g}")
-    lhs = [math.log1p(x) if x > -1.0 else -math.inf for x in xs]
-    worst.add([x - lv for x, lv in zip(xs, lhs)], xs)
-    return worst.result()
-
-
-def _product_exp_check(k_max: int) -> CheckResult:
-    margins, values = [], []
-    n = 1
-    case = 0
-    while n <= k_max:
-        for offset in (0.0, 0.37, 1.9):
-            xs = [-1.0 + 2.5 * math.modf(0.6180339887498949 * (i + 1) + offset)[0] for i in range(n)]
-            prod = math.prod(1.0 + x for x in xs)
-            margins.append(math.exp(math.fsum(xs)) - prod)
-            values.append(prod)
-            case += 1
-        n *= 2
-    margins.append(math.exp(0.0) - 1.0)  # equality case
-    values.append(1.0)
-    # item i < case is set i, the third of its n's; the last is the equality case
-    worst = WorstMargin(
-        "product-exp-bound", lambda i: "n=3,zeros" if i == case else f"n={2 ** (i // 3)},set={i}"
-    )
-    worst.add(margins, values)
-    return worst.result()
-
-
-def _power_difference_check(r_grid: list[float]) -> CheckResult:
-    grid = [10.0 ** (-2.0 + 4.0 * i / 24.0) for i in range(25)]
-    worst = WorstMargin(
-        "power-difference-bound", lambda r, x, i: f"r={r},x={x:.4g},y={grid[i]:.4g}"
-    )
-    for r in list(r_grid) + [1e-3, 10.0]:
-        for x in grid:
-            lhs = [x**r - y**r for y in grid]
-            rhs = [r * y**r * (x - y) / x for y in grid]
-            worst.add([lv - rv for lv, rv in zip(lhs, rhs)], lhs, r, x)
-    return worst.result()
-
-
-def _cosine_checks(k_max: int, r_grid: list[float]) -> tuple[CheckResult, ...]:
-    """The cosine brackets, shifted and increment estimates and power-sum floor.
-
-    They share row K: cos(k*pi/K) and (1 - k/K)**2 for k = 0..K, each taken
-    once by math.cos and Python's **. The + - * / on the rows run in numpy,
-    which rounds each element as Python does; the power sum keeps pow and fsum.
-    """
-    lower = WorstMargin("cosine-lower-bracket", "K={},k={}".format)
-    upper = WorstMargin("cosine-upper-bracket", "K={},k={}".format)
-    shifted = WorstMargin("cosine-shifted-lower", "K={},k={}".format)
-    increment = WorstMargin("cosine-increment-lower", "K={},k={}".format)
-    power_sum = WorstMargin("cosine-power-sum", lambda K, i: f"K={K},r={r_grid[i]}")
-    for K in range(1, k_max + 1):
-        ks = np.arange(K + 1.0)
-        cos = np.array(list(map(math.cos, (ks * math.pi / K).tolist())))
-        fracs = 1.0 - ks / K
-        squares = np.array(list(map(pow, fracs.tolist(), repeat(2))))
-        mids = 1.0 + cos
-        mid_list = mids.tolist()
-        lower.add((mids - 2.0 * squares).tolist(), mid_list, K)
-        upper.add(((math.pi**2 / 2.0) * squares - mids).tolist(), mid_list, K)
-        if K > 1:  # k = 0..K-2 against cos((k + 1)*pi/K)
-            lhs = mids[1:K]
-            shifted.add((lhs - 0.5 * squares[: K - 1]).tolist(), lhs.tolist(), K)
-        lhs = cos[1:] - cos[:-1]
-        increment.add((lhs + (math.pi**2 / K) * fracs[:K]).tolist(), lhs.tolist(), K)
-        bases = (mids[:K] / 2.0).tolist()
-        totals = [math.fsum(map(pow, bases, repeat(r, K))) for r in r_grid]
-        power_sum.add([t - K / 2.0 ** max(1.0, r) for t, r in zip(totals, r_grid)], totals, K)
-    return tuple(worst.result() for worst in (lower, upper, shifted, increment, power_sum))
-
-
-def _integral_sandwich_check(k_max: int) -> CheckResult:
-    margins, values, keys = [], [], []
-    spans = [(0, 10), (3, 100), (0, k_max)]
-    for nu in (0.3, 0.5, 1.0, 1.7):
-        for gamma in (0.5, 2.0, 10.0):
-            if nu == 1.0:
-                antideriv = lambda x, g=gamma: math.log(x + g)
-            else:
-                antideriv = lambda x, g=gamma, n=nu: (x + g) ** (1.0 - n) / (1.0 - n)
-            f = lambda x, g=gamma, n=nu: (x + g) ** (-n)
-            for a, b in spans:
-                total = math.fsum(f(k) for k in range(a, b + 1))
-                low = antideriv(b + 1) - antideriv(a)
-                high = f(a) + antideriv(b) - antideriv(a)
-                margins += [total - low, high - total]
-                values += [total, total]
-                keys += [(nu, gamma, a, b, "lower"), (nu, gamma, a, b, "upper")]
-    worst = WorstMargin(
-        "integral-sandwich", lambda i: "nu={},gamma={},a={},b={},{}".format(*keys[i])
-    )
-    worst.add(margins, values)
-    return worst.result()
-
-
-def tech_inequality_suite(K_max: int, r_grid: list[float]) -> SuiteReport:
-    """Verify the supporting inequalities on exhaustive grids up to K_max.
-
-    Covers the logarithm upper bound, the product-vs-exponential bound, the
-    power-difference bound, the three cosine estimates, the cosine power-sum
-    floor, and the integral sandwich for decreasing power functions. The
-    cosine checks share one row per K of cos(k*pi/K) and (1 - k/K)**2.
-    """
-    if K_max < 2:
-        raise ValueError("K_max must be at least 2")
-    if not r_grid or any(r <= 0 for r in r_grid):
-        raise ValueError("r_grid must contain positive reals")
-    checks = (
-        _log_bound_check(),
-        _product_exp_check(K_max),
-        _power_difference_check(list(r_grid)),
-        *_cosine_checks(K_max, list(r_grid)),
-        _integral_sandwich_check(K_max),
-    )
-    return SuiteReport(checks=checks)

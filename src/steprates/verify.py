@@ -1,28 +1,34 @@
-"""Randomized verification suites behind the paper's claims.
+"""Every numeric check behind the paper's claims, and the rule they report by.
 
-chung_suite checks the generalized Chung lemma on classical recursions,
-bounds_suite that every displayed method bound dominates the worst-case
-progress recursion, and assumptions_suite the synthetic problems' constants;
-recursions.tech_inequality_suite over DEFAULT_R_GRID checks the supporting
-inequalities. Each returns a recursions.SuiteReport: its checks, each with
-its worst margin and, on failure, a witness, and a counts dict of the work
-behind them. All randomness is keyed by the seed through
-optimizers.keyed_generators, so a report is a function of its arguments.
+A check folds its item margins through WorstMargin into a CheckResult: the
+worst margin and, on failure, the first failing item as witness. The suites
+group the checks, each into a SuiteReport of its checks and a counts dict
+of the work behind them: chung_suite checks the generalized Chung lemma on
+classical recursions, bounds_suite that every displayed method bound
+dominates the worst-case progress recursion, assumptions_suite the
+synthetic problems' constants (verify_pl, verify_variance), and
+tech_inequality_suite over DEFAULT_R_GRID the supporting inequalities.
+recursion_convexity checks the lemma's convexity hypothesis on one spec.
+All randomness is keyed by the seed through optimizers.keyed_generators,
+so a report is a function of its arguments.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
 from .optimizers import (
     NoiseModel,
+    Problem,
+    _gap_floor,
+    _rowdot,
     keyed_generators,
     make_power_family,
     make_quadratic,
-    verify_pl,
-    verify_variance,
 )
 from .plbounds import (
     MethodConstants,
@@ -43,14 +49,10 @@ from .plbounds import (
     smallest_offset,
 )
 from .recursions import (
-    CONVEXITY_TOL,
-    CheckResult,
     ClassicalParams,
     FunctionDescriptor,
     PreconditionError,
     RecursionSpec,
-    SuiteReport,
-    WorstMargin,
     classical_bound,
     classical_lambda,
     classical_spec,
@@ -59,18 +61,119 @@ from .recursions import (
     forgetting_bound,
     general_bound,
     iterate_recursion_exact,
-    recursion_convexity,
 )
 from .schedules import Constant, Cosine, Exponential, Polynomial
+
+
+@dataclasses.dataclass(frozen=True)
+class CheckResult:
+    """One verification outcome; serializes to the report JSON schema."""
+
+    check: str
+    passed: bool
+    margin: float
+    witness_index: str | None = None
+    witness_value: float | None = None
+
+
+class WorstMargin:
+    """One check's CheckResult, streamed over its items in rows.
+
+    The rule every check follows: the margin is the first least item margin,
+    as min() takes it (NaN if any is NaN, +inf with no items); an item fails
+    when its margin is below -floor, the tolerance given with its row; the
+    check passes only when no item fails and no margin is NaN; the witness
+    is the first failing item, so never a NaN. `add` keeps what a scan of
+    all items would find without storing them. Item i of a row added with
+    `where` is labelled label(*where, i), formatted only for the witness.
+    """
+
+    __slots__ = ("name", "label", "margin", "witness")
+
+    def __init__(self, name: str, label: Callable[..., str]) -> None:
+        self.name = name
+        self.label = label
+        self.margin: float | None = None
+        self.witness: tuple | None = None
+
+    def add(self, margins, values, *where, floor: float = 0.0) -> None:
+        """Fold in one nonempty row of item margins and the values they
+        witness, each a list of floats or a numpy array."""
+        # the first NaN, else the first least item: of 0.0 and -0.0, min()'s pick
+        low = float(margins[np.argmin(margins)])
+        if self.margin is None or low < self.margin or low != low:
+            self.margin = low  # a NaN, once in, stays: nothing is below it
+        if self.witness is None and not low >= -floor:
+            for i, m in enumerate(margins):
+                if m < -floor:
+                    self.witness = (float(values[i]), self.label(*where, i))
+                    return
+
+    def result(self) -> CheckResult:
+        margin = math.inf if self.margin is None else self.margin
+        if self.witness is None:
+            return CheckResult(self.name, not math.isnan(margin), margin)
+        value, label = self.witness
+        return CheckResult(self.name, False, margin, label, value)
+
+
+@dataclasses.dataclass(frozen=True)
+class SuiteReport:
+    """A suite's checks and its counts of the work behind them (draws, resamples)."""
+
+    checks: tuple[CheckResult, ...] = dataclasses.field(default_factory=tuple)
+    counts: dict = dataclasses.field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def _stream(name: str, count: int, seed: int) -> np.random.Generator:
+    """The generator keyed by seed of a check that takes count >= 1 draws."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    return keyed_generators([seed])[0]
+
+
+CONVEXITY_SUBDIVISIONS = 8  # equal parts of each gap of the b_k grid
+CONVEXITY_TOL = 1e-9  # the relative chord slack an item of ratio-convex may lack
+
+
+def recursion_convexity(spec: RecursionSpec) -> CheckResult:
+    """The lemma's hypothesis that r is convex, as the check ratio-convex.
+
+    Each gap of the b_k grid (which need not be uniform or increasing) is
+    cut into equal parts; on the sorted points, each interior point is an
+    item with margin (chord - r)/max|r|, the largest |r| among the item's
+    three points (margin 0 where all three are 0), so the floor is relative
+    to the ratio's own scale. The witness value is the first failing point;
+    a ratio NaN or infinite at any point fails with margin NaN.
+    """
+    b, n = spec.grid.b, CONVEXITY_SUBDIVISIONS
+    points = [x0 + (x1 - x0) * j / n for x0, x1 in zip(b, b[1:]) for j in range(n)]
+    points = sorted(points + [b[-1]])
+    grid = [points[0]]
+    span = max(1.0, abs(points[-1] - points[0]))
+    for x in points[1:]:
+        if x - grid[-1] > 1e-12 * span:
+            grid.append(x)
+    values = [spec.r(x) for x in grid]
+    margins = []
+    for x0, x1, x2, v0, v1, v2 in zip(grid, grid[1:], grid[2:], values, values[1:], values[2:]):
+        slack = ((x2 - x1) * v0 + (x1 - x0) * v2) / (x2 - x0) - v1
+        scale = max(abs(v0), abs(v1), abs(v2))
+        # scale 0: three zeros (slack 0) or a NaN that max() passed over (slack NaN)
+        margins.append(slack / scale if scale else slack)
+    worst = WorstMargin("ratio-convex", lambda i: f"x={grid[i + 1]:.6g}")
+    if margins:
+        worst.add(margins, grid[1:-1], floor=CONVEXITY_TOL)
+    return worst.result()
+
 
 # the exponents r of the power-sum and power-difference inequality grids
 DEFAULT_R_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
 _FAMILIES = ("const", "exp", "cos", "poly")  # the pins of bounds_suite's family
-
-
-def _require_draws(draws: int) -> None:
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
 
 
 def draw_classical_params(rng: np.random.Generator, nu_one: bool) -> ClassicalParams:
@@ -120,7 +223,7 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
     draws_run. A draw whose lambda certificate falls short of its horizon
     ends the suite with that failed check.
     """
-    _require_draws(draws)
+    rng = _stream("draws", draws, seed)
     run = max(1, draws // 10)
     counts = {"draws_requested": draws, "draws_run": run}
 
@@ -141,7 +244,6 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
     extension = WorstMargin("extension-propagation", "draw {}".format)
     forgetting = WorstMargin("forgetting-dominates-general", per_k)
     convex = WorstMargin("ratio-convex", "draw {}".format)
-    rng = keyed_generators([seed])[0]
     for draw in range(run):
         params = draw_classical_params(rng, rng.uniform() < 0.3)
         horizon = int(rng.integers(4, 80))
@@ -330,9 +432,9 @@ def bounds_suite(
 ) -> SuiteReport:
     """Every displayed bound dominates the worst-case recursion on random draws.
 
-    method ("sgd" or "rr"), family ("const", "exp", "cos" or "poly") and
-    poly_case ("a" to "d") pin the draws (others raise ValueError); each is
-    random when omitted. A draw that would need an impractical horizon, or
+    method ("sgd" or "rr"), family ("const", "exp", "cos" or "poly") and,
+    with family "poly", poly_case ("a" to "d") pin the draws (others raise
+    ValueError); each is random when omitted. A draw that would need an impractical horizon, or
     whose simulation fails, is resampled, up to 50 attempts per requested
     draw (at least 1). counts holds dominated ("d/evaluated") and resampled.
 
@@ -348,14 +450,15 @@ def bounds_suite(
     and the report is bit for bit the one that loop with
     simulate_pl_recursion writes.
     """
-    _require_draws(draws)
     if method is not None:
         _method(method)  # the ValueError that names an unknown method
     if family not in (None, *_FAMILIES):
         raise ValueError(f"unknown family {family!r}")
     if poly_case not in (None, "a", "b", "c", "d"):
         raise ValueError(f"unknown poly_case {poly_case!r}")
-    rng = keyed_generators([seed])[0]
+    if poly_case is not None and family != "poly":
+        raise ValueError(f"poly_case {poly_case!r} pins a polynomial draw, not family {family!r}")
+    rng = _stream("draws", draws, seed)
     worst = WorstMargin("bound-dominates-simulation", "method={} schedule={} K={}".format)
     evaluated = dominated = resampled = attempts = 0
     while evaluated < draws and attempts < 50 * draws:
@@ -384,6 +487,79 @@ def bounds_suite(
     return SuiteReport((worst.result(),), counts)
 
 
+def _box_point(rng: np.random.Generator, problem: Problem) -> tuple[np.ndarray, float]:
+    """A uniform draw from the certified box and its gap f(x) - f*."""
+    radius = problem.domain_radius
+    x = rng.uniform(-radius, radius, size=problem.dimension)
+    return x, float(problem.objective(x)) - problem.f_star
+
+
+def verify_pl(problem: Problem, sample_count: int, seed: int) -> CheckResult:
+    """Sample the gradient-domination inequality inside the certified box."""
+    rng = _stream("sample_count", sample_count, seed)
+    root = math.sqrt(2.0 * problem.pl_mu)
+    theta, least = problem.pl_theta, _gap_floor(problem.f_star)
+    worst = WorstMargin("pl-inequality", "sample {}".format)
+    for i in range(sample_count):
+        x, gap = _box_point(rng, problem)
+        if gap < least:
+            return CheckResult("pl-inequality", False, gap, f"sample {i}", gap)
+        rhs = root * max(gap, 0.0) ** theta
+        margin = [float(np.linalg.norm(problem.gradient(x))) - rhs]
+        worst.add(margin, margin, i, floor=1e-9 * max(1.0, rhs))
+    return worst.result()
+
+
+def verify_variance(
+    problem: Problem, noise: NoiseModel, sample_count: int, draws: int, seed: int
+) -> list[CheckResult]:
+    """Check the noise-oracle and component-dispersion variance certificates.
+
+    The stochastic oracle check is Monte Carlo with a three-standard-error
+    slack; the finite-sum dispersion check is exact up to floating point.
+    """
+    rng = _stream("sample_count", sample_count, seed)
+    dim = problem.dimension
+    checks: list[WorstMargin] = []
+
+    variance = WorstMargin("noise-variance", "state {}".format)
+    if noise.kind == "additive_gaussian":
+        if draws < 30:
+            raise ValueError("need at least 30 draws for the stochastic check")
+        mean = WorstMargin("noise-mean-zero", "state {}".format)
+        for i in range(sample_count):
+            x, gap = _box_point(rng, problem)
+            bound = noise.A * max(gap, 0.0) + noise.sigma**2
+            scale = math.sqrt(bound / dim)
+            sample = rng.standard_normal((draws, dim)) * scale
+            sq = np.einsum("ij,ij->i", sample, sample)
+            mean_norm = float(np.linalg.norm(sample.mean(axis=0)))
+            mean_slack = [3.0 * math.sqrt(bound / draws) - mean_norm]
+            var_hat = float(sq.mean())
+            se = float(sq.std(ddof=1)) / math.sqrt(draws)
+            var_slack = [bound + 3.0 * se - var_hat]
+            mean.add(mean_slack, mean_slack, i)
+            variance.add(var_slack, var_slack, i)
+        checks += [mean, variance]
+    else:
+        variance.add([noise.sigma**2], [noise.sigma**2])
+        checks.append(variance)
+
+    if problem.component_gradient is not None:
+        N = problem.component_count
+        every = np.arange(N)
+        dispersion = WorstMargin("component-dispersion", "state {}".format)
+        for i in range(sample_count):
+            x, gap = _box_point(rng, problem)
+            devs = problem.component_gradient(np.tile(x, (N, 1)), every) - problem.gradient(x)
+            disp = math.fsum(float(v) ** 2 for v in np.sqrt(_rowdot(devs, devs))) / N
+            bound = noise.A * max(gap, 0.0) + noise.sigma**2
+            slack = [bound - disp + 1e-12 * max(1.0, bound)]
+            dispersion.add(slack, slack, i)
+        checks.append(dispersion)
+    return [check.result() for check in checks]
+
+
 def _relabel(result: CheckResult, label: str) -> CheckResult:
     return dataclasses.replace(result, check=f"{result.check}:{label}")
 
@@ -394,7 +570,7 @@ def assumptions_suite(draws: int, seed: int) -> SuiteReport:
     The PL checks sample max(100, min(draws, 2000)) points; the variance
     checks use 25 points and max(30, draws) noise draws each (draws >= 1).
     """
-    _require_draws(draws)
+    _stream("draws", draws, seed)  # the count's and the seed's check; each check keys its own
     checks: list[CheckResult] = []
     samples = max(100, min(draws, 2000))
     gaussian = NoiseModel(kind="additive_gaussian", sigma=1.0)
@@ -412,3 +588,126 @@ def assumptions_suite(draws: int, seed: int) -> SuiteReport:
     for result in verify_variance(two_point, gaussian, 25, max(30, draws), seed + 4):
         checks.append(_relabel(result, "two-point-sum"))
     return SuiteReport(tuple(checks))
+
+
+# --- grid checks of the supporting inequalities -----------------------------
+
+
+def _log_bound_check() -> CheckResult:
+    xs = [-1.0] + [-1.0 + 0.01 * i for i in range(1, 200)] + [float(i) for i in range(1, 100)]
+    worst = WorstMargin("log-upper-bound", lambda i: f"x={xs[i]:.6g}")
+    lhs = [math.log1p(x) if x > -1.0 else -math.inf for x in xs]
+    worst.add([x - lv for x, lv in zip(xs, lhs)], xs)
+    return worst.result()
+
+
+def _product_exp_check(k_max: int) -> CheckResult:
+    margins, values = [], []
+    n = 1
+    case = 0
+    while n <= k_max:
+        for offset in (0.0, 0.37, 1.9):
+            xs = [-1.0 + 2.5 * math.modf(0.6180339887498949 * (i + 1) + offset)[0] for i in range(n)]
+            prod = math.prod(1.0 + x for x in xs)
+            margins.append(math.exp(math.fsum(xs)) - prod)
+            values.append(prod)
+            case += 1
+        n *= 2
+    margins.append(math.exp(0.0) - 1.0)  # equality case
+    values.append(1.0)
+    # item i < case is set i, the third of its n's; the last is the equality case
+    worst = WorstMargin(
+        "product-exp-bound", lambda i: "n=3,zeros" if i == case else f"n={2 ** (i // 3)},set={i}"
+    )
+    worst.add(margins, values)
+    return worst.result()
+
+
+def _power_difference_check(r_grid: list[float]) -> CheckResult:
+    grid = [10.0 ** (-2.0 + 4.0 * i / 24.0) for i in range(25)]
+    worst = WorstMargin(
+        "power-difference-bound", lambda r, x, i: f"r={r},x={x:.4g},y={grid[i]:.4g}"
+    )
+    for r in list(r_grid) + [1e-3, 10.0]:
+        for x in grid:
+            lhs = [x**r - y**r for y in grid]
+            rhs = [r * y**r * (x - y) / x for y in grid]
+            worst.add([lv - rv for lv, rv in zip(lhs, rhs)], lhs, r, x)
+    return worst.result()
+
+
+def _cosine_checks(k_max: int, r_grid: list[float]) -> tuple[CheckResult, ...]:
+    """The cosine brackets, shifted and increment estimates and power-sum floor.
+
+    They share row K: cos(k*pi/K) and (1 - k/K)**2 for k = 0..K, each taken
+    once by math.cos and Python's **. The + - * / on the rows run in numpy,
+    which rounds each element as Python does; the power sum keeps pow and fsum.
+    """
+    lower = WorstMargin("cosine-lower-bracket", "K={},k={}".format)
+    upper = WorstMargin("cosine-upper-bracket", "K={},k={}".format)
+    shifted = WorstMargin("cosine-shifted-lower", "K={},k={}".format)
+    increment = WorstMargin("cosine-increment-lower", "K={},k={}".format)
+    power_sum = WorstMargin("cosine-power-sum", lambda K, i: f"K={K},r={r_grid[i]}")
+    for K in range(1, k_max + 1):
+        ks = np.arange(K + 1.0)
+        cos = np.array(list(map(math.cos, (ks * math.pi / K).tolist())))
+        fracs = 1.0 - ks / K
+        squares = np.array(list(map(pow, fracs.tolist(), repeat(2))))
+        mids = 1.0 + cos
+        lower.add(mids - 2.0 * squares, mids, K)
+        upper.add((math.pi**2 / 2.0) * squares - mids, mids, K)
+        if K > 1:  # k = 0..K-2 against cos((k + 1)*pi/K)
+            lhs = mids[1:K]
+            shifted.add(lhs - 0.5 * squares[: K - 1], lhs, K)
+        lhs = cos[1:] - cos[:-1]
+        increment.add(lhs + (math.pi**2 / K) * fracs[:K], lhs, K)
+        bases = (mids[:K] / 2.0).tolist()
+        totals = [math.fsum(map(pow, bases, repeat(r, K))) for r in r_grid]
+        power_sum.add([t - K / 2.0 ** max(1.0, r) for t, r in zip(totals, r_grid)], totals, K)
+    return tuple(worst.result() for worst in (lower, upper, shifted, increment, power_sum))
+
+
+def _integral_sandwich_check(k_max: int) -> CheckResult:
+    margins, values, keys = [], [], []
+    spans = [(0, 10), (3, 100), (0, k_max)]
+    for nu in (0.3, 0.5, 1.0, 1.7):
+        for gamma in (0.5, 2.0, 10.0):
+            if nu == 1.0:
+                antideriv = lambda x, g=gamma: math.log(x + g)
+            else:
+                antideriv = lambda x, g=gamma, n=nu: (x + g) ** (1.0 - n) / (1.0 - n)
+            f = lambda x, g=gamma, n=nu: (x + g) ** (-n)
+            for a, b in spans:
+                total = math.fsum(f(k) for k in range(a, b + 1))
+                low = antideriv(b + 1) - antideriv(a)
+                high = f(a) + antideriv(b) - antideriv(a)
+                margins += [total - low, high - total]
+                values += [total, total]
+                keys += [(nu, gamma, a, b, "lower"), (nu, gamma, a, b, "upper")]
+    worst = WorstMargin(
+        "integral-sandwich", lambda i: "nu={},gamma={},a={},b={},{}".format(*keys[i])
+    )
+    worst.add(margins, values)
+    return worst.result()
+
+
+def tech_inequality_suite(K_max: int, r_grid: list[float]) -> SuiteReport:
+    """Verify the supporting inequalities on exhaustive grids up to K_max.
+
+    Covers the logarithm upper bound, the product-vs-exponential bound, the
+    power-difference bound, the three cosine estimates, the cosine power-sum
+    floor, and the integral sandwich for decreasing power functions. The
+    cosine checks share one row per K of cos(k*pi/K) and (1 - k/K)**2.
+    """
+    if K_max < 2:
+        raise ValueError("K_max must be at least 2")
+    if not r_grid or any(r <= 0 for r in r_grid):
+        raise ValueError("r_grid must contain positive reals")
+    checks = (
+        _log_bound_check(),
+        _product_exp_check(K_max),
+        _power_difference_check(list(r_grid)),
+        *_cosine_checks(K_max, list(r_grid)),
+        _integral_sandwich_check(K_max),
+    )
+    return SuiteReport(checks=checks)

@@ -45,11 +45,15 @@ from steprates.recursions import (
     find_lambda_constant,
     general_bound,
     iterate_recursion_exact,
+)
+from steprates.schedules import Constant, Cosine, Exponential, Polynomial, step_sum, step_values
+from steprates.verify import (
+    DEFAULT_R_GRID,
+    bounds_suite,
+    draw_classical_params,
     recursion_convexity,
     tech_inequality_suite,
 )
-from steprates.schedules import Constant, Cosine, Exponential, Polynomial, step_sum, step_values
-from steprates.verify import DEFAULT_R_GRID, bounds_suite, draw_classical_params
 
 REL_SLACK = 1e-10
 

@@ -31,12 +31,11 @@ from steprates.optimizers import (
     make_quadratic,
     rr_run,
     sgd_run,
-    verify_pl,
 )
 from steprates.plbounds import PLParams, simulate_pl_recursion
 from steprates.rates import fit_loglog
-from steprates.recursions import CheckResult
 from steprates.schedules import Constant
+from steprates.verify import CheckResult, verify_pl
 
 
 def skip_verify(command):

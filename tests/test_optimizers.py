@@ -32,12 +32,11 @@ from steprates.optimizers import (
     noise_free_bound,
     rr_run,
     sgd_run,
-    verify_pl,
-    verify_variance,
 )
 from steprates.plbounds import NumericFailure, smoothness_cap
 from steprates.recursions import PreconditionError
 from steprates.schedules import Constant, Cosine, Polynomial, step_values
+from steprates.verify import verify_pl, verify_variance
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])

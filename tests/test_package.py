@@ -1,5 +1,6 @@
 """Tests for the package's import surface and the README's examples."""
 
+import ast
 import hashlib
 import os
 import pkgutil
@@ -90,3 +91,33 @@ def test_readme_commands_run_through_the_entry_point(tmp_path, monkeypatch):
 def test_package_binds_no_public_name_but_its_submodules():
     public = {name for name in vars(steprates) if not name.startswith("_")}
     assert public <= {module.name for module in pkgutil.iter_modules(steprates.__path__)}
+
+
+def test_every_check_lives_in_verify_and_cli_imports_no_private_name():
+    """No module but verify defines a check (WorstMargin, CheckResult,
+    SuiteReport, a *_suite or verify_* function) or imports one from
+    elsewhere, and cli imports no private name of the library."""
+    def is_check(name):
+        return name in {"WorstMargin", "CheckResult", "SuiteReport"} or (
+            name.endswith("_suite") or name.startswith("verify_")
+        )
+
+    found = []
+    for path in sorted(Path(steprates.__file__).parent.glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            defined = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and is_check(node.name)
+            if defined and module != "verify":
+                found.append(f"{module} defines {node.name}")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = (node.module or "").removeprefix("steprates.")
+            library = node.level > 0 or (node.module or "").startswith("steprates")
+            for name in (alias.name for alias in node.names):
+                if is_check(name) and source != "verify":
+                    found.append(f"{module} imports {name} from {source}")
+                private = name.startswith("_") and not name.endswith("__")
+                if module == "cli" and library and private:
+                    found.append(f"cli imports the private name {name} from {source}")
+    assert found == []

@@ -27,6 +27,7 @@ from steprates.rates import (
     rate_exponent_rr,
     rate_exponent_sgd,
 )
+from steprates.verify import bounds_suite
 
 
 def test_fit_recovers_exact_power_law():
@@ -288,6 +289,22 @@ def test_method_names_are_matched_exactly_in_plbounds_and_rates(name):
         lambda: smoothness_cap(name, 1.0),
         lambda: heatmap_grid([0.5], [0.75], name),
         lambda: optimal_p(0.75, name),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^unknown method {re.escape(repr(name))}$"):
+            call()
+
+
+@pytest.mark.parametrize("name", [["sgd"], {"rr"}, {"sgd": 1}])
+def test_an_unhashable_method_name_is_an_unknown_method(name):
+    """The method lookup caught only KeyError, so a name that cannot be
+    hashed escaped as a raw TypeError."""
+    calls = [
+        lambda: bounds_suite(3, 0, method=name),
+        lambda: descent_coefficients(name, 1.0, 1.0, 0.5, 1.0, N=2),
+        lambda: smoothness_cap(name, 1.0),
+        lambda: heatmap_grid([0.5], [0.75], name),
+        lambda: optimal_p(0.7, name),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=f"^unknown method {re.escape(repr(name))}$"):

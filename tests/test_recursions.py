@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from steprates import recursions
+from steprates import recursions, verify
 from steprates.plbounds import relaxed_recursion_transform, rr_constants, sgd_constants
 from steprates.recursions import (
     CertifiedLambda,
@@ -28,10 +28,9 @@ from steprates.recursions import (
     forgetting_factor,
     general_bound,
     iterate_recursion_exact,
-    recursion_convexity,
-    tech_inequality_suite,
 )
 from steprates.schedules import Constant, Cosine, Exponential, Polynomial
+from steprates.verify import recursion_convexity, tech_inequality_suite
 
 
 def dyadic_spec(K: int = 16) -> RecursionSpec:
@@ -801,7 +800,7 @@ PERTURBATIONS = {
 @pytest.mark.parametrize("name", sorted(PERTURBATIONS))
 def test_failing_checks_report_the_oracle_witness(name, monkeypatch):
     shim = PerturbedMath(**PERTURBATIONS[name])
-    monkeypatch.setattr(recursions, "math", shim)
+    monkeypatch.setattr(verify, "math", shim)
     monkeypatch.setattr(oracles, "math", shim)
     r_grid = [0.25, 1.0, 3.0]
     for k_max in (2, 33):
@@ -820,7 +819,7 @@ def test_passing_checks_equal_the_oracle(k_max):
 
 
 def test_nan_margins_fail_without_a_witness(monkeypatch):
-    monkeypatch.setattr(recursions, "math", PerturbedMath(cos=lambda x: math.nan))
+    monkeypatch.setattr(verify, "math", PerturbedMath(cos=lambda x: math.nan))
     checks = {c.check: c for c in tech_inequality_suite(8, [1.0]).checks}
     for name in ("cosine-lower-bracket", "cosine-shifted-lower", "cosine-power-sum"):
         assert not checks[name].passed
@@ -833,7 +832,7 @@ def test_a_nan_mid_row_fails_without_a_witness(monkeypatch):
     # cos(pi/2) is NaN: mid-row in the brackets at K = 2, 4, 6, 8, a whole
     # later row of the increment and power-sum checks; every first row is finite
     cos = lambda x: math.nan if x == math.pi / 2 else math.cos(x)
-    monkeypatch.setattr(recursions, "math", PerturbedMath(cos=cos))
+    monkeypatch.setattr(verify, "math", PerturbedMath(cos=cos))
     checks = {c.check: c for c in tech_inequality_suite(8, [1.0]).checks}
     for name in (
         "cosine-lower-bracket",

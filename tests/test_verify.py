@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from steprates import plbounds, verify
@@ -21,19 +21,16 @@ from steprates.plbounds import (
     simulate_pl_recursion,
     smallest_offset,
 )
-from steprates.recursions import (
-    CheckResult,
-    classical_lambda,
-    classical_spec,
-    find_lambda_constant,
-    recursion_convexity,
-)
+from steprates.recursions import classical_lambda, classical_spec, find_lambda_constant
 from steprates.schedules import Constant, Polynomial
 from steprates.verify import (
+    CheckResult,
+    WorstMargin,
     assumptions_suite,
     bounds_suite,
     chung_suite,
     draw_classical_params,
+    recursion_convexity,
 )
 
 
@@ -169,6 +166,48 @@ def test_bounds_suite_rejects_an_unknown_pin_before_drawing(pin, message, monkey
     monkeypatch.setattr(verify, "keyed_generators", None)  # drawing would raise TypeError
     with pytest.raises(ValueError, match=message):
         bounds_suite(3, 0, **pin)
+
+
+@pytest.mark.parametrize("family", [None, "const", "exp", "cos"])
+def test_bounds_suite_rejects_a_poly_case_without_family_poly(family, monkeypatch):
+    """A poly_case pinned with another family was read by no draw, so the
+    report was that of the call without the pin."""
+    monkeypatch.setattr(verify, "keyed_generators", None)  # drawing would raise TypeError
+    with pytest.raises(ValueError, match=f"^poly_case 'a' .* not family {family!r}$"):
+        bounds_suite(3, 0, family=family, poly_case="a")
+
+
+MARGIN = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@pytest.mark.fuzz
+@given(st.lists(st.tuples(st.lists(MARGIN, min_size=1, max_size=12), st.floats(0.0, 1.0))))
+@example([([0.0, -0.0], 0.0)])  # numpy's min reads -0.0
+@example([([-0.0, -0.0, 0.0] + [-0.0] * 6, 0.0)])  # numpy's min reads 0.0
+@example([([1.0, math.inf], 0.0), ([-math.inf, math.inf, -0.5], 0.25)])
+def test_worst_margin_keeps_a_scan_of_every_item(rows):
+    """add, on numpy rows and on their .tolist(), keeps what one scan of all
+    items finds: the first least margin with the sign of its zero, NaN if
+    any is NaN (an inf/-inf pair is -inf), and the first failing item."""
+    items = [(m, floor, r, i) for r, (row, floor) in enumerate(rows) for i, m in enumerate(row)]
+    margins = [m for m, _, _, _ in items]
+    margin = math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
+    failing = [(f"row {r} item {i}", 100.0 * r + i) for m, floor, r, i in items if m < -floor]
+    witness = failing[0] if failing else ()
+    expected = CheckResult("scan", not failing and margin == margin, margin, *witness)
+    for as_list in (False, True):
+        worst = WorstMargin("scan", "row {} item {}".format)
+        for r, (row, floor) in enumerate(rows):
+            row_margins, values = np.array(row), 100.0 * r + np.arange(len(row))
+            if as_list:
+                row_margins, values = row_margins.tolist(), values.tolist()
+            worst.add(row_margins, values, r, floor=floor)
+        got = worst.result()
+        assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0
+        assert got.witness_value is None or type(got.witness_value) is float
 
 
 def test_bounds_suite_resamples_a_failed_simulation(monkeypatch):
