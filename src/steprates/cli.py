@@ -136,7 +136,8 @@ def _csv_field(text: str) -> str:
 # float 1e-11 is below 10^-11), so 10^s = 5^s * 2^s with 5^s < 2^63, and
 # x * 10^s = (M * 5^s) * 2^(E + s) is an exact 128-bit product and a shift,
 # rounded half to even as '%.17g' rounds the exact binary value. The digits
-# are laid out by '%g''s rules in 24 bytes held as three words.
+# are laid out by '%g''s rules in 24 bytes held as three words. A remainder
+# a % c is a - (a // c) * c: numpy's uint64 % by a scalar costs over twice that.
 
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
@@ -204,7 +205,8 @@ def _digit_bytes(v):
     first digit in the lowest byte: 4-digit lanes split into 2-digit and
     then 1-digit ones, with y // 100 = y * 5243 >> 19 for y < 10^4 and
     y // 10 = y * 103 >> 10 for y < 100."""
-    t = (v // _U64(10**4)) | ((v % _U64(10**4)) << _U64(32))
+    high = v // _U64(10**4)
+    t = high | ((v - high * _U64(10**4)) << _U64(32))
     h = ((t * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
     t = h | ((t - h * _U64(100)) << _U64(16))
     h = ((t * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
@@ -240,10 +242,12 @@ def _format17(x: np.ndarray) -> list[bytes]:
     N[carried] = _N_LO
     q += carried
     # D as three words: digits 0-7, digits 8-15, digit 16
-    last9 = N % _U64(10**9)
-    last8 = _digit_bytes(last9 % _U64(10**8))
-    d0 = _digit_bytes(N // _U64(10**9))
-    d1 = (last9 // _U64(10**8)) | (last8 << _U64(8))
+    first8 = N // _U64(10**9)
+    last9 = N - first8 * _U64(10**9)
+    ninth = last9 // _U64(10**8)
+    last8 = _digit_bytes(last9 - ninth * _U64(10**8))
+    d0 = _digit_bytes(first8)
+    d1 = ninth | (last8 << _U64(8))
     d2 = last8 >> _U64(56)
     ndig = np.where(d2 != 0, 17, 9 + _top_byte(d1))
     ndig = np.where(ndig > 8, ndig, 1 + _top_byte(d0))

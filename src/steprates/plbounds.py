@@ -23,6 +23,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -303,15 +304,6 @@ def _method_constants(
     return MethodConstants(method, theta, L, mu, A, sigma, N, params, derived, zeta_bar, xi_bar)
 
 
-def _powers(alphas: list[float], tau: float) -> list[float]:
-    """a^tau of each step, formed as a*a and a*a*a where tau is 2 or 3."""
-    if tau == 2.0:
-        return [a * a for a in alphas]
-    if tau == 3.0:
-        return [a * a * a for a in alphas]
-    return [_power(a, tau) for a in alphas]
-
-
 def _check_lanes(lanes: Sequence[tuple[PLParams, StepSchedule, float, int]]) -> None:
     """The checks of a run, on every (params, schedule, y0, K) lane before
     any runs: y0 and K, then the index and type checks of step_values."""
@@ -429,37 +421,45 @@ def _walk(
     params: PLParams, schedule: StepSchedule, k0: int, y: float, ends: Collection[int]
 ) -> Iterator[tuple[int, float]]:
     """(K, y_K) at each K of ends in ascending order, from y = y_k0: the one
-    scalar loop of the equality recursion. It keeps no y but the last, and
-    reads steps and their powers in blocks of at most _FINALS_BLOCK that end
-    at each K. A block that ends with y negative or not finite, or where
-    float ** overflows, is walked again a step at a time from its start, so
-    the NumericFailure names the first bad step, step k0 where y = inf."""
+    scalar loop of the equality recursion. It keeps no y but the last, reads
+    steps in blocks of _FINALS_BLOCK from k0 that no K cuts, and forms each
+    a^tau in the loop, which stops at each K and at each block's end. A
+    stretch that ends with y negative or not finite, or where float **
+    overflows, is walked again a step at a time from its start, so the
+    NumericFailure names the first bad step, step k0 where y = inf."""
     if y == math.inf:
         raise NumericFailure(f"trajectory value inf is not finite at step {k0}", index=k0)
     l1, l2, l3, tau, two_theta = params.l1, params.l2, params.l3, params.tau, 2.0 * params.theta
-    for k1 in sorted({*ends, *range(k0 + _FINALS_BLOCK, max(ends, default=k0), _FINALS_BLOCK)}):
-        alphas = _steps(schedule, range(k0, k1))
-        steps, start, what = zip(alphas, _powers(alphas, tau)), y, None
+    square, cube = tau == 2.0, tau == 3.0  # a^tau as a*a or a*a*a, else _power
+    last, read = max(ends, default=k0), k0  # steps are read up to k = read
+    for k1 in sorted({*ends, *range(k0 + _FINALS_BLOCK, last, _FINALS_BLOCK)}):
+        if k0 == read:  # every step read is walked: read the next block
+            read = min(k0 + _FINALS_BLOCK, last)
+            steps = iter(_steps(schedule, range(k0, read)))
+        start, what = y, None
         try:
             if two_theta == 1.0:
-                for a, p in steps:
+                for a in islice(steps, k1 - k0):
+                    p = a * a if square else a * a * a if cube else _power(a, tau)
                     y = ((1.0 + l1 * p) - l2 * a) * y + l3 * p
                     if y < 0.0:
                         break
             elif two_theta == 2.0:
-                for a, p in steps:
+                for a in islice(steps, k1 - k0):
+                    p = a * a if square else a * a * a if cube else _power(a, tau)
                     y = (1.0 + l1 * p) * y - l2 * a * y * y + l3 * p
                     if y < 0.0:
                         break
             else:
-                for a, p in steps:
+                for a in islice(steps, k1 - k0):
+                    p = a * a if square else a * a * a if cube else _power(a, tau)
                     y = (1.0 + l1 * p) * y - l2 * a * y**two_theta + l3 * p
                     if y < 0.0:
                         break
         except OverflowError:  # float ** raises where * and + give inf
             y, what = math.nan, "overflows"
         if not 0.0 <= y < math.inf:
-            if k1 > k0 + 1:  # the block a step at a time raises at its first bad step
+            if k1 > k0 + 1:  # the stretch a step at a time raises at its first bad step
                 dict(_walk(params, schedule, k0, start, range(k0 + 1, k1 + 1)))
             what = what or ("negative" if y < 0.0 else f"value {y} is not finite")
             raise NumericFailure(f"trajectory {what} at step {k1}", index=k1)
@@ -475,8 +475,8 @@ def simulate_pl_finals(lanes: Sequence[tuple[PLParams, StepSchedule, float, int]
     Every lane is checked before any walk. Lanes whose params, schedule and
     y0 are the same share one walk over their K: schedules compare by value,
     and params and y0 by repr, so a zero's sign, which a y can keep, splits
-    them. A walk holds one block of at most 2^12 steps, not K, and ends a
-    block at each K. A walk that fails is replayed lane by lane in order,
+    them. A walk holds one block of at most 2^12 steps, not K, and stops at
+    each K inside it. A walk that fails is replayed lane by lane in order,
     so the first failing lane raises its first bad step.
     """
     _check_lanes(lanes)

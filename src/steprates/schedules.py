@@ -4,16 +4,19 @@ Four immutable families: constant, polynomial alpha/(k+gamma)^p, exponential
 alpha*g^k with per-step factor g = (beta/K)^(p/K), and cosine
 alpha*[(1+cos(k*pi/K))/2]^p; constant is the exponential rule at g = 1. All
 are non-increasing in k. Each rule is stated once per arithmetic: in _steps
-(math), which every scalar query reads, and in _lane_steps (numpy). Helpers
-give the largest step, which the bound evaluators and optimizers compare
-with their caps, and partial sums (closed form where one exists).
+(math), which every scalar query reads, and in _lane_steps (numpy). _steps
+forms k + gamma, k*log g and k*pi/K over exact float k below 2^53, and in
+int arithmetic from there, which gives the same bits. Helpers give the
+largest step, which the bound evaluators and optimizers compare with their
+caps, and partial sums (closed form where one exists).
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import ClassVar
+from itertools import chain
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -123,28 +126,45 @@ def _check_steps(schedule: StepSchedule, K: int) -> None:
     _check_index(schedule, K - 1)
 
 
+# every int k <= 2^53 is a float, so float k gives Python's int k + g (which
+# is float(k) + g), k * lg and k * pi / H their bits; on fewer than _SHORT
+# steps numpy's call costs more than the Python arithmetic it saves
+_EXACT, _SHORT = 1 << 53, 64
+_SUM_BLOCK = 1 << 12  # steps per list of step_sum
+
+
+def _bases(ks: range, rule: Callable) -> Iterable:
+    """rule(k) for k in ks, where rule is IEEE arithmetic on k: as one numpy
+    expression over float k where ks holds _SHORT or more k up to 2^53, else
+    lazily over the ints."""
+    if len(ks) < _SHORT or ks.stop > _EXACT + 1:
+        return map(rule, ks)
+    return rule(np.arange(ks.start, ks.stop, dtype=float)).tolist()
+
+
 def _steps(schedule: StepSchedule, ks: range) -> list[float]:
-    """alpha_k for k in ks by the family's closed form; _lane_steps agrees to
-    rounding (numpy's exp, cos and pow differ by about an ulp). At k = K,
-    cos(K*pi/K) is exactly -1.0 (K*pi/K lies within two roundings of pi), so
-    the cosine step is 0.0 there."""
+    """alpha_k for k in ks by the family's closed form, over exact float k
+    below 2^53 and int k from there (_bases); _lane_steps agrees to rounding
+    (numpy's exp, cos and pow differ by about an ulp). At k = K, cos(K*pi/K)
+    is exactly -1.0 (K*pi/K lies within two roundings of pi), so the cosine
+    step is 0.0 there."""
     if isinstance(schedule, Polynomial):
         a, g, p = schedule.alpha, schedule.gamma, schedule.p
-        steps = []
-        try:  # one handler per block, not a _power call per step
-            for k in ks:
-                steps.append(a / (k + g) ** p)
+        steps: list[float] = []
+        try:  # extend keeps the steps before a raise
+            steps.extend(a / b**p for b in _bases(ks, lambda k: k + g))
         except OverflowError:  # (k + g)^p passes the floats from this k on
-            pass
-        return steps + [0.0] * (len(ks) - len(steps))
+            steps += [0.0] * (len(ks) - len(steps))
+        return steps
     if isinstance(schedule, (Constant, Exponential)):
         a, lg = schedule.alpha, schedule.log_decay
         if lg == 0.0:  # g = 1: exp(k*0.0) is exactly 1.0
             return [a] * len(ks)
-        return [a * math.exp(k * lg) for k in ks]
+        return [a * math.exp(x) for x in _bases(ks, lambda k: k * lg)]
     if isinstance(schedule, Cosine):
-        a, p, H = schedule.alpha, schedule.p, schedule.horizon
-        return [a * ((1.0 + math.cos(k * math.pi / H)) / 2.0) ** p for k in ks]
+        a, p, H = schedule.alpha, schedule.p, float(schedule.horizon)  # x / int H reads float(H)
+        angles = _bases(ks, lambda k: k * math.pi / H)
+        return [a * ((1.0 + math.cos(x)) / 2.0) ** p for x in angles]
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
 
 
@@ -171,7 +191,8 @@ def step_sum(schedule: StepSchedule, K: int) -> float:
 
     Exponential (so constant) sums use closed forms; the cosine sum at full
     horizon with p = 1 equals alpha*(K+1)/2; everything else is summed
-    directly with compensated accumulation.
+    directly with compensated accumulation, reading _SUM_BLOCK steps at a
+    time (fsum rounds the exact sum, so the grouping moves no bit).
     """
     _check_steps(schedule, K)
     if isinstance(schedule, (Constant, Exponential)):
@@ -183,7 +204,8 @@ def step_sum(schedule: StepSchedule, K: int) -> float:
     if isinstance(schedule, Cosine) and schedule.p == 1.0 and K == schedule.horizon:
         return schedule.alpha * (K + 1) / 2.0
     try:
-        return math.fsum(step_values(schedule, K))
+        blocks = (range(k, min(k + _SUM_BLOCK, K)) for k in range(0, K, _SUM_BLOCK))
+        return math.fsum(chain.from_iterable(_steps(schedule, ks) for ks in blocks))
     except OverflowError:  # the steps are nonnegative: their sum passes the floats
         return math.inf
 

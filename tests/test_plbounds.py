@@ -335,6 +335,24 @@ def test_finals_walk_each_distinct_lane_once(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("block", [plbounds._FINALS_BLOCK, 5])
+def test_walks_read_one_step_list_per_block_not_per_K(block):
+    """The oracle, whose walk ends at every step, and a finals grid each read
+    ceil(K / _FINALS_BLOCK) lists of steps for their largest K: the walk
+    stops at each K, but no K cuts a block."""
+    params = PLParams(l1=1.0, l2=1.0, l3=1.0, tau=2.0, theta=0.75)
+    schedule = Polynomial(alpha=1.0, gamma=4.0, p=1.0)
+    with mock.patch.object(plbounds, "_FINALS_BLOCK", block):
+        for K in (1, block - 1, block, block + 1, 3 * block + 2):
+            grid = sorted({*range(1, K + 1, max(1, K // 7)), K})
+            with mock.patch.object(plbounds, "_steps", wraps=plbounds._steps) as steps:
+                ys = simulate_pl_recursion(params, schedule, 1.0, K)
+                assert steps.call_count == -(-K // block)
+                finals = simulate_pl_finals([(params, schedule, 1.0, k) for k in grid])
+                assert steps.call_count == 2 * -(-K // block)
+            assert finals == [ys[k] for k in grid]
+
+
 # --- the finals runner against the scalar recursion --------------------------
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from steprates.plbounds import _FINALS_BLOCK
 from steprates.schedules import (
     Constant,
     Cosine,
     Exponential,
     Polynomial,
+    _SHORT,
+    _SUM_BLOCK,
     _lane_columns,
     _lane_steps,
     _steps,
@@ -286,6 +291,110 @@ def test_step_max_is_the_first_step_bitwise(data):
     first = step_values(sched, 1)[0]
     assert step_max(sched, K).hex() == step_value(sched, 0).hex() == first.hex()
     assert not math.isnan(first)
+
+
+def per_k_steps(schedule, ks):
+    """Each step by its family's float formula, one k at a time, as
+    CLOSED_FORMS states it; a polynomial step is 0.0 from the first k where
+    (k + gamma)^p, or k + gamma itself, passes the floats."""
+    if not isinstance(schedule, Polynomial):
+        return [CLOSED_FORMS[type(schedule)](schedule, k) for k in ks]
+    steps = []
+    for k in ks:
+        try:
+            steps.append(CLOSED_FORMS[Polynomial](schedule, k))
+        except OverflowError:
+            return steps + [0.0] * (len(ks) - len(steps))
+    return steps
+
+
+def outcome(call):
+    """The hex of each float call returns, or the type of what it raises."""
+    try:
+        value = call()
+    except (OverflowError, ValueError) as error:  # math.cos(inf) raises ValueError
+        return type(error)
+    return [v.hex() for v in value] if isinstance(value, list) else value.hex()
+
+
+# the edges of schedules._bases (numpy over float k from _SHORT steps up to
+# 2^53, the ints below _SHORT steps and past 2^53) and of the step blocks
+# that step_sum and the walk read
+STEP_COUNTS = st.one_of(
+    st.sampled_from([1, 2, _SHORT - 1, _SHORT, _SHORT + 1]),
+    st.sampled_from([_FINALS_BLOCK - 1, _FINALS_BLOCK + 1, _SUM_BLOCK, _SUM_BLOCK + 1]),
+    st.integers(1, 300),
+)
+# the first int that k + gamma cannot convert to a float: float max plus half an ulp
+INT_PAST_THE_FLOATS = int(sys.float_info.max) + 2**970
+STARTS = st.one_of(
+    st.just(0),
+    st.integers(-_SHORT - 2, 2).map(lambda j: 2**53 + j),
+    st.integers(-3, 2).map(lambda j: INT_PAST_THE_FLOATS + j),
+    st.integers(-3, 1).map(lambda j: int(sys.float_info.max) + j),
+    st.integers(0, 2**60),
+)
+
+
+# no max_examples: CI fuzzes it under the fuzz profile
+@pytest.mark.fuzz
+@given(data=st.data())
+def test_step_queries_keep_the_bits_of_the_per_k_formulas(data):
+    """step_values, step_value, step_max and step_sum of every family, and
+    steps read from any start (exact float k below 2^53, ints from there and
+    near the largest float), equal the per-k formulas bit for bit, or raise
+    as they do."""
+    family = data.draw(st.sampled_from([Constant, Polynomial, Exponential, Cosine]))
+    alpha, p = data.draw(EXTREME_POSITIVE), data.draw(st.one_of(EXTREME_POSITIVE, st.just(1.0)))
+    count, start = data.draw(STEP_COUNTS), data.draw(STARTS)
+    if family is not Polynomial:  # a horizon, and so every k, is at most the largest float
+        start = min(start, int(sys.float_info.max) - count + 1)
+    horizon = max(start + count - 1, data.draw(st.integers(1, 2 * _SUM_BLOCK)))
+    try:
+        if family is Constant:
+            schedule = Constant(alpha)
+        elif family is Polynomial:
+            schedule = Polynomial(alpha, data.draw(EXTREME_POSITIVE), p)
+        elif family is Exponential:
+            beta = data.draw(st.floats(1e-3, 0.999)) * horizon
+            schedule = Exponential(alpha, beta, min(p, 4.0), horizon)
+        else:
+            schedule = Cosine(alpha, p, horizon)
+    except ValueError:  # the family cannot hold these constants
+        return
+    ks = range(start, start + count)
+    expected = outcome(lambda: per_k_steps(schedule, ks))
+    assert outcome(lambda: _steps(schedule, ks)) == expected
+    k = data.draw(st.sampled_from(ks))
+    single = expected if isinstance(expected, type) else expected[k - start]
+    assert outcome(lambda: step_value(schedule, k)) == single
+
+    K = min(count, getattr(schedule, "horizon", count) + 1)
+    steps = per_k_steps(schedule, range(K))
+    assert outcome(lambda: step_values(schedule, K)) == [v.hex() for v in steps]
+    assert step_max(schedule, K).hex() == steps[0].hex()
+    summed = isinstance(schedule, Polynomial) or (
+        isinstance(schedule, Cosine) and not (schedule.p == 1.0 and K == schedule.horizon)
+    )
+    if summed:  # the other sums are closed forms
+        try:
+            expected_sum = math.fsum(steps)
+        except OverflowError:
+            expected_sum = math.inf
+        assert step_sum(schedule, K).hex() == expected_sum.hex()
+
+
+def test_step_sum_holds_one_block_of_steps_not_K():
+    """step_sum reads _SUM_BLOCK steps at a time: 2^16 steps listed at once
+    took about 2.7 MB of traced memory."""
+    tracemalloc.start()
+    try:
+        total = step_sum(Polynomial(4.0, 4.0, 1.0), 2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == math.fsum(4.0 / (k + 4.0) for k in range(2**16))
+    assert peak < 1 << 20, peak
 
 
 def test_exponential_whose_log_factor_passes_the_floats_is_unconstructible():
