@@ -55,6 +55,7 @@ from typing import BinaryIO, Callable, Collection, Mapping, Sequence, get_args
 import numpy as np
 
 from . import __version__
+from .domains import check
 from .optimizers import (
     NoiseModel,
     gd_run,
@@ -538,8 +539,7 @@ def _cmd_bound(args: argparse.Namespace, config: dict) -> tuple[int, dict]:
     fields = _fields(config, {**_BOUND_KEYS, **parsers}, "config", optional)
     mc = _call(_variant(_CONSTANTS, "method", config), fields["constants"], "constants")
     K = fields["K"]
-    if K < 1:
-        raise ConfigError("K must be a positive integer")
+    check(K=K)
     schedule = None
     if "schedule" in fields:
         schedule = _build_schedule(fields["schedule"], K)

@@ -23,6 +23,11 @@ the 4 MiB of one block), and a later run re-keys spares to its own seeds
 before it builds new generators; a re-keyed generator's whole state is that
 of a new one, so reuse changes no draw.
 
+Problem builders, runs and noise models check their numbers (mu, L, dim,
+N, radius, theta, c, K, sigma, A) against their domains in
+steprates.domains at entry; mu <= L and the power family's theta < 1 are
+checked here.
+
 Across seeds, the mean and standard error of the gaps are compensated sums
 over blocks of seed rows in ascending seed order, one lane per row of a
 block and vectorized over steps, so no temporary the size of the gap array
@@ -41,6 +46,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .domains import Checked, check
 from .plbounds import NumericFailure, smoothness_cap
 from .recursions import PreconditionError, _power
 from .schedules import StepSchedule, step_max, step_values
@@ -160,7 +166,7 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Checked):
     """Additive gradient noise: mean zero, variance at most A*(f-f*) + sigma^2."""
 
     kind: str
@@ -170,10 +176,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "additive_gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        for name in ("sigma", "A"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be a nonnegative finite float, got {value}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -422,6 +425,7 @@ def _sgd_step(problem: Problem, noise: NoiseModel):
 
 def gd_run(problem: Problem, schedule: StepSchedule, x0, K: int) -> Trajectory:
     """Deterministic gradient descent; steps must stay within 1/L."""
+    check(K=K)
     _check_cap(schedule, smoothness_cap("sgd", problem.smoothness_L), K, "descent")
     step = _sgd_step(problem, NoiseModel("none"))
     return _descend(problem, step_values(schedule, K), _start(problem, x0), (), step)
@@ -439,6 +443,7 @@ def sgd_run(
 
     With noise kind "none" the result equals gd_run bitwise.
     """
+    check(K=K)
     if not seeds:
         raise ValueError("sgd_run needs at least one seed")
     seeds = tuple(sorted(_checked_seeds(seeds)))
@@ -480,6 +485,7 @@ def rr_run(
     The epoch step a_k is split as a_k/N across the N inner updates; steps
     must stay within 1/(2L).
     """
+    check(K=K)
     component = problem.component_gradient
     if component is None:
         raise PreconditionError("random reshuffling needs a finite-sum problem")
@@ -526,14 +532,11 @@ def make_quadratic(
     has curvature mean(kappa), exact minimizer, and state-independent
     gradient dispersion certified on the given radius (so A = 0).
     """
-    if not 0 < mu <= L:
-        raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    if not L < math.inf:
-        raise ValueError(f"L must be finite, got {L}")
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    check(mu=mu, L=L, dim=dim, radius=radius)
+    if N is not None:
+        check(N=N)
+    if not mu <= L:
+        raise ValueError(f"need mu <= L, got mu={mu}, L={L}")
     if N is None:
         if shifts is not None or curvatures is not None:
             raise ValueError("shifts and curvatures define a finite sum and need N")
@@ -559,8 +562,6 @@ def make_quadratic(
 
     if dim != 1:
         raise ValueError("finite-sum quadratics are one-dimensional")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
     if shifts is None:
         shifts = (0.0,) if N == 1 else tuple(np.linspace(-1.0, 1.0, N))
     if curvatures is None:
@@ -638,12 +639,9 @@ def make_power_family(theta: float, c: float, radius: float) -> Problem:
     Smoothness is certified only on [-radius, radius]; runs flag iterates
     that leave it.
     """
-    if not 0.5 <= theta < 1.0:
-        raise ValueError(f"theta must lie in [1/2, 1), got {theta}")
-    if not c > 0:
-        raise ValueError("c must be positive")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    check(theta=theta, c=c, radius=radius)
+    if theta == 1.0:  # the exponent 1/(1-theta) has no value
+        raise ValueError(f"the power family needs theta < 1, got theta = {theta!r}")
     growth = 1.0 / (1.0 - theta)
     mu = growth**2 * c ** (2.0 * (1.0 - theta)) / 2.0
     L = growth * (growth - 1.0) * c * _power(radius, growth - 2.0)
@@ -681,13 +679,7 @@ def noise_free_bound(theta: float, mu: float, gap0: float, alpha_sum: float) -> 
     gap0 * (1 + p*mu*alpha_sum*gap0^p)^(-1/p): (1.0, 5e-324, 5e-324, 0.0) gives 5e-324.
     Where theta > 1/2, alpha_sum = inf gives the limit 0.0.
     """
-    if not 0.5 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
-    for name, value in (("gap0", gap0), ("alpha_sum", alpha_sum)):
-        if not value >= 0.0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-    if not 0.0 < mu < math.inf:
-        raise ValueError(f"mu must be a positive finite float, got {mu}")
+    check(theta=theta, mu=mu, gap0=gap0, alpha_sum=alpha_sum)
     if theta == 0.5:
         return gap0 * math.exp(-mu * alpha_sum) if gap0 < math.inf else gap0
     if gap0 == 0.0 or alpha_sum == math.inf:  # p*mu may underflow, and 0.0 * inf is NaN

@@ -14,20 +14,26 @@ choices.
 Two methods are built in: single-sample stochastic gradient descent (tau = 2)
 and random reshuffling over N components (tau = 3), each with its own
 smoothness cap and N-scaled constants.
+
+Each public function checks its numbers once, at entry, and PLParams at
+construction, against their domains in steprates.domains: theta in
+[1/2, 1], L, mu, alpha and p positive and finite, y0 nonnegative, K and N
+integers from 1 to the largest float. What is checked here relates values:
+a step against its cap, a level or offset against its floor, a horizon
+against what a bound needs (PreconditionError).
 """
 from __future__ import annotations
 
 import bisect
 import functools
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .domains import Checked, check
 from .recursions import FunctionDescriptor, PreconditionError, RecursionSpec, _power
 from .schedules import (
     Constant,
@@ -35,10 +41,8 @@ from .schedules import (
     Exponential,
     Polynomial,
     StepSchedule,
-    _check_horizon,
     _lane_columns,
     _lane_steps,
-    _positive,
     _steps,
     step_max,
 )
@@ -54,7 +58,7 @@ class NumericFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PLParams:
+class PLParams(Checked):
     """Coefficients of the per-step progress recursion.
 
     l3 = 0 is allowed (noise-free recursions); l1 = 0 corresponds to noise
@@ -64,20 +68,8 @@ class PLParams:
     l1: float
     l2: float
     l3: float
-    tau: float
+    tau: float  # finite: tau = inf leaves rho = 0 and omega NaN
     theta: float
-
-    def __post_init__(self) -> None:
-        if not self.l1 >= 0:
-            raise ValueError(f"l1 must be nonnegative, got {self.l1}")
-        if not self.l2 > 0:
-            raise ValueError(f"l2 must be positive, got {self.l2}")
-        if not self.l3 >= 0:
-            raise ValueError(f"l3 must be nonnegative, got {self.l3}")
-        if not 1 < self.tau < math.inf:  # tau = inf leaves rho = 0 and omega NaN
-            raise ValueError(f"tau must be finite and exceed 1, got {self.tau}")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -136,12 +128,6 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
-def _check_start(y0: float, K: int) -> None:
-    if not y0 >= 0:
-        raise ValueError("y0 must be nonnegative")
-    _check_horizon(K, "K")
-
-
 def _capped(what: str, step: float, cap: float, note: str = "") -> float:
     """step, once it is checked against the admissible cap."""
     _require(step <= cap * (1.0 + _REL), f"{what} {step} exceeds admissible cap {cap}{note}")
@@ -156,8 +142,7 @@ def _floored(what: str, value: float, floor: float) -> float:
 
 def frak_p(theta: float) -> float:
     """(2*theta-1)^(2*theta-1) with 0^0 = 1; lies in [e^(-1/e), 1]."""
-    if not 0.5 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
+    check(theta=theta)
     return (2.0 * theta - 1.0) ** (2.0 * theta - 1.0)
 
 
@@ -198,17 +183,17 @@ def descent_coefficients(
     SGD: (A*L/2, mu, L*sigma^2/2), tau = 2, valid for steps up to 1/L.
     Random reshuffling: (A*L^2/(2N), mu/2, L^2*sigma^2/(2N)), tau = 3,
     valid for steps up to 1/(2L). Both read the method's _METHODS record,
-    named exactly "sgd" or "rr".
+    named exactly "sgd" or "rr". N is checked wherever given, and read
+    only by "rr", which needs it.
     """
-    if not (L > 0 and mu > 0):
-        raise ValueError("L and mu must be positive")
-    if A < 0 or sigma < 0:
-        raise ValueError("A and sigma must be nonnegative")
+    check(L=L, mu=mu, A=A, sigma=sigma, theta=theta)
+    if N is not None:
+        check(N=N)
     m = _method(method)
     n = 1
     if method == "rr":
-        if N is None or not 1 <= N <= sys.float_info.max:  # 2.0 * N must not raise
-            raise ValueError(f"random reshuffling needs a positive component count N, got {N!r}")
+        if N is None:
+            raise ValueError("random reshuffling needs a component count N")
         n = N
     k, two_n = m.L_power, 2.0 * n
     Lk = _power(L, k)
@@ -240,8 +225,7 @@ def smoothness_cap(method: str, L: float) -> float:
     """Largest step admissible for the descent analysis itself: 1/L for sgd,
     1/(2L) for rr, formed as 0.5/L so it stays positive for L near the
     largest float. A subnormal L gives an infinite cap, which does not bind."""
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L!r}")
+    check(L=L)
     return _method(method).cap_share / L
 
 
@@ -252,8 +236,7 @@ def derive_constants(params: PLParams, delta: float) -> DerivedConstants:
     float, and naming xi when the cap xi^(-rho) does; a growth cap past the
     range of floats does not bind.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    check(delta=delta)
     theta, tau, l1, l2, l3 = params.theta, params.tau, params.l1, params.l2, params.l3
     two_theta = 2.0 * theta
     ratio_root = _coefficient(
@@ -284,15 +267,13 @@ def rr_constants(
     theta: float, L: float, mu: float, A: float, sigma: float, N: int
 ) -> MethodConstants:
     """Constants for random reshuffling (delta = N^(-1/(2*theta)), tau = 3)."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
     return _method_constants("rr", theta, L, mu, A, sigma, N)
 
 
 def _method_constants(
     method: str, theta: float, L: float, mu: float, A: float, sigma: float, N: int | None
 ) -> MethodConstants:
-    params = descent_coefficients(method, L, mu, A, sigma, N=N, theta=theta)  # checks theta
+    params = descent_coefficients(method, L, mu, A, sigma, N=N, theta=theta)  # checks each
     derived = derive_constants(params, 1.0 if N is None else N ** (-1.0 / (2.0 * theta)))
     derived = replace(derived, alpha_cap=min(derived.alpha_cap, smoothness_cap(method, L)))
     zeta_bar, xi_bar = derived.zeta, derived.xi
@@ -308,7 +289,7 @@ def _check_lanes(lanes: Sequence[tuple[PLParams, StepSchedule, float, int]]) -> 
     """The checks of a run, on every (params, schedule, y0, K) lane before
     any runs: y0 and K, then the index and type checks of step_values."""
     for _, schedule, y0, K in lanes:
-        _check_start(y0, K)
+        check(y0=y0, K=K)
         step_max(schedule, K)
 
 
@@ -505,9 +486,8 @@ def relaxed_recursion_transform(
     Requires step_max <= alpha_cap. verify.recursion_convexity checks the
     convexity; the acceptance test of the expanded form runs it here.
     """
+    check(delta=delta, K=K)
     derived = derive_constants(params, delta)
-    if K < 1:
-        raise ValueError("K must be a positive integer")
     horizon = getattr(schedule, "horizon", None)
     if horizon is not None and horizon != K:
         raise ValueError(f"schedule horizon {horizon} does not match K = {K}")
@@ -646,9 +626,7 @@ def _normalize_tuned(tuned: Mapping | bool | None) -> Mapping | None:
 def exp_horizon_floor(mc: MethodConstants, alpha: float, p: float, K: int) -> float:
     """Least K/log(K/beta) the reshuffling bound admits for exponential steps
     that start at alpha and decay with exponent p over the horizon K."""
-    _positive(alpha, "alpha")
-    _positive(p, "p")
-    _check_horizon(K, "K")
+    check(alpha=alpha, p=p, K=K)
     log_nk, n_power = _n_scale(mc, K)
     scale = mc.theta * mc.xi_bar * _power(alpha, 1.0 / mc.derived.rho)
     return _quotient(2.0 * p * log_nk * n_power, scale)
@@ -660,9 +638,9 @@ def bound_exp(mc: MethodConstants, schedule: Exponential, y0: float) -> BoundRes
     The noise floor is four times the larger of a logarithmic branch and the
     terminal-step branch; the regime tag records which one attained the max.
     """
+    check(y0=y0)
     zeta, xi, rho, omega, q = _unpack(mc)
     alpha, beta, p, K = schedule.alpha, schedule.beta, schedule.p, schedule.horizon
-    _check_start(y0, K)
     _capped("alpha", alpha, mc.derived.alpha_cap)
     log_ratio = math.log(K) - math.log(beta)
     if mc.method == "rr":
@@ -690,8 +668,8 @@ def bound_cos(
     Tuned mode replaces the schedule's level by the horizon-tuned choice and
     reports the resulting rate's logarithm power in the details.
     """
+    check(y0=y0)
     p, K = schedule.p, schedule.horizon
-    _check_start(y0, K)
     tuned = _normalize_tuned(tuned)
     zeta, xi, rho, omega, q = _unpack(mc)
     _require(K >= 2, f"cosine bound needs K >= 2, got {K}")
@@ -731,7 +709,7 @@ def bound_const(
     In tuned mode the level is derived from the horizon (schedule may be
     omitted); otherwise it is taken from the schedule.
     """
-    _check_start(y0, K)
+    check(y0=y0, K=K)
     tuned = _normalize_tuned(tuned)
     zeta, xi, rho, omega, q = _unpack(mc)
     if tuned is None and schedule is None:
@@ -791,15 +769,15 @@ def offset_admissible(params: PLParams, alpha: float, K: int, gamma: float) -> b
     largest at u = c/(tau-1). So over the grid it is largest at k = 0, at
     the last point or next to the peak, and testing those points, two on
     each side of each peak, decides as testing the whole grid does. A
-    ValueError names theta = 1/2 (c has no value), or an alpha or K out of range.
+    ValueError names theta = 1/2 (c has no value), or an alpha, K or gamma
+    outside its domain; a gamma below e fails the test.
     """
     theta, l1, l2, l3, tau = params.theta, params.l1, params.l2, params.l3, params.tau
+    check(alpha=alpha, K=K, gamma=gamma)
     if not theta > 0.5:
         raise ValueError(f"the offset test needs theta > 1/2, got theta = {theta!r}")
-    _positive(alpha, "alpha")
-    _check_horizon(K, "K")
     log_power = 2.0 * theta / (2.0 * theta - 1.0)
-    if not gamma >= math.e or not math.isfinite(gamma):
+    if not gamma >= math.e:
         return False
     if gamma * math.log(gamma) < alpha * theta * l2 * (1.0 - _REL):
         return False
@@ -824,14 +802,20 @@ def offset_admissible(params: PLParams, alpha: float, K: int, gamma: float) -> b
     return True
 
 
-@functools.lru_cache(maxsize=2048)
 def smallest_offset(params: PLParams, alpha: float, K: int) -> float:
     """Smallest offset that case d admits at horizon K, by doubling then bisection.
 
     Raises PreconditionError when no offset up to 1e300 is admissible.
-    Memoized for verify's case-d draws, whose bound_poly asks again after a
-    whole round of up to 1000 draws (criterion 2's battery size).
+    Memoized (_offset_search) for verify's case-d draws, whose bound_poly
+    asks again after a whole round of up to 1000 draws (criterion 2's
+    battery size); alpha and K are checked before the memo hashes them.
     """
+    check(alpha=alpha, K=K)
+    return _offset_search(params, alpha, K)
+
+
+@functools.lru_cache(maxsize=2048)
+def _offset_search(params: PLParams, alpha: float, K: int) -> float:
     hi = math.e
     while not offset_admissible(params, alpha, K, hi):
         hi *= 2.0
@@ -858,6 +842,7 @@ def _u3(theta: float, p: float) -> float:
 
 def poly_alpha_floor(params: PLParams, derived: DerivedConstants, case: str, p: float) -> float:
     """Least level alpha that polynomial case b, c or d admits at decay exponent p."""
+    check(p=p)
     theta = params.theta
     if case == "b":
         return _power(_quotient(2.0 * derived.omega, derived.xi), derived.rho)
@@ -875,8 +860,7 @@ def poly_gamma_floor(
 
     Cases b and d bound gamma through the cap and offset_admissible.
     """
-    _positive(alpha, "alpha")
-    _positive(p, "p")
+    check(alpha=alpha, p=p)
     rho = derived.rho
     if case == "a":
         ratio = _quotient(2.0 * p * derived.q, derived.xi * _power(alpha, 1.0 / rho))
@@ -911,7 +895,7 @@ def bound_poly(
     mode selects from (theta, p). Tuned mode requires method constants and
     p equal to the method's balance exponent.
     """
-    _check_start(y0, K)
+    check(y0=y0, K=K, delta=delta)
     tuned = _normalize_tuned(tuned)
     if isinstance(constants, MethodConstants):
         mc: MethodConstants | None = constants

@@ -14,6 +14,7 @@ initialization branch is treated as inactive (+inf), which also settles the
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .domains import check
 from .plbounds import NumericFailure, _method
 
 
@@ -99,18 +101,22 @@ def _noise_scale(method: str) -> float:
     return 2.0 / (_method(method).tau - 1.0)
 
 
+def _check_rate(p: float, theta: float) -> None:
+    """p and theta of a rate map: the domain of each, and p <= 1 besides."""
+    check(p=p, theta=theta)
+    if p > 1.0:
+        raise ValueError(f"the rate maps need p <= 1, got p = {p!r}")
+
+
 def _rate_exponent(p: float, theta: float, scale: float) -> float:
     """min of the noise branch p/(scale*theta) and the initialization branch."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if not 0.5 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
     init = math.inf if theta == 0.5 else (1.0 - p) / (2.0 * theta - 1.0)
     return min(p / (scale * theta), init)
 
 
 def rate_exponent_sgd(p: float, theta: float) -> float:
     """Guaranteed gap-decay exponent for single-draw steps alpha_k ~ k^-p."""
+    _check_rate(p, theta)
     return _rate_exponent(p, theta, _noise_scale("sgd"))
 
 
@@ -120,6 +126,7 @@ def rate_exponent_rr(p: float, theta: float) -> float:
     The noise branch is p/theta, twice as fast as the single-draw one; the
     initialization branch coincides.
     """
+    _check_rate(p, theta)
     return _rate_exponent(p, theta, _noise_scale("rr"))
 
 
@@ -131,6 +138,9 @@ def heatmap_grid(
     for name, grid in (("p_grid", p_grid), ("theta_grid", theta_grid)):
         if len(grid) == 0:
             raise ValueError(f"{name} is empty")
+    # each grid value once; 0.5 pads the shorter grid and lies in both domains
+    for p, theta in itertools.zip_longest(p_grid, theta_grid, fillvalue=0.5):
+        _check_rate(p, theta)
     out = np.empty((len(theta_grid), len(p_grid)))
     for i, theta in enumerate(theta_grid):
         for j, p in enumerate(p_grid):
@@ -140,7 +150,6 @@ def heatmap_grid(
 
 def optimal_p(theta: float, method: str) -> float:
     """The decay exponent p maximizing the rate at a fixed theta."""
-    if not 0.5 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
+    check(theta=theta)
     scale = _noise_scale(method)
     return scale * theta / (scale * theta + 2.0 * theta - 1.0)

@@ -26,8 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, takewhile
+from numbers import Integral
 from operator import mul
 from typing import Callable, NamedTuple
+
+from .domains import Checked, check
 
 
 class PreconditionError(ValueError):
@@ -71,7 +74,7 @@ class SpecGrid(NamedTuple):
 
 
 @dataclass(frozen=True)
-class RecursionSpec:
+class RecursionSpec(Checked):
     """Coefficient functions, evaluation grid, and horizon of one recursion.
 
     `ratio` is r = s/t, with the analytic r' that the lambda certificate reads;
@@ -93,8 +96,7 @@ class RecursionSpec:
     _forgetting: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
+        super().__post_init__()
         lo, hi = self.interval
         if not lo < hi:
             raise ValueError(f"empty interval {self.interval}")
@@ -146,7 +148,7 @@ class CertifiedLambda:
 
 
 @dataclass(frozen=True)
-class ClassicalParams:
+class ClassicalParams(Checked):
     """Parameters of the decreasing-step recursion with s = x^nu/c, t = x^(nu+q)/d."""
 
     c: float
@@ -156,30 +158,17 @@ class ClassicalParams:
     gamma: float
     varsigma: float | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("c", "d", "q", "gamma"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
-        if self.varsigma is not None and not self.varsigma > 0:
-            raise ValueError("varsigma must be positive when given")
 
-
-def _check_start(a0: float) -> None:
-    """A start value's check; inf would give inf * 0.0 = NaN where a product is 0."""
-    if not a0 >= 0.0:
-        raise ValueError("a0 must be nonnegative")
-    if a0 == math.inf:
-        raise ValueError("a0 must be finite, got inf")
+def _check_steps(spec: RecursionSpec, a0: float, K: int) -> None:
+    """A start value a0 and a step count K within the spec's horizon."""
+    check(a0=a0, K=K)
+    if K > spec.horizon:
+        raise ValueError(f"K = {K} beyond spec horizon {spec.horizon}")
 
 
 def iterate_recursion_exact(spec: RecursionSpec, a0: float, K: int) -> list[float]:
     """Run the recursion with equality; returns [a_0, ..., a_K]."""
-    if not 1 <= K <= spec.horizon:
-        raise ValueError(f"K must lie in [1, {spec.horizon}], got {K}")
-    _check_start(a0)
+    _check_steps(spec, a0, K)
     a = float(a0)
     seq = [a]
     append = seq.append
@@ -197,9 +186,7 @@ def expansion_bound(spec: RecursionSpec, a0: float, K: int) -> float:
     by backward suffix accumulation; empty products are 1. Agrees with
     iterate_recursion_exact up to floating-point reordering.
     """
-    if not 1 <= K <= spec.horizon:
-        raise ValueError(f"K must lie in [1, {spec.horizon}], got {K}")
-    _check_start(a0)
+    _check_steps(spec, a0, K)
     grid = spec.grid
     suffix = 1.0
     terms = []
@@ -240,20 +227,19 @@ def find_lambda_constant(
         # in other units, rounds apart from it and can read -1e-16
         lam = max(1.0 / (1.0 + h) for h in feasible)
         return CertifiedLambda(lam, len(feasible), 0.0)
-    if not lambda_target > 0:
-        raise ValueError("lambda_target must be positive")
+    check(lambda_target=lambda_target)
     threshold = -1.0 + 1.0 / lambda_target
     gaps = list(takewhile(lambda gap: gap >= -SLOPE_TOL, [h - threshold for h in terms]))
     return CertifiedLambda(lambda_target, len(gaps), min(gaps, default=-math.inf))
 
 
 def _check_certified(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: int) -> None:
-    """The checks of general_bound and forgetting_bound: k within cert and spec, and a0."""
-    if not 0 <= k < cert.certified_horizon:
+    """The checks of general_bound and forgetting_bound: a0, and k within cert and spec."""
+    check(a0=a0, k=k)
+    if not k < cert.certified_horizon:
         raise PreconditionError(f"k = {k} beyond certified horizon {cert.certified_horizon}")
     if k + 1 > spec.horizon:
         raise ValueError(f"k + 1 = {k + 1} beyond spec horizon {spec.horizon}")
-    _check_start(a0)
 
 
 def general_bound(spec: RecursionSpec, cert: CertifiedLambda, a0: float, k: int) -> float:
@@ -277,13 +263,13 @@ def extend_bound(
     and r(b_k) <= B for every k in [K_certified+1, K]; returns
     B + C*prod_{i=k0}^{K-1}(1-1/s(b_i)).
     """
-    if not 0 <= k0 <= K <= spec.horizon:
-        raise ValueError("need 0 <= k0 <= K <= horizon")
-    if K_certified < 0:
-        raise ValueError(f"K_certified must be nonnegative, got {K_certified}")
-    for name, value in (("B", B), ("C", C)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
+    check(B=B, C=C, k0=k0, K_certified=K_certified)
+    # K ends the product, so K = k0 = 0 (the empty product) is one
+    if isinstance(K, bool) or not (isinstance(K, Integral) and k0 <= K <= spec.horizon):
+        raise ValueError(
+            f"need an integer K with k0 <= K <= horizon, got k0 = {k0}, K = {K!r}, "
+            f"horizon = {spec.horizon}"
+        )
     grid = spec.grid
     slack = 1e-12 * max(1.0, abs(B))
     for k in range(K_certified + 1, K + 1):
@@ -301,8 +287,10 @@ def forgetting_factor(spec: RecursionSpec, lam: float, k: int) -> float:
     An infinite s gives the factor 1.0 (x * 1.0 is x); from an s with
     s - 1 + 1/lam = 0 on, every k raises a ValueError that names that s and lam.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    check(lam=lam)
+    # a second domain for k: any integer, as every k <= -1 gives the empty product 1
+    if isinstance(k, bool) or not (isinstance(k, int) or isinstance(k, Integral)):
+        raise ValueError(f"the forgetting factor needs an integer k, got {k!r}")
     if k + 1 > spec.horizon:
         raise ValueError(f"k = {k} beyond spec horizon {spec.horizon}")
     kept, prefix = spec._forgetting
@@ -363,9 +351,7 @@ def classical_bound(
     Where gamma^q passes the floats, the start term subtracts its limit, 0;
     where a floor on gamma does, the floor's PreconditionError names it inf.
     """
-    _check_start(a0)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    check(a0=a0, k=k)
     c, d, nu, q, gamma = params.c, params.d, params.nu, params.q, params.gamma
     floor = _power(c, 1.0 / nu)
     if not gamma >= floor:
@@ -427,6 +413,7 @@ def classical_spec(
     a0 is at or above the starting envelope. Both choices share t and the
     ratio, hence certify the same lambda.
     """
+    check(horizon=horizon)
     c, d, nu, q = params.c, params.d, params.nu, params.q
     gamma = params.gamma
     if horizon + gamma == gamma:

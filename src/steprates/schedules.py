@@ -6,48 +6,36 @@ alpha*[(1+cos(k*pi/K))/2]^p; constant is the exponential rule at g = 1. All
 are non-increasing in k. Each rule is stated once per arithmetic: in _steps
 (math), which every scalar query reads, and in _lane_steps (numpy). _steps
 forms k + gamma, k*log g and k*pi/K over exact float k below 2^53, and in
-int arithmetic from there, which gives the same bits. Helpers give the
-largest step, which the bound evaluators and optimizers compare with their
-caps, and partial sums (closed form where one exists).
+int arithmetic from there, which gives the same bits; where k*pi passes the
+floats, the angle is (k/K)*pi. Helpers give the largest step, which the
+bound evaluators and optimizers compare with their caps, and partial sums
+(closed form where one exists). A family's constants are checked at
+construction against their domains in steprates.domains (alpha, gamma, p
+and beta positive and finite, a horizon an integer from 1 to the largest
+float), as are the step index k and count K of every query.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-
-def _positive(value: float, name: str) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _check_horizon(value: int, name: str) -> None:
-    """A horizon's checks: a positive integer, no larger than the largest
-    float, as it enters float arithmetic."""
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer")
-    if value > sys.float_info.max:
-        raise ValueError(f"{name} must not exceed the largest float")
+from .domains import Checked, check
 
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(Checked):
     """alpha_k = alpha for every k: the exponential rule at g = 1."""
 
     alpha: float
     log_decay: ClassVar[float] = 0.0  # log g
 
-    def __post_init__(self) -> None:
-        _positive(self.alpha, "alpha")
-
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Checked):
     """alpha_k = alpha / (k + gamma)^p, 0.0 where (k + gamma)^p passes the floats."""
 
     alpha: float
@@ -55,9 +43,7 @@ class Polynomial:
     p: float
 
     def __post_init__(self) -> None:
-        _positive(self.alpha, "alpha")
-        _positive(self.gamma, "gamma")
-        _positive(self.p, "p")
+        super().__post_init__()
         try:  # not recursions._power: schedules is the leaf module
             scale = self.gamma**self.p
         except OverflowError:  # gamma^p past the floats: every step is 0.0
@@ -67,7 +53,7 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(Checked):
     """alpha_k = alpha * g^k with g = (beta/K)^(p/K), defined for k in [0, K]."""
 
     alpha: float
@@ -76,15 +62,10 @@ class Exponential:
     horizon: int
 
     def __post_init__(self) -> None:
-        _positive(self.alpha, "alpha")
-        _positive(self.beta, "beta")
-        _positive(self.p, "p")
-        _check_horizon(self.horizon, "horizon")
+        super().__post_init__()
         # beta < K keeps the per-step factor strictly below one
         if not self.beta < self.horizon:
-            raise ValueError(
-                f"horizon must exceed beta, got beta={self.beta}, horizon={self.horizon}"
-            )
+            raise ValueError(f"need beta < horizon, got beta={self.beta}, horizon={self.horizon}")
         if math.isinf(self.log_decay):  # alpha_0 = alpha*exp(0*log g) would be NaN
             raise ValueError(f"log g passes the floats for beta={self.beta!r}, p={self.p!r}")
 
@@ -95,34 +76,27 @@ class Exponential:
 
 
 @dataclass(frozen=True)
-class Cosine:
+class Cosine(Checked):
     """alpha_k = alpha * [(1+cos(k*pi/K))/2]^p, zero exactly at k = K."""
 
     alpha: float
     p: float
     horizon: int
 
-    def __post_init__(self) -> None:
-        _positive(self.alpha, "alpha")
-        _positive(self.p, "p")
-        _check_horizon(self.horizon, "horizon")
-
 
 StepSchedule = Constant | Polynomial | Exponential | Cosine
 
 
 def _check_index(schedule: StepSchedule, k: int) -> None:
-    if k < 0:
-        raise ValueError(f"step index must be nonnegative, got {k}")
+    """Step k, a nonnegative integer, lies within the schedule's horizon."""
     horizon = getattr(schedule, "horizon", None)
     if horizon is not None and k > horizon:
         raise ValueError(f"step index {k} beyond horizon {horizon}")
 
 
 def _check_steps(schedule: StepSchedule, K: int) -> None:
-    """K is a step count of at least 1 that the schedule's horizon covers."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    """K, a step count, is one that the schedule's horizon covers."""
+    check(K=K)
     _check_index(schedule, K - 1)
 
 
@@ -163,13 +137,19 @@ def _steps(schedule: StepSchedule, ks: range) -> list[float]:
         return [a * math.exp(x) for x in _bases(ks, lambda k: k * lg)]
     if isinstance(schedule, Cosine):
         a, p, H = schedule.alpha, schedule.p, float(schedule.horizon)  # x / int H reads float(H)
-        angles = _bases(ks, lambda k: k * math.pi / H)
+
+        def angle(k):  # k * pi passes the floats only for an int k above about 5.7e307
+            x = k * math.pi
+            return x / H if x.__class__ is not float or x < math.inf else k / H * math.pi
+
+        angles = _bases(ks, angle)
         return [a * ((1.0 + math.cos(x)) / 2.0) ** p for x in angles]
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
 
 
 def step_value(schedule: StepSchedule, k: int) -> float:
     """alpha_k for the given family; zero only for the cosine family at k = K."""
+    check(k=k)
     _check_index(schedule, k)
     return _steps(schedule, range(k, k + 1))[0]
 

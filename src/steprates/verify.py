@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .domains import check
 from .optimizers import (
     NoiseModel,
     Problem,
@@ -99,8 +100,9 @@ class WorstMargin:
     def add(self, margins, values, *where, floor: float = 0.0) -> None:
         """Fold in one nonempty row of item margins and the values they
         witness, each a list of floats or a numpy array."""
-        # the first NaN, else the first least item: of 0.0 and -0.0, min()'s pick
-        low = float(margins[np.argmin(margins)])
+        # the first NaN, else the first least item: of 0.0 and -0.0, min()'s
+        # pick; a one-item row is read as it is, without numpy's list conversion
+        low = float(margins[0] if len(margins) == 1 else margins[np.argmin(margins)])
         if self.margin is None or low < self.margin or low != low:
             self.margin = low  # a NaN, once in, stays: nothing is below it
         if self.witness is None and not low >= -floor:
@@ -127,13 +129,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _stream(name: str, count: int, seed: int) -> np.random.Generator:
-    """The generator keyed by seed of a check that takes count >= 1 draws."""
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1, got {count}")
-    return keyed_generators([seed])[0]
 
 
 CONVEXITY_SUBDIVISIONS = 8  # equal parts of each gap of the b_k grid
@@ -223,7 +218,8 @@ def chung_suite(draws: int, seed: int) -> SuiteReport:
     draws_run. A draw whose lambda certificate falls short of its horizon
     ends the suite with that failed check.
     """
-    rng = _stream("draws", draws, seed)
+    check(draws=draws)
+    rng = keyed_generators([seed])[0]
     run = max(1, draws // 10)
     counts = {"draws_requested": draws, "draws_run": run}
 
@@ -450,6 +446,7 @@ def bounds_suite(
     and the report is bit for bit the one that loop with
     simulate_pl_recursion writes.
     """
+    check(draws=draws)
     if method is not None:
         _method(method)  # the ValueError that names an unknown method
     if family not in (None, *_FAMILIES):
@@ -458,7 +455,7 @@ def bounds_suite(
         raise ValueError(f"unknown poly_case {poly_case!r}")
     if poly_case is not None and family != "poly":
         raise ValueError(f"poly_case {poly_case!r} pins a polynomial draw, not family {family!r}")
-    rng = _stream("draws", draws, seed)
+    rng = keyed_generators([seed])[0]
     worst = WorstMargin("bound-dominates-simulation", "method={} schedule={} K={}".format)
     evaluated = dominated = resampled = attempts = 0
     while evaluated < draws and attempts < 50 * draws:
@@ -496,7 +493,8 @@ def _box_point(rng: np.random.Generator, problem: Problem) -> tuple[np.ndarray, 
 
 def verify_pl(problem: Problem, sample_count: int, seed: int) -> CheckResult:
     """Sample the gradient-domination inequality inside the certified box."""
-    rng = _stream("sample_count", sample_count, seed)
+    check(sample_count=sample_count)
+    rng = keyed_generators([seed])[0]
     root = math.sqrt(2.0 * problem.pl_mu)
     theta, least = problem.pl_theta, _gap_floor(problem.f_star)
     worst = WorstMargin("pl-inequality", "sample {}".format)
@@ -518,7 +516,8 @@ def verify_variance(
     The stochastic oracle check is Monte Carlo with a three-standard-error
     slack; the finite-sum dispersion check is exact up to floating point.
     """
-    rng = _stream("sample_count", sample_count, seed)
+    check(sample_count=sample_count, draws=draws)
+    rng = keyed_generators([seed])[0]
     dim = problem.dimension
     checks: list[WorstMargin] = []
 
@@ -570,7 +569,8 @@ def assumptions_suite(draws: int, seed: int) -> SuiteReport:
     The PL checks sample max(100, min(draws, 2000)) points; the variance
     checks use 25 points and max(30, draws) noise draws each (draws >= 1).
     """
-    _stream("draws", draws, seed)  # the count's and the seed's check; each check keys its own
+    check(draws=draws)
+    keyed_generators([seed])  # the seed's check; each check keys its own
     checks: list[CheckResult] = []
     samples = max(100, min(draws, 2000))
     gaussian = NoiseModel(kind="additive_gaussian", sigma=1.0)
@@ -699,8 +699,7 @@ def tech_inequality_suite(K_max: int, r_grid: list[float]) -> SuiteReport:
     floor, and the integral sandwich for decreasing power functions. The
     cosine checks share one row per K of cos(k*pi/K) and (1 - k/K)**2.
     """
-    if K_max < 2:
-        raise ValueError("K_max must be at least 2")
+    check(K_max=K_max)
     if not r_grid or any(r <= 0 for r in r_grid):
         raise ValueError("r_grid must contain positive reals")
     checks = (

@@ -120,7 +120,7 @@ def test_simulate_recursion_builds_every_schedule_before_any_walk(tmp_path, caps
         {"id": "exp", "family": "exponential", "alpha": 0.5, "beta": 4.0, "p": 1.0},
     ]
     assert run_cli(tmp_path, "simulate-recursion", config) == 2
-    assert "horizon must exceed beta" in capsys.readouterr().err
+    assert "need beta < horizon, got beta=4.0, horizon=2" in capsys.readouterr().err
     assert not (tmp_path / "out" / "recursion.csv").exists()
 
 
@@ -698,7 +698,8 @@ def test_verify_small_randomized_suites(tmp_path):
 @pytest.mark.parametrize("draws", ["0", "-3"])
 def test_verify_with_fewer_than_one_draw_is_a_config_error(tmp_path, capsys, suite, draws):
     assert cli.main(["verify", suite, "--draws", draws, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"config error: draws must be at least 1, got {draws}\n"
+    message = f"config error: draws must be a positive integer, got {draws}\n"
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "report.json").exists()
 
 

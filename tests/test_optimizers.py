@@ -309,7 +309,7 @@ def test_make_quadratic_validation():
     with pytest.raises(ValueError):
         make_quadratic(2.0, 1.0, 1)
     for N in (None, 2):  # linspace to inf warns, and L would be nan
-        with pytest.raises(ValueError, match="^L must be finite, got inf$"):
+        with pytest.raises(ValueError, match="^L must be positive and finite, got inf$"):
             make_quadratic(1.0, math.inf, 2 if N is None else 1, N=N)
     with pytest.raises(ValueError):
         make_quadratic(1.0, 2.0, 2, N=2)
@@ -573,7 +573,7 @@ def test_noise_free_bound_powers_past_the_floats_are_their_limits():
 @pytest.mark.parametrize("name", ["sigma", "A"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
 def test_noise_model_rejects_a_constant_that_is_not_nonnegative_and_finite(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative finite float"):
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite, got {value!r}$"):
         NoiseModel("additive_gaussian", **{name: value})
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import steprates
 import steprates.cli as cli
+from steprates.domains import DOMAINS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 EXAMPLES = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
@@ -120,4 +121,35 @@ def test_every_check_lives_in_verify_and_cli_imports_no_private_name():
                 private = name.startswith("_") and not name.endswith("__")
                 if module == "cli" and library and private:
                     found.append(f"cli imports the private name {name} from {source}")
+    assert found == []
+
+
+def raised_messages(tree):
+    """(line, text) of each raise whose exception takes a string or f-string
+    first, with "{}" in place of each formatted value."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        first = node.exc.args[0] if node.exc.args else None
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            yield node.lineno, first.value
+        elif isinstance(first, ast.JoinedStr):
+            parts = (v.value if isinstance(v, ast.Constant) else "{}" for v in first.values)
+            yield node.lineno, "".join(parts)
+
+
+def test_each_domain_is_stated_once_in_the_domain_table():
+    """No module but domains raises "<name> must ..." for a name that the
+    table declares, and none but cli, which parses config types, raises
+    "{name} must ..." for a name it is handed: each domain is stated once,
+    and steprates.domains.check raises it."""
+    names = "|".join(re.escape(name) for name in DOMAINS)
+    stated = re.compile(rf"^(?:{names}|\{{\}}) must\b")
+    found = []
+    for path in sorted(Path(steprates.__file__).parent.glob("*.py")):
+        if path.stem == "domains":
+            continue
+        for line, text in raised_messages(ast.parse(path.read_text(encoding="utf-8"))):
+            if stated.match(text) and not (path.stem == "cli" and text.startswith("{}")):
+                found.append(f"{path.name}:{line}: {text}")
     assert found == []

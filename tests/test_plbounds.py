@@ -453,9 +453,10 @@ def test_finals_validate_as_the_oracle_does():
     params = PLParams(l1=0.0, l2=1.0, l3=0.0, tau=2.0, theta=0.5)
     flat, cosine = Constant(alpha=0.1), Cosine(alpha=0.1, p=1.0, horizon=4)
     assert simulate_pl_finals([]) == []
-    with pytest.raises(ValueError, match="^y0 must be nonnegative$"):
+    with pytest.raises(ValueError, match="^y0 must be nonnegative, got -1.0$"):
         simulate_pl_finals([(params, flat, 1.0, 4), (params, flat, -1.0, 4)])
-    with pytest.raises(ValueError, match="^K must be a positive integer$"):
+    message = "^K must be an integer from 1 to the largest float, got 0$"
+    with pytest.raises(ValueError, match=message):
         simulate_pl_finals([(params, flat, 1.0, 4), (params, flat, 1.0, 0)])
     with pytest.raises(ValueError, match="^step index 5 beyond horizon 4$"):
         simulate_pl_finals([(params, cosine, 1.0, 2), (params, cosine, 1.0, 6)])
@@ -901,7 +902,10 @@ def test_transform_steps_whose_powers_pass_the_floats_give_s_and_t_inf():
     "make, message",
     [
         (lambda: PLParams(0.0, 1.0, 1.0, math.inf, 0.75), "tau must be finite and exceed 1"),
-        (lambda: descent_coefficients("rr", 1.0, 1.0, 1.0, 1.0, N=10**400), "count N, got 10000"),
+        (
+            lambda: descent_coefficients("rr", 1.0, 1.0, 1.0, 1.0, N=10**400),
+            "^N must be an integer from 1 to the largest float, got 10000",
+        ),
     ],
     ids=["tau-inf", "N-past-the-floats"],
 )
@@ -1104,9 +1108,11 @@ def test_floors_whose_divisor_underflows_are_inf_and_fail_their_precondition():
 
 def test_bound_arguments_past_the_floats_are_rejected_by_name():
     mc = sgd_constants(theta=0.75, L=1.0, mu=1.0, A=0.5, sigma=1.0)
-    with pytest.raises(ValueError, match="^K must not exceed the largest float$"):
+    message = "^K must be an integer from 1 to the largest float, got 1000"
+    with pytest.raises(ValueError, match=message):
         bound_const(mc, Constant(0.1), 1.0, 10**400)
-    with pytest.raises(ValueError, match="^horizon must not exceed the largest float$"):
+    message = "^horizon must be an integer from 1 to the largest float, got 1000"
+    with pytest.raises(ValueError, match=message):
         Exponential(0.1, 1.0, 1.0, 10**400)
     with pytest.raises(ValueError, match="^alpha must be positive and finite, got -1.0$"):
         poly_gamma_floor(mc.params, mc.derived, "c", -1.0, 0.9)  # a complex floor

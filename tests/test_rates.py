@@ -176,10 +176,14 @@ def _power(base, exponent):
 
 
 def reference_coefficients(method, L, mu, A, sigma, N, theta):
-    """descent_coefficients as its sgd and rr branches stated it."""
-    if not (L > 0 and mu > 0):
+    """descent_coefficients as its sgd and rr branches stated it, on the
+    declared domains: L and mu positive and finite, and N, wherever given,
+    an integer from 1 to the largest float."""
+    if not (L > 0 and 0 < mu < math.inf):
         raise ValueError
     if A < 0 or sigma < 0:
+        raise ValueError
+    if N is not None and not (isinstance(N, int) and 1 <= N <= sys.float_info.max):
         raise ValueError
     if method == "sgd":
         l1, l2, l3, tau = A * L / 2.0, mu, L * _power(sigma, 2) / 2.0, 2.0

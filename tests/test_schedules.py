@@ -138,8 +138,22 @@ CLOSED_FORMS = {
     Constant: lambda s, k: s.alpha,
     Polynomial: lambda s, k: s.alpha / (k + s.gamma) ** s.p,
     Exponential: lambda s, k: s.alpha * math.exp(k * s.log_decay),
-    Cosine: lambda s, k: s.alpha * ((1.0 + math.cos(k * math.pi / s.horizon)) / 2.0) ** s.p,
+    Cosine: lambda s, k: s.alpha * ((1.0 + math.cos(cosine_angle(k, s.horizon))) / 2.0) ** s.p,
 }
+
+
+def cosine_angle(k, K):
+    """k*pi/K, or (k/K)*pi where k*pi passes the floats (an int k above 5.7e307)."""
+    return k * math.pi / K if k * math.pi < math.inf else k / K * math.pi
+
+
+def test_cosine_steps_near_the_largest_float_are_finite_and_end_at_zero():
+    """k*pi passed the floats, and cos(inf) raised a bare math domain error."""
+    schedule = Cosine(1.0, 1.0, 10**308)
+    assert step_value(schedule, 10**308) == 0.0
+    middle = step_value(schedule, 6 * 10**307)
+    assert math.isfinite(middle) and middle == (1.0 + math.cos(0.6 * math.pi)) / 2.0
+    assert step_values(Cosine(1.0, 1.0, 10**308), 3) == [1.0, 1.0, 1.0]
 
 
 def test_step_values_matches_step_value_bitwise():

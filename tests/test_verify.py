@@ -113,7 +113,7 @@ def test_chung_decay_forms_share_certificate_and_convexity():
 @pytest.mark.parametrize("suite", [chung_suite, bounds_suite, assumptions_suite])
 @pytest.mark.parametrize("draws", [0, -3])
 def test_suites_reject_fewer_than_one_draw(suite, draws):
-    with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
+    with pytest.raises(ValueError, match=f"^draws must be a positive integer, got {draws}$"):
         suite(draws, 0)
 
 
@@ -125,7 +125,7 @@ def test_case_d_draw_and_its_bound_search_the_offset_once(monkeypatch):
         return offset_admissible(*args)
 
     monkeypatch.setattr(plbounds, "offset_admissible", counted)
-    smallest_offset.cache_clear()
+    plbounds._offset_search.cache_clear()  # the memo behind smallest_offset
     rng = np.random.default_rng(3)
     drawn = None
     while drawn is None:
@@ -136,7 +136,7 @@ def test_case_d_draw_and_its_bound_search_the_offset_once(monkeypatch):
     evaluate(0.25)
     # the bound tests its own gamma once and takes the offset from the draw's search
     assert len(tests) == searched + 1
-    assert smallest_offset.cache_info().hits == 1
+    assert plbounds._offset_search.cache_info().hits == 1
 
 
 def test_case_d_draw_falls_back_to_the_smallest_offset(monkeypatch):
